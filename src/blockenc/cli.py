@@ -14,11 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from .angle_tree import pad_to_power_of_two, qnorm_profile
-from .circuit import count_resources, write_circuit_text
+from .circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    count_resources,
+    write_circuit_text,
+)
 from .encoding import (
     BlockEncodingConfig,
     Method,
     Variant,
+    _prepare_matrix,
     build_block_encoding,
     build_controlled_block_encoding,
     build_symmetric_block_encoding,
@@ -252,22 +259,20 @@ def cmd_verify(args):
     result = _build_result(args, matrix)
     if result.n > 3:
         raise UsageError("verify is desk-scale only: padded n must be <= 3")
-    padded = pad_to_power_of_two(matrix)
-    if padded.shape[0] != padded.shape[1]:
-        side = max(padded.shape)
-        squared = np.zeros((side, side))
-        squared[: padded.shape[0], : padded.shape[1]] = padded
-        padded = squared
+    padded, _, _ = _prepare_matrix(matrix)
+    circuit = result.circuit
+    if result.control_qubits:
+        # The controlled variant encodes A/alpha with its controls at |1>.
+        flips = tuple(Gate(GateKind.X, (q,)) for q in result.control_qubits)
+        circuit = Circuit(circuit.registers, flips + circuit.ops + flips,
+                          circuit.total_qubits, circuit.stages)
     try:
-        ext = extract_block(result.circuit, result.in_qubits,
+        ext = extract_block(circuit, result.in_qubits,
                             out_qubits=result.out_qubits)
     except SupportCapError as exc:
         raise UsageError(str(exc)) from exc
     if args.variant == "symmetric":
-        m_rows, n_cols = result.original_shape
-        m_pad = 1 << max(0, (m_rows - 1).bit_length())
-        n_pad = 1 << max(0, (n_cols - 1).bit_length())
-        side = m_pad + n_pad
+        m_pad, n_pad = result.padded_shape
         target = np.zeros((1 << result.n, 1 << result.n))
         target[:m_pad, m_pad:m_pad + n_pad] = padded[:m_pad, :n_pad]
         target[m_pad:m_pad + n_pad, :m_pad] = padded[:m_pad, :n_pad].T
@@ -297,6 +302,8 @@ def cmd_verify(args):
         "bound_kind": bound_kind,
         "unitarity_witness": unitary,
         "column_leak_weights": [round(leak, 12) for leak in ext.column_leaks],
+        "peak_support": ext.peak_support,
+        "pruned_weight": ext.pruned_weight,
         "passed": bool(passed),
     }
     _emit(payload, args)

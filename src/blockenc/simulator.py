@@ -1,15 +1,26 @@
 """Sparse statevector simulation and block extraction.
 
-States are hash maps from basis-index integers to complex amplitudes (bit q
-of the index is qubit q), which keeps block-encoding circuits tractable at
-50+ qubits: ancillas stay basis-correlated with the address, so the support
-per basis input remains small except through H layers.
+A state is a list of basis indices with complex amplitudes, held as arrays:
+the indices as a uint64 bitset with one row per 64-qubit word (bit q of an
+index is bit q % 64 of word q // 64, so circuits of any width fit) and the
+amplitudes as a complex128 vector.  Permutation and diagonal gates act on
+every entry at once as masked XORs and multiplies.  Branching gates (H, G,
+G^dagger and the RY family) emit both branches and merge the entries that
+meet.  Block-encoding circuits keep their ancillas basis-correlated with the
+address, so the support stays small except through H layers.
+
+``extract_block`` and ``dense_unitary`` run all their input columns in one
+pass: column k carries its index in bits at or above the circuit's qubit
+count, which no gate touches, so the support cap bounds the total support of
+the column-batched state.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,159 +43,241 @@ def support_cap_default() -> int:
     return int(value) if value else DEFAULT_SUPPORT_CAP
 
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-_H = ((complex(_SQ2), complex(_SQ2)), (complex(_SQ2), complex(-_SQ2)))
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def _g_matrix():
     s = np.diag([1.0, 1.0j])
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQ2
     t = np.diag([1.0, cmath.exp(1j * math.pi / 4)])
-    g = s.conj().T @ h @ t @ h @ s
-    return ((complex(g[0, 0]), complex(g[0, 1])),
-            (complex(g[1, 0]), complex(g[1, 1])))
+    return s.conj().T @ _H @ t @ _H @ s
 
 
 _G = _g_matrix()
-_GDG = ((complex(_G[0][0].conjugate()), complex(_G[1][0].conjugate())),
-        (complex(_G[0][1].conjugate()), complex(_G[1][1].conjugate())))
 
 
 def _ry_matrix(theta):
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return ((complex(c), complex(-s)), (complex(s), complex(c)))
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+_FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.FANOUT_CNOT,
+                    GateKind.TOFFOLI, GateKind.MCX))
+# Diagonal kinds: the phase applied where every target qubit is |1>.
+_PHASES = {GateKind.Z: -1.0 + 0.0j, GateKind.CZ: -1.0 + 0.0j, GateKind.S: 1j,
+           GateKind.SDG: -1j, GateKind.T: cmath.exp(1j * math.pi / 4),
+           GateKind.TDG: cmath.exp(-1j * math.pi / 4)}
+_FIXED_BRANCHES = {GateKind.H: _H, GateKind.G: _G, GateKind.GDG: _G.conj().T}
+_ROTATIONS = frozenset((GateKind.RY, GateKind.CRY, GateKind.CCRY))
+
+_WORD = 64
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _locate(q):
+    """(word, mask) of qubit ``q``."""
+    w, b = divmod(q, _WORD)
+    return w, np.uint64(1 << b)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _word_masks(qubits):
+    """((word, mask), ...) covering the qubit tuple ``qubits``."""
+    masks = {}
+    for q in qubits:
+        w, b = divmod(q, _WORD)
+        masks[w] = masks.get(w, 0) | (1 << b)
+    return tuple((w, np.uint64(m)) for w, m in masks.items())
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _control_terms(controls):
+    """((word, mask, required bits), ...) for polarized ``controls``."""
+    masks, values = {}, {}
+    for q, positive in controls:
+        w, b = divmod(q, _WORD)
+        masks[w] = masks.get(w, 0) | (1 << b)
+        if positive:
+            values[w] = values.get(w, 0) | (1 << b)
+    return tuple((w, np.uint64(m), np.uint64(values.get(w, 0)))
+                 for w, m in masks.items())
+
+
+def _pack(indices, words):
+    keys = np.empty((words, len(indices)), dtype=np.uint64)
+    low = (1 << _WORD) - 1
+    for w in range(words):
+        keys[w] = [(i >> (_WORD * w)) & low for i in indices]
+    return keys
+
+
+def _unpack(keys):
+    ints = keys[0].tolist()
+    for w in range(1, keys.shape[0]):
+        shift = _WORD * w
+        ints = [lo | (hi << shift) for lo, hi in zip(ints, keys[w].tolist())]
+    return ints
+
+
+def _read(keys, qubits):
+    """Register value of every entry; qubits listed most-significant first."""
+    value = np.zeros(keys.shape[1], dtype=np.int64)
+    for q in qubits:
+        w, m = _locate(q)
+        value = (value << 1) | ((keys[w] & m) != 0)
+    return value
+
+
+def _runs(keys):
+    """Sort order of ``keys`` and the sorted positions that start a run."""
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.logical_not(same, out=starts[1:])
+    return order, starts.nonzero()[0]
 
 
 class SparseState:
-    """Mutable sparse state; single owner per simulation run."""
+    """Mutable sparse state; single owner per simulation run.
+
+    ``amplitudes`` is a read-only ``{basis index: amplitude}`` view of the
+    arrays the gates act on.
+    """
 
     def __init__(self, num_qubits, amplitudes=None, prune_threshold=1e-14,
                  support_cap=None):
+        amplitudes = dict(amplitudes) if amplitudes else {0: 1.0 + 0.0j}
+        indices = list(amplitudes)
+        width = max(num_qubits, max(i.bit_length() for i in indices))
         self.num_qubits = num_qubits
-        self.amplitudes = dict(amplitudes) if amplitudes else {0: 1.0 + 0.0j}
         self.prune_threshold = prune_threshold
-        self.support_cap = support_cap if support_cap is not None else support_cap_default()
+        self.support_cap = (support_cap if support_cap is not None
+                            else support_cap_default())
         self.pruned_weight = 0.0
+        self._keys = _pack(indices, max(1, -(-width // _WORD)))
+        self._amps = np.array([amplitudes[i] for i in indices], dtype=complex)
+        self.peak_support = len(indices)
+        self._view = None
 
     @classmethod
     def basis(cls, num_qubits, index=0, **kw):
         return cls(num_qubits, {index: 1.0 + 0.0j}, **kw)
 
+    @property
+    def amplitudes(self):
+        if self._view is None:
+            self._view = MappingProxyType(
+                dict(zip(_unpack(self._keys), self._amps.tolist())))
+        return self._view
+
     def copy(self):
-        s = SparseState(self.num_qubits, self.amplitudes,
-                        self.prune_threshold, self.support_cap)
+        s = SparseState(self.num_qubits, {0: 1.0 + 0.0j}, self.prune_threshold,
+                        self.support_cap)
+        s._keys = self._keys.copy()
+        s._amps = self._amps.copy()
         s.pruned_weight = self.pruned_weight
+        s.peak_support = self.peak_support
         return s
 
     def norm(self):
-        return math.sqrt(sum((a * a.conjugate()).real for a in self.amplitudes.values()))
+        a = self._amps
+        return math.sqrt(float(np.sum(a.real ** 2 + a.imag ** 2)))
 
     def support(self):
-        return len(self.amplitudes)
-
-    def _controls_pass(self, idx, controls):
-        for q, positive in controls:
-            if bool((idx >> q) & 1) != positive:
-                return False
-        return True
+        return len(self._amps)
 
     def apply(self, op):
         if isinstance(op, Macro):
             for g in op.expansion:
                 self._apply_gate(g)
         elif isinstance(op, Gate):
-            self._apply_gate(g=op)
+            self._apply_gate(op)
         else:
             raise SimulationError(f"unknown op {op!r}")
         return self
 
+    def _controls_pass(self, controls):
+        keys = self._keys
+        hit = None
+        for w, m, v in _control_terms(controls):
+            term = (keys[w] & m) == v
+            hit = term if hit is None else np.logical_and(hit, term, out=hit)
+        return hit
+
     def _apply_gate(self, g):
         kind = g.kind
-        amps = self.amplitudes
-        if kind is GateKind.X:
-            mask = 1 << g.targets[0]
-            self.amplitudes = {idx ^ mask: a for idx, a in amps.items()}
-        elif kind is GateKind.Z:
-            q = g.targets[0]
-            for idx in amps:
-                if (idx >> q) & 1:
-                    amps[idx] = -amps[idx]
-        elif kind in (GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG):
-            q = g.targets[0]
-            phase = {GateKind.S: 1j, GateKind.SDG: -1j,
-                     GateKind.T: cmath.exp(1j * math.pi / 4),
-                     GateKind.TDG: cmath.exp(-1j * math.pi / 4)}[kind]
-            for idx in amps:
-                if (idx >> q) & 1:
-                    amps[idx] = amps[idx] * phase
-        elif kind is GateKind.H:
-            self._apply_1q(g.targets[0], _H)
-        elif kind is GateKind.G:
-            self._apply_1q(g.targets[0], _G)
-        elif kind is GateKind.GDG:
-            self._apply_1q(g.targets[0], _GDG)
-        elif kind is GateKind.RY:
-            self._apply_1q(g.targets[0], _ry_matrix(g.angle))
-        elif kind in (GateKind.CRY, GateKind.CCRY):
-            self._apply_1q(g.targets[0], _ry_matrix(g.angle), g.controls)
-        elif kind in (GateKind.CNOT, GateKind.FANOUT_CNOT, GateKind.TOFFOLI,
-                      GateKind.MCX):
-            mask = 0
-            for t in g.targets:
-                mask |= 1 << t
-            controls = g.controls
-            new = {}
-            for idx, a in amps.items():
-                if self._controls_pass(idx, controls):
-                    idx ^= mask
-                new[idx] = new.get(idx, 0.0) + a
-            self.amplitudes = new
-        elif kind is GateKind.CZ:
-            qa, qb = g.targets
-            for idx in amps:
-                if (idx >> qa) & 1 and (idx >> qb) & 1:
-                    amps[idx] = -amps[idx]
+        keys, amps = self._keys, self._amps
+        hit = self._controls_pass(g.controls) if g.controls else None
+        if kind in _FLIPS:
+            where = True if hit is None else hit
+            for w, m in _word_masks(g.targets):
+                np.bitwise_xor(keys[w], m, out=keys[w], where=where)
+        elif kind in _PHASES:
+            on = hit
+            for w, m in _word_masks(g.targets):
+                term = (keys[w] & m) == m
+                on = term if on is None else np.logical_and(on, term, out=on)
+            np.multiply(amps, _PHASES[kind], out=amps, where=on)
         elif kind in (GateKind.SWAP, GateKind.CSWAP):
-            qa, qb = g.targets
-            controls = g.controls
-            new = {}
-            for idx, a in amps.items():
-                if not controls or self._controls_pass(idx, controls):
-                    ba = (idx >> qa) & 1
-                    bb = (idx >> qb) & 1
-                    if ba != bb:
-                        idx ^= (1 << qa) | (1 << qb)
-                new[idx] = new.get(idx, 0.0) + a
-            self.amplitudes = new
+            (wa, ma), (wb, mb) = (_locate(q) for q in g.targets)
+            flip = ((keys[wa] & ma) != 0) ^ ((keys[wb] & mb) != 0)
+            if hit is not None:
+                flip &= hit
+            np.bitwise_xor(keys[wa], ma, out=keys[wa], where=flip)
+            np.bitwise_xor(keys[wb], mb, out=keys[wb], where=flip)
+        elif kind in _FIXED_BRANCHES:
+            self._branch(g.targets[0], _FIXED_BRANCHES[kind], hit)
+        elif kind in _ROTATIONS:
+            self._branch(g.targets[0], _ry_matrix(g.angle), hit)
         else:
             raise SimulationError(f"unknown gate kind {kind}")
-        if len(self.amplitudes) > self.support_cap:
+        self._view = None
+        support = len(self._amps)
+        self.peak_support = max(self.peak_support, support)
+        if support > self.support_cap:
             raise SupportCapError(
-                f"support {len(self.amplitudes)} exceeds cap {self.support_cap}; "
+                f"support {support} exceeds cap {self.support_cap}; "
                 "reduce D, t, or n (or raise BLOCKENC_SUPPORT_CAP)")
 
-    def _apply_1q(self, q, m, controls=()):
-        thr = self.prune_threshold
-        mask = 1 << q
-        new = {}
-        pruned = 0.0
-        for idx, a in self.amplitudes.items():
-            if controls and not self._controls_pass(idx, controls):
-                new[idx] = new.get(idx, 0.0) + a
-                continue
-            b = (idx >> q) & 1
-            base = idx & ~mask
-            for nb in (0, 1):
-                coeff = m[nb][b]
-                if coeff != 0:
-                    key = base | (mask if nb else 0)
-                    new[key] = new.get(key, 0.0) + coeff * a
-        for idx in [k for k, v in new.items() if abs(v) < thr]:
-            pruned += abs(new[idx]) ** 2
-            del new[idx]
-        self.pruned_weight += pruned
-        self.amplitudes = new
+    def _branch(self, q, m, hit):
+        """Apply the 2x2 matrix ``m`` to qubit ``q`` where ``hit`` holds."""
+        keys, amps = self._keys, self._amps
+        if hit is not None:
+            idle = ~hit
+            idle_keys, idle_amps = keys[:, idle], amps[idle]
+            keys, amps = keys[:, hit], amps[hit]
+        w, mask = _locate(q)
+        on = (keys[w] & mask) != 0
+        ones = np.count_nonzero(on)
+        if ones == 0:
+            # Every entry has the bit clear (or, below, set): none meet.
+            base, out = keys, m[:, 0, None] * amps
+        elif ones == len(on):
+            base, out = keys.copy(), m[:, 1, None] * amps
+            base[w] ^= mask
+        else:
+            base = keys.copy()
+            base[w] &= ~mask
+            order, starts = _runs(base)
+            base = base[:, order[starts]]
+            out = np.add.reduceat(m[:, on[order].view(np.int8)] * amps[order],
+                                  starts, axis=1)
+        size = base.shape[1]
+        parts = (base, base) if hit is None else (base, base, idle_keys)
+        keys = np.concatenate(parts, axis=1)
+        keys[w, size:2 * size] |= mask
+        amps = out.ravel() if hit is None else np.concatenate((out.ravel(),
+                                                               idle_amps))
+        small = np.abs(amps) < self.prune_threshold
+        if np.count_nonzero(small):
+            dropped = amps[small]
+            self.pruned_weight += float(np.sum(dropped.real ** 2
+                                               + dropped.imag ** 2))
+            keep = ~small
+            keys, amps = keys[:, keep], amps[keep]
+        self._keys, self._amps = keys, amps
 
     def run(self, circuit: Circuit):
         for op in circuit.ops:
@@ -205,15 +298,6 @@ class SparseState:
         return vec
 
 
-def basis_index(assignments) -> int:
-    """Build a basis index from {qubit: bit}."""
-    idx = 0
-    for q, b in assignments.items():
-        if b:
-            idx |= 1 << q
-    return idx
-
-
 def encode_register(qubits, value) -> int:
     """Basis index with ``value`` written big-endian across ``qubits``."""
     idx = 0
@@ -226,15 +310,30 @@ def encode_register(qubits, value) -> int:
 
 def check_clean(state: SparseState, qubits) -> bool:
     """True iff every stored basis state has bit 0 at all listed qubits."""
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    return all((idx & mask) == 0 for idx in state.amplitudes)
+    keys = state._keys
+    return all(not np.any(keys[w] & m) for w, m in _word_masks(tuple(qubits))
+               if w < keys.shape[0])
 
 
 def run_circuit(circuit: Circuit, initial_index=0, **kw) -> SparseState:
     state = SparseState.basis(circuit.total_qubits, initial_index, **kw)
     return state.run(circuit)
+
+
+def _run_columns(ops, num_qubits, in_qubits, columns, support_cap=None):
+    """Run every input |k>, k < columns, on ``in_qubits`` in one batched pass.
+
+    Column k starts with k written in the bits above ``num_qubits``.  Returns
+    the final state and those column qubits, most-significant first.
+    """
+    col_qubits = tuple(range(num_qubits + (columns - 1).bit_length() - 1,
+                             num_qubits - 1, -1))
+    start = {encode_register(in_qubits, k) | (k << num_qubits): 1.0 + 0.0j
+             for k in range(columns)}
+    state = SparseState(num_qubits, start, support_cap=support_cap)
+    for op in ops:
+        state.apply(op)
+    return state, col_qubits
 
 
 class BlockExtract:
@@ -243,16 +342,20 @@ class BlockExtract:
     ``column_leaks[k]`` is the squared weight of column k outside the
     <0|-projected block.  For a unitary acting purely on the data register
     the leaks vanish; for a genuine block-encoding they carry the expected
-    orthogonal-complement weight 1 - ||column||^2.
+    orthogonal-complement weight 1 - ||column||^2.  ``peak_support`` is the
+    largest support the column-batched state reached and ``pruned_weight``
+    the squared amplitude dropped below the prune threshold, over all columns.
     """
 
     def __init__(self, block, column_leaks, column_norms, in_qubits,
-                 out_qubits):
+                 out_qubits, peak_support, pruned_weight):
         self.block = block
         self.column_leaks = tuple(column_leaks)
         self.column_norms = tuple(column_norms)
         self.in_qubits = tuple(in_qubits)
         self.out_qubits = tuple(out_qubits)
+        self.peak_support = peak_support
+        self.pruned_weight = pruned_weight
 
     @property
     def all_clean(self):
@@ -275,68 +378,41 @@ def extract_block(circuit: Circuit, in_qubits, dim=None, out_qubits=None,
     """
     in_qubits = tuple(in_qubits)
     out_qubits = tuple(out_qubits) if out_qubits is not None else in_qubits
-    n_out = len(out_qubits)
     dim_in = dim if dim is not None else 1 << len(in_qubits)
-    dim_out = 1 << n_out
-    out_mask = 0
-    for q in out_qubits:
-        out_mask |= 1 << q
-    block = np.zeros((dim_out, dim_in), dtype=complex)
-    leaks = []
-    norms = []
-    for k in range(dim_in):
-        state = SparseState.basis(circuit.total_qubits,
-                                  encode_register(in_qubits, k),
-                                  support_cap=support_cap)
-        state.run(circuit)
-        leak = 0.0
-        kept = 0.0
-        for idx, a in state.amplitudes.items():
-            if idx & ~out_mask:
-                leak += (a * a.conjugate()).real
-            else:
-                block[state.register_value(idx, out_qubits), k] = a
-                kept += (a * a.conjugate()).real
-        leaks.append(leak)
-        norms.append(kept)
-    return BlockExtract(block, leaks, norms, in_qubits, out_qubits)
+    state, col_qubits = _run_columns(circuit.ops, circuit.total_qubits,
+                                     in_qubits, dim_in, support_cap)
+    keys, amps = state._keys, state._amps
+    outside = np.zeros(len(amps), dtype=bool)
+    allowed = dict(_word_masks(out_qubits + col_qubits))
+    for w in range(keys.shape[0]):
+        outside |= (keys[w] & ~allowed.get(w, np.uint64(0))) != 0
+    col = _read(keys, col_qubits)
+    weight = amps.real ** 2 + amps.imag ** 2
+    leaks = np.bincount(col[outside], weight[outside], minlength=dim_in)
+    inside = ~outside
+    norms = np.bincount(col[inside], weight[inside], minlength=dim_in)
+    block = np.zeros((1 << len(out_qubits), dim_in), dtype=complex)
+    block[_read(keys[:, inside], out_qubits), col[inside]] = amps[inside]
+    return BlockExtract(block, leaks.tolist(), norms.tolist(), in_qubits,
+                        out_qubits, state.peak_support, state.pruned_weight)
 
 
-def spectral_norm(matrix, tol=1e-10, max_iter=10000, seed=7) -> float:
-    """Largest singular value by power iteration on M^dagger M (N <= 64)."""
-    m = np.asarray(matrix, dtype=complex)
-    if max(m.shape) > 64:
-        raise ValueError("spectral_norm supports matrices up to 64x64")
-    mm = m.conj().T @ m
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mm.shape[0]) + 1j * rng.standard_normal(mm.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = mm @ v
-        lam = np.linalg.norm(w)
-        if lam < tol:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) < tol * max(1.0, lam):
-            break
-        prev = lam
-    return math.sqrt(lam)
+def spectral_norm(matrix) -> float:
+    """Largest singular value."""
+    return float(np.linalg.norm(np.asarray(matrix), 2))
 
 
 def dense_unitary(ops, num_qubits) -> np.ndarray:
-    """Dense unitary of an op list (<= 12 qubits), built column by column."""
+    """Dense unitary of an op list (<= 12 qubits), all columns in one pass."""
     if num_qubits > 12:
         raise ValueError("dense_unitary limited to 12 qubits")
     dim = 1 << num_qubits
+    # Columns are indexed with qubit 0 as the most significant bit so that
+    # matrices read in standard |q0 q1 ...> order.
+    qubits = tuple(range(num_qubits))
+    # The batched state never holds more entries than the dense matrix.
+    state, col_qubits = _run_columns(ops, num_qubits, qubits, dim,
+                                     support_cap=dim * dim)
     u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        # Columns are indexed with qubit 0 as the most significant bit so
-        # that matrices read in standard |q0 q1 ...> order.
-        state = SparseState(num_qubits,
-                            {encode_register(range(num_qubits), col): 1.0 + 0.0j})
-        for op in ops:
-            state.apply(op)
-        for idx, a in state.amplitudes.items():
-            u[state.register_value(idx, range(num_qubits)), col] = a
+    u[_read(state._keys, qubits), _read(state._keys, col_qubits)] = state._amps
     return u

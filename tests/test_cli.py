@@ -135,6 +135,31 @@ def test_verify_pass_prerotated(capsys, matrix_csv):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_controlled_passes_with_control_on(capsys, matrix_csv):
+    rng = np.random.default_rng(5)
+    path = matrix_csv(rng.uniform(5, 105, (4, 4)))
+    code, out, _ = run_cli(capsys, "verify", "--matrix", path, "--variant",
+                           "controlled", "--t", "10", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["error"] <= payload["bound"]
+
+
+def test_verify_reports_simulator_support(capsys, matrix_csv):
+    rng = np.random.default_rng(6)
+    path = matrix_csv(rng.standard_normal((2, 2)))
+    code, out, _ = run_cli(capsys, "verify", "--matrix", path, "--method",
+                           "prerotated", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # Two columns enter the batched state, and the H layers widen it.
+    assert isinstance(payload["peak_support"], int)
+    assert payload["peak_support"] > 2
+    assert 0.0 <= payload["pruned_weight"] < 1e-20
+    assert len(payload["column_leak_weights"]) == 2
+
+
 def test_verify_corrupted_angle_fails(capsys, matrix_csv):
     rng = np.random.default_rng(4)
     path = matrix_csv(rng.standard_normal((4, 4)))
