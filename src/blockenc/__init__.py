@@ -31,7 +31,6 @@ from .encoding import (
     BlockEncodingConfig,
     BlockEncodingResult,
     Method,
-    Normalization,
     Variant,
     build_block_encoding,
     build_controlled_block_encoding,

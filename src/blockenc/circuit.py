@@ -139,6 +139,11 @@ class Gate:
         return f"Gate({self.kind.value}, t={self.targets}, c={self.controls}{extra})"
 
 
+def adjoint_ops(ops):
+    """The adjoint of an op sequence: each op inverted, in reverse order."""
+    return [op.adjoint() for op in reversed(ops)]
+
+
 def _angles_equal(a, b):
     if a is None or b is None:
         return a is b
@@ -203,9 +208,9 @@ class Macro:
         return self._full_set
 
     def adjoint(self):
-        rev = tuple(g.adjoint() for g in reversed(self.expansion))
-        return Macro(self.kind, self.params, rev, self.t_count, self.t_depth,
-                     self.extra_ancillas, self.footprint)
+        return Macro(self.kind, self.params, adjoint_ops(self.expansion),
+                     self.t_count, self.t_depth, self.extra_ancillas,
+                     self.footprint)
 
     def __eq__(self, other):
         return (
@@ -282,8 +287,7 @@ class Circuit:
                        self.stages)
 
     def adjoint(self):
-        rev = tuple(op.adjoint() for op in reversed(self.ops))
-        return Circuit(self.registers, rev, self.total_qubits)
+        return Circuit(self.registers, adjoint_ops(self.ops), self.total_qubits)
 
     def register(self, name):
         for reg in self.registers:

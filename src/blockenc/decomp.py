@@ -1,11 +1,11 @@
 """Clifford+T gate decompositions and costed macro factories.
 
-Each factory returns either a ``CostedFragment`` (a gate list whose counted
-resources reproduce the declared cost) or a ``Macro`` with a declared cost and
-an exact unitary expansion.  Phase-incorrect fragments permute basis states
-correctly but pick up -1 phases on some inputs; they are marked
-``phase_exact=False`` and are only used where the phase lands in garbage or
-cancels against the adjoint leg.
+Each factory returns either a plain gate list, whose counted resources are its
+cost, or a ``Macro`` with a declared cost and an exact unitary expansion.
+These are the gadgets the generators emit.  The phase-incorrect controlled
+swaps permute basis states correctly but pick up -1 phases on some inputs;
+they are only used where the phase lands in garbage or cancels against the
+adjoint leg.
 """
 from __future__ import annotations
 
@@ -16,31 +16,6 @@ from .circuit import Gate, GateKind, Macro, MacroKind
 
 class ParameterError(ValueError):
     pass
-
-
-class CostedFragment:
-    """Gate list plus its declared (t_count, t_depth, ancillas) cost.
-
-    Declared costs exclude rotation synthesis; ``rotations`` counts the RY
-    gates in the fragment, each of which costs R_y when the circuit is
-    counted with a synthesis budget.
-    """
-
-    __slots__ = ("gates", "t_count", "t_depth", "ancillas", "phase_exact",
-                 "rotations")
-
-    def __init__(self, gates, t_count, t_depth, ancillas, phase_exact,
-                 rotations=0):
-        self.gates = tuple(gates)
-        self.t_count = t_count
-        self.t_depth = t_depth
-        self.ancillas = ancillas
-        self.phase_exact = phase_exact
-        self.rotations = rotations
-
-    @property
-    def declared_cost(self):
-        return (self.t_count, self.t_depth, self.ancillas)
 
 
 TWO_PI = 2.0 * math.pi
@@ -84,71 +59,6 @@ def controlled_ry_gates(theta, controls, target):
         else:
             gates.append(Gate(GateKind.CZ, tuple(controls)))
     return gates
-
-
-def controlled_ry(theta, doubly=False, controls=None, target=None):
-    """Controlled-Ry fragment (flip, half-rotation, flip, half-rotation).
-
-    For theta in [pi, 2*pi) the half-angle winds through -pi/2 and a Z (CZ
-    when doubly controlled) on the control restores the exact unitary.
-    """
-    if not 0 <= theta < TWO_PI + 1e-12:
-        raise ParameterError("theta must lie in [0, 2*pi)")
-    if controls is None:
-        controls = (0, 1) if doubly else (0,)
-    if target is None:
-        target = max(controls) + 1
-    gates = controlled_ry_gates(theta, tuple(controls), target)
-    return CostedFragment(gates, 0, 0, 0, phase_exact=True, rotations=2)
-
-
-def _toffoli_core(c_hi, c_lo, target):
-    """G-gate chain acting as a Toffoli up to a -1 phase on one basis state."""
-    return [
-        Gate(GateKind.GDG, (target,)),
-        Gate(GateKind.CNOT, (target,), ((c_lo, True),)),
-        Gate(GateKind.GDG, (target,)),
-        Gate(GateKind.CNOT, (target,), ((c_hi, True),)),
-        Gate(GateKind.G, (target,)),
-        Gate(GateKind.CNOT, (target,), ((c_lo, True),)),
-        Gate(GateKind.G, (target,)),
-    ]
-
-
-def toffoli_phase_incorrect(c_hi=0, c_lo=1, target=2):
-    """T-depth-4, T-count-4 Toffoli, exact up to a sign on one basis state."""
-    return CostedFragment(_toffoli_core(c_hi, c_lo, target), 4, 4, 0, False)
-
-
-def cswap_phase_incorrect(control=0, a=1, b=2):
-    """T-depth-4, T-count-4 controlled-swap, phase-incorrect."""
-    gates = [Gate(GateKind.CNOT, (a,), ((b, True),))]
-    gates += _toffoli_core(control, a, b)
-    gates.append(Gate(GateKind.CNOT, (a,), ((b, True),)))
-    return CostedFragment(gates, 4, 4, 0, False)
-
-
-def multi_cswap_registers(reg_size=None, control=0, reg_a=None, reg_b=None,
-                          control_positive=True):
-    """Controlled-swap between two equal-size multi-qubit registers.
-
-    Layered emission: the four G layers act across all target pairs in
-    parallel and the shared control enters through a single fanout-CNOT, so
-    the counted cost is (4t, 4, 0).  Phase-incorrect.
-    """
-    if reg_a is None or reg_b is None:
-        if reg_size is None or reg_size < 1:
-            raise ParameterError("reg_size must be >= 1")
-        reg_a = tuple(range(1, 1 + reg_size))
-        reg_b = tuple(range(1 + reg_size, 1 + 2 * reg_size))
-    reg_a = tuple(reg_a)
-    reg_b = tuple(reg_b)
-    if len(reg_a) != len(reg_b) or not reg_a:
-        raise ParameterError("registers must be equal nonempty size")
-    gates = parallel_cswap_phase_incorrect_gates(
-        [(control, control_positive)], tuple(zip(reg_a, reg_b)))
-    t = len(reg_a)
-    return CostedFragment(gates, 4 * t, 4, 0, False)
 
 
 def parallel_cswap_phase_incorrect_gates(controls, pairs, layered=False):
@@ -201,8 +111,7 @@ def parallel_cswap_phase_incorrect_gates(controls, pairs, layered=False):
     return gates
 
 
-def parallel_cswap_clean(num_pairs=None, control=0, pairs=None, ancillas=None,
-                         control_positive=True):
+def parallel_cswap_clean(num_pairs=None, control=0, pairs=None, ancillas=None):
     """Phase-correct parallel controlled-swap macro (CNOT-conjugated
     Toffolis with a fanned-out control copy).
 
@@ -231,7 +140,7 @@ def parallel_cswap_clean(num_pairs=None, control=0, pairs=None, ancillas=None,
             extra = k
         else:
             raise ParameterError("need at least k ancillas")
-    ctrl = ((control, control_positive),)
+    ctrl = ((control, True),)
     gates = [Gate(GateKind.FANOUT_CNOT, copies, ctrl)]
     for a, b in pairs:
         gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
@@ -326,10 +235,3 @@ def unary_step(select_qubits, from_value, to_value, flag):
     ]
     return Macro(MacroKind.UNARY_STEP,
                  {"from": from_value, "to": to_value}, gates, 4, 4, 0)
-
-
-def ry_synthesis_cost(delta) -> int:
-    """Leading-order T-count of synthesizing one Ry rotation to error delta."""
-    if not 0 < delta < 1:
-        raise ParameterError("delta must lie in (0, 1)")
-    return math.ceil(3 * math.log2(1.0 / delta))

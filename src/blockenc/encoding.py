@@ -22,19 +22,15 @@ from .angle_tree import (
     quantized_tree_bits,
     zero_tree,
 )
-from .circuit import Circuit, CircuitBuilder, Gate, GateKind
+from .circuit import Circuit, CircuitBuilder, Gate, GateKind, Macro, adjoint_ops
 from .decomp import and_toffoli, parallel_cswap_clean
-from .qram import (
-    BucketBrigadeLoad,
-    ConfigurationError,
-    LoadSpec,
-    QramModel,
-    SelectSwapLoad,
-)
+from .qram import ConfigurationError, LoadSpec, QramModel, load_plan
 from .stateprep import (
     csp_prerotated_ops,
+    fixed_data_width,
     fixed_init_ops,
     fixed_rows_for_trees,
+    fixed_slots,
     sp_fixed_ops,
     sp_prerotated_ops,
 )
@@ -51,11 +47,6 @@ class Variant(str, Enum):
     SYMMETRIC = "symmetric"
 
 
-class Normalization(str, Enum):
-    FROBENIUS = "frobenius"
-    Q_NORM = "qnorm"
-
-
 @dataclass(frozen=True)
 class BlockEncodingConfig:
     method: Method = Method.FIXED_PRECISION
@@ -63,15 +54,10 @@ class BlockEncodingConfig:
     lam: int = 0
     epsilon: float = 0.01
     variant: Variant = Variant.STANDARD
-    normalization: Normalization = Normalization.FROBENIUS
     t: int | None = None
     num_controls: int = 1
 
     def validate(self, n):
-        if self.normalization is Normalization.Q_NORM:
-            raise ConfigurationError(
-                "the q-norm normalization is a classical report only; "
-                "no circuit generation is defined for it")
         if self.method is Method.PRE_ROTATED:
             if self.qram is not QramModel.FLAGS or self.lam != n:
                 raise ConfigurationError(
@@ -98,8 +84,8 @@ class EncodingParams:
 
 def select_parameters(epsilon, alpha, n,
                       method=Method.FIXED_PRECISION) -> EncodingParams:
-    if epsilon <= 0 or alpha <= 0:
-        raise ValueError("epsilon and alpha must be positive")
+    if not (0 < epsilon < math.inf and 0 < alpha < math.inf):
+        raise ValueError("epsilon and alpha must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     la = math.log2(alpha / epsilon)
@@ -128,10 +114,6 @@ class BlockEncodingResult:
     control_qubits: tuple = ()
 
 
-def _adjoint_ops(ops):
-    return [op.adjoint() for op in reversed(ops)]
-
-
 def _prepare_matrix(a, square=True):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -150,25 +132,13 @@ class _FixedLegs:
     """Shared machinery for the fixed-precision legs of a block-encoding."""
 
     def __init__(self, builder, data, dblock, control, row_trees, phi_tree,
-                 n, t, cfg, corrupt_angle=False):
-        big_n = 1 << n
-        d = (big_n - 1) * t + big_n
+                 n, t, cfg):
         rows = fixed_rows_for_trees(row_trees, t)
-        if corrupt_angle:
-            rows = [list(r) for r in rows]
-            rows[0][0] ^= 1
-            rows = [tuple(r) for r in rows]
-        spec = LoadSpec(n=n, data_width=d, lam=cfg.lam, model=cfg.qram,
-                        rows=tuple(rows))
-        if cfg.qram is QramModel.SELECT_SWAP:
-            self.plan = SelectSwapLoad(builder, control, dblock, spec)
-        else:
-            self.plan = BucketBrigadeLoad(builder, control, dblock, spec)
+        spec = LoadSpec(n=n, data_width=len(dblock), lam=cfg.lam,
+                        model=cfg.qram, rows=tuple(rows))
+        self.plan = load_plan(builder, control, dblock, spec)
         self.data = data
-        self.dblock = dblock
-        self.a_slots = {r: tuple(dblock[(r - 1) * t: r * t])
-                        for r in range(1, big_n)}
-        self.s_block = tuple(dblock[(big_n - 1) * t:])
+        self.a_slots, self.s_block = fixed_slots(dblock, n, t)
         self.n = n
         self.t = t
         if phi_tree is not None:
@@ -189,9 +159,11 @@ class _FixedLegs:
         return self.plan.build_ops()
 
 
-def build_block_encoding(a, cfg: BlockEncodingConfig,
-                         corrupt_angle=False) -> BlockEncodingResult:
-    """Standard-variant U_A; the block lives on the ``control`` register."""
+def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
+    """U_A for ``cfg.variant``; the block lives on the ``control`` register.
+
+    This is the one place that dispatches on the variant.
+    """
     if cfg.variant is Variant.CONTROLLED:
         return build_controlled_block_encoding(a, cfg)
     if cfg.variant is Variant.SYMMETRIC:
@@ -207,10 +179,10 @@ def build_block_encoding(a, cfg: BlockEncodingConfig,
     data = b.allocate("data", n)
     if cfg.method is Method.FIXED_PRECISION:
         t = cfg.t if cfg.t is not None else params.t
-        dblock = b.allocate("dblock", ((1 << n) - 1) * t + (1 << n))
+        dblock = b.allocate("dblock", fixed_data_width(n, t))
         control = b.allocate("control", n)
         legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
-                          row_trees, phi_tree, n, t, cfg, corrupt_angle)
+                          row_trees, phi_tree, n, t, cfg)
         b.begin_stage("leg1_sp_phi")
         b.extend(legs.leg1_ops())
         b.begin_stage("register_swap")
@@ -219,9 +191,9 @@ def build_block_encoding(a, cfg: BlockEncodingConfig,
         b.begin_stage("leg2_load")
         b.extend(legs.load_ops())
         b.begin_stage("leg2_sp_dagger")
-        b.extend(_adjoint_ops(legs.sp_ops()))
+        b.extend(adjoint_ops(legs.sp_ops()))
         b.begin_stage("leg2_load_dagger")
-        b.extend(_adjoint_ops(legs.load_ops()))
+        b.extend(adjoint_ops(legs.load_ops()))
     else:
         big_n = 1 << n
         angle = b.allocate("angle", big_n - 1)
@@ -239,15 +211,14 @@ def build_block_encoding(a, cfg: BlockEncodingConfig,
         for qa, qb in zip(data.qubits, control.qubits):
             b.gate(GateKind.SWAP, (qa, qb))
         b.begin_stage("leg2_csp_dagger")
-        b.extend(_adjoint_ops(leg2))
+        b.extend(adjoint_ops(leg2))
     circuit = b.build()
     return BlockEncodingResult(circuit, alpha, n, control.qubits,
                                control.qubits, cfg, params, original, shape)
 
 
-def build_controlled_block_encoding(a, cfg: BlockEncodingConfig,
-                                    num_controls=None) -> BlockEncodingResult:
-    """CU_A: identity unless all control qubits are |1>.
+def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
+    """CU_A: identity unless all ``cfg.num_controls`` control qubits are |1>.
 
     A D-qubit staging register receives the loaded (or X-written) angle data;
     a phase-correct controlled-swap layer moves it into the block the state
@@ -261,14 +232,13 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig,
         raise ConfigurationError(
             "the controlled variant is implemented for the fixed-precision "
             "method (the flags loader would need doubly-controlled staging)")
-    m = num_controls if num_controls is not None else cfg.num_controls
+    m = cfg.num_controls
     if m < 1:
         raise ConfigurationError("need at least one control qubit")
     row_trees, phi_tree, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
     t = cfg.t if cfg.t is not None else params.t
-    big_n = 1 << n
-    d = (big_n - 1) * t + big_n
+    d = fixed_data_width(n, t)
 
     b = CircuitBuilder()
     ctrl = b.allocate("ctrl", m)
@@ -296,7 +266,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig,
         pairs = tuple(zip(dblock.qubits, stage.qubits))
         return and_ops + [parallel_cswap_clean(
             control=gate_control, pairs=pairs,
-            ancillas=pool.qubits[: 2 * d])] + _adjoint_ops(and_ops)
+            ancillas=pool.qubits[: 2 * d])] + adjoint_ops(and_ops)
 
     stage_init = fixed_rows_for_trees([phi_tree], t)[0]
     stage_x = [Gate(GateKind.X, (stage[i],)) for i, bit in enumerate(stage_init)
@@ -312,14 +282,14 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig,
     b.add(parallel_cswap_clean(control=gate_control,
                                pairs=tuple(zip(data.qubits, control.qubits)),
                                ancillas=pool.qubits[2: 2 + 2 * n]))
-    b.extend(_adjoint_ops(and_ops))
+    b.extend(adjoint_ops(and_ops))
     b.begin_stage("leg2")
     load_into_stage = _retarget_load(legs, stage.qubits, dblock.qubits)
     b.extend(load_into_stage)
     b.extend(staged_cswap())
-    b.extend(_adjoint_ops(legs.sp_ops()))
+    b.extend(adjoint_ops(legs.sp_ops()))
     b.extend(staged_cswap())
-    b.extend(_adjoint_ops(load_into_stage))
+    b.extend(adjoint_ops(load_into_stage))
     circuit = b.build()
     return BlockEncodingResult(circuit, alpha, n, control.qubits,
                                control.qubits, cfg, params, original, shape,
@@ -340,10 +310,10 @@ def _remap_op(op, remap):
         return Gate(op.kind, tuple(remap.get(q, q) for q in op.targets),
                     tuple((remap.get(q, q), p) for q, p in op.controls),
                     op.angle)
-    from .circuit import Macro
     return Macro(op.kind, op.params,
                  [_remap_op(g, remap) for g in op.expansion],
-                 op.t_count, op.t_depth, op.extra_ancillas)
+                 op.t_count, op.t_depth, op.extra_ancillas,
+                 tuple(remap.get(q, q) for q in op.footprint))
 
 
 def symmetric_family_trees(a):
@@ -393,23 +363,20 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     trees, ell = symmetric_family_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, ell, cfg.method)
     t = cfg.t if cfg.t is not None else params.t
-    big_n = 1 << ell
-    d = (big_n - 1) * t + big_n
     b = CircuitBuilder()
     data = b.allocate("data", ell)
-    dblock = b.allocate("dblock", d)
+    dblock = b.allocate("dblock", fixed_data_width(ell, t))
     control = b.allocate("control", ell)
-    cfg_inner = cfg
     legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
-                      trees, None, ell, t, cfg_inner)
-    csp = legs.load_ops() + legs.sp_ops() + _adjoint_ops(legs.load_ops())
+                      trees, None, ell, t, cfg)
+    csp = legs.load_ops() + legs.sp_ops() + adjoint_ops(legs.load_ops())
     b.begin_stage("csp")
     b.extend(csp)
     b.begin_stage("register_swap")
     for qa, qb in zip(data.qubits, control.qubits):
         b.gate(GateKind.SWAP, (qa, qb))
     b.begin_stage("csp_dagger")
-    b.extend(_adjoint_ops(csp))
+    b.extend(adjoint_ops(csp))
     circuit = b.build()
     return BlockEncodingResult(circuit, alpha, ell, control.qubits,
                                control.qubits, cfg, params, original, shape)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import CircuitBuilder, Gate, GateKind
+from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
 from .decomp import (
     and_toffoli,
     controlled_ry_gates,
@@ -73,10 +73,6 @@ class LoadSpec:
         return self.n - self.lam
 
 
-def _adjoint_ops(ops):
-    return [op.adjoint() for op in reversed(ops)]
-
-
 # ---------------------------------------------------------------------------
 # Select-swap
 # ---------------------------------------------------------------------------
@@ -85,19 +81,18 @@ class SelectSwapLoad:
     """Plan for one select-swap LOAD over existing address/data registers."""
 
     def __init__(self, builder: CircuitBuilder, addr_qubits, data_qubits,
-                 spec: LoadSpec, prefix=""):
+                 spec: LoadSpec):
         self.spec = spec
         self.addr = tuple(addr_qubits)
         self.data = tuple(data_qubits)
         n, d, lam = spec.n, spec.data_width, spec.lam
         n_slots = 1 << lam
-        anc = builder.maybe_allocate(prefix + "qram_anc", (n_slots - 1) * d)
+        anc = builder.maybe_allocate("qram_anc", (n_slots - 1) * d)
         self.slots = [self.data]
         for c in range(1, n_slots):
             self.slots.append(tuple(anc.qubits[(c - 1) * d: c * d]))
         s = spec.select_bits
-        self.select_anc = builder.maybe_allocate(prefix + "select_anc",
-                                                 max(s - 1, 0))
+        self.select_anc = builder.maybe_allocate("select_anc", max(s - 1, 0))
 
     def build_ops(self):
         spec = self.spec
@@ -155,21 +150,20 @@ class BucketBrigadeLoad:
     """Plan for one bucket-brigade LOAD; the data register is the |+> bus."""
 
     def __init__(self, builder: CircuitBuilder, addr_qubits, data_qubits,
-                 spec: LoadSpec, prefix=""):
+                 spec: LoadSpec):
         self.spec = spec
         self.addr = tuple(addr_qubits)
         self.bus = tuple(data_qubits)
         n, d, lam = spec.n, spec.data_width, spec.lam
-        self.flag = builder.allocate(prefix + "bb_flag", 1)[0]
-        self.anc_d = builder.allocate(prefix + "bb_anc_d", d).qubits
-        self.anc_lam = builder.maybe_allocate(prefix + "bb_anc_lam", lam)
-        self.routers = builder.maybe_allocate(prefix + "bb_routers",
+        self.flag = builder.allocate("bb_flag", 1)[0]
+        self.anc_d = builder.allocate("bb_anc_d", d).qubits
+        self.anc_lam = builder.maybe_allocate("bb_anc_lam", lam)
+        self.routers = builder.maybe_allocate("bb_routers",
                                               (1 << lam) - 2 if lam >= 2 else 0)
-        self.paths = builder.maybe_allocate(
-            prefix + "bb_paths", ((1 << (lam + 1)) - 2) * d)
+        self.paths = builder.maybe_allocate("bb_paths",
+                                            ((1 << (lam + 1)) - 2) * d)
         s = spec.select_bits
-        self.select_anc = builder.maybe_allocate(prefix + "select_anc",
-                                                 max(s - 1, 0))
+        self.select_anc = builder.maybe_allocate("select_anc", max(s - 1, 0))
 
     def _router(self, level, node):
         if level == 0:
@@ -211,7 +205,7 @@ class BucketBrigadeLoad:
             for q, bit in zip(leaf_qubits, subset_rows[leaf]):
                 if bit:
                     ops.append(Gate(GateKind.Z, (q,)))
-        ops.extend(_adjoint_ops(forward))
+        ops.extend(adjoint_ops(forward))
         return ops
 
     def build_ops(self):
@@ -238,7 +232,7 @@ class BucketBrigadeLoad:
             ops.extend(in_ops)
             subset = spec.rows[i * n_leaves: (i + 1) * n_leaves]
             ops.extend(self._tree_ops(subset))
-            ops.extend(_adjoint_ops(in_ops))
+            ops.extend(adjoint_ops(in_ops))
             if i + 1 < (1 << s):
                 ops.append(unary_step(sel, i, i + 1, self.flag))
         ops.append(match_gate((1 << s) - 1))
@@ -259,6 +253,16 @@ def build_load_bb(spec: LoadSpec):
     return b.build()
 
 
+def load_plan(builder: CircuitBuilder, addr_qubits, data_qubits,
+              spec: LoadSpec):
+    """The LOAD plan ``spec.model`` names for a block of classical bit rows."""
+    if spec.model is QramModel.SELECT_SWAP:
+        return SelectSwapLoad(builder, addr_qubits, data_qubits, spec)
+    if spec.model is QramModel.BUCKET_BRIGADE:
+        return BucketBrigadeLoad(builder, addr_qubits, data_qubits, spec)
+    raise ConfigurationError("bit rows are loaded with the ss or bb model")
+
+
 # ---------------------------------------------------------------------------
 # LOADF
 # ---------------------------------------------------------------------------
@@ -273,7 +277,7 @@ class FlagLoad:
     """
 
     def __init__(self, builder: CircuitBuilder, addr_qubits, spec: LoadSpec,
-                 thetas, flags=None, angle_slot0=None, prefix=""):
+                 thetas, flags=None, angle_slot0=None):
         self.spec = spec
         self.addr = tuple(addr_qubits)
         n, d = spec.n, spec.data_width
@@ -284,16 +288,16 @@ class FlagLoad:
         self.copies = []
         for r in range(d):
             flag = flags[r] if flags is not None else builder.allocate(
-                f"{prefix}f{r}_flag", 1)[0]
+                f"f{r}_flag", 1)[0]
             if angle_slot0 is not None:
                 head = angle_slot0[r]
-                rest = builder.allocate(f"{prefix}f{r}_angle", big_n - 1).qubits
+                rest = builder.allocate(f"f{r}_angle", big_n - 1).qubits
                 angle = (head,) + tuple(rest)
             else:
-                angle = builder.allocate(f"{prefix}f{r}_angle", big_n).qubits
-            onehot = builder.allocate(f"{prefix}f{r}_onehot", big_n).qubits
-            pool_a = builder.allocate(f"{prefix}f{r}_pool_a", big_n).qubits
-            pool_b = builder.allocate(f"{prefix}f{r}_pool_b", big_n).qubits
+                angle = builder.allocate(f"f{r}_angle", big_n).qubits
+            onehot = builder.allocate(f"f{r}_onehot", big_n).qubits
+            pool_a = builder.allocate(f"f{r}_pool_a", big_n).qubits
+            pool_b = builder.allocate(f"f{r}_pool_b", big_n).qubits
             self.copies.append((flag, tuple(angle), tuple(onehot),
                                 tuple(pool_a), tuple(pool_b)))
 
@@ -371,7 +375,7 @@ class FlagLoad:
         return ops
 
 
-def build_loadf(spec: LoadSpec, thetas, static_flags_one=False):
+def build_loadf(spec: LoadSpec, thetas):
     """Standalone LOADF circuit; address register first, then per-copy blocks."""
     if spec.model is not QramModel.FLAGS:
         raise ConfigurationError("spec.model must be flags")
@@ -379,5 +383,5 @@ def build_loadf(spec: LoadSpec, thetas, static_flags_one=False):
     addr = b.allocate("addr", spec.n)
     plan = FlagLoad(b, addr.qubits, spec, thetas)
     b.begin_stage("loadf")
-    b.extend(plan.build_ops(static_flags_one=static_flags_one))
+    b.extend(plan.build_ops())
     return b.build()

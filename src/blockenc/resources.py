@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import ResourceReport, count_resources
+from .decomp import ParameterError
 from .encoding import (
     BlockEncodingConfig,
     Method,
@@ -23,10 +24,6 @@ from .encoding import (
 from .qram import LoadSpec, QramModel, build_load_bb, build_load_ss, build_loadf
 from .stateprep import build_sp_fixed, build_sp_prerotated
 from .angle_tree import build_tree
-
-
-class ParameterError(ValueError):
-    pass
 
 
 def _report(qubits, t_depth, t_count):
@@ -101,10 +98,6 @@ def f_be_prerotated(n, ry):
     )
 
 
-def f_be_min_depth(n, ry):
-    return f_be_prerotated(n, ry)
-
-
 def f_be_min_count(n, t, ry):
     big_n = 2 ** n
     return _report(
@@ -123,7 +116,7 @@ FORMULAS = {
     "be_ss": (f_be_ss, ("n", "t", "lam", "ry")),
     "be_bb": (f_be_bb, ("n", "t", "lam", "ry")),
     "be_prerotated": (f_be_prerotated, ("n", "ry")),
-    "be_min_depth": (f_be_min_depth, ("n", "ry")),
+    "be_min_depth": (f_be_prerotated, ("n", "ry")),
     "be_min_count": (f_be_min_count, ("n", "t", "ry")),
 }
 

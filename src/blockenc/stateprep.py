@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import CircuitBuilder, Gate, GateKind
+from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
 from .decomp import (
     controlled_ry_gates,
     parallel_cswap_clean,
@@ -29,17 +29,12 @@ from .angle_tree import (
     quantized_tree_bits,
 )
 from .qram import (
-    BucketBrigadeLoad,
     ConfigurationError,
     FlagLoad,
     LoadSpec,
     QramModel,
-    SelectSwapLoad,
+    load_plan,
 )
-
-
-def _adjoint_ops(ops):
-    return [op.adjoint() for op in reversed(ops)]
 
 
 def s_column_spec(n, p):
@@ -100,7 +95,7 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
         emit(g, record=True)
     emit(Gate(GateKind.SWAP, (a_slots[1][0], s_block[0])), record=True)
     ops.append(Gate(GateKind.Z, (a_slots[1][0],)))
-    ops.extend(_adjoint_ops(s_ops))
+    ops.extend(adjoint_ops(s_ops))
     return ops
 
 
@@ -117,13 +112,20 @@ def fixed_init_ops(a_slots, s_block, bits, signs):
     return ops
 
 
-def _alloc_fixed_block(builder, n, t, prefix=""):
+def fixed_data_width(n, t):
+    """Qubits of a fixed-precision data block: N-1 t-bit angles, N signs."""
+    return ((1 << n) - 1) * t + (1 << n)
+
+
+def fixed_slots(block, n, t):
+    """Split a fixed-precision data block into its angle slots and signs.
+
+    Returns ``(a_slots, s_block)``: ``a_slots[r]`` holds the t qubits of heap
+    index r (1-based) in heap order, and the N sign qubits follow them.
+    """
     big_n = 1 << n
-    angle = builder.allocate(prefix + "angle", (big_n - 1) * t)
-    sign = builder.allocate(prefix + "sign", big_n)
-    a_slots = {r: tuple(angle.qubits[(r - 1) * t: r * t])
-               for r in range(1, big_n)}
-    return a_slots, tuple(sign.qubits)
+    a_slots = {r: tuple(block[(r - 1) * t: r * t]) for r in range(1, big_n)}
+    return a_slots, tuple(block[(big_n - 1) * t:])
 
 
 def build_sp_fixed(tree: AngleTree, t: int):
@@ -133,7 +135,9 @@ def build_sp_fixed(tree: AngleTree, t: int):
     n = tree.n
     b = CircuitBuilder()
     data = b.allocate("data", n)
-    a_slots, s_block = _alloc_fixed_block(b, n, t)
+    angle = b.allocate("angle", ((1 << n) - 1) * t)
+    sign = b.allocate("sign", 1 << n)
+    a_slots, s_block = fixed_slots(angle.qubits + sign.qubits, n, t)
     bits, signs = quantized_tree_bits(tree, t)
     init = fixed_init_ops(a_slots, s_block, bits, signs)
     b.begin_stage("init")
@@ -198,9 +202,9 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, tree: AngleTree):
     ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
     fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
     ops.extend(fwd)
-    ops.extend(_adjoint_ops(s_ops))
+    ops.extend(adjoint_ops(s_ops))
     fdg = flag_dagger_ops(data, f_slots, n, pool_b)
-    ops.extend(_adjoint_ops(fdg))
+    ops.extend(adjoint_ops(fdg))
     for r in range(1, big_n):
         ops.extend(controlled_ry_gates(-folded[r], (f_slots[r],), slots[r]))
     ops.extend(flag_dagger_ops(data, f_slots, n, pool_b))
@@ -257,29 +261,21 @@ def _check_trees(trees):
 def build_csp_fixed(trees, t, lam, model=QramModel.SELECT_SWAP):
     """Controlled-state preparation: LOAD / SP / LOAD-dagger sandwich."""
     n = _check_trees(trees)
-    big_n = 1 << n
-    d = (big_n - 1) * t + big_n
+    d = fixed_data_width(n, t)
     rows = fixed_rows_for_trees(trees, t)
     spec = LoadSpec(n=n, data_width=d, lam=lam, model=model, rows=tuple(rows))
     b = CircuitBuilder()
     data = b.allocate("data", n)
     dblock = b.allocate("dblock", d)
     control = b.allocate("control", n)
-    if model is QramModel.SELECT_SWAP:
-        plan = SelectSwapLoad(b, control.qubits, dblock.qubits, spec)
-    elif model is QramModel.BUCKET_BRIGADE:
-        plan = BucketBrigadeLoad(b, control.qubits, dblock.qubits, spec)
-    else:
-        raise ConfigurationError("fixed-precision CSP uses ss or bb loading")
-    a_slots = {r: tuple(dblock.qubits[(r - 1) * t: r * t])
-               for r in range(1, big_n)}
-    s_block = tuple(dblock.qubits[(big_n - 1) * t:])
+    plan = load_plan(b, control.qubits, dblock.qubits, spec)
+    a_slots, s_block = fixed_slots(dblock.qubits, n, t)
     b.begin_stage("load")
     b.extend(plan.build_ops())
     b.begin_stage("sp")
     b.extend(sp_fixed_ops(data.qubits, a_slots, s_block, n, t))
     b.begin_stage("load_dagger")
-    b.extend(_adjoint_ops(plan.build_ops()))
+    b.extend(adjoint_ops(plan.build_ops()))
     return b.build()
 
 
@@ -291,8 +287,7 @@ def prerotated_thetas_for_trees(trees):
     return table
 
 
-def csp_prerotated_ops(builder, data, angle, flag, control, trees,
-                       prefix=""):
+def csp_prerotated_ops(builder, data, angle, flag, control, trees):
     """Controlled pre-rotated SP ops over existing block registers.
 
     Allocates the per-copy LOADF blocks on the builder and returns
@@ -305,7 +300,7 @@ def csp_prerotated_ops(builder, data, angle, flag, control, trees,
     thetas = prerotated_thetas_for_trees(trees)
     spec = LoadSpec(n=n, data_width=big_n - 1, lam=n, model=QramModel.FLAGS)
     plan = FlagLoad(builder, control, spec, thetas, flags=flag,
-                    angle_slot0=angle, prefix=prefix)
+                    angle_slot0=angle)
     slots = {r: angle[r - 1] for r in range(1, big_n)}
     f_slots = {r: flag[r - 1] for r in range(1, big_n)}
     pa = plan.copies[0][3]
@@ -316,10 +311,10 @@ def csp_prerotated_ops(builder, data, angle, flag, control, trees,
     ops.extend(plan.build_ops(static_flags_one=True))
     fwd, s_ops = spf_forward_ops(data, slots, n, pa)
     ops.extend(fwd)
-    ops.extend(_adjoint_ops(s_ops))
+    ops.extend(adjoint_ops(s_ops))
     fdg = flag_dagger_ops(data, f_slots, n, pb)
-    ops.extend(_adjoint_ops(fdg))
-    ops.extend(_adjoint_ops(plan.build_ops(static_flags_one=False)))
+    ops.extend(adjoint_ops(fdg))
+    ops.extend(adjoint_ops(plan.build_ops(static_flags_one=False)))
     ops.extend(flag_dagger_ops(data, f_slots, n, pb))
     ops.extend(Gate(GateKind.X, (flag[r],)) for r in range(big_n - 1))
     return ops, plan

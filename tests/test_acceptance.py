@@ -15,13 +15,18 @@ from blockenc.angle_tree import (
     reconstruct_state,
     symmetrized_targets,
 )
-from blockenc.circuit import CircuitBuilder, count_resources
+from blockenc.circuit import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    adjoint_ops,
+    count_resources,
+)
 from blockenc.decomp import (
-    controlled_ry,
-    cswap_phase_incorrect,
-    multi_cswap_registers,
+    controlled_ry_gates,
     parallel_cswap_clean,
-    toffoli_phase_incorrect,
+    parallel_cswap_phase_incorrect_gates,
     unary_select,
 )
 from blockenc.encoding import (
@@ -218,22 +223,14 @@ def test_criterion_5_end_to_end_block_encoding():
                                   qram=QramModel.SELECT_SWAP, lam=1, t=t,
                                   variant=Variant.CONTROLLED)
         res = build_controlled_block_encoding(a, cfg)
-        ctrl = res.control_qubits[0]
+        c = res.circuit
+        flip = (Gate(GateKind.X, (res.control_qubits[0],)),)
         dim = 4
         for bit in (0, 1):
-            block = np.zeros((dim, dim), dtype=complex)
-            extra = bit << ctrl
-            for k in range(dim):
-                st = SparseState.basis(
-                    res.circuit.total_qubits,
-                    encode_register(res.in_qubits, k) | extra)
-                st.run(res.circuit)
-                for idx, amp in st.amplitudes.items():
-                    other = idx & ~extra
-                    for q in res.in_qubits:
-                        other &= ~(1 << q)
-                    if other == 0 and (idx & (1 << ctrl)) == extra:
-                        block[st.register_value(idx, res.in_qubits), k] = amp
+            # Control |1>: conjugate by X so the <0| projector selects it.
+            ops = flip + c.ops + flip if bit else c.ops
+            block = extract_block(Circuit(c.registers, ops, c.total_qubits),
+                                  res.in_qubits).block
             if bit == 0:
                 ok &= bool(np.abs(block - np.eye(dim)).max() < 1e-10)
             else:
@@ -320,50 +317,36 @@ def test_criterion_8_decomposition_fidelity():
         m[5, 6] = m[6, 5] = 1
         return m
 
-    def toffoli_matrix():
-        m = np.eye(8)
-        m[[6, 7], [6, 7]] = 0
-        m[6, 7] = m[7, 6] = 1
-        return m
-
-    # controlled rotations: phase-exact
+    # controlled rotations as the generators emit them: phase-exact, two
+    # rotations each
     for theta in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 5.0):
-        frag = controlled_ry(theta)
-        u = dense_unitary(frag.gates, 2)
+        rot = np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
+                        [math.sin(theta / 2), math.cos(theta / 2)]])
+        gates = controlled_ry_gates(theta, (0,), 1)
         target = np.eye(4, dtype=complex)
-        target[2:, 2:] = np.array(
-            [[math.cos(theta / 2), -math.sin(theta / 2)],
-             [math.sin(theta / 2), math.cos(theta / 2)]])
-        ok &= bool(np.abs(u - target).max() < 1e-12)
-        frag = controlled_ry(theta, doubly=True)
-        u = dense_unitary(frag.gates, 3)
+        target[2:, 2:] = rot
+        ok &= bool(np.abs(dense_unitary(gates, 2) - target).max() < 1e-12)
+        ok &= counted(gates, 2, ry_cost=5).t_count == 10
+        gates = controlled_ry_gates(theta, (0, 1), 2)
         target = np.eye(8, dtype=complex)
-        target[6:, 6:] = np.array(
-            [[math.cos(theta / 2), -math.sin(theta / 2)],
-             [math.sin(theta / 2), math.cos(theta / 2)]])
-        ok &= bool(np.abs(u - target).max() < 1e-12)
+        target[6:, 6:] = rot
+        ok &= bool(np.abs(dense_unitary(gates, 3) - target).max() < 1e-12)
 
-    # Toffoli / cswap fragments: |entries| match, costs match the captions
-    frag = toffoli_phase_incorrect()
-    u = dense_unitary(frag.gates, 3)
-    ok &= bool(np.abs(np.abs(u) - toffoli_matrix()).max() < 1e-12)
-    rep = counted(frag.gates, 3)
-    ok &= (rep.t_count, rep.t_depth) == (4, 4) == frag.declared_cost[:2]
-
-    frag = cswap_phase_incorrect()
-    u = dense_unitary(frag.gates, 3)
-    ok &= bool(np.abs(np.abs(u) - cswap_matrix()).max() < 1e-12)
-    rep = counted(frag.gates, 3)
-    ok &= (rep.t_count, rep.t_depth) == (4, 4)
-
+    # phase-incorrect controlled swaps of k register pairs on one control:
+    # |entries| match, the adjoint undoes the phases, counted (4k, 4)
     for size in (1, 2, 3):
-        frag = multi_cswap_registers(size)
-        rep = counted(frag.gates, 1 + 2 * size)
+        width = 1 + 2 * size
+        pairs = tuple((1 + i, 1 + size + i) for i in range(size))
+        gates = parallel_cswap_phase_incorrect_gates(((0, True),), pairs)
+        u = dense_unitary(gates, width)
+        if size == 1:
+            ok &= bool(np.abs(np.abs(u) - cswap_matrix()).max() < 1e-12)
+        adj = dense_unitary(adjoint_ops(gates), width)
+        ok &= bool(np.abs(adj @ u - np.eye(1 << width)).max() < 1e-12)
+        rep = counted(gates, width)
         ok &= (rep.t_count, rep.t_depth) == (4 * size, 4)
-        ok &= frag.declared_cost == (4 * size, 4, 0)
-        u = dense_unitary(frag.gates, 1 + 2 * size)
         mask = (1 << size) - 1
-        for col in range(1 << (1 + 2 * size)):
+        for col in range(1 << width):
             ctrl = col >> (2 * size)
             va, vb = (col >> size) & mask, col & mask
             want = (ctrl << (2 * size)) | (

@@ -16,8 +16,8 @@ from blockenc.circuit import (
 )
 from blockenc.decomp import (
     and_toffoli,
-    cswap_phase_incorrect,
     parallel_cswap_clean,
+    parallel_cswap_phase_incorrect_gates,
     unary_select,
 )
 
@@ -72,10 +72,9 @@ def test_same_qubit_t_gates_chain():
 
 
 def test_fig20_cswap_cost():
-    frag = cswap_phase_incorrect()
     b = CircuitBuilder()
     b.allocate("q", 3)
-    b.extend(frag.gates)
+    b.extend(parallel_cswap_phase_incorrect_gates(((0, True),), ((1, 2),)))
     rep = count_resources(b.build())
     assert (rep.t_count, rep.t_depth) == (4, 4)
 

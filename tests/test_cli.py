@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import blockenc.encoding
 from blockenc.circuit import count_resources, parse_circuit_text
 from blockenc.cli import main
 
@@ -160,12 +161,20 @@ def test_verify_reports_simulator_support(capsys, matrix_csv):
     assert len(payload["column_leak_weights"]) == 2
 
 
-def test_verify_corrupted_angle_fails(capsys, matrix_csv):
+def test_verify_corrupted_angle_fails(capsys, matrix_csv, monkeypatch):
     rng = np.random.default_rng(4)
     path = matrix_csv(rng.standard_normal((4, 4)))
+    original = blockenc.encoding.fixed_rows_for_trees
+
+    def corrupted(trees, t):
+        rows = [list(row) for row in original(trees, t)]
+        rows[0][0] ^= 1     # flip the leading bit of one loaded angle
+        return [tuple(row) for row in rows]
+
+    monkeypatch.setattr(blockenc.encoding, "fixed_rows_for_trees", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--matrix", path, "--method",
                            "fixed", "--qram", "ss", "--lambda", "1",
-                           "--t", "8", "--corrupt-angle", "--format", "json")
+                           "--t", "8", "--format", "json")
     assert code == 1
     assert json.loads(out)["passed"] is False
 
@@ -189,3 +198,63 @@ def test_sweep_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["unexplained"] == 0
+
+
+def test_build_qnorm_rejected(capsys, matrix_csv):
+    path = matrix_csv(np.eye(2))
+    code, _, err = run_cli(capsys, "build", "--matrix", path,
+                           "--norm", "qnorm:0.5")
+    assert code == 2
+    assert "classical report" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "estimate"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300"])
+def test_non_finite_matrix_exits_2(capsys, tmp_path, command, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n3,{value}\n")
+    code, _, err = run_cli(capsys, command, "--matrix", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--epsilon"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_estimate_parameter_exits_2(capsys, flag, value):
+    argv = {"--n": "2", "--alpha": "5", "--epsilon": "0.01", flag: value}
+    code, _, err = run_cli(capsys, "estimate",
+                           *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_estimate_compares_nothing(capsys):
+    code, out, _ = run_cli(capsys, "estimate", "--n", "2", "--alpha", "5",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == REPORT_KEYS
+    assert payload["match"] is None
+
+
+@pytest.mark.parametrize("variant", ["controlled", "symmetric"])
+def test_build_without_formula_reports_no_match(capsys, matrix_csv, variant):
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    code, out, _ = run_cli(capsys, "build", "--matrix", path, "--variant",
+                           variant, "--t", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == REPORT_KEYS
+    assert payload["match"] is None
+    assert payload["formula"] == {
+        "reason": f"the paper gives no closed form for the {variant} variant"}
+
+
+def test_build_symmetric_rejects_flags_loader(capsys, matrix_csv):
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    code, _, err = run_cli(capsys, "build", "--matrix", path, "--variant",
+                           "symmetric", "--qram", "flags", "--lambda", "2",
+                           "--t", "3")
+    assert code == 2
+    assert "ss or bb" in err

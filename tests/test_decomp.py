@@ -1,38 +1,26 @@
 """Appendix-style gate decompositions against dense-matrix oracles.
 
-The oracle side builds target unitaries directly from numpy kron products;
-the fragment side is evaluated through the sparse simulator.  Phase-incorrect
-fragments must match entrywise in absolute value; phase-exact ones match to
-1e-12.
+Each test checks the gates and macros the generators emit.  The oracle side
+builds target unitaries directly in numpy; the emitted side is evaluated
+through the sparse simulator.  Phase-incorrect gadgets must match
+entrywise in absolute value; phase-exact ones match to 1e-12.  Declared costs
+are the literal values of the paper's construction captions.
 """
 import math
 
 import numpy as np
 import pytest
 
-from blockenc.circuit import CircuitBuilder, count_resources
+from blockenc.circuit import CircuitBuilder, GateKind, adjoint_ops, count_resources
 from blockenc.decomp import (
     ParameterError,
     and_toffoli,
-    controlled_ry,
-    cswap_phase_incorrect,
-    multi_cswap_registers,
+    controlled_ry_gates,
     parallel_cswap_clean,
-    ry_synthesis_cost,
-    toffoli_phase_incorrect,
+    parallel_cswap_phase_incorrect_gates,
     unary_select,
 )
 from blockenc.simulator import dense_unitary
-
-I2 = np.eye(2)
-
-
-def kron(*mats):
-    out = np.array([[1.0]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
 
 def ry_matrix(theta):
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -61,37 +49,45 @@ def toffoli_matrix():
     return m
 
 
-def fragment_unitary(frag, num_qubits):
-    return dense_unitary(frag.gates, num_qubits)
+def cry(theta):
+    """The singly controlled rotation as emitted: control 0, target 1."""
+    return controlled_ry_gates(theta, (0,), 1)
 
 
-def counted(frag, num_qubits, ry_cost=0):
+def cswaps(size):
+    """Controlled swap of registers 1..size and size+1..2*size on control 0,
+    as the state preparation and select-swap loader emit it."""
+    pairs = tuple((1 + i, 1 + size + i) for i in range(size))
+    return parallel_cswap_phase_incorrect_gates(((0, True),), pairs)
+
+
+def counted(gates, num_qubits, ry_cost=0):
     b = CircuitBuilder()
     b.allocate("q", num_qubits)
-    b.extend(frag.gates)
+    b.extend(gates)
     return count_resources(b.build(), ry_cost=ry_cost)
 
 
 # -- controlled-Ry ----------------------------------------------------------
 
 def test_controlled_ry_zero_is_identity():
-    u = fragment_unitary(controlled_ry(0.0), 2)
+    u = dense_unitary(cry(0.0), 2)
     assert np.abs(u - np.eye(4)).max() < 1e-12
 
 
 def test_controlled_ry_quarter_turn():
-    u = fragment_unitary(controlled_ry(math.pi / 2), 2)
+    u = dense_unitary(cry(math.pi / 2), 2)
     assert np.abs(u - controlled(ry_matrix(math.pi / 2))).max() < 1e-12
 
 
 def test_controlled_ry_needs_z_correction_above_pi():
     theta = 3 * math.pi / 2
-    frag = controlled_ry(theta)
-    assert any(g.kind.value == "Z" for g in frag.gates)
-    u = fragment_unitary(frag, 2)
+    gates = cry(theta)
+    assert any(g.kind is GateKind.Z for g in gates)
+    u = dense_unitary(gates, 2)
     assert np.abs(u - controlled(ry_matrix(theta))).max() < 1e-12
     # Without the correction the active branch flips sign.
-    bare = [g for g in frag.gates if g.kind.value != "Z"]
+    bare = [g for g in gates if g.kind is not GateKind.Z]
     v = dense_unitary(bare, 2)
     target = controlled(ry_matrix(theta))
     assert np.abs(v - target).max() > 0.5
@@ -101,48 +97,34 @@ def test_controlled_ry_needs_z_correction_above_pi():
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, math.pi,
                                    4.1, 2 * math.pi - 1e-6])
 def test_controlled_ry_dense_oracle(theta):
-    u = fragment_unitary(controlled_ry(theta), 2)
+    u = dense_unitary(cry(theta), 2)
     assert np.abs(u - controlled(ry_matrix(theta))).max() < 1e-9
 
 
 @pytest.mark.parametrize("theta", [0.3, math.pi, 5.5])
 def test_doubly_controlled_ry(theta):
-    u = fragment_unitary(controlled_ry(theta, doubly=True), 3)
+    u = dense_unitary(controlled_ry_gates(theta, (0, 1), 2), 3)
     assert np.abs(u - controlled(ry_matrix(theta), 2)).max() < 1e-9
 
 
 def test_controlled_ry_rotation_count():
-    frag = controlled_ry(1.0)
-    assert frag.rotations == 2
-    assert counted(frag, 2, ry_cost=5).t_count == 10
+    gates = cry(1.0)
+    assert sum(g.kind is GateKind.RY for g in gates) == 2
+    assert counted(gates, 2, ry_cost=5).t_count == 10
 
 
-# -- phase-incorrect Toffoli and controlled-swap ----------------------------
+def test_controlled_ry_gates_domain():
+    with pytest.raises(ParameterError):
+        controlled_ry_gates(1.0, (0, 1, 2), 3)
 
-def test_toffoli_fragment_abs_equality_and_cost():
-    frag = toffoli_phase_incorrect()
-    u = fragment_unitary(frag, 3)
-    assert np.abs(np.abs(u) - toffoli_matrix()).max() < 1e-12
-    assert not frag.phase_exact
-    assert frag.declared_cost == (4, 4, 0)
-    rep = counted(frag, 3)
-    assert (rep.t_count, rep.t_depth) == (4, 4)
-    # control-on flips the target up to sign; control-off is clean
-    for a in (0, 1):
-        col = 6 | a
-        out = np.flatnonzero(np.abs(u[:, col]) > 1e-9)
-        assert list(out) == [6 | (1 - a)]
-    for col in range(4):
-        out = np.flatnonzero(np.abs(u[:, col]) > 1e-9)
-        assert list(out) == [col]
 
+# -- phase-incorrect controlled-swap -----------------------------------------
 
 def test_cswap_fragment_abs_equality_and_cost():
-    frag = cswap_phase_incorrect()
-    u = fragment_unitary(frag, 3)
+    gates = cswaps(1)
+    u = dense_unitary(gates, 3)
     assert np.abs(np.abs(u) - cswap_matrix()).max() < 1e-12
-    assert frag.declared_cost == (4, 4, 0)
-    rep = counted(frag, 3)
+    rep = counted(gates, 3)
     assert (rep.t_count, rep.t_depth) == (4, 4)
     # |1,a,b> -> |1,b,a> up to sign; |0,a,b> fixed up to sign
     for a in (0, 1):
@@ -156,31 +138,26 @@ def test_cswap_fragment_abs_equality_and_cost():
 
 
 def test_cswap_fragment_round_trip_cancels_phases():
-    frag = cswap_phase_incorrect()
-    u = fragment_unitary(frag, 3)
-    adj = dense_unitary([g.adjoint() for g in reversed(frag.gates)], 3)
+    gates = cswaps(1)
+    u = dense_unitary(gates, 3)
+    adj = dense_unitary(adjoint_ops(gates), 3)
     assert np.abs(adj @ u - np.eye(8)).max() < 1e-12
 
 
 # -- multi-qubit register swap ----------------------------------------------
 
 def test_multi_cswap_t1_matches_single():
-    frag = multi_cswap_registers(1)
-    assert frag.declared_cost == (4, 4, 0)
-    rep = counted(frag, 3)
+    rep = counted(cswaps(1), 3)
     assert (rep.t_count, rep.t_depth) == (4, 4)
 
 
 def test_multi_cswap_t3_cost():
-    frag = multi_cswap_registers(3)
-    assert frag.declared_cost == (12, 4, 0)
-    rep = counted(frag, 7)
+    rep = counted(cswaps(3), 7)
     assert (rep.t_count, rep.t_depth) == (12, 4)
 
 
 def test_multi_cswap_semantics_all_basis():
-    frag = multi_cswap_registers(3)
-    u = fragment_unitary(frag, 7)
+    u = dense_unitary(cswaps(3), 7)
     for col in range(128):
         ctrl, a, b = col >> 6, (col >> 3) & 7, col & 7
         want = (ctrl << 6) | ((b << 3) | a if ctrl else (a << 3) | b)
@@ -243,20 +220,6 @@ def test_unary_select_semantics(s):
         row_bits = int("".join(map(str, rows[j])), 2)
         want = col | (row_bits << (1 if s >= 2 else 0))
         assert abs(u[want, col] - 1) < 1e-12
-
-
-# -- synthesis cost -----------------------------------------------------------
-
-def test_ry_synthesis_cost_values():
-    assert ry_synthesis_cost(2 ** -10) == 30
-    assert ry_synthesis_cost(0.5) == 3
-
-
-def test_ry_synthesis_cost_domain():
-    with pytest.raises(ParameterError):
-        ry_synthesis_cost(1.5)
-    with pytest.raises(ParameterError):
-        ry_synthesis_cost(0.0)
 
 
 def test_and_toffoli_exactness():
