@@ -280,6 +280,7 @@ class Circuit:
         self.total_qubits = int(total_qubits)
         self.stages = tuple(stages) if stages is not None else ()
         _check_tiling(self.registers, self.total_qubits)
+        _check_stages(self.stages, len(self.ops))
 
     def append(self, op):
         _check_op(op, self.total_qubits)
@@ -311,6 +312,16 @@ def _check_tiling(registers, total):
         raise CircuitError("registers must tile [0, total_qubits)")
 
 
+def _check_stages(stages, num_ops):
+    """Stages are ``(name, lo, hi)`` op ranges, in order and disjoint."""
+    last = 0
+    for name, lo, hi in stages:
+        if not last <= lo <= hi <= num_ops:
+            raise CircuitError(f"stage {name} ops [{lo}, {hi}) overlap the "
+                               f"previous stage or leave [0, {num_ops}]")
+        last = hi
+
+
 def _check_op(op, total):
     if isinstance(op, Gate):
         op.validate()
@@ -332,6 +343,9 @@ class CircuitBuilder:
         self._stages = []
         self._stage_name = None
         self._stage_start = 0
+        # Gate shapes already validated.  ``_total`` only grows, so a gate
+        # whose qubits were in range stays in range.
+        self._valid = set()
 
     def allocate(self, name, size):
         if size <= 0:
@@ -360,7 +374,13 @@ class CircuitBuilder:
             self._stage_name = None
 
     def add(self, op):
-        _check_op(op, self._total)
+        if isinstance(op, Gate):
+            key = (op.kind, op.targets, op.controls, op.angle is None)
+            if key not in self._valid:
+                _check_op(op, self._total)
+                self._valid.add(key)
+        else:
+            _check_op(op, self._total)
         self._ops.append(op)
 
     def extend(self, ops):
@@ -416,18 +436,18 @@ def count_resources(circuit: Circuit, ry_cost: int = 0,
     ``ry_cost`` is the Clifford+T synthesis T-count charged per RY gate
     (rotations are simulated exactly but costed at this rate).  Qubits are
     the declared register total plus the high-water mark of macro scratch
-    ancillas whose depth intervals overlap.
+    ancillas whose depth intervals overlap.  ``with_breakdown`` adds each
+    stage's (T-count, T-depth), counted as if the stage's ops were a
+    circuit of their own and summed over stages that share a name.
     """
-    t_count, t_depth, events = _count_span(circuit.ops, circuit.total_qubits, ry_cost)
-    qubits = circuit.total_qubits + _high_water(events)
-    breakdown = {}
     if with_breakdown and circuit.stages:
-        for name, lo, hi in circuit.stages:
-            tc, td, _ = _count_span(circuit.ops[lo:hi], circuit.total_qubits, ry_cost)
-            if name in breakdown:
-                tc0, td0 = breakdown[name]
-                tc, td = tc0 + tc, td0 + td
-            breakdown[name] = (tc, td)
+        t_count, t_depth, events, breakdown = _count_staged(
+            circuit.ops, circuit.total_qubits, ry_cost, circuit.stages)
+    else:
+        t_count, t_depth, events = _count_span(
+            circuit.ops, circuit.total_qubits, ry_cost)
+        breakdown = {}
+    qubits = circuit.total_qubits + _high_water(events)
     return ResourceReport(qubits=qubits, t_count=t_count, t_depth=t_depth,
                           breakdown=breakdown)
 
@@ -466,6 +486,82 @@ def _count_span(ops, total, ry_cost):
         if isinstance(op, Macro) and op.extra_ancillas:
             events.append((start, max(finish, start + 1), op.extra_ancillas))
     return t_count, depth, events
+
+
+def _count_staged(ops, total, ry_cost, stages):
+    """``_count_span`` plus per-stage counts, in one pass over ``ops``.
+
+    A second depth frontier (``s_full``/``s_ctrl``) restarts at each stage
+    start, so it schedules the stage's ops as ``_count_span`` would schedule
+    them alone.  Ops between stages update a frontier nobody reads.
+    """
+    last_full = [0] * total
+    ctrl_max = [0] * total
+    t_count = 0
+    depth = 0
+    events = []
+    breakdown = {}
+    segments = []
+    pos = 0
+    for name, lo, hi in stages:
+        segments += [(None, pos, lo), (name, lo, hi)]
+        pos = hi
+    segments.append((None, pos, len(ops)))
+    for name, lo, hi in segments:
+        s_full = [0] * total
+        s_ctrl = [0] * total
+        s_count = 0
+        s_depth = 0
+        for i in range(lo, hi):
+            op = ops[i]
+            wc, wd = _gate_weights(op, ry_cost)
+            s_count += wc
+            full, ctrl = _op_uses(op)
+            start = s_start = 0
+            for q in full:
+                lf = last_full[q]
+                cm = ctrl_max[q]
+                if lf > start:
+                    start = lf
+                if cm > start:
+                    start = cm
+                lf = s_full[q]
+                cm = s_ctrl[q]
+                if lf > s_start:
+                    s_start = lf
+                if cm > s_start:
+                    s_start = cm
+            for q in ctrl:
+                lf = last_full[q]
+                if lf > start:
+                    start = lf
+                lf = s_full[q]
+                if lf > s_start:
+                    s_start = lf
+            finish = start + wd
+            s_finish = s_start + wd
+            for q in full:
+                last_full[q] = finish
+                ctrl_max[q] = 0
+                s_full[q] = s_finish
+                s_ctrl[q] = 0
+            for q in ctrl:
+                if finish > ctrl_max[q]:
+                    ctrl_max[q] = finish
+                if s_finish > s_ctrl[q]:
+                    s_ctrl[q] = s_finish
+            if finish > depth:
+                depth = finish
+            if s_finish > s_depth:
+                s_depth = s_finish
+            if isinstance(op, Macro) and op.extra_ancillas:
+                events.append((start, max(finish, start + 1),
+                               op.extra_ancillas))
+        t_count += s_count
+        if name is not None:
+            tc0, td0 = breakdown.get(name, (0, 0))
+            breakdown[name] = (tc0 + s_count, td0 + s_depth)
+    return t_count, depth, events, breakdown
 
 
 def _high_water(events):
@@ -529,16 +625,40 @@ def _parse_gate(fields):
     return Gate(kind, targets, controls, angle)
 
 
+def _memo_text(memo, g, fmt):
+    """``fmt(g)``, computed once per distinct gate in ``memo``."""
+    key = (g.kind, g.targets, g.controls, g.angle)
+    text = memo.get(key)
+    if text is None:
+        text = fmt(g)
+        if g.angle != 0:    # 0.0 and -0.0 are one key but print differently
+            memo[key] = text
+    return text
+
+
+def _fmt_gate_line(g):
+    return "g " + _fmt_gate(g)
+
+
+def _fmt_chunk(g):
+    return _fmt_gate(g).replace(" ", ";")
+
+
 def write_circuit_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.total_qubits}"]
     for reg in circuit.registers:
         lines.append(f"reg {reg.name} {reg.offset} {reg.size}")
+    for name, lo, hi in circuit.stages:
+        lines.append(f"stage {name} {lo} {hi}")
+    gate_lines = {}
+    chunks = {}
     for op in circuit.ops:
         if isinstance(op, Gate):
-            lines.append("g " + _fmt_gate(op))
+            lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
         else:
             params = ",".join(f"{k}:{v}" for k, v in sorted(op.params.items()))
-            body = "|".join(_fmt_gate(g).replace(" ", ";") for g in op.expansion)
+            body = "|".join(_memo_text(chunks, g, _fmt_chunk)
+                            for g in op.expansion)
             fp = ",".join(str(q) for q in op.footprint) or "-"
             lines.append(
                 f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
@@ -547,45 +667,68 @@ def write_circuit_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_macro(fields, chunks):
+    kind = MacroKind(fields[0])
+    attrs = dict(tok.split("=", 1) for tok in fields[1:])
+    params = {}
+    if attrs.get("p", "-") != "-":
+        for item in attrs["p"].split(","):
+            k, v = item.split(":")
+            params[k] = int(v)
+    expansion = []
+    for chunk in attrs["ops"].split("|"):
+        if chunk:
+            g = chunks.get(chunk)
+            if g is None:
+                g = chunks[chunk] = _parse_gate(chunk.split(";"))
+            expansion.append(g)
+    footprint = ()
+    if attrs.get("fp", "-") != "-":
+        footprint = tuple(int(x) for x in attrs["fp"].split(","))
+    return Macro(kind, params, expansion, int(attrs["tc"]), int(attrs["td"]),
+                 int(attrs["ax"]), footprint)
+
+
 def parse_circuit_text(text: str) -> Circuit:
+    """Parse ``write_circuit_text`` output.
+
+    Each distinct op line is parsed and checked once, and equal lines share
+    one op object (ops are never mutated).
+    """
     total = None
     registers = []
+    stages = []
     ops = []
+    seen = {}       # op line -> op
+    chunks = {}     # macro expansion chunk -> Gate
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(" ")
-        if head == "qubits":
-            total = int(rest)
-        elif head == "reg":
-            name, offset, size = rest.split()
-            registers.append(QubitRegister(name, int(offset), int(size)))
-        elif head == "g":
-            ops.append(_parse_gate(rest.split()))
-        elif head == "m":
-            fields = rest.split()
-            kind = MacroKind(fields[0])
-            attrs = dict(tok.split("=", 1) for tok in fields[1:])
-            params = {}
-            if attrs.get("p", "-") != "-":
-                for item in attrs["p"].split(","):
-                    k, v = item.split(":")
-                    params[k] = int(v)
-            expansion = [
-                _parse_gate(chunk.split(";"))
-                for chunk in attrs["ops"].split("|") if chunk
-            ]
-            footprint = ()
-            if attrs.get("fp", "-") != "-":
-                footprint = tuple(int(x) for x in attrs["fp"].split(","))
-            ops.append(Macro(kind, params, expansion, int(attrs["tc"]),
-                             int(attrs["td"]), int(attrs["ax"]), footprint))
-        else:
-            raise CircuitError(f"unparseable line: {line!r}")
+        op = seen.get(line)
+        if op is None:
+            head, _, rest = line.partition(" ")
+            if head == "g":
+                op = seen[line] = _parse_gate(rest.split())
+            elif head == "m":
+                op = seen[line] = _parse_macro(rest.split(), chunks)
+            elif head == "qubits":
+                total = int(rest)
+                continue
+            elif head == "reg":
+                name, offset, size = rest.split()
+                registers.append(QubitRegister(name, int(offset), int(size)))
+                continue
+            elif head == "stage":
+                name, lo, hi = rest.split()
+                stages.append((name, int(lo), int(hi)))
+                continue
+            else:
+                raise CircuitError(f"unparseable line: {line!r}")
+        ops.append(op)
     if total is None:
         raise CircuitError("missing qubits header")
-    circuit = Circuit(registers, (), total)
-    for op in ops:
+    circuit = Circuit(registers, ops, total, stages)
+    for op in seen.values():
         _check_op(op, total)
-    return Circuit(registers, ops, total)
+    return circuit

@@ -204,12 +204,16 @@ def _build_result(args, matrix):
     return build_block_encoding(matrix, cfg)
 
 
-def cmd_build(args):
+def _require_frobenius(args):
     norm_kind, _ = _parse_norm(args.norm)
     if norm_kind == "qnorm":
         raise ConfigurationError(
             "the q-norm normalization is a classical report only; "
-            "build requires the Frobenius normalization")
+            f"{args.command} requires the Frobenius normalization")
+
+
+def cmd_build(args):
+    _require_frobenius(args)
     matrix = _read_matrix(args.matrix)
     result = _build_result(args, matrix)
     ry = args.ry if args.ry is not None else result.params.r_y
@@ -260,6 +264,7 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    _require_frobenius(args)
     matrix = _read_matrix(args.matrix)
     result = _build_result(args, matrix)
     if result.n > 3:
@@ -270,7 +275,7 @@ def cmd_verify(args):
         # The controlled variant encodes A/alpha with its controls at |1>.
         flips = tuple(Gate(GateKind.X, (q,)) for q in result.control_qubits)
         circuit = Circuit(circuit.registers, flips + circuit.ops + flips,
-                          circuit.total_qubits, circuit.stages)
+                          circuit.total_qubits)
     try:
         ext = extract_block(circuit, result.in_qubits,
                             out_qubits=result.out_qubits)

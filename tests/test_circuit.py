@@ -1,6 +1,10 @@
 """Circuit IR: construction, counting rules, invariants, text format."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blockenc.circuit import (
     Circuit,
@@ -8,6 +12,8 @@ from blockenc.circuit import (
     CircuitError,
     Gate,
     GateKind,
+    Macro,
+    MacroKind,
     QubitRegister,
     concat,
     count_resources,
@@ -220,3 +226,191 @@ def test_angle_serialization_precision():
     text = write_circuit_text(b.build())
     parsed = parse_circuit_text(text)
     assert abs(parsed.ops[0].angle - 0.12345678901234) < 1e-11
+
+
+def test_text_round_trip_keeps_stages():
+    b = CircuitBuilder()
+    b.allocate("q", 2)
+    b.gate(GateKind.H, 0)
+    b.begin_stage("first")
+    b.gate(GateKind.T, 0)
+    b.begin_stage("second")
+    b.gate(GateKind.T, 0)
+    b.gate(GateKind.T, 1)
+    b.end_stage()
+    b.gate(GateKind.X, 1)
+    circuit = b.build()
+    text = write_circuit_text(circuit)
+    assert "stage first 1 2\nstage second 2 4\n" in text
+    parsed = parse_circuit_text(text)
+    assert parsed.stages == circuit.stages == (("first", 1, 2),
+                                               ("second", 2, 4))
+    assert (count_resources(parsed, with_breakdown=True).breakdown
+            == {"first": (1, 1), "second": (2, 1)})
+
+
+def test_text_without_stage_lines_parses():
+    parsed = parse_circuit_text("qubits 1\nreg q 0 1\ng T t=0\n")
+    assert parsed.stages == ()
+    assert count_resources(parsed, with_breakdown=True).breakdown == {}
+
+
+@pytest.mark.parametrize("stage", ["a 0 3", "a -1 1", "a 2 1"])
+def test_stage_bounds_outside_ops_rejected(stage):
+    with pytest.raises(CircuitError, match="stage a"):
+        parse_circuit_text(f"qubits 1\nreg q 0 1\nstage {stage}\n"
+                           "g T t=0\ng T t=0\n")
+
+
+def test_overlapping_stages_rejected():
+    with pytest.raises(CircuitError, match="stage b"):
+        Circuit((QubitRegister("q", 0, 1),), [Gate(GateKind.T, (0,))] * 3,
+                1, [("a", 0, 2), ("b", 1, 3)])
+
+
+def test_equal_lines_share_one_op():
+    parsed = parse_circuit_text("qubits 2\nreg q 0 2\n" + "g T t=0\n" * 3
+                                + "g CNOT c=+0 t=1\ng T t=0\n")
+    assert len(parsed.ops) == 5
+    assert len({id(op) for op in parsed.ops}) == 2
+
+
+def test_repeated_out_of_range_line_rejected():
+    text = "qubits 2\nreg q 0 2\n" + "g T t=0\n" + "g CNOT c=+0 t=5\n" * 3
+    with pytest.raises(CircuitError, match=r"qubit 5 out of range \[0, 2\)"):
+        parse_circuit_text(text)
+
+
+def test_invalid_line_seen_once_rejected():
+    text = "qubits 2\nreg q 0 2\n" + "g T t=0\n" * 4 + "g CNOT t=1\n"
+    with pytest.raises(CircuitError, match="CNOT expects 1 control"):
+        parse_circuit_text(text)
+
+
+def test_out_of_range_macro_rejected():
+    text = ("qubits 3\nreg q 0 3\n"
+            "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2\n"
+            "m AND_TOFFOLI tc=4 td=1 ax=1 fp=7 p=- ops=TOFFOLI;c=+0,+1;t=2\n")
+    with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
+        parse_circuit_text(text)
+
+
+def test_write_keeps_signed_zero_angles():
+    b = CircuitBuilder()
+    b.allocate("q", 1)
+    for angle in (0.0, -0.0, 0.0, 1.0, -0.0):
+        b.gate(GateKind.RY, 0, angle=angle)
+    lines = write_circuit_text(b.build()).splitlines()[2:]
+    assert lines == ["g RY t=0 a=0", "g RY t=0 a=-0", "g RY t=0 a=0",
+                     "g RY t=0 a=1", "g RY t=0 a=-0"]
+
+
+def test_builder_checks_each_distinct_gate():
+    b = CircuitBuilder()
+    b.allocate("q", 2)
+    b.gate(GateKind.RY, 0, angle=0.5)
+    b.gate(GateKind.RY, 0, angle=0.7)     # same shape: checked once
+    with pytest.raises(CircuitError, match="angle mismatch"):
+        b.gate(GateKind.RY, 0)
+    with pytest.raises(CircuitError, match="out of range"):
+        b.gate(GateKind.T, 2)
+    b.allocate("r", 1)
+    b.gate(GateKind.T, 2)
+    with pytest.raises(CircuitError, match="distinct"):
+        b.gate(GateKind.CNOT, (1,), ((1, True),))
+    assert len(b.build().ops) == 3
+
+
+# ---------------------------------------------------------------------------
+# Properties: text round trip and one-pass stage breakdown
+# ---------------------------------------------------------------------------
+
+_WIDTH = 6
+_SHAPES = {  # kind -> (targets, controls); None means "drawn"
+    GateKind.CNOT: (1, 1), GateKind.FANOUT_CNOT: (None, 1),
+    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0), GateKind.CSWAP: (2, 1),
+    GateKind.TOFFOLI: (1, 2), GateKind.MCX: (1, None),
+    GateKind.CRY: (1, 1), GateKind.CCRY: (1, 2),
+}
+_ANGLED = (GateKind.RY, GateKind.CRY, GateKind.CCRY)
+
+
+@st.composite
+def _gates(draw):
+    kind = draw(st.sampled_from(list(GateKind)))
+    n_t, n_c = _SHAPES.get(kind, (1, 0))
+    if n_t is None:
+        n_t = draw(st.integers(1, 3))
+    if n_c is None:
+        n_c = draw(st.integers(1, _WIDTH - n_t))
+    order = draw(st.permutations(range(_WIDTH)))
+    controls = tuple((q, draw(st.booleans())) for q in order[n_t:n_t + n_c])
+    angle = None
+    if kind in _ANGLED:
+        angle = draw(st.one_of(st.sampled_from((0.0, -0.0, math.pi)),
+                               st.floats(-2 * math.pi, 2 * math.pi)))
+    return Gate(kind, order[:n_t], controls, angle)
+
+
+@st.composite
+def _macros(draw, gates):
+    expansion = draw(st.lists(st.sampled_from(gates), max_size=4))
+    params = draw(st.dictionaries(st.sampled_from(("s", "k", "from")),
+                                  st.integers(0, 9), max_size=2))
+    footprint = tuple(draw(st.lists(st.integers(0, _WIDTH - 1), max_size=3,
+                                    unique=True)))
+    return Macro(draw(st.sampled_from(list(MacroKind))), params, expansion,
+                 draw(st.integers(0, 8)), draw(st.integers(0, 8)),
+                 draw(st.integers(0, 2)), footprint)
+
+
+@st.composite
+def _staged_circuits(draw):
+    """A circuit drawn from a small op pool, so lines repeat heavily, with
+    1-3 registers and ordered, disjoint stages whose names may repeat."""
+    gates = draw(st.lists(_gates(), min_size=1, max_size=5))
+    pool = gates + draw(st.lists(_macros(gates), max_size=3))
+    ops = draw(st.lists(st.sampled_from(pool), max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
+                                unique=True)))
+    edges = [0, *cuts, _WIDTH]
+    registers = [QubitRegister(f"r{i}", lo, hi - lo)
+                 for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=8)))
+    names = draw(st.lists(st.sampled_from(("load", "sp", "swap")),
+                          min_size=len(bounds) // 2,
+                          max_size=len(bounds) // 2))
+    stages = [(name, bounds[2 * i], bounds[2 * i + 1])
+              for i, name in enumerate(names)]
+    return Circuit(registers, ops, _WIDTH, stages)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+def test_text_round_trip_property(circuit, ry):
+    parsed = parse_circuit_text(write_circuit_text(circuit))
+    assert parsed.registers == circuit.registers
+    assert parsed.stages == circuit.stages
+    assert list(parsed.ops) == list(circuit.ops)
+    assert ([getattr(op, "footprint", None) for op in parsed.ops]
+            == [getattr(op, "footprint", None) for op in circuit.ops])
+    assert (count_resources(parsed, ry, with_breakdown=True)
+            == count_resources(circuit, ry, with_breakdown=True))
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
+    report = count_resources(circuit, ry, with_breakdown=True)
+    expected = {}
+    for name, lo, hi in circuit.stages:
+        alone = count_resources(Circuit(circuit.registers, circuit.ops[lo:hi],
+                                        circuit.total_qubits), ry)
+        tc, td = expected.get(name, (0, 0))
+        expected[name] = (tc + alone.t_count, td + alone.t_depth)
+    assert report.breakdown == expected
+    assert report.as_tuple() == count_resources(circuit, ry).as_tuple()

@@ -85,6 +85,22 @@ def test_build_round_trip(capsys, matrix_csv, tmp_path):
     assert report["match"] is True
 
 
+def test_build_out_text_matches_report(capsys, matrix_csv, tmp_path):
+    rng = np.random.default_rng(7)
+    path = matrix_csv(rng.uniform(5, 105, (4, 4)))
+    out_path = tmp_path / "circuit.txt"
+    code, _, _ = run_cli(capsys, "build", "--matrix", path, "--t", "6",
+                         "--ry", "20", "--out", str(out_path))
+    assert code == 0
+    parsed = parse_circuit_text(out_path.read_text())
+    report = json.loads(out_path.with_suffix(".report.json").read_text())
+    counted = count_resources(parsed, ry_cost=20, with_breakdown=True)
+    assert counted.as_tuple() == (report["qubits"], report["t_count"],
+                                  report["t_depth"])
+    assert counted.to_dict()["breakdown"] == report["breakdown"]
+    assert len(report["breakdown"]) > 1
+
+
 def test_build_padding_report(capsys, matrix_csv):
     rng = np.random.default_rng(0)
     path = matrix_csv(rng.standard_normal((3, 5)))
@@ -206,6 +222,18 @@ def test_build_qnorm_rejected(capsys, matrix_csv):
                            "--norm", "qnorm:0.5")
     assert code == 2
     assert "classical report" in err
+
+
+@pytest.mark.parametrize("norm, message", [
+    ("qnorm:0.5", "classical report"), ("bogus", "unknown normalization")])
+def test_verify_honours_norm(capsys, matrix_csv, norm, message):
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    code, out, err = run_cli(capsys, "verify", "--matrix", path,
+                             "--norm", norm)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "estimate"])
