@@ -406,95 +406,45 @@ def concat(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.registers, a.ops + b.ops, a.total_qubits)
 
 
-def _gate_weights(op, ry_cost):
-    """Return (t_count, t_depth) contribution of one op."""
+def _op_cost(op, ry_cost):
+    """Return (t_count, t_depth, full_qubits, control_qubits) of one op.
+
+    Control-only qubits are diagonal uses: two of them on one qubit commute.
+    """
     if isinstance(op, Macro):
-        return op.t_count, op.t_depth
+        return op.t_count, op.t_depth, op.full_qubits(), op.control_qubits()
     kind = op.kind
     if kind in _T_WEIGHT_ONE:
-        return 1, 1
-    if kind is GateKind.RY:
-        return ry_cost, ry_cost
-    if kind in (GateKind.CRY, GateKind.CCRY):
-        return 2 * ry_cost, 2 * ry_cost
-    return 0, 0
+        w = 1
+    elif kind is GateKind.RY:
+        w = ry_cost
+    elif kind in _ROTATIONS:
+        w = 2 * ry_cost
+    else:
+        w = 0
+    if kind is GateKind.CZ:
+        return w, w, (), op.targets
+    return w, w, op.targets, [q for q, _ in op.controls]
 
 
-def _op_uses(op):
-    """Return (full_qubits, control_qubits) for dependency analysis."""
-    if isinstance(op, Macro):
-        return op.full_qubits(), op.control_qubits()
-    if op.kind is GateKind.CZ:
-        return (), op.targets
-    return op.targets, tuple(q for q, _ in op.controls)
-
-
-def count_resources(circuit: Circuit, ry_cost: int = 0,
-                    with_breakdown: bool = False) -> ResourceReport:
-    """Count qubits, T-count, and scheduled T-depth of a circuit.
+def count_resources(circuit: Circuit, ry_cost: int = 0) -> ResourceReport:
+    """Count qubits, T-count, scheduled T-depth and the per-stage breakdown.
 
     ``ry_cost`` is the Clifford+T synthesis T-count charged per RY gate
     (rotations are simulated exactly but costed at this rate).  Qubits are
     the declared register total plus the high-water mark of macro scratch
-    ancillas whose depth intervals overlap.  ``with_breakdown`` adds each
+    ancillas whose depth intervals overlap.  The breakdown gives each
     stage's (T-count, T-depth), counted as if the stage's ops were a
-    circuit of their own and summed over stages that share a name.
+    circuit of their own and summed over stages that share a name; it is
+    empty when the circuit has no stages.
+
+    One pass schedules every op on two depth frontiers: the circuit's
+    (``last_full``/``ctrl_max``) and a stage-local one (``s_full``/
+    ``s_ctrl``) that restarts at each stage start.  Ops between stages
+    update a stage frontier nobody reads.
     """
-    if with_breakdown and circuit.stages:
-        t_count, t_depth, events, breakdown = _count_staged(
-            circuit.ops, circuit.total_qubits, ry_cost, circuit.stages)
-    else:
-        t_count, t_depth, events = _count_span(
-            circuit.ops, circuit.total_qubits, ry_cost)
-        breakdown = {}
-    qubits = circuit.total_qubits + _high_water(events)
-    return ResourceReport(qubits=qubits, t_count=t_count, t_depth=t_depth,
-                          breakdown=breakdown)
-
-
-def _count_span(ops, total, ry_cost):
-    last_full = [0] * total
-    ctrl_max = [0] * total
-    t_count = 0
-    depth = 0
-    events = []
-    for op in ops:
-        wc, wd = _gate_weights(op, ry_cost)
-        t_count += wc
-        full, ctrl = _op_uses(op)
-        start = 0
-        for q in full:
-            lf = last_full[q]
-            cm = ctrl_max[q]
-            if lf > start:
-                start = lf
-            if cm > start:
-                start = cm
-        for q in ctrl:
-            lf = last_full[q]
-            if lf > start:
-                start = lf
-        finish = start + wd
-        for q in full:
-            last_full[q] = finish
-            ctrl_max[q] = 0
-        for q in ctrl:
-            if finish > ctrl_max[q]:
-                ctrl_max[q] = finish
-        if finish > depth:
-            depth = finish
-        if isinstance(op, Macro) and op.extra_ancillas:
-            events.append((start, max(finish, start + 1), op.extra_ancillas))
-    return t_count, depth, events
-
-
-def _count_staged(ops, total, ry_cost, stages):
-    """``_count_span`` plus per-stage counts, in one pass over ``ops``.
-
-    A second depth frontier (``s_full``/``s_ctrl``) restarts at each stage
-    start, so it schedules the stage's ops as ``_count_span`` would schedule
-    them alone.  Ops between stages update a frontier nobody reads.
-    """
+    ops = circuit.ops
+    total = circuit.total_qubits
     last_full = [0] * total
     ctrl_max = [0] * total
     t_count = 0
@@ -503,7 +453,7 @@ def _count_staged(ops, total, ry_cost, stages):
     breakdown = {}
     segments = []
     pos = 0
-    for name, lo, hi in stages:
+    for name, lo, hi in circuit.stages:
         segments += [(None, pos, lo), (name, lo, hi)]
         pos = hi
     segments.append((None, pos, len(ops)))
@@ -514,9 +464,8 @@ def _count_staged(ops, total, ry_cost, stages):
         s_depth = 0
         for i in range(lo, hi):
             op = ops[i]
-            wc, wd = _gate_weights(op, ry_cost)
+            wc, wd, full, ctrl = _op_cost(op, ry_cost)
             s_count += wc
-            full, ctrl = _op_uses(op)
             start = s_start = 0
             for q in full:
                 lf = last_full[q]
@@ -561,7 +510,9 @@ def _count_staged(ops, total, ry_cost, stages):
         if name is not None:
             tc0, td0 = breakdown.get(name, (0, 0))
             breakdown[name] = (tc0 + s_count, td0 + s_depth)
-    return t_count, depth, events, breakdown
+    qubits = total + _high_water(events)
+    return ResourceReport(qubits=qubits, t_count=t_count, t_depth=depth,
+                          breakdown=breakdown)
 
 
 def _high_water(events):
@@ -708,23 +659,27 @@ def parse_circuit_text(text: str) -> Circuit:
         op = seen.get(line)
         if op is None:
             head, _, rest = line.partition(" ")
-            if head == "g":
-                op = seen[line] = _parse_gate(rest.split())
-            elif head == "m":
-                op = seen[line] = _parse_macro(rest.split(), chunks)
-            elif head == "qubits":
-                total = int(rest)
-                continue
-            elif head == "reg":
-                name, offset, size = rest.split()
-                registers.append(QubitRegister(name, int(offset), int(size)))
-                continue
-            elif head == "stage":
-                name, lo, hi = rest.split()
-                stages.append((name, int(lo), int(hi)))
-                continue
-            else:
-                raise CircuitError(f"unparseable line: {line!r}")
+            try:
+                if head == "g":
+                    op = seen[line] = _parse_gate(rest.split())
+                elif head == "m":
+                    op = seen[line] = _parse_macro(rest.split(), chunks)
+                elif head == "qubits":
+                    total = int(rest)
+                    continue
+                elif head == "reg":
+                    name, offset, size = rest.split()
+                    registers.append(QubitRegister(name, int(offset),
+                                                   int(size)))
+                    continue
+                elif head == "stage":
+                    name, lo, hi = rest.split()
+                    stages.append((name, int(lo), int(hi)))
+                    continue
+                else:
+                    raise CircuitError(f"unparseable line: {line!r}")
+            except (ValueError, KeyError, IndexError) as exc:
+                raise CircuitError(f"unparseable line: {line!r}") from exc
         ops.append(op)
     if total is None:
         raise CircuitError("missing qubits header")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angle_tree import pad_to_power_of_two, qnorm_profile
+from .angle_tree import qnorm_profile
 from .circuit import (
     Circuit,
     Gate,
@@ -147,9 +147,7 @@ def cmd_estimate(args):
     norm_kind, p = _parse_norm(args.norm)
     if args.matrix:
         matrix = _read_matrix(args.matrix)
-        padded = pad_to_power_of_two(matrix)
-        side = max(padded.shape)
-        n = side.bit_length() - 1
+        n = _padded_n(matrix)
         alpha = float(np.linalg.norm(matrix))
     else:
         if args.n is None or args.alpha is None:
@@ -187,10 +185,7 @@ def cmd_estimate(args):
             "qram": cfg.qram.value, "lambda": cfg.lam, "t": t, "ry": ry,
             "variant": cfg.variant.value, "normalization": args.norm,
         },
-        "qubits": report.qubits,
-        "t_count": report.t_count,
-        "t_depth": report.t_depth,
-        "breakdown": {},
+        **report.to_dict(),
         "formula": {"name": name, "qubits": report.qubits,
                     "t_count": report.t_count, "t_depth": report.t_depth},
         "match": None,      # the estimate is the formula: nothing compared
@@ -199,8 +194,14 @@ def cmd_estimate(args):
     return 0
 
 
+def _padded_n(matrix):
+    """log2 of the side of the square power-of-two padding of ``matrix``."""
+    _, _, shape = _prepare_matrix(matrix)
+    return shape[0].bit_length() - 1
+
+
 def _build_result(args, matrix):
-    cfg = _config_from_args(args, max(matrix.shape).bit_length() - 1)
+    cfg = _config_from_args(args, _padded_n(matrix))
     return build_block_encoding(matrix, cfg)
 
 
@@ -217,7 +218,7 @@ def cmd_build(args):
     matrix = _read_matrix(args.matrix)
     result = _build_result(args, matrix)
     ry = args.ry if args.ry is not None else result.params.r_y
-    counted = count_resources(result.circuit, ry_cost=ry, with_breakdown=True)
+    counted = count_resources(result.circuit, ry_cost=ry)
     name, inputs = _formula_for(result.config, result.n)
     report = {
         "config": {
@@ -230,11 +231,7 @@ def cmd_build(args):
             "t": result.params.t if result.config.t is None else result.config.t,
             "ry": ry, "variant": args.variant,
         },
-        "qubits": counted.qubits,
-        "t_count": counted.t_count,
-        "t_depth": counted.t_depth,
-        "breakdown": {k: {"t_count": v[0], "t_depth": v[1]}
-                      for k, v in counted.breakdown.items()},
+        **counted.to_dict(),
     }
     if args.variant == "standard":
         if "lam" in inputs:

@@ -172,21 +172,9 @@ class SparseState:
                 dict(zip(_unpack(self._keys), self._amps.tolist())))
         return self._view
 
-    def copy(self):
-        s = SparseState(self.num_qubits, {0: 1.0 + 0.0j}, self.prune_threshold,
-                        self.support_cap)
-        s._keys = self._keys.copy()
-        s._amps = self._amps.copy()
-        s.pruned_weight = self.pruned_weight
-        s.peak_support = self.peak_support
-        return s
-
     def norm(self):
         a = self._amps
         return math.sqrt(float(np.sum(a.real ** 2 + a.imag ** 2)))
-
-    def support(self):
-        return len(self._amps)
 
     def apply(self, op):
         if isinstance(op, Macro):
@@ -290,12 +278,6 @@ class SparseState:
         for q in qubits:
             value = (value << 1) | ((idx >> q) & 1)
         return value
-
-    def to_dense(self):
-        vec = np.zeros(1 << self.num_qubits, dtype=complex)
-        for idx, a in self.amplitudes.items():
-            vec[idx] = a
-        return vec
 
 
 def encode_register(qubits, value) -> int:

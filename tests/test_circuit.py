@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from blockenc.circuit import (
@@ -194,7 +194,7 @@ def test_breakdown_by_stage():
     b.begin_stage("second")
     b.gate(GateKind.T, 0)
     b.gate(GateKind.T, 1)
-    rep = count_resources(b.build(), with_breakdown=True)
+    rep = count_resources(b.build())
     assert rep.breakdown["first"] == (1, 1)
     assert rep.breakdown["second"] == (2, 1)
 
@@ -245,14 +245,14 @@ def test_text_round_trip_keeps_stages():
     parsed = parse_circuit_text(text)
     assert parsed.stages == circuit.stages == (("first", 1, 2),
                                                ("second", 2, 4))
-    assert (count_resources(parsed, with_breakdown=True).breakdown
+    assert (count_resources(parsed).breakdown
             == {"first": (1, 1), "second": (2, 1)})
 
 
 def test_text_without_stage_lines_parses():
     parsed = parse_circuit_text("qubits 1\nreg q 0 1\ng T t=0\n")
     assert parsed.stages == ()
-    assert count_resources(parsed, with_breakdown=True).breakdown == {}
+    assert count_resources(parsed).breakdown == {}
 
 
 @pytest.mark.parametrize("stage", ["a 0 3", "a -1 1", "a 2 1"])
@@ -292,6 +292,19 @@ def test_out_of_range_macro_rejected():
             "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2\n"
             "m AND_TOFFOLI tc=4 td=1 ax=1 fp=7 p=- ops=TOFFOLI;c=+0,+1;t=2\n")
     with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
+        parse_circuit_text(text)
+
+
+@pytest.mark.parametrize("line", [
+    "qubits x",
+    "g BOGUS t=0",
+    "g T t=a",
+    "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=-",
+    "stage a 0",
+])
+def test_malformed_line_raises_circuit_error(line):
+    text = "qubits 3\nreg q 0 3\n" + line + "\n"
+    with pytest.raises(CircuitError, match=f"unparseable line: {line!r}"):
         parse_circuit_text(text)
 
 
@@ -398,14 +411,13 @@ def test_text_round_trip_property(circuit, ry):
     assert list(parsed.ops) == list(circuit.ops)
     assert ([getattr(op, "footprint", None) for op in parsed.ops]
             == [getattr(op, "footprint", None) for op in circuit.ops])
-    assert (count_resources(parsed, ry, with_breakdown=True)
-            == count_resources(circuit, ry, with_breakdown=True))
+    assert count_resources(parsed, ry) == count_resources(circuit, ry)
 
 
 @_PROPERTY
 @given(circuit=_staged_circuits(), ry=st.integers(0, 40))
 def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
-    report = count_resources(circuit, ry, with_breakdown=True)
+    report = count_resources(circuit, ry)
     expected = {}
     for name, lo, hi in circuit.stages:
         alone = count_resources(Circuit(circuit.registers, circuit.ops[lo:hi],
@@ -413,4 +425,48 @@ def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
         tc, td = expected.get(name, (0, 0))
         expected[name] = (tc + alone.t_count, td + alone.t_depth)
     assert report.breakdown == expected
-    assert report.as_tuple() == count_resources(circuit, ry).as_tuple()
+    unstaged = Circuit(circuit.registers, circuit.ops, circuit.total_qubits)
+    assert report.as_tuple() == count_resources(unstaged, ry).as_tuple()
+
+
+def _oracle_counts(ops, ry):
+    """T-count and T-depth by a longest path over pairwise conflicts: op j
+    waits for an earlier op i when they share a qubit that is not
+    control-only in both."""
+    t_count = 0
+    placed = []     # (full qubits, control-only qubits, finish) per op
+    for op in ops:
+        if isinstance(op, Macro):
+            weight = (op.t_count, op.t_depth)
+            ctrl = set(op.control_qubits())
+        else:
+            w = {GateKind.T: 1, GateKind.TDG: 1, GateKind.G: 1,
+                 GateKind.GDG: 1, GateKind.RY: ry, GateKind.CRY: 2 * ry,
+                 GateKind.CCRY: 2 * ry}.get(op.kind, 0)
+            weight = (w, w)
+            ctrl = {q for q, _ in op.controls}
+            if op.kind is GateKind.CZ:
+                ctrl |= set(op.targets)
+        full = set(op.qubits()) - ctrl
+        start = max((finish for f, c, finish in placed
+                     if full & (f | c) or ctrl & f), default=0)
+        t_count += weight[0]
+        placed.append((full, ctrl, start + weight[1]))
+    return t_count, max((finish for _, _, finish in placed), default=0)
+
+
+# Two rotations sharing only a control commute; the T on that control waits
+# for both.
+_SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
+    Gate(GateKind.CRY, (1,), ((0, True),), 0.5),
+    Gate(GateKind.CRY, (2,), ((0, False),), 0.5),
+    Gate(GateKind.T, (0,)),
+], 3)
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+@example(circuit=_SHARED_CONTROL, ry=5)
+def test_counts_match_pairwise_conflict_oracle(circuit, ry):
+    report = count_resources(circuit, ry)
+    assert (report.t_count, report.t_depth) == _oracle_counts(circuit.ops, ry)

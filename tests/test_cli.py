@@ -94,7 +94,7 @@ def test_build_out_text_matches_report(capsys, matrix_csv, tmp_path):
     assert code == 0
     parsed = parse_circuit_text(out_path.read_text())
     report = json.loads(out_path.with_suffix(".report.json").read_text())
-    counted = count_resources(parsed, ry_cost=20, with_breakdown=True)
+    counted = count_resources(parsed, ry_cost=20)
     assert counted.as_tuple() == (report["qubits"], report["t_count"],
                                   report["t_depth"])
     assert counted.to_dict()["breakdown"] == report["breakdown"]
@@ -121,6 +121,23 @@ def test_build_prerotated_qubits_match_table5(capsys, matrix_csv):
     payload = json.loads(out)
     assert payload["qubits"] == 4 * 16 - 3 * 4 + 2 * 2 - 1
     assert payload["match"] is True
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+def test_prerotated_on_non_power_of_two_matrix(capsys, matrix_csv, shape):
+    rng = np.random.default_rng(2)
+    path = matrix_csv(rng.uniform(5, 105, shape))
+    code, out, err = run_cli(capsys, "build", "--matrix", path, "--method",
+                             "prerotated", "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["config"]["n"] == 2
+    assert payload["config"]["lambda"] == 2
+    assert payload["match"] is True
+    code, out, err = run_cli(capsys, "verify", "--matrix", path, "--method",
+                             "prerotated", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
 
 
 def test_build_ragged_csv_rejected(capsys, tmp_path):
