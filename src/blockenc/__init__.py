@@ -14,6 +14,7 @@ from .circuit import (
     QubitRegister,
     ResourceReport,
     count_resources,
+    count_resources_at,
     parse_circuit_text,
     write_circuit_text,
 )

@@ -52,8 +52,11 @@ class MacroKind(str, Enum):
 
 # Kinds whose targets count as one unit of T cost.
 _T_WEIGHT_ONE = frozenset((GateKind.T, GateKind.TDG, GateKind.G, GateKind.GDG))
-# Rotation kinds weighted by the synthesis cost parameter.
-_ROTATIONS = frozenset((GateKind.RY, GateKind.CRY, GateKind.CCRY))
+# Rotation kinds weighted by the synthesis cost parameter, in units of it.
+_RY_UNITS = {GateKind.RY: 1, GateKind.CRY: 2, GateKind.CCRY: 2}
+# Per gate kind: (T weight, R_y units).
+_GATE_WEIGHTS = {k: (int(k in _T_WEIGHT_ONE), _RY_UNITS.get(k, 0))
+                 for k in GateKind}
 
 _EXPECTED_CONTROLS = {
     GateKind.CNOT: 1,
@@ -111,7 +114,7 @@ class Gate:
             raise CircuitError(f"{kind.value} expects {want_t} target(s)")
         if kind is GateKind.FANOUT_CNOT and not self.targets:
             raise CircuitError("FANOUT_CNOT requires at least one target")
-        if (self.angle is None) == (kind in _ROTATIONS):
+        if (self.angle is None) == (kind in _RY_UNITS):
             raise CircuitError(f"angle mismatch for {kind.value}")
         qubits = list(self.targets) + [q for q, _ in self.controls]
         if len(set(qubits)) != len(qubits):
@@ -121,9 +124,14 @@ class Gate:
         return self.targets + tuple(q for q, _ in self.controls)
 
     def adjoint(self):
-        kind = _ADJOINT_KIND.get(self.kind, self.kind)
-        angle = -self.angle if self.angle is not None else None
-        return Gate(kind, self.targets, self.controls, angle)
+        """The inverse gate; a self-inverse gate is its own (ops are never
+        mutated, so adjoint legs share those gate objects)."""
+        kind = _ADJOINT_KIND.get(self.kind)
+        if kind is not None:
+            return Gate(kind, self.targets, self.controls)
+        if self.angle is None:
+            return self
+        return Gate(self.kind, self.targets, self.controls, -self.angle)
 
     def __eq__(self, other):
         return (
@@ -208,9 +216,13 @@ class Macro:
         return self._full_set
 
     def adjoint(self):
-        return Macro(self.kind, self.params, adjoint_ops(self.expansion),
-                     self.t_count, self.t_depth, self.extra_ancillas,
-                     self.footprint)
+        inverse = Macro(self.kind, self.params, adjoint_ops(self.expansion),
+                        self.t_count, self.t_depth, self.extra_ancillas,
+                        self.footprint)
+        # Inverting the expansion keeps every qubit's role.
+        inverse._control_set = self._control_set
+        inverse._full_set = self._full_set
+        return inverse
 
     def __eq__(self, other):
         return (
@@ -374,18 +386,20 @@ class CircuitBuilder:
             self._stage_name = None
 
     def add(self, op):
-        if isinstance(op, Gate):
-            key = (op.kind, op.targets, op.controls, op.angle is None)
-            if key not in self._valid:
-                _check_op(op, self._total)
-                self._valid.add(key)
-        else:
-            _check_op(op, self._total)
-        self._ops.append(op)
+        self.extend((op,))
 
     def extend(self, ops):
+        valid = self._valid
+        append = self._ops.append
         for op in ops:
-            self.add(op)
+            if isinstance(op, Gate):
+                key = (op.kind, op.targets, op.controls, op.angle is None)
+                if key not in valid:
+                    _check_op(op, self._total)
+                    valid.add(key)
+            else:
+                _check_op(op, self._total)
+            append(op)
 
     def gate(self, kind, targets, controls=(), angle=None):
         if isinstance(targets, int):
@@ -406,31 +420,37 @@ def concat(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.registers, a.ops + b.ops, a.total_qubits)
 
 
-def _op_cost(op, ry_cost):
-    """Return (t_count, t_depth, full_qubits, control_qubits) of one op.
+def _op_cost(op):
+    """Return (t_count, t_depth, ry_units, full_qubits, control_qubits).
 
-    Control-only qubits are diagonal uses: two of them on one qubit commute.
+    An op's T-count is ``t_count + ry_units * ry_cost`` and its T-depth
+    ``t_depth + ry_units * ry_cost``.  Control-only qubits are diagonal uses:
+    two of them on one qubit commute.  A macro that touches no qubit still
+    takes depth; it is scheduled as a control-only use of the counter's
+    spare qubit -1.
     """
     if isinstance(op, Macro):
-        return op.t_count, op.t_depth, op.full_qubits(), op.control_qubits()
-    kind = op.kind
-    if kind in _T_WEIGHT_ONE:
-        w = 1
-    elif kind is GateKind.RY:
-        w = ry_cost
-    elif kind in _ROTATIONS:
-        w = 2 * ry_cost
-    else:
-        w = 0
-    if kind is GateKind.CZ:
-        return w, w, (), op.targets
-    return w, w, op.targets, [q for q, _ in op.controls]
+        full = op.full_qubits()
+        ctrl = op.control_qubits()
+        if not full and not ctrl:
+            ctrl = (-1,)
+        return op.t_count, op.t_depth, 0, full, ctrl
+    w, units = _GATE_WEIGHTS[op.kind]
+    if op.kind is GateKind.CZ:
+        return w, w, units, (), op.targets
+    return w, w, units, op.targets, [q for q, _ in op.controls]
 
 
 def count_resources(circuit: Circuit, ry_cost: int = 0) -> ResourceReport:
-    """Count qubits, T-count, scheduled T-depth and the per-stage breakdown.
+    """The ``count_resources_at`` report for the single value ``ry_cost``."""
+    return count_resources_at(circuit, (ry_cost,))[0]
 
-    ``ry_cost`` is the Clifford+T synthesis T-count charged per RY gate
+
+def count_resources_at(circuit: Circuit, ry_costs) -> list:
+    """Count qubits, T-count, scheduled T-depth and the per-stage breakdown,
+    one ``ResourceReport`` per value in ``ry_costs``.
+
+    An R_y value is the Clifford+T synthesis T-count charged per RY gate
     (rotations are simulated exactly but costed at this rate).  Qubits are
     the declared register total plus the high-water mark of macro scratch
     ancillas whose depth intervals overlap.  The breakdown gives each
@@ -438,19 +458,24 @@ def count_resources(circuit: Circuit, ry_cost: int = 0) -> ResourceReport:
     circuit of their own and summed over stages that share a name; it is
     empty when the circuit has no stages.
 
-    One pass schedules every op on two depth frontiers: the circuit's
-    (``last_full``/``ctrl_max``) and a stage-local one (``s_full``/
-    ``s_ctrl``) that restarts at each stage start.  Ops between stages
-    update a stage frontier nobody reads.
+    One pass schedules every op, for every R_y value, on two depth
+    frontiers: the circuit's and a stage-local one that restarts at each
+    stage start (ops between stages update a stage frontier nobody reads).
+    A frontier holds, per qubit, the finish of the last full use
+    (``last_full``) and the latest finish of any use (``busy``): a full use
+    waits for ``busy``, a control-only use only for ``last_full``.  A
+    frontier's T-depth is its largest ``busy``.  T-count is affine in R_y
+    and is summed once; T-depth is a longest path, whose critical path may
+    change with R_y, so each value keeps frontiers of its own.
     """
     ops = circuit.ops
     total = circuit.total_qubits
-    last_full = [0] * total
-    ctrl_max = [0] * total
-    t_count = 0
-    depth = 0
-    events = []
-    breakdown = {}
+    width = total + 1       # the last slot is the spare qubit -1
+    # Per R_y value: [ry, last_full, busy, s_full, s_busy, events].
+    states = [[ry, [0] * width, [0] * width, None, None, []]
+              for ry in ry_costs]
+    t_count = ry_units = 0
+    stage_counts = []
     segments = []
     pos = 0
     for name, lo, hi in circuit.stages:
@@ -458,61 +483,62 @@ def count_resources(circuit: Circuit, ry_cost: int = 0) -> ResourceReport:
         pos = hi
     segments.append((None, pos, len(ops)))
     for name, lo, hi in segments:
-        s_full = [0] * total
-        s_ctrl = [0] * total
-        s_count = 0
-        s_depth = 0
+        for state in states:
+            state[3] = [0] * width
+            state[4] = [0] * width
+        s_count = s_units = 0
         for i in range(lo, hi):
             op = ops[i]
-            wc, wd, full, ctrl = _op_cost(op, ry_cost)
+            wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
-            start = s_start = 0
-            for q in full:
-                lf = last_full[q]
-                cm = ctrl_max[q]
-                if lf > start:
-                    start = lf
-                if cm > start:
-                    start = cm
-                lf = s_full[q]
-                cm = s_ctrl[q]
-                if lf > s_start:
-                    s_start = lf
-                if cm > s_start:
-                    s_start = cm
-            for q in ctrl:
-                lf = last_full[q]
-                if lf > start:
-                    start = lf
-                lf = s_full[q]
-                if lf > s_start:
-                    s_start = lf
-            finish = start + wd
-            s_finish = s_start + wd
-            for q in full:
-                last_full[q] = finish
-                ctrl_max[q] = 0
-                s_full[q] = s_finish
-                s_ctrl[q] = 0
-            for q in ctrl:
-                if finish > ctrl_max[q]:
-                    ctrl_max[q] = finish
-                if s_finish > s_ctrl[q]:
-                    s_ctrl[q] = s_finish
-            if finish > depth:
-                depth = finish
-            if s_finish > s_depth:
-                s_depth = s_finish
-            if isinstance(op, Macro) and op.extra_ancillas:
-                events.append((start, max(finish, start + 1),
-                               op.extra_ancillas))
+            s_units += units
+            ancillas = isinstance(op, Macro) and op.extra_ancillas
+            for ry, last_full, busy, s_full, s_busy, events in states:
+                start = s_start = 0
+                for q in full:
+                    b = busy[q]
+                    if b > start:
+                        start = b
+                    b = s_busy[q]
+                    if b > s_start:
+                        s_start = b
+                for q in ctrl:
+                    b = last_full[q]
+                    if b > start:
+                        start = b
+                    b = s_full[q]
+                    if b > s_start:
+                        s_start = b
+                w = wd + units * ry if units else wd
+                finish = start + w
+                s_finish = s_start + w
+                for q in full:
+                    last_full[q] = busy[q] = finish
+                    s_full[q] = s_busy[q] = s_finish
+                for q in ctrl:
+                    if finish > busy[q]:
+                        busy[q] = finish
+                    if s_finish > s_busy[q]:
+                        s_busy[q] = s_finish
+                if ancillas:
+                    events.append((start, max(finish, start + 1), ancillas))
         t_count += s_count
-        if name is not None:
-            tc0, td0 = breakdown.get(name, (0, 0))
-            breakdown[name] = (tc0 + s_count, td0 + s_depth)
-    qubits = total + _high_water(events)
-    return ResourceReport(qubits=qubits, t_count=t_count, t_depth=depth,
-                          breakdown=breakdown)
+        ry_units += s_units
+        stage_counts.append((name, s_count, s_units,
+                             [max(state[4]) for state in states]))
+    reports = []
+    for v, (ry, _, busy, _, _, events) in enumerate(states):
+        breakdown = {}
+        for name, s_count, s_units, s_depths in stage_counts:
+            if name is not None:
+                tc0, td0 = breakdown.get(name, (0, 0))
+                breakdown[name] = (tc0 + s_count + s_units * ry,
+                                   td0 + s_depths[v])
+        reports.append(ResourceReport(
+            qubits=total + _high_water(events),
+            t_count=t_count + ry_units * ry, t_depth=max(busy),
+            breakdown=breakdown))
+    return reports
 
 
 def _high_water(events):

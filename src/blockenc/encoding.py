@@ -129,34 +129,25 @@ def _prepare_matrix(a, square=True):
 
 
 class _FixedLegs:
-    """Shared machinery for the fixed-precision legs of a block-encoding."""
+    """Shared machinery for the fixed-precision legs of a block-encoding.
+
+    The LOAD and state-preparation ops are built once; every leg that needs
+    them, and their adjoints, reuses ``load_ops`` and ``sp_ops``.
+    """
 
     def __init__(self, builder, data, dblock, control, row_trees, phi_tree,
                  n, t, cfg):
         rows = fixed_rows_for_trees(row_trees, t)
         spec = LoadSpec(n=n, data_width=len(dblock), lam=cfg.lam,
                         model=cfg.qram, rows=tuple(rows))
-        self.plan = load_plan(builder, control, dblock, spec)
-        self.data = data
-        self.a_slots, self.s_block = fixed_slots(dblock, n, t)
-        self.n = n
-        self.t = t
+        self.load_ops = load_plan(builder, control, dblock, spec).build_ops()
+        a_slots, s_block = fixed_slots(dblock, n, t)
+        self.sp_ops = sp_fixed_ops(data, a_slots, s_block, n, t)
         if phi_tree is not None:
             bits, signs = quantized_tree_bits(phi_tree, t)
-            self.phi_init = fixed_init_ops(self.a_slots, self.s_block, bits,
-                                           signs)
+            self.phi_init = fixed_init_ops(a_slots, s_block, bits, signs)
         else:
             self.phi_init = None
-
-    def sp_ops(self):
-        return sp_fixed_ops(self.data, self.a_slots, self.s_block, self.n,
-                            self.t)
-
-    def leg1_ops(self):
-        return self.phi_init + self.sp_ops() + self.phi_init
-
-    def load_ops(self):
-        return self.plan.build_ops()
 
 
 def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
@@ -184,16 +175,16 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
                           row_trees, phi_tree, n, t, cfg)
         b.begin_stage("leg1_sp_phi")
-        b.extend(legs.leg1_ops())
+        b.extend(legs.phi_init + legs.sp_ops + legs.phi_init)
         b.begin_stage("register_swap")
         for qa, qb in zip(data.qubits, control.qubits):
             b.gate(GateKind.SWAP, (qa, qb))
         b.begin_stage("leg2_load")
-        b.extend(legs.load_ops())
+        b.extend(legs.load_ops)
         b.begin_stage("leg2_sp_dagger")
-        b.extend(adjoint_ops(legs.sp_ops()))
+        b.extend(adjoint_ops(legs.sp_ops))
         b.begin_stage("leg2_load_dagger")
-        b.extend(adjoint_ops(legs.load_ops()))
+        b.extend(adjoint_ops(legs.load_ops))
     else:
         big_n = 1 << n
         angle = b.allocate("angle", big_n - 1)
@@ -274,7 +265,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     b.begin_stage("leg1_sp_phi")
     b.extend(stage_x)
     b.extend(staged_cswap())
-    b.extend(legs.sp_ops())
+    b.extend(legs.sp_ops)
     b.extend(staged_cswap())
     b.extend(stage_x)
     b.begin_stage("register_swap")
@@ -287,7 +278,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     load_into_stage = _retarget_load(legs, stage.qubits, dblock.qubits)
     b.extend(load_into_stage)
     b.extend(staged_cswap())
-    b.extend(adjoint_ops(legs.sp_ops()))
+    b.extend(adjoint_ops(legs.sp_ops))
     b.extend(staged_cswap())
     b.extend(adjoint_ops(load_into_stage))
     circuit = b.build()
@@ -299,10 +290,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
 def _retarget_load(legs, stage_qubits, dblock_qubits):
     """Rebuild the LOAD ops with the data register redirected to staging."""
     remap = dict(zip(dblock_qubits, stage_qubits))
-    ops = []
-    for op in legs.load_ops():
-        ops.append(_remap_op(op, remap))
-    return ops
+    return [_remap_op(op, remap) for op in legs.load_ops]
 
 
 def _remap_op(op, remap):
@@ -369,7 +357,7 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     control = b.allocate("control", ell)
     legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
                       trees, None, ell, t, cfg)
-    csp = legs.load_ops() + legs.sp_ops() + adjoint_ops(legs.load_ops())
+    csp = legs.load_ops + legs.sp_ops + adjoint_ops(legs.load_ops)
     b.begin_stage("csp")
     b.extend(csp)
     b.begin_stage("register_swap")

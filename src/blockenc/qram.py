@@ -188,10 +188,9 @@ class BucketBrigadeLoad:
                         tuple(zip(src, dst[: len(source)])), layered=True))
         return ops
 
-    def _tree_ops(self, subset_rows):
-        """Forward routing, Z data layer, reverse routing for one iteration."""
-        spec = self.spec
-        lam = spec.lam
+    def _routing_ops(self):
+        """Forward routing of the address and the data lanes into the tree."""
+        lam = self.spec.lam
         forward = []
         for m in range(1, lam):
             forward.extend(self._descend_ops((self.anc_lam[m],), m))
@@ -199,20 +198,25 @@ class BucketBrigadeLoad:
                 forward.append(Gate(GateKind.SWAP,
                                     (self._path(m, u)[0], self._router(m, u))))
         forward.extend(self._descend_ops(self.anc_d, lam))
-        ops = list(forward)
+        return forward
+
+    def _data_layer(self, subset_rows):
+        """Z imprints of one iteration's rows on the routed leaves."""
+        lam = self.spec.lam
+        ops = []
         for leaf in range(1 << lam):
             leaf_qubits = self.anc_d if lam == 0 else self._path(lam, leaf)
             for q, bit in zip(leaf_qubits, subset_rows[leaf]):
                 if bit:
                     ops.append(Gate(GateKind.Z, (q,)))
-        ops.extend(adjoint_ops(forward))
         return ops
 
     def build_ops(self):
+        """The LOAD; the routing and the flag-controlled in/out swap layers
+        are built once and shared by every select iteration."""
         spec = self.spec
-        n, d, lam = spec.n, spec.data_width, spec.lam
         s = spec.select_bits
-        n_leaves = 1 << lam
+        n_leaves = 1 << spec.lam
         ops = [Gate(GateKind.H, (q,)) for q in self.bus]
         sel = self.addr[:s]
 
@@ -225,14 +229,19 @@ class BucketBrigadeLoad:
 
         in_pairs = tuple(zip(self.addr[s:], self.anc_lam.qubits if self.anc_lam else ())) \
             + tuple(zip(self.bus, self.anc_d))
+        in_ops = parallel_cswap_phase_incorrect_gates(
+            ((self.flag, True),), in_pairs, layered=True)
+        out_ops = adjoint_ops(in_ops)
+        forward = self._routing_ops()
+        reverse = adjoint_ops(forward)
         ops.append(match_gate(0))
         for i in range(1 << s):
-            in_ops = parallel_cswap_phase_incorrect_gates(
-                ((self.flag, True),), in_pairs, layered=True)
             ops.extend(in_ops)
-            subset = spec.rows[i * n_leaves: (i + 1) * n_leaves]
-            ops.extend(self._tree_ops(subset))
-            ops.extend(adjoint_ops(in_ops))
+            ops.extend(forward)
+            ops.extend(self._data_layer(
+                spec.rows[i * n_leaves: (i + 1) * n_leaves]))
+            ops.extend(reverse)
+            ops.extend(out_ops)
             if i + 1 < (1 << s):
                 ops.append(unary_step(sel, i, i + 1, self.flag))
         ops.append(match_gate((1 << s) - 1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import ResourceReport, count_resources
+from .circuit import ResourceReport, count_resources, count_resources_at
 from .decomp import ParameterError
 from .encoding import (
     BlockEncodingConfig,
@@ -442,8 +442,14 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                            t_values=(3, 5, 8), ry_values=(10, 30),
                            seed=11, ledger=None, include_be=True):
     """Cross-validate every generator against its formula over the grid."""
+    n_values, d_values, t_values, ry_values = (
+        tuple(v) for v in (n_values, d_values, t_values, ry_values))
     rng = np.random.default_rng(seed)
     verdicts = []
+
+    def per_ry(circuit):
+        """(R_y value, report) pairs from one count of ``circuit``."""
+        return zip(ry_values, count_resources_at(circuit, ry_values))
 
     for n in n_values:
         for lam in range(n + 1):
@@ -465,8 +471,7 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
             thetas = [tuple(rng.uniform(0, math.pi, d)) for _ in range(1 << n)]
             spec = LoadSpec(n=n, data_width=d, lam=n, model=QramModel.FLAGS)
             circuit = build_loadf(spec, thetas)
-            for ry in ry_values:
-                counted = count_resources(circuit, ry_cost=ry)
+            for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
                     counted, "loadf", {"n": n, "d": d, "ry": ry}, ledger))
 
@@ -474,13 +479,11 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
         tree = _random_tree(rng, n)
         for t in t_values:
             circuit = build_sp_fixed(tree, t)
-            for ry in ry_values:
-                counted = count_resources(circuit, ry_cost=ry)
+            for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
                     counted, "sp_fixed", {"n": n, "t": t, "ry": ry}, ledger))
         circuit = build_sp_prerotated(tree)
-        for ry in ry_values:
-            counted = count_resources(circuit, ry_cost=ry)
+        for ry, counted in per_ry(circuit):
             verdicts.append(cross_validate(
                 counted, "sp_prerotated", {"n": n, "ry": ry}, ledger))
 
@@ -495,8 +498,7 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                             method=Method.FIXED_PRECISION, qram=qram,
                             lam=lam, t=t)
                         circuit = build_block_encoding(matrix, cfg).circuit
-                        for ry in ry_values:
-                            counted = count_resources(circuit, ry_cost=ry)
+                        for ry, counted in per_ry(circuit):
                             verdicts.append(cross_validate(
                                 counted, formula,
                                 {"n": n, "t": t, "lam": lam, "ry": ry},
@@ -504,8 +506,7 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
             cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
                                       qram=QramModel.FLAGS, lam=n)
             circuit = build_block_encoding(matrix, cfg).circuit
-            for ry in ry_values:
-                counted = count_resources(circuit, ry_cost=ry)
+            for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
                     counted, "be_prerotated", {"n": n, "ry": ry}, ledger))
     return verdicts

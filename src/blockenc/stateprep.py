@@ -270,12 +270,13 @@ def build_csp_fixed(trees, t, lam, model=QramModel.SELECT_SWAP):
     control = b.allocate("control", n)
     plan = load_plan(b, control.qubits, dblock.qubits, spec)
     a_slots, s_block = fixed_slots(dblock.qubits, n, t)
+    load_ops = plan.build_ops()
     b.begin_stage("load")
-    b.extend(plan.build_ops())
+    b.extend(load_ops)
     b.begin_stage("sp")
     b.extend(sp_fixed_ops(data.qubits, a_slots, s_block, n, t))
     b.begin_stage("load_dagger")
-    b.extend(adjoint_ops(plan.build_ops()))
+    b.extend(adjoint_ops(load_ops))
     return b.build()
 
 

@@ -17,6 +17,7 @@ from blockenc.circuit import (
     QubitRegister,
     concat,
     count_resources,
+    count_resources_at,
     parse_circuit_text,
     write_circuit_text,
 )
@@ -378,10 +379,26 @@ def _macros(draw, gates):
 
 
 @st.composite
+def _hub_rotations(draw):
+    """A controlled rotation whose first control is qubit 0: rotations drawn
+    this way share a control-only qubit, where the schedule must let them
+    commute."""
+    kind = draw(st.sampled_from((GateKind.CRY, GateKind.CCRY)))
+    order = draw(st.permutations(range(1, _WIDTH)))
+    n_c = _SHAPES[kind][1]
+    controls = ((0, draw(st.booleans())),) + tuple(
+        (q, draw(st.booleans())) for q in order[1:n_c])
+    return Gate(kind, order[:1], controls,
+                draw(st.floats(-math.pi, math.pi)))
+
+
+@st.composite
 def _staged_circuits(draw):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
-    1-3 registers and ordered, disjoint stages whose names may repeat."""
-    gates = draw(st.lists(_gates(), min_size=1, max_size=5))
+    1-3 registers and ordered, disjoint stages whose names may repeat.  The
+    pool always holds two or more rotations that share control qubit 0."""
+    gates = (draw(st.lists(_gates(), min_size=1, max_size=5))
+             + draw(st.lists(_hub_rotations(), min_size=2, max_size=3)))
     pool = gates + draw(st.lists(_macros(gates), max_size=3))
     ops = draw(st.lists(st.sampled_from(pool), max_size=60))
     cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
@@ -414,17 +431,21 @@ def test_text_round_trip_property(circuit, ry):
     assert count_resources(parsed, ry) == count_resources(circuit, ry)
 
 
-@_PROPERTY
-@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
-def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
-    report = count_resources(circuit, ry)
+def _stage_recount(circuit, ry):
     expected = {}
     for name, lo, hi in circuit.stages:
         alone = count_resources(Circuit(circuit.registers, circuit.ops[lo:hi],
                                         circuit.total_qubits), ry)
         tc, td = expected.get(name, (0, 0))
         expected[name] = (tc + alone.t_count, td + alone.t_depth)
-    assert report.breakdown == expected
+    return expected
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
+    report = count_resources(circuit, ry)
+    assert report.breakdown == _stage_recount(circuit, ry)
     unstaged = Circuit(circuit.registers, circuit.ops, circuit.total_qubits)
     assert report.as_tuple() == count_resources(unstaged, ry).as_tuple()
 
@@ -470,3 +491,65 @@ _SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
 def test_counts_match_pairwise_conflict_oracle(circuit, ry):
     report = count_resources(circuit, ry)
     assert (report.t_count, report.t_depth) == _oracle_counts(circuit.ops, ry)
+
+
+# One qubit carries 20 T gates, another one RY: T-depth is max(20, R_y), so
+# R_y values on both sides of 20 take different critical paths.
+_SWITCHING_PATH = Circuit([QubitRegister("q", 0, 2)],
+                          [Gate(GateKind.T, (0,))] * 20
+                          + [Gate(GateKind.RY, (1,), (), 0.3)],
+                          2, [("ts", 0, 20), ("rot", 20, 21)])
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(),
+       rys=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+@example(circuit=_SWITCHING_PATH, rys=[10, 30])
+@example(circuit=_SHARED_CONTROL, rys=[0, 5, 5])
+def test_multi_ry_reports_match_oracle_per_value(circuit, rys):
+    reports = count_resources_at(circuit, rys)
+    assert len(reports) == len(rys)
+    for ry, report in zip(rys, reports):
+        assert (report.t_count, report.t_depth) == _oracle_counts(
+            circuit.ops, ry)
+        assert report.breakdown == _stage_recount(circuit, ry)
+        assert report == count_resources(circuit, ry_cost=ry)
+
+
+# ---------------------------------------------------------------------------
+# Adjoints: self-inverse gates are shared, macros keep their qubit roles
+# ---------------------------------------------------------------------------
+
+_NOT_SELF_INVERSE = {GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                     GateKind.G, GateKind.GDG, *_ANGLED}
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_adjoint_round_trip_and_sharing(kind):
+    n_t, n_c = _SHAPES.get(kind, (1, 0))
+    n_t = n_t or 2
+    n_c = 2 if n_c is None else n_c
+    gate = Gate(kind, range(n_t), [(q, q % 2 == 0)
+                                    for q in range(n_t, n_t + n_c)],
+                0.25 if kind in _ANGLED else None)
+    gate.validate()
+    inverse = gate.adjoint()
+    assert inverse.adjoint() == gate
+    assert (inverse is gate) == (kind not in _NOT_SELF_INVERSE)
+    if kind in _ANGLED:
+        assert inverse.angle == -0.25
+
+
+@_PROPERTY
+@given(data=st.data(), classify_first=st.booleans())
+def test_macro_adjoint_keeps_qubit_roles(data, classify_first):
+    gates = data.draw(st.lists(_gates(), min_size=1, max_size=5))
+    macro = data.draw(_macros(gates))
+    if classify_first:
+        macro.control_qubits()
+    inverse = macro.adjoint()
+    fresh = Macro(inverse.kind, inverse.params, inverse.expansion,
+                  inverse.t_count, inverse.t_depth, inverse.extra_ancillas,
+                  inverse.footprint)
+    assert inverse.control_qubits() == fresh.control_qubits()
+    assert inverse.full_qubits() == fresh.full_qubits()

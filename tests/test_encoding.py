@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from blockenc import qram
+from blockenc.angle_tree import build_tree
 from blockenc.circuit import Circuit, Gate, GateKind, count_resources
 from blockenc.encoding import (
     BlockEncodingConfig,
@@ -16,6 +18,7 @@ from blockenc.encoding import (
 )
 from blockenc.qram import ConfigurationError, QramModel
 from blockenc.simulator import extract_block, spectral_norm
+from blockenc.stateprep import build_csp_fixed
 
 
 def test_select_parameters_fixed_example():
@@ -220,3 +223,32 @@ def test_padding_report():
     res = build_block_encoding(a, cfg)
     assert res.original_shape == (3, 5)
     assert res.padded_shape == (8, 8)
+
+
+@pytest.fixture
+def load_builds(monkeypatch):
+    """Count ``build_ops`` calls per LOAD plan object."""
+    calls = {}
+    for cls in (qram.SelectSwapLoad, qram.BucketBrigadeLoad):
+        def counted(self, _original=cls.build_ops):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return _original(self)
+        monkeypatch.setattr(cls, "build_ops", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("model", [QramModel.SELECT_SWAP,
+                                   QramModel.BUCKET_BRIGADE])
+def test_each_load_is_built_once(load_builds, variant, model):
+    matrix = np.arange(1.0, 17.0).reshape(4, 4)
+    cfg = BlockEncodingConfig(qram=model, lam=1, t=3, variant=variant)
+    build_block_encoding(matrix, cfg)
+    assert list(load_builds.values()) == [1]
+
+
+def test_csp_fixed_builds_its_load_once(load_builds):
+    rng = np.random.default_rng(3)
+    trees = [build_tree(rng.standard_normal(4), 2) for _ in range(4)]
+    build_csp_fixed(trees, 3, 1)
+    assert list(load_builds.values()) == [1]

@@ -135,3 +135,11 @@ def test_sweep_small_grid_clean():
                                       t_values=(3,), ry_values=(10,))
     assert verdicts
     assert all(v.passed for v in verdicts)
+
+
+def test_sweep_grid_may_be_given_as_iterators():
+    grid = {"n_values": (1,), "d_values": (1, 2), "t_values": (3, 5),
+            "ry_values": (10, 30)}
+    expected = sweep_cross_validation(**grid)
+    got = sweep_cross_validation(**{k: iter(v) for k, v in grid.items()})
+    assert got == expected
