@@ -6,10 +6,13 @@ run at a time.  Pair i runs the parent first when i is even and the change
 first when it is odd.  Writes ``BENCH_<name>.json``: every run's printed
 summary and final JSON line, and a claim block for ``wall_s`` on
 ``--workload`` over the seeds (medians, inclusive quartiles, pairs the change
-wins, median gain and the parent's IQR).  A run that exits non-zero stops the
-script.  If a change run is not correct, or fails a larger share of its
-requests than the parent run of its pair, the claim block lists why under
-``not_met`` and the script exits 1.
+wins, median gain and the parent's IQR).  The claim block also records, for
+that workload, the parent and change medians of every ``end_to_end`` metric
+in BENCHMARK.json.  A run that exits non-zero stops the script.  If a change
+run is not correct, fails a larger share of its requests than the parent run
+of its pair, or a change median is worse than the parent median by more than
+the metric's ``bound`` (a fraction of the parent median), the claim block
+lists why under ``not_met`` and the script exits 1.
 
     python3 scripts/bench_pairs.py --parent <commit> --name sweep_multi_ry \\
         --workload sweep --seeds 61-70 --seconds 25 \\
@@ -90,6 +93,26 @@ def _failures(workload, seed, got):
     return reasons
 
 
+def _median_check(results, end_to_end):
+    """Parent and change medians of each end-to-end metric over ``results``
+    (side -> list of run results), and why any change median is worse than
+    the parent median by more than the metric's bound."""
+    medians = {}
+    reasons = []
+    for spec in end_to_end:
+        name = spec["name"]
+        parent, change = (
+            statistics.median(r["metrics"][name]["value"] for r in results[side])
+            for side in ("parent", "change"))
+        medians[name] = {"parent": parent, "change": change}
+        worse = change - parent if spec["better"] == "lower" else parent - change
+        if worse > spec["bound"] * abs(parent):
+            reasons.append(f"{name}: change median {change:.4g} is worse than "
+                           f"the parent median {parent:.4g} by more than its "
+                           f"bound ({spec['bound']:g} of the parent)")
+    return medians, reasons
+
+
 def _host():
     try:
         numpy = f", numpy {metadata.version('numpy')}"
@@ -130,6 +153,7 @@ def main(argv=None):
 
     runs = []
     pairs = []
+    claimed = {"parent": [], "change": []}
     not_met = []
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = _extract(parent_commit, Path(tmp))
@@ -145,10 +169,15 @@ def main(argv=None):
                 got[side] = run["result"]
             not_met.extend(_failures(workload, seed, got))
             if i < len(args.seeds):
+                for side, result in got.items():
+                    claimed[side].append(result)
                 pairs.append({"seed": seed,
                               "parent": got["parent"]["metrics"][METRIC]["value"],
                               "change": got["change"]["metrics"][METRIC]["value"]})
 
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    medians, worse = _median_check(claimed, end_to_end)
+    not_met.extend(f"{args.workload}: {reason}" for reason in worse)
     unit = runs[0]["result"]["metrics"][METRIC]["unit"]
     parent = _spread([p["parent"] for p in pairs])
     change = _spread([p["change"] for p in pairs])
@@ -175,6 +204,7 @@ def main(argv=None):
             "change_wins": f"{wins} of {len(pairs)}",
             "median_gain": 1 - change["median"] / parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
+            "end_to_end": medians,
         },
         "runs": runs,
     }

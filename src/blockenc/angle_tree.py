@@ -1,5 +1,6 @@
 """Classical preprocessing: binary norm trees, rotation angles, sign bits,
-fixed-point quantization, pre-rotated leaf states, and matrix norm profiles.
+fixed-point quantization, pre-rotated leaf states, the q-norm report, and the
+appendix target-state families.
 
 The tree for a real vector beta stores |beta_j|^2 at the leaves plus sign
 bits; every internal node is the sum of its children.  Rotation angles are
@@ -9,7 +10,7 @@ indexed in heap order: theta_1 at the root, the step-w angles at heap indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,28 +233,6 @@ def matrix_trees(a):
     return row_trees, phi_tree, alpha
 
 
-@dataclass(frozen=True)
-class NormProfile:
-    frobenius: float
-    row_norms: tuple
-    mu_p: dict = field(default_factory=dict)
-    chi_row: tuple = ()
-    chi_col: tuple = ()
-
-
-def norm_profile(a, ps=()) -> NormProfile:
-    a = np.asarray(a, dtype=float)
-    row_norms = tuple(float(x) for x in np.linalg.norm(a, axis=1))
-    mu = {}
-    chi_row = ()
-    chi_col = ()
-    for p in ps:
-        q = qnorm_profile(a, p)
-        mu[p] = q.mu_p
-        chi_row, chi_col = q.chi_row, q.chi_col
-    return NormProfile(float(np.linalg.norm(a)), row_norms, mu, chi_row, chi_col)
-
-
 def _power_sum(v, q):
     """sum |v_i|^q with the 0^0 := 0 convention."""
     av = np.abs(np.asarray(v, dtype=float))
@@ -275,18 +254,12 @@ class QNormData:
     mu_p: float
     chi_row: tuple
     chi_col: tuple
-    psi: tuple          # plain q-norm target states, dim 2^(2n+2)
-    phi: tuple
-    psi_sym: tuple      # symmetrized q-norm targets, dim (4M)^2
-    phi_sym: tuple
 
 
-def qnorm_profile(a, p) -> QNormData:
-    """mu_p, chi angles, and the dense q-norm target state vectors."""
+def _qnorm_terms(a, p):
+    """mu_p, the row and column power sums, and the chi angles."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    a = np.asarray(a, dtype=float)
-    m_rows, n_cols = a.shape
     s2p = s_q(a, 2 * p)
     s2q = s_q(a.T, 2 * (1 - p))
     if s2p == 0 or s2q == 0:
@@ -298,63 +271,64 @@ def qnorm_profile(a, p) -> QNormData:
         raise DegenerateInputError("zero row or column makes a chi angle degenerate")
     chi_row = tuple(math.acos(min(1.0, math.sqrt(x / s2p))) for x in row_pow)
     chi_col = tuple(math.acos(min(1.0, math.sqrt(x / s2q))) for x in col_pow)
+    return mu, row_pow, col_pow, chi_row, chi_col
 
-    # Plain q-norm states on two (n+1)-bit registers: |a, b> -> a*2^(n+1)+b.
+
+def qnorm_profile(a, p) -> QNormData:
+    """mu_p and the chi angles of any M x N matrix, in O(MN)."""
+    mu, _, _, chi_row, chi_col = _qnorm_terms(np.asarray(a, dtype=float), p)
+    return QNormData(p, mu, chi_row, chi_col)
+
+
+def _scatter(coeff, dim, *placements):
+    """One target vector per row of ``coeff``, as a tuple of 1-D vectors.
+
+    Each placement ``(scale, index)`` writes ``coeff[i, c] * scale[i]`` at
+    position ``index[i, c]`` of vector i; ``scale`` may be a scalar.
+    """
+    out = np.zeros((coeff.shape[0], dim))
+    rows = np.arange(coeff.shape[0])[:, None]
+    for scale, index in placements:
+        out[rows, index] = coeff * np.reshape(scale, (-1, 1))
+    return tuple(out)
+
+
+def qnorm_targets(a, p):
+    """The q-norm target families ``(psi, phi, psi_sym, phi_sym)``.
+
+    Plain states live on two (n+1)-bit registers, |a, b> -> a*2N + b, so
+    they are (2N)^2-dimensional; the symmetrized ones are (4M)^2-dimensional.
+    Row states come first in the symmetrized families, then column states.
+    """
+    a = np.asarray(a, dtype=float)
+    _, row_pow, col_pow, chi_row, chi_col = _qnorm_terms(a, p)
+    m_rows, n_cols = a.shape
     if m_rows != n_cols:
         raise ValueError("plain q-norm targets need a square matrix")
-    nn = n_cols
-    width = 2 * nn
-    psi = []
-    phi = []
-    for j in range(nn):
-        vec = np.zeros(width * width)
-        for k in range(nn):
-            coeff = math.copysign(abs(a[j, k]) ** p, a[j, k]) / math.sqrt(row_pow[j])
-            vec[j * width + k] += coeff * math.cos(chi_row[j])
-            vec[j * width + nn + k] += coeff * math.sin(chi_row[j])
-        psi.append(vec)
-    for k in range(nn):
-        vec = np.zeros(width * width)
-        for j in range(nn):
-            coeff = abs(a[j, k]) ** (1 - p) / math.sqrt(col_pow[k])
-            vec[j * width + k] += coeff * math.cos(chi_col[k])
-            vec[(nn + j) * width + k] += coeff * math.sin(chi_col[k])
-        phi.append(vec)
+    row_coeff = np.copysign(np.abs(a) ** p, a) / np.sqrt(row_pow)[:, None]
+    col_coeff = (np.abs(a) ** (1 - p)).T / np.sqrt(col_pow)[:, None]
+    cos_r, sin_r = np.cos(chi_row), np.sin(chi_row)
+    cos_c, sin_c = np.cos(chi_col), np.sin(chi_col)
+    j = np.arange(m_rows)[:, None]
+    k = np.arange(n_cols)[None, :]
 
-    psi_sym, phi_sym = _qnorm_symmetrized(a, p, row_pow, col_pow, chi_row, chi_col)
-    return QNormData(p, mu, chi_row, chi_col, tuple(psi), tuple(phi),
-                     psi_sym, phi_sym)
+    width = 2 * n_cols
+    psi = _scatter(row_coeff, width * width, (cos_r, j * width + k),
+                   (sin_r, j * width + n_cols + k))
+    phi = _scatter(col_coeff, width * width, (cos_c, (j * width + k).T),
+                   (sin_c, ((n_cols + j) * width + k).T))
 
-
-def _qnorm_symmetrized(a, p, row_pow, col_pow, chi_row, chi_col):
-    m_rows, n_cols = a.shape
     big = 4 * m_rows
     dim = big * big
-    psi = []
-    phi = []
-    for j in range(m_rows):
-        pv = np.zeros(dim)
-        fv = np.zeros(dim)
-        for k in range(n_cols):
-            coeff = math.copysign(abs(a[j, k]) ** p, a[j, k]) / math.sqrt(row_pow[j])
-            pv[j * big + (m_rows + k)] += coeff * math.cos(chi_row[j])
-            pv[j * big + (3 * m_rows + k)] += coeff * math.sin(chi_row[j])
-            fv[(m_rows + k) * big + j] += coeff * math.cos(chi_row[j])
-            fv[(3 * m_rows + k) * big + j] += coeff * math.sin(chi_row[j])
-        psi.append(pv)
-        phi.append(fv)
-    for k in range(n_cols):
-        pv = np.zeros(dim)
-        fv = np.zeros(dim)
-        for j in range(m_rows):
-            coeff = abs(a[j, k]) ** (1 - p) / math.sqrt(col_pow[k])
-            pv[(m_rows + k) * big + j] += coeff * math.cos(chi_col[k])
-            pv[(m_rows + k) * big + (2 * m_rows + j)] += coeff * math.sin(chi_col[k])
-            fv[j * big + (m_rows + k)] += coeff * math.cos(chi_col[k])
-            fv[(2 * m_rows + j) * big + (m_rows + k)] += coeff * math.sin(chi_col[k])
-        psi.append(pv)
-        phi.append(fv)
-    return tuple(psi), tuple(phi)
+    psi_sym = (_scatter(row_coeff, dim, (cos_r, j * big + m_rows + k),
+                        (sin_r, j * big + 3 * m_rows + k))
+               + _scatter(col_coeff, dim, (cos_c, ((m_rows + k) * big + j).T),
+                          (sin_c, ((m_rows + k) * big + 2 * m_rows + j).T)))
+    phi_sym = (_scatter(row_coeff, dim, (cos_r, (m_rows + k) * big + j),
+                        (sin_r, (3 * m_rows + k) * big + j))
+               + _scatter(col_coeff, dim, (cos_c, (j * big + m_rows + k).T),
+                          (sin_c, ((2 * m_rows + j) * big + m_rows + k).T)))
+    return psi, phi, psi_sym, phi_sym
 
 
 def symmetrized_targets(a):
@@ -373,27 +347,17 @@ def symmetrized_targets(a):
     if fro == 0:
         raise DegenerateInputError("matrix is all zero")
     row_norms = np.linalg.norm(a, axis=1)
+    # A zero row has a zero state: its entries divide by 1 instead of 0.
+    row_coeff = a / np.where(row_norms > 0, row_norms, 1.0)[:, None]
+    col_coeff = np.tile(row_norms / fro, (n_cols, 1))
+    j = np.arange(m_rows)[:, None]
+    k = np.arange(n_cols)[None, :]
     big = 2 * m_rows
     dim = big * big
-    psi = []
-    phi = []
-    for j in range(m_rows):
-        pv = np.zeros(dim)
-        fv = np.zeros(dim)
-        if row_norms[j] > 0:
-            for k in range(n_cols):
-                coeff = a[j, k] / row_norms[j]
-                pv[j * big + (m_rows + k)] = coeff
-                fv[(m_rows + k) * big + j] = coeff
-        psi.append(pv)
-        phi.append(fv)
-    for k in range(n_cols):
-        pv = np.zeros(dim)
-        fv = np.zeros(dim)
-        for j in range(m_rows):
-            coeff = row_norms[j] / fro
-            pv[(m_rows + k) * big + j] = coeff
-            fv[j * big + (m_rows + k)] = coeff
-        psi.append(pv)
-        phi.append(fv)
-    return tuple(psi), tuple(phi)
+    into_row = j * big + m_rows + k      # |j>|M+k>
+    into_col = (m_rows + k) * big + j    # |M+k>|j>
+    psi = (_scatter(row_coeff, dim, (1.0, into_row))
+           + _scatter(col_coeff, dim, (1.0, into_col.T)))
+    phi = (_scatter(row_coeff, dim, (1.0, into_col))
+           + _scatter(col_coeff, dim, (1.0, into_row.T)))
+    return psi, phi

@@ -12,6 +12,7 @@ import pytest
 from blockenc.angle_tree import (
     build_tree,
     qnorm_profile,
+    qnorm_targets,
     reconstruct_state,
     symmetrized_targets,
 )
@@ -288,14 +289,14 @@ def test_criterion_7_appendix_identities():
                 got = float(np.dot(psi[j], phi[side + k]))
                 ok &= abs(got - a[j, k] / fro) < 1e-10
         for p in (0.25, 0.5, 0.75):
-            data = qnorm_profile(a, p)
+            mu_p = qnorm_profile(a, p).mu_p
+            q_psi, q_phi, psi_sym, phi_sym = qnorm_targets(a, p)
             for j in range(side):
                 for k in range(side):
-                    got = float(np.dot(data.psi[j], data.phi[k]))
-                    ok &= abs(got - a[j, k] / data.mu_p) < 1e-10
-                    got = float(np.dot(data.psi_sym[j],
-                                       data.phi_sym[side + k]))
-                    ok &= abs(got - a[j, k] / data.mu_p) < 1e-10
+                    got = float(np.dot(q_psi[j], q_phi[k]))
+                    ok &= abs(got - a[j, k] / mu_p) < 1e-10
+                    got = float(np.dot(psi_sym[j], phi_sym[side + k]))
+                    ok &= abs(got - a[j, k] / mu_p) < 1e-10
     elapsed = report(7, "appendix state identities", ok, started,
                      "orthogonality and matrix-element recovery at 1e-10")
     assert elapsed < 10.0

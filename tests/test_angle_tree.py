@@ -1,17 +1,21 @@
 """Angle-tree preprocessing: trees, quantization, norms, target states."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockenc.angle_tree import (
     DegenerateInputError,
+    _power_sum,
     build_tree,
     matrix_trees,
-    norm_profile,
     pad_to_power_of_two,
     prerotated_leaves,
     qnorm_profile,
+    qnorm_targets,
     quantize_angle,
     reconstruct_state,
     symmetrized_targets,
@@ -181,9 +185,8 @@ def test_frobenius_identity_property():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = rng.standard_normal((4, 4))
-        profile = norm_profile(a)
-        assert abs(sum(x ** 2 for x in profile.row_norms)
-                   - profile.frobenius ** 2) < 1e-10 * profile.frobenius ** 2
+        _, phi_tree, alpha = matrix_trees(a)
+        assert abs(phi_tree.root - alpha ** 2) < 1e-10 * alpha ** 2
 
 
 def test_pad_to_power_of_two():
@@ -240,31 +243,163 @@ def test_qnorm_recovery_identity():
     rng = np.random.default_rng(5)
     for p in (0.25, 0.5, 0.75):
         a = rng.standard_normal((2, 2))
-        data = qnorm_profile(a, p)
+        mu_p = qnorm_profile(a, p).mu_p
+        psi, phi, _, _ = qnorm_targets(a, p)
         for j in range(2):
             for k in range(2):
-                got = _inner(data.psi[j], data.phi[k])
-                assert abs(got - a[j, k] / data.mu_p) < 1e-10
+                got = _inner(psi[j], phi[k])
+                assert abs(got - a[j, k] / mu_p) < 1e-10
 
 
 def test_qnorm_symmetrized_recovery():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((2, 2))
     for p in (0.25, 0.5, 0.75):
-        data = qnorm_profile(a, p)
+        mu_p = qnorm_profile(a, p).mu_p
+        _, _, psi_sym, phi_sym = qnorm_targets(a, p)
         m = 2
         for j in range(m):
             for k in range(2):
-                got = _inner(data.psi_sym[j], data.phi_sym[m + k])
-                assert abs(got - a[j, k] / data.mu_p) < 1e-10
+                got = _inner(psi_sym[j], phi_sym[m + k])
+                assert abs(got - a[j, k] / mu_p) < 1e-10
         for j in range(m):
             for jp in range(m):
-                assert abs(_inner(data.psi_sym[j], data.phi_sym[jp])) < 1e-10
+                assert abs(_inner(psi_sym[j], phi_sym[jp])) < 1e-10
 
 
 def test_qnorm_zero_row_degenerate():
     with pytest.raises(DegenerateInputError):
         qnorm_profile(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.5)
+
+
+def test_qnorm_profile_builds_no_families():
+    a = np.random.default_rng(8).standard_normal((64, 64))
+    tracemalloc.start()
+    try:
+        qnorm_profile(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_qnorm_targets_need_a_square_matrix():
+    a = np.arange(1.0, 7.0).reshape(2, 3)
+    assert len(qnorm_profile(a, 0.5).chi_col) == 3
+    with pytest.raises(ValueError, match="square"):
+        qnorm_targets(a, 0.5)
+
+
+# Loop references for the target families: one coefficient at a time.  The
+# power sums and chi angles are the report's own, so only the families differ.
+
+def _loop_qnorm_targets(a, p):
+    data = qnorm_profile(a, p)
+    chi_row, chi_col = data.chi_row, data.chi_col
+    row_pow = [_power_sum(row, 2 * p) for row in a]
+    col_pow = [_power_sum(col, 2 * (1 - p)) for col in a.T]
+    nn = a.shape[0]
+    width = 2 * nn
+    big = 4 * nn
+    psi, phi, psi_sym, phi_sym = [], [], [], []
+    for j in range(nn):
+        pv, sp, sf = (np.zeros(width * width), np.zeros(big * big),
+                      np.zeros(big * big))
+        for k in range(nn):
+            coeff = math.copysign(abs(a[j, k]) ** p, a[j, k]) / math.sqrt(row_pow[j])
+            c, s = coeff * math.cos(chi_row[j]), coeff * math.sin(chi_row[j])
+            pv[j * width + k] += c
+            pv[j * width + nn + k] += s
+            sp[j * big + (nn + k)] += c
+            sp[j * big + (3 * nn + k)] += s
+            sf[(nn + k) * big + j] += c
+            sf[(3 * nn + k) * big + j] += s
+        psi.append(pv)
+        psi_sym.append(sp)
+        phi_sym.append(sf)
+    for k in range(nn):
+        fv, sp, sf = (np.zeros(width * width), np.zeros(big * big),
+                      np.zeros(big * big))
+        for j in range(nn):
+            coeff = abs(a[j, k]) ** (1 - p) / math.sqrt(col_pow[k])
+            c, s = coeff * math.cos(chi_col[k]), coeff * math.sin(chi_col[k])
+            fv[j * width + k] += c
+            fv[(nn + j) * width + k] += s
+            sp[(nn + k) * big + j] += c
+            sp[(nn + k) * big + (2 * nn + j)] += s
+            sf[j * big + (nn + k)] += c
+            sf[(2 * nn + j) * big + (nn + k)] += s
+        phi.append(fv)
+        psi_sym.append(sp)
+        phi_sym.append(sf)
+    return psi, phi, psi_sym, phi_sym
+
+
+def _loop_symmetrized_targets(a):
+    m_rows, n_cols = a.shape
+    fro = float(np.linalg.norm(a))
+    row_norms = np.linalg.norm(a, axis=1)
+    big = 2 * m_rows
+    psi, phi = [], []
+    for j in range(m_rows):
+        pv, fv = np.zeros(big * big), np.zeros(big * big)
+        if row_norms[j] > 0:
+            for k in range(n_cols):
+                pv[j * big + (m_rows + k)] = a[j, k] / row_norms[j]
+                fv[(m_rows + k) * big + j] = a[j, k] / row_norms[j]
+        psi.append(pv)
+        phi.append(fv)
+    for k in range(n_cols):
+        pv, fv = np.zeros(big * big), np.zeros(big * big)
+        for j in range(m_rows):
+            pv[(m_rows + k) * big + j] = row_norms[j] / fro
+            fv[j * big + (m_rows + k)] = row_norms[j] / fro
+        psi.append(pv)
+        phi.append(fv)
+    return psi, phi
+
+
+def _assert_families_equal(got, want):
+    assert len(got) == len(want)
+    for family, ref in zip(got, want):
+        assert isinstance(family, tuple) and len(family) == len(ref)
+        for vec, ref_vec in zip(family, ref):
+            assert vec.ndim == 1 and vec.shape == ref_vec.shape
+            assert np.abs(vec - ref_vec).max() <= 1e-14
+
+
+_ENTRY = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def _matrices(draw, shapes):
+    rows, cols = draw(shapes)
+    flat = draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat).reshape(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_matrices(st.integers(2, 8).map(lambda n: (n, n))),
+       p=st.floats(0.0, 1.0))
+def test_qnorm_targets_match_loop_reference(a, p):
+    try:
+        want = _loop_qnorm_targets(a, p)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            qnorm_targets(a, p)
+        return
+    _assert_families_equal(qnorm_targets(a, p), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_matrices(st.sampled_from([(2, 2), (4, 4), (8, 8), (4, 2)])))
+def test_symmetrized_targets_match_loop_reference(a):
+    if np.linalg.norm(a) == 0:
+        with pytest.raises(DegenerateInputError):
+            symmetrized_targets(a)
+        return
+    _assert_families_equal(symmetrized_targets(a),
+                           _loop_symmetrized_targets(a))
 
 
 def test_zero_tree_convention():

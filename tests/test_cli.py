@@ -68,6 +68,34 @@ def test_estimate_qnorm_report(capsys, matrix_csv):
     assert abs(payload["mu_p"] - 4.0) < 1e-9
 
 
+def test_estimate_qnorm_report_rectangular(capsys, matrix_csv):
+    a = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -0.25]])
+    p = 0.5
+    code, out, _ = run_cli(capsys, "estimate", "--matrix", matrix_csv(a),
+                           "--norm", f"qnorm:{p}", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # mu_p and chi from their definitions, in plain numpy
+    row_pow = (np.abs(a) ** (2 * p)).sum(axis=1)
+    col_pow = (np.abs(a) ** (2 * (1 - p))).sum(axis=0)
+    mu = np.sqrt(row_pow.max() * col_pow.max())
+    assert abs(payload["mu_p"] - mu) < 1e-12 * mu
+    assert np.allclose(payload["chi_row"],
+                       np.arccos(np.sqrt(row_pow / row_pow.max())), atol=1e-12)
+    assert np.allclose(payload["chi_col"],
+                       np.arccos(np.sqrt(col_pow / col_pow.max())), atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                               [[1.0, 0.0, 2.0], [3.0, 0.0, 4.0]]])
+def test_estimate_qnorm_zero_row_or_column_exits_2(capsys, matrix_csv, a):
+    code, out, err = run_cli(capsys, "estimate", "--matrix",
+                             matrix_csv(np.array(a)), "--norm", "qnorm:0.5")
+    assert code == 2
+    assert out == ""
+    assert "degenerate" in err
+
+
 def test_build_round_trip(capsys, matrix_csv, tmp_path):
     path = matrix_csv(np.eye(2))
     out_path = tmp_path / "circuit.txt"
