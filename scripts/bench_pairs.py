@@ -4,18 +4,20 @@ Extracts ``--parent`` with ``git archive`` into a temporary directory and
 runs ``perfbench/run.py`` there and in this checkout (the change side), one
 run at a time.  Pair i runs the parent first when i is even and the change
 first when it is odd.  Writes ``BENCH_<name>.json``: every run's printed
-summary and final JSON line, and a claim block for ``wall_s`` on
+summary and final JSON line, and a claim block for ``--metric`` (any
+``end_to_end`` metric of BENCHMARK.json, ``wall_s`` by default) on
 ``--workload`` over the seeds (medians, inclusive quartiles, pairs the change
-wins, median gain and the parent's IQR).  The claim block also records, for
-that workload, the parent and change medians of every ``end_to_end`` metric
-in BENCHMARK.json.  A run that exits non-zero stops the script.  If a change
-run is not correct, fails a larger share of its requests than the parent run
-of its pair, or a change median is worse than the parent median by more than
-the metric's ``bound`` (a fraction of the parent median), the claim block
-lists why under ``not_met`` and the script exits 1.
+wins in the metric's ``better`` direction, median gain in that direction and
+the parent's IQR).  The claim block also records, for that workload, the
+parent and change medians of every ``end_to_end`` metric in BENCHMARK.json.
+A run that exits non-zero stops the script.  If a change run is not correct,
+fails a larger share of its requests than the parent run of its pair, or a
+change median is worse than the parent median by more than the metric's
+``bound`` (a fraction of the parent median), the claim block lists why under
+``not_met`` and the script exits 1.
 
     python3 scripts/bench_pairs.py --parent <commit> --name sweep_multi_ry \\
-        --workload sweep --seeds 61-70 --seconds 25 \\
+        --workload sweep --metric wall_s --seeds 61-70 --seconds 25 \\
         --change "what the change does"
 
 Extra runs that are recorded but not part of the claim can be added with
@@ -35,7 +37,6 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRIC = "wall_s"
 
 
 def _seeds(text):
@@ -127,6 +128,27 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": sorted(values)}
 
 
+def _claim(pairs, spec):
+    """Spreads, wins and gain of the claimed metric over ``pairs``; a pair
+    is won when the change is better in the metric's ``better`` direction,
+    and the gain is the relative median improvement in that direction."""
+    parent = _spread([p["parent"] for p in pairs])
+    change = _spread([p["change"] for p in pairs])
+    sign = 1 if spec["better"] == "lower" else -1
+    wins = sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs)
+    return {
+        "metric": spec["name"],
+        "better": spec["better"],
+        "unit": spec["unit"],
+        "pairs": pairs,
+        "parent": parent,
+        "change": change,
+        "change_wins": f"{wins} of {len(pairs)}",
+        "median_gain": sign * (1 - change["median"] / parent["median"]),
+        "parent_iqr": parent["q3"] - parent["q1"],
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
@@ -134,6 +156,10 @@ def main(argv=None):
     parser.add_argument("--change", required=True,
                         help="one line saying what the change does")
     parser.add_argument("--workload", required=True)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    specs = {spec["name"]: spec for spec in end_to_end}
+    parser.add_argument("--metric", choices=sorted(specs), default="wall_s",
+                        help="the end-to-end metric the claim is about")
     parser.add_argument("--seeds", type=_seeds, required=True,
                         help="e.g. 61-70 or 1,2,5")
     parser.add_argument("--seconds", type=float, default=25)
@@ -171,17 +197,14 @@ def main(argv=None):
             if i < len(args.seeds):
                 for side, result in got.items():
                     claimed[side].append(result)
-                pairs.append({"seed": seed,
-                              "parent": got["parent"]["metrics"][METRIC]["value"],
-                              "change": got["change"]["metrics"][METRIC]["value"]})
+                pairs.append({"seed": seed, **{
+                    side: got[side]["metrics"][args.metric]["value"]
+                    for side in ("parent", "change")}})
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     medians, worse = _median_check(claimed, end_to_end)
     not_met.extend(f"{args.workload}: {reason}" for reason in worse)
-    unit = runs[0]["result"]["metrics"][METRIC]["unit"]
-    parent = _spread([p["parent"] for p in pairs])
-    change = _spread([p["change"] for p in pairs])
-    wins = sum(p["change"] < p["parent"] for p in pairs)
+    claim = {"workload": args.workload, "seeds": list(args.seeds),
+             **_claim(pairs, specs[args.metric]), "end_to_end": medians}
     record = {
         "name": args.name,
         "change": args.change,
@@ -193,29 +216,18 @@ def main(argv=None):
                "runs first; 'summary' is the run's printed table and "
                "'result' its last stdout line",
         "host": _host(),
-        "claim": {
-            "workload": args.workload,
-            "metric": METRIC,
-            "unit": unit,
-            "seeds": list(args.seeds),
-            "pairs": pairs,
-            "parent": parent,
-            "change": change,
-            "change_wins": f"{wins} of {len(pairs)}",
-            "median_gain": 1 - change["median"] / parent["median"],
-            "parent_iqr": parent["q3"] - parent["q1"],
-            "end_to_end": medians,
-        },
+        "claim": claim,
         "runs": runs,
     }
     if not_met:
-        record["claim"]["not_met"] = not_met
+        claim["not_met"] = not_met
     out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
-    claim = record["claim"]
-    print(f"{out.name}: parent median {parent['median']:.4g}, change median "
-          f"{change['median']:.4g} ({-claim['median_gain']:+.1%}), change "
-          f"wins {claim['change_wins']}, parent IQR {claim['parent_iqr']:.4g}")
+    print(f"{out.name}: {args.metric} parent median "
+          f"{claim['parent']['median']:.4g}, change median "
+          f"{claim['change']['median']:.4g} (gain {claim['median_gain']:+.1%}),"
+          f" change wins {claim['change_wins']}, parent IQR "
+          f"{claim['parent_iqr']:.4g}")
     for reason in not_met:
         print(f"claim not met: {reason}")
     return 1 if not_met else 0

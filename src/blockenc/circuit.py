@@ -166,16 +166,24 @@ class Macro:
     the simulator.  ``extra_ancillas`` counts scratch qubits that live outside
     the circuit's registers; macros backed by explicit pool registers declare
     zero.
+
+    A macro keeps its recipe, not its gates: ``recipe(*args)`` returns the
+    forward expansion, a module-level function so that no macro holds a
+    closure, and ``inverted`` marks the adjoint.  Counting reads only the
+    declared cost and the qubit roles, which one classification caches; the
+    text writer and the simulator build the expansion.
     """
 
-    __slots__ = ("kind", "params", "expansion", "t_count", "t_depth",
-                 "extra_ancillas", "footprint", "_control_set", "_full_set")
+    __slots__ = ("kind", "params", "recipe", "args", "inverted", "t_count",
+                 "t_depth", "extra_ancillas", "footprint", "_roles")
 
-    def __init__(self, kind, params, expansion, t_count, t_depth,
-                 extra_ancillas=0, footprint=()):
+    def __init__(self, kind, params, recipe, args, t_count, t_depth,
+                 extra_ancillas=0, footprint=(), inverted=False):
         self.kind = kind
-        self.params = dict(params)
-        self.expansion = tuple(expansion)
+        self.params = params
+        self.recipe = recipe
+        self.args = args
+        self.inverted = inverted
         self.t_count = int(t_count)
         self.t_depth = int(t_depth)
         self.extra_ancillas = int(extra_ancillas)
@@ -183,45 +191,45 @@ class Macro:
         # happens to leave them untouched; keeps depth accounting
         # data-independent.
         self.footprint = tuple(footprint)
-        self._control_set = None
-        self._full_set = None
+        self._roles = None
 
-    def qubits(self):
-        seen = set(self.footprint)
-        for g in self.expansion:
-            seen.update(g.qubits())
-        return tuple(sorted(seen))
+    @property
+    def expansion(self):
+        gates = self.recipe(*self.args)
+        return tuple(adjoint_ops(gates) if self.inverted else gates)
 
     def _classify(self):
-        if self._control_set is not None:
-            return
-        full = set(self.footprint)
-        ctrl = set()
-        for g in self.expansion:
-            if g.kind is GateKind.CZ:
-                ctrl.update(g.targets)
-            else:
-                full.update(g.targets)
-            for q, _ in g.controls:
-                ctrl.add(q)
-        self._full_set = frozenset(full)
-        self._control_set = frozenset(ctrl - full)
+        """(full, control-only) qubits as sorted tuples, computed once.
+        Inverting the expansion keeps every qubit's role, so the forward
+        recipe serves both directions."""
+        if self._roles is None:
+            full = set(self.footprint)
+            ctrl = set()
+            for g in self.recipe(*self.args):
+                if g.kind is GateKind.CZ:
+                    ctrl.update(g.targets)
+                else:
+                    full.update(g.targets)
+                for q, _ in g.controls:
+                    ctrl.add(q)
+            self._roles = (tuple(sorted(full)), tuple(sorted(ctrl - full)))
+        return self._roles
+
+    def qubits(self):
+        full, ctrl = self._classify()
+        return tuple(sorted(full + ctrl))
 
     def control_qubits(self):
-        self._classify()
-        return self._control_set
+        return self._classify()[1]
 
     def full_qubits(self):
-        self._classify()
-        return self._full_set
+        return self._classify()[0]
 
     def adjoint(self):
-        inverse = Macro(self.kind, self.params, adjoint_ops(self.expansion),
+        inverse = Macro(self.kind, self.params, self.recipe, self.args,
                         self.t_count, self.t_depth, self.extra_ancillas,
-                        self.footprint)
-        # Inverting the expansion keeps every qubit's role.
-        inverse._control_set = self._control_set
-        inverse._full_set = self._full_set
+                        self.footprint, not self.inverted)
+        inverse._roles = self._classify()
         return inverse
 
     def __eq__(self, other):
@@ -237,6 +245,11 @@ class Macro:
     def __repr__(self):
         return (f"Macro({self.kind.value}, tc={self.t_count}, td={self.t_depth}, "
                 f"ax={self.extra_ancillas}, ng={len(self.expansion)})")
+
+
+def stored_gates(gates):
+    """The recipe of a macro that holds its gates (parsed or remapped)."""
+    return gates
 
 
 @dataclass(frozen=True)
@@ -662,8 +675,9 @@ def _parse_macro(fields, chunks):
     footprint = ()
     if attrs.get("fp", "-") != "-":
         footprint = tuple(int(x) for x in attrs["fp"].split(","))
-    return Macro(kind, params, expansion, int(attrs["tc"]), int(attrs["td"]),
-                 int(attrs["ax"]), footprint)
+    return Macro(kind, params, stored_gates, (tuple(expansion),),
+                 int(attrs["tc"]), int(attrs["td"]), int(attrs["ax"]),
+                 footprint)
 
 
 def parse_circuit_text(text: str) -> Circuit:

@@ -340,6 +340,9 @@ def cmd_tables(args):
 
 
 def cmd_sweep(args):
+    if args.n_max < 1:
+        raise UsageError("--n-max must be >= 1: a sweep up to "
+                         f"n = {args.n_max} compares nothing")
     n_values = tuple(range(1, args.n_max + 1))
     verdicts = sweep_cross_validation(n_values=n_values, seed=args.seed,
                                       include_be=not args.no_be)

@@ -111,35 +111,8 @@ def parallel_cswap_phase_incorrect_gates(controls, pairs, layered=False):
     return gates
 
 
-def parallel_cswap_clean(num_pairs=None, control=0, pairs=None, ancillas=None):
-    """Phase-correct parallel controlled-swap macro (CNOT-conjugated
-    Toffolis with a fanned-out control copy).
-
-    Cost (4k, 1, 2k): one copy ancilla plus one Toffoli ancilla per pair.
-    When explicit ``ancillas`` (the copy qubits) are supplied from a pool
-    register the macro declares only the k Toffoli scratch qubits; with a
-    full 2k-qubit pool it declares zero.
-    """
-    if pairs is None:
-        if num_pairs is None or num_pairs < 1:
-            raise ParameterError("num_pairs must be >= 1")
-        pairs = tuple((1 + 2 * i, 2 + 2 * i) for i in range(num_pairs))
-    pairs = tuple(pairs)
-    k = len(pairs)
-    if ancillas is None:
-        base = max((control,) + tuple(q for p in pairs for q in p)) + 1
-        copies = tuple(range(base, base + k))
-        extra = 2 * k
-    else:
-        ancillas = tuple(ancillas)
-        if len(ancillas) >= 2 * k:
-            copies = ancillas[:k]
-            extra = 0
-        elif len(ancillas) >= k:
-            copies = ancillas[:k]
-            extra = k
-        else:
-            raise ParameterError("need at least k ancillas")
+def _cswap_clean_gates(control, pairs, ancillas):
+    copies = ancillas[:len(pairs)]
     ctrl = ((control, True),)
     gates = [Gate(GateKind.FANOUT_CNOT, copies, ctrl)]
     for a, b in pairs:
@@ -149,8 +122,40 @@ def parallel_cswap_clean(num_pairs=None, control=0, pairs=None, ancillas=None):
     for a, b in pairs:
         gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
     gates.append(Gate(GateKind.FANOUT_CNOT, copies, ctrl))
-    return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, {"k": k}, gates,
-                 t_count=4 * k, t_depth=1, extra_ancillas=extra)
+    return gates
+
+
+def parallel_cswap_clean(control, pairs, ancillas=None):
+    """Phase-correct parallel controlled-swap macro (CNOT-conjugated
+    Toffolis with a fanned-out control copy).
+
+    Cost (4k, 1, 2k): one copy ancilla plus one Toffoli ancilla per pair.
+    When explicit ``ancillas`` (the copy qubits) are supplied from a pool
+    register the macro declares only the k Toffoli scratch qubits; with a
+    full 2k-qubit pool it declares zero.  Without them the copies are the
+    k qubits above the highest one named.
+    """
+    pairs = tuple(pairs)
+    k = len(pairs)
+    if ancillas is None:
+        base = max((control,) + tuple(q for p in pairs for q in p)) + 1
+        ancillas = tuple(range(base, base + k))
+        extra = 2 * k
+    else:
+        ancillas = tuple(ancillas)
+        if len(ancillas) >= 2 * k:
+            extra = 0
+        elif len(ancillas) >= k:
+            extra = k
+        else:
+            raise ParameterError("need at least k ancillas")
+    return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, {"k": k}, _cswap_clean_gates,
+                 (control, pairs, ancillas), t_count=4 * k, t_depth=1,
+                 extra_ancillas=extra)
+
+
+def _and_toffoli_gates(c1, c2, target):
+    return [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
 
 
 def and_toffoli(c1, c2, target, ancilla=None):
@@ -159,9 +164,9 @@ def and_toffoli(c1, c2, target, ancilla=None):
     The expansion is a plain Toffoli (the exact measurement-free unitary);
     the jones-style scratch qubit is declared unless supplied explicitly.
     """
-    gates = [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
     extra = 1 if ancilla is None else 0
-    return Macro(MacroKind.AND_TOFFOLI, {}, gates, 4, 1, extra)
+    return Macro(MacroKind.AND_TOFFOLI, {}, _and_toffoli_gates,
+                 (c1, c2, target), 4, 1, extra)
 
 
 def _match_controls(select_qubits, value):
@@ -170,56 +175,62 @@ def _match_controls(select_qubits, value):
                  for i, q in enumerate(select_qubits))
 
 
-def unary_select(s=None, write_rows=None, select_qubits=None, ancillas=None,
-                 footprint=()):
+def _unary_select_gates(select_qubits, write_rows, flag):
+    gates = []
+    if flag is None:
+        for j, targets in enumerate(write_rows):
+            if targets:
+                gates.append(Gate(GateKind.FANOUT_CNOT, targets,
+                                  ((select_qubits[0], bool(j)),)))
+        return gates
+    for j, targets in enumerate(write_rows):
+        mcx = Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, j))
+        gates.append(mcx)
+        if targets:
+            gates.append(Gate(GateKind.FANOUT_CNOT, targets, ((flag, True),)))
+        gates.append(mcx)
+    return gates
+
+
+def unary_select(select_qubits, write_rows, ancillas=None, footprint=()):
     """Unary-iteration select macro writing one classical row per address.
 
     ``write_rows[j]`` lists the fanout target qubits for select value j.
     Cost is the unary iteration model: T-count = T-depth = 4*(2^s - 1) with
     s - 1 scratch ancillas.  The expansion computes an address-match flag
     with a mixed-polarity MCX, fanout-writes the row, and uncomputes; for
-    s = 1 the polarized select bit drives the fanout directly.
+    s = 1 the polarized select bit drives the fanout directly.  Without
+    ``ancillas`` the flag is the qubit above the highest one named.
     """
-    if select_qubits is None:
-        if s is None or s < 1:
-            raise ParameterError("s must be >= 1")
-        select_qubits = tuple(range(s))
     select_qubits = tuple(select_qubits)
     s = len(select_qubits)
     if s < 1:
         raise ParameterError("s must be >= 1")
     rows = 1 << s
-    if write_rows is None:
-        write_rows = [() for _ in range(rows)]
+    write_rows = tuple(tuple(row) for row in write_rows)
     if len(write_rows) != rows:
         raise ParameterError(f"write_rows must have 2^{s} entries")
-    gates = []
     if s == 1:
+        flag = None
         extra = 0
-        for j in range(2):
-            targets = tuple(write_rows[j])
-            if targets:
-                gates.append(Gate(GateKind.FANOUT_CNOT, targets,
-                                  ((select_qubits[0], bool(j)),)))
+    elif ancillas:
+        flag = tuple(ancillas)[0]
+        extra = 0
     else:
-        if ancillas:
-            flag = tuple(ancillas)[0]
-            extra = 0
-        else:
-            base = max(select_qubits + tuple(q for row in write_rows for q in row),
-                       default=0) + 1
-            flag = base
-            extra = s - 1
-        for j in range(rows):
-            mcx = Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, j))
-            gates.append(mcx)
-            targets = tuple(write_rows[j])
-            if targets:
-                gates.append(Gate(GateKind.FANOUT_CNOT, targets, ((flag, True),)))
-            gates.append(mcx)
-    return Macro(MacroKind.UNARY_SELECT, {"s": s}, gates,
+        flag = max(select_qubits + tuple(q for row in write_rows for q in row),
+                   default=0) + 1
+        extra = s - 1
+    return Macro(MacroKind.UNARY_SELECT, {"s": s}, _unary_select_gates,
+                 (select_qubits, write_rows, flag),
                  t_count=4 * (rows - 1), t_depth=4 * (rows - 1),
                  extra_ancillas=extra, footprint=footprint)
+
+
+def _unary_step_gates(select_qubits, from_value, to_value, flag):
+    return [
+        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, from_value)),
+        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, to_value)),
+    ]
 
 
 def unary_step(select_qubits, from_value, to_value, flag):
@@ -228,10 +239,6 @@ def unary_step(select_qubits, from_value, to_value, flag):
     Carries the amortized cost (4, 4, 0); the 2^s - 1 steps of a full loop
     reproduce the 4*(2^s - 1) model.
     """
-    select_qubits = tuple(select_qubits)
-    gates = [
-        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, from_value)),
-        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, to_value)),
-    ]
-    return Macro(MacroKind.UNARY_STEP,
-                 {"from": from_value, "to": to_value}, gates, 4, 4, 0)
+    return Macro(MacroKind.UNARY_STEP, {"from": from_value, "to": to_value},
+                 _unary_step_gates,
+                 (tuple(select_qubits), from_value, to_value, flag), 4, 4, 0)

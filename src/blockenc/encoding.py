@@ -22,7 +22,15 @@ from .angle_tree import (
     quantized_tree_bits,
     zero_tree,
 )
-from .circuit import Circuit, CircuitBuilder, Gate, GateKind, Macro, adjoint_ops
+from .circuit import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    Macro,
+    adjoint_ops,
+    stored_gates,
+)
 from .decomp import and_toffoli, parallel_cswap_clean
 from .qram import ConfigurationError, LoadSpec, QramModel, load_plan
 from .stateprep import (
@@ -58,6 +66,8 @@ class BlockEncodingConfig:
     num_controls: int = 1
 
     def validate(self, n):
+        if self.t is not None and self.t < 1:
+            raise ConfigurationError("t must be >= 1")
         if self.method is Method.PRE_ROTATED:
             if self.qram is not QramModel.FLAGS or self.lam != n:
                 raise ConfigurationError(
@@ -67,7 +77,7 @@ class BlockEncodingConfig:
             if self.qram is QramModel.FLAGS:
                 raise ConfigurationError(
                     "the flags access model is only used by the pre-rotated "
-                    "method")
+                    "method; bit rows are loaded with the ss or bb model")
             if not 0 <= self.lam <= n:
                 raise ConfigurationError("lambda must lie in [0, n]")
 
@@ -298,8 +308,8 @@ def _remap_op(op, remap):
         return Gate(op.kind, tuple(remap.get(q, q) for q in op.targets),
                     tuple((remap.get(q, q), p) for q, p in op.controls),
                     op.angle)
-    return Macro(op.kind, op.params,
-                 [_remap_op(g, remap) for g in op.expansion],
+    return Macro(op.kind, op.params, stored_gates,
+                 (tuple(_remap_op(g, remap) for g in op.expansion),),
                  op.t_count, op.t_depth, op.extra_ancillas,
                  tuple(remap.get(q, q) for q in op.footprint))
 
@@ -345,6 +355,7 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     if shape[0] < shape[1]:
         raise ConfigurationError(
             "symmetrized encoding assumes M >= N; transpose the input")
+    cfg.validate(shape[0].bit_length())
     alpha = float(np.linalg.norm(padded))
     if alpha == 0:
         raise ConfigurationError("matrix is all zero")

@@ -356,7 +356,7 @@ def test_criterion_8_decomposition_fidelity():
             ok &= list(out) == [want]
 
     # phase-correct parallel controlled swap (clean ancillas start |0>)
-    macro = parallel_cswap_clean(num_pairs=1)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
     u = dense_unitary([macro], 4)
     for c in (0, 1):
         for va in (0, 1):
@@ -368,8 +368,9 @@ def test_criterion_8_decomposition_fidelity():
     ok &= (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 1, 2)
 
     # unary select costs
-    ok &= unary_select(s=1, write_rows=[(), ()]).t_count == 4
-    macro = unary_select(s=3, write_rows=[() for _ in range(8)])
+    ok &= unary_select(select_qubits=(0,), write_rows=[(), ()]).t_count == 4
+    macro = unary_select(select_qubits=(0, 1, 2),
+                         write_rows=[() for _ in range(8)])
     ok &= (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
 
     elapsed = report(8, "decomposition fidelity", ok, started,

@@ -1,4 +1,5 @@
-"""The end-to-end median check of ``scripts/bench_pairs.py``."""
+"""The claim block and the end-to-end median check of
+``scripts/bench_pairs.py``."""
 import importlib.util
 import json
 from pathlib import Path
@@ -52,3 +53,44 @@ def test_better_in_either_direction_is_met():
     _, reasons = _check([{"peak_rss_mb": 400.0, "ok_ratio": 0.5}] * 2,
                         [{"peak_rss_mb": 40.0, "ok_ratio": 1.0}] * 2)
     assert reasons == []
+
+
+SPECS = {spec["name"]: spec for spec in END_TO_END}
+
+
+def _pairs(*values):
+    return [{"seed": i, "parent": p, "change": c}
+            for i, (p, c) in enumerate(values)]
+
+
+def test_lower_is_better_metric_wins_when_smaller():
+    claim = bench_pairs._claim(_pairs((95.0, 75.0), (96.0, 97.0), (94.0, 74.0)),
+                               SPECS["peak_rss_mb"])
+    assert claim["metric"] == "peak_rss_mb" and claim["unit"] == "MB"
+    assert claim["change_wins"] == "2 of 3"
+    assert claim["median_gain"] == pytest.approx(1 - 75.0 / 95.0)
+    assert claim["parent_iqr"] == pytest.approx(1.0)
+
+
+def test_higher_is_better_metric_wins_when_larger():
+    spec = SPECS["ok_ratio"]
+    assert spec["better"] == "higher"
+    claim = bench_pairs._claim(_pairs((0.8, 0.9), (0.8, 1.0), (0.9, 0.85)),
+                               spec)
+    assert claim["metric"] == "ok_ratio" and claim["better"] == "higher"
+    assert claim["change_wins"] == "2 of 3"
+    assert claim["median_gain"] == pytest.approx(0.9 / 0.8 - 1)
+
+
+def test_equal_values_are_not_a_win():
+    for name in ("wall_s", "ok_ratio"):
+        claim = bench_pairs._claim(_pairs((1.0, 1.0), (2.0, 2.0)), SPECS[name])
+        assert claim["change_wins"] == "0 of 2"
+        assert claim["median_gain"] == 0
+
+
+def test_metric_option_takes_end_to_end_names_only():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--name", "x", "--change", "x",
+                          "--workload", "compile", "--seeds", "1-2",
+                          "--metric", "encoding.ops"])

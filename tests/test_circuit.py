@@ -19,6 +19,7 @@ from blockenc.circuit import (
     count_resources,
     count_resources_at,
     parse_circuit_text,
+    stored_gates,
     write_circuit_text,
 )
 from blockenc.decomp import (
@@ -176,14 +177,15 @@ def test_macro_declared_costs_and_ancilla_high_water():
 
 
 def test_unary_select_costs():
-    macro = unary_select(s=1, write_rows=[(2,), (3,)], select_qubits=(0,))
+    macro = unary_select(select_qubits=(0,), write_rows=[(2,), (3,)])
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 4, 0)
-    macro = unary_select(s=3, write_rows=[() for _ in range(8)])
+    macro = unary_select(select_qubits=(0, 1, 2),
+                         write_rows=[() for _ in range(8)])
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
 
 
 def test_parallel_cswap_clean_cost():
-    macro = parallel_cswap_clean(num_pairs=2)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2), (3, 4)))
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (8, 1, 4)
 
 
@@ -373,9 +375,9 @@ def _macros(draw, gates):
                                   st.integers(0, 9), max_size=2))
     footprint = tuple(draw(st.lists(st.integers(0, _WIDTH - 1), max_size=3,
                                     unique=True)))
-    return Macro(draw(st.sampled_from(list(MacroKind))), params, expansion,
-                 draw(st.integers(0, 8)), draw(st.integers(0, 8)),
-                 draw(st.integers(0, 2)), footprint)
+    return Macro(draw(st.sampled_from(list(MacroKind))), params, stored_gates,
+                 (tuple(expansion),), draw(st.integers(0, 8)),
+                 draw(st.integers(0, 8)), draw(st.integers(0, 2)), footprint)
 
 
 @st.composite
@@ -548,8 +550,8 @@ def test_macro_adjoint_keeps_qubit_roles(data, classify_first):
     if classify_first:
         macro.control_qubits()
     inverse = macro.adjoint()
-    fresh = Macro(inverse.kind, inverse.params, inverse.expansion,
-                  inverse.t_count, inverse.t_depth, inverse.extra_ancillas,
-                  inverse.footprint)
+    fresh = Macro(inverse.kind, inverse.params, stored_gates,
+                  (inverse.expansion,), inverse.t_count, inverse.t_depth,
+                  inverse.extra_ancillas, inverse.footprint)
     assert inverse.control_qubits() == fresh.control_qubits()
     assert inverse.full_qubits() == fresh.full_qubits()

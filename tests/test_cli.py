@@ -331,3 +331,27 @@ def test_build_symmetric_rejects_flags_loader(capsys, matrix_csv):
                            "--t", "3")
     assert code == 2
     assert "ss or bb" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("config", [(), ("--variant", "controlled"),
+                                    ("--variant", "symmetric"),
+                                    ("--qram", "bb")])
+@pytest.mark.parametrize("t", ["0", "-1", "-3"])
+def test_non_positive_t_exits_2(capsys, matrix_csv, command, config, t):
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    code, out, err = run_cli(capsys, command, "--matrix", path, *config,
+                             "--t", t)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "t must be >= 1" in err
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_sweep_comparing_nothing_exits_2(capsys, n_max):
+    code, out, err = run_cli(capsys, "sweep", "--n-max", n_max,
+                             "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "compares nothing" in err

@@ -10,8 +10,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockenc.circuit import CircuitBuilder, GateKind, adjoint_ops, count_resources
+from blockenc.circuit import (
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    Macro,
+    adjoint_ops,
+    count_resources,
+    stored_gates,
+)
 from blockenc.decomp import (
     ParameterError,
     and_toffoli,
@@ -19,6 +29,7 @@ from blockenc.decomp import (
     parallel_cswap_clean,
     parallel_cswap_phase_incorrect_gates,
     unary_select,
+    unary_step,
 )
 from blockenc.simulator import dense_unitary
 
@@ -168,7 +179,7 @@ def test_multi_cswap_semantics_all_basis():
 # -- phase-correct parallel controlled swap ----------------------------------
 
 def test_parallel_cswap_clean_k1_exact():
-    macro = parallel_cswap_clean(num_pairs=1)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
     u = dense_unitary([macro], 4)
     # Layout: control 0, pair (1, 2), copy ancilla 3 starting |0>.
     for c in (0, 1):
@@ -182,22 +193,23 @@ def test_parallel_cswap_clean_k1_exact():
 
 
 def test_parallel_cswap_control_off_is_identity():
-    macro = parallel_cswap_clean(num_pairs=1)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
     u = dense_unitary([macro], 4)
     for col in range(0, 8, 2):
         assert abs(u[col, col] - 1) < 1e-12
 
 
 def test_parallel_cswap_clean_k2_cost():
-    macro = parallel_cswap_clean(num_pairs=2)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2), (3, 4)))
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (8, 1, 4)
 
 
 # -- unary select -------------------------------------------------------------
 
 def test_unary_select_costs():
-    assert unary_select(s=1, write_rows=[(), ()]).t_count == 4
-    macro = unary_select(s=3, write_rows=[() for _ in range(8)])
+    assert unary_select(select_qubits=(0,), write_rows=[(), ()]).t_count == 4
+    macro = unary_select(select_qubits=(0, 1, 2),
+                         write_rows=[() for _ in range(8)])
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
 
 
@@ -227,3 +239,139 @@ def test_and_toffoli_exactness():
     u = dense_unitary([macro], 3)
     assert np.abs(u - toffoli_matrix()).max() < 1e-12
     assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 1, 1)
+
+
+# -- macro recipes against eagerly built expansions ---------------------------
+#
+# The reference functions write out each factory's gate list as it was built
+# when a macro stored its expansion.
+
+def _ref_cswap_clean(control, pairs, ancillas):
+    k = len(pairs)
+    if ancillas is None:
+        base = max((control,) + tuple(q for p in pairs for q in p)) + 1
+        copies = tuple(range(base, base + k))
+    else:
+        copies = tuple(ancillas)[:k]
+    ctrl = ((control, True),)
+    gates = [Gate(GateKind.FANOUT_CNOT, copies, ctrl)]
+    for a, b in pairs:
+        gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
+    for (a, b), cp in zip(pairs, copies):
+        gates.append(Gate(GateKind.TOFFOLI, (a,), ((b, True), (cp, True))))
+    for a, b in pairs:
+        gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
+    gates.append(Gate(GateKind.FANOUT_CNOT, copies, ctrl))
+    return gates
+
+
+def _ref_match(select_qubits, value):
+    s = len(select_qubits)
+    return tuple((q, bool((value >> (s - 1 - i)) & 1))
+                 for i, q in enumerate(select_qubits))
+
+
+def _ref_unary_select(select_qubits, write_rows, ancillas):
+    s = len(select_qubits)
+    gates = []
+    if s == 1:
+        for j in range(2):
+            targets = tuple(write_rows[j])
+            if targets:
+                gates.append(Gate(GateKind.FANOUT_CNOT, targets,
+                                  ((select_qubits[0], bool(j)),)))
+        return gates
+    if ancillas:
+        flag = tuple(ancillas)[0]
+    else:
+        flag = max(select_qubits + tuple(q for row in write_rows for q in row),
+                   default=0) + 1
+    for j in range(1 << s):
+        mcx = Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, j))
+        gates.append(mcx)
+        targets = tuple(write_rows[j])
+        if targets:
+            gates.append(Gate(GateKind.FANOUT_CNOT, targets, ((flag, True),)))
+        gates.append(mcx)
+    return gates
+
+
+def _fresh_roles(macro):
+    fresh = Macro(macro.kind, macro.params, stored_gates, (macro.expansion,),
+                  macro.t_count, macro.t_depth, macro.extra_ancillas,
+                  macro.footprint)
+    return fresh.full_qubits(), fresh.control_qubits()
+
+
+def _check_recipe(macro, reference, classify_first):
+    if classify_first:
+        macro.qubits()
+    inverse = macro.adjoint()
+    assert macro.expansion == tuple(reference)
+    assert inverse.expansion == tuple(adjoint_ops(macro.expansion))
+    assert inverse.adjoint().expansion == macro.expansion
+    for m in (macro, inverse):
+        assert (m.full_qubits(), m.control_qubits()) == _fresh_roles(m)
+        assert m.qubits() == tuple(sorted(set(m.footprint).union(
+            *(g.qubits() for g in m.expansion))))
+
+
+_RECIPES = settings(max_examples=40, deadline=None)
+
+
+@_RECIPES
+@given(data=st.data(), k=st.integers(1, 4), classify_first=st.booleans())
+def test_parallel_cswap_clean_recipe(data, k, classify_first):
+    order = data.draw(st.permutations(range(20)))
+    control = order[0]
+    pairs = tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k]))
+    n_anc = data.draw(st.sampled_from((None, k, 2 * k)))
+    ancillas = (None if n_anc is None
+                else tuple(order[1 + 2 * k:1 + 2 * k + n_anc]))
+    macro = parallel_cswap_clean(control=control, pairs=pairs,
+                                 ancillas=ancillas)
+    _check_recipe(macro, _ref_cswap_clean(control, pairs, ancillas),
+                  classify_first)
+    assert macro.extra_ancillas == {None: 2 * k, k: k, 2 * k: 0}[n_anc]
+
+
+@_RECIPES
+@given(order=st.permutations(range(6)), ancilla=st.booleans(),
+       classify_first=st.booleans())
+def test_and_toffoli_recipe(order, ancilla, classify_first):
+    c1, c2, target, anc = order[:4]
+    macro = and_toffoli(c1, c2, target, ancilla=anc if ancilla else None)
+    reference = [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
+    _check_recipe(macro, reference, classify_first)
+    assert macro.extra_ancillas == (0 if ancilla else 1)
+
+
+@_RECIPES
+@given(data=st.data(), s=st.integers(1, 3), classify_first=st.booleans())
+def test_unary_select_recipe(data, s, classify_first):
+    order = data.draw(st.permutations(range(10)))
+    select_qubits, slots = tuple(order[:s]), order[s:s + 4]
+    write_rows = [tuple(q for q in slots if data.draw(st.booleans()))
+                  for _ in range(1 << s)]
+    ancillas = data.draw(st.sampled_from((None, (order[8], order[9]))))
+    footprint = tuple(data.draw(st.lists(st.sampled_from(slots),
+                                         unique=True)))
+    macro = unary_select(select_qubits=select_qubits, write_rows=write_rows,
+                         ancillas=ancillas, footprint=footprint)
+    _check_recipe(macro,
+                  _ref_unary_select(select_qubits, write_rows, ancillas),
+                  classify_first)
+
+
+@_RECIPES
+@given(data=st.data(), s=st.integers(1, 4), classify_first=st.booleans())
+def test_unary_step_recipe(data, s, classify_first):
+    order = data.draw(st.permutations(range(6)))
+    select_qubits, flag = tuple(order[:s]), order[5]
+    lo = data.draw(st.integers(0, (1 << s) - 1))
+    hi = data.draw(st.integers(0, (1 << s) - 1))
+    macro = unary_step(select_qubits, lo, hi, flag)
+    reference = [Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, lo)),
+                 Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, hi))]
+    _check_recipe(macro, reference, classify_first)
+    assert macro.params == {"from": lo, "to": hi}

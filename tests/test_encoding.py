@@ -1,12 +1,13 @@
 """Block-encoding assembly: parameter selection and end-to-end extraction."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockenc import qram
+from blockenc import decomp, qram
 from blockenc.angle_tree import build_tree
-from blockenc.circuit import Circuit, Gate, GateKind, count_resources
+from blockenc.circuit import Circuit, Gate, GateKind, Macro, count_resources
 from blockenc.encoding import (
     BlockEncodingConfig,
     Method,
@@ -252,3 +253,33 @@ def test_csp_fixed_builds_its_load_once(load_builds):
     trees = [build_tree(rng.standard_normal(4), 2) for _ in range(4)]
     build_csp_fixed(trees, 3, 1)
     assert list(load_builds.values()) == [1]
+
+
+def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
+    """Building and counting the pre-rotated n = 5 encoding holds no macro
+    expansion and runs each forward macro's recipe once, to classify its
+    qubits; an inverted macro takes its roles from the macro it inverts."""
+    runs = [0]
+    for name in ("_cswap_clean_gates", "_and_toffoli_gates",
+                 "_unary_select_gates", "_unary_step_gates"):
+        def counting(*args, _recipe=getattr(decomp, name)):
+            runs[0] += 1
+            return _recipe(*args)
+        monkeypatch.setattr(decomp, name, counting)
+    matrix = np.random.default_rng(0).uniform(5, 105, (32, 32))
+    cfg = BlockEncodingConfig(method=Method.PRE_ROTATED, qram=QramModel.FLAGS,
+                              lam=5)
+    tracemalloc.start()
+    try:
+        circuit = build_block_encoding(matrix, cfg).circuit
+        count_resources(circuit, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    macros = [op for op in circuit.ops if isinstance(op, Macro)]
+    assert any(op.inverted for op in macros)
+    # One run per forward macro, whose adjoints share its argument tuple.
+    assert runs[0] == len({id(op.args) for op in macros})
+    # Peak with every expansion stored (and frozenset roles): 9.3 MB; with
+    # recipes: 4.2 MB (Python 3.11).
+    assert peak < 6.5e6

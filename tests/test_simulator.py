@@ -15,6 +15,7 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    stored_gates,
 )
 from blockenc.simulator import (
     SparseState,
@@ -224,7 +225,8 @@ def _op_lists(draw):
     gates = draw(st.lists(_gates(), max_size=20))
     lo = draw(st.integers(0, len(gates)))
     hi = draw(st.integers(lo, len(gates)))
-    macro = Macro(MacroKind.AND_TOFFOLI, {}, gates[lo:hi], 0, 0)
+    macro = Macro(MacroKind.AND_TOFFOLI, {}, stored_gates,
+                  (tuple(gates[lo:hi]),), 0, 0)
     return gates[:lo] + [macro] + gates[hi:]
 
 
