@@ -25,7 +25,6 @@ from .angle_tree import (
     matrix_trees,
     quantize_angle,
     reconstruct_state,
-    update_amplitude,
 )
 from .qram import ConfigurationError, LoadSpec, QramModel
 from .encoding import (
@@ -40,8 +39,8 @@ from .encoding import (
 )
 from .simulator import SparseState, extract_block, run_circuit, spectral_norm
 from .resources import (
+    LEDGER,
     cross_validate,
-    default_ledger,
     evaluate,
     reproduce_headline_table,
     sweep_cross_validation,

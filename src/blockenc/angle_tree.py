@@ -86,36 +86,6 @@ def _tree_from_values(n, vec):
     return AngleTree(n, tuple(reversed(levels)), signs)
 
 
-def update_amplitude(tree: AngleTree, j, beta_j, audit=None) -> AngleTree:
-    """Replace leaf j; recomputes exactly the n+1 nodes on the root path."""
-    n = tree.n
-    if not 0 <= j < tree.num_leaves:
-        raise IndexError(f"leaf index {j} out of range")
-    nodes = [list(level) for level in tree.nodes]
-    old = nodes[n][j]
-    new = float(beta_j) * float(beta_j)
-    nodes[n][j] = new
-    delta = new - old
-    idx = j
-    touched = 1
-    for w in range(n - 1, -1, -1):
-        idx //= 2
-        nodes[w][idx] += delta
-        touched += 1
-    signs = list(tree.signs)
-    signs[j] = 1 if beta_j < 0 else 0
-    if audit is not None:
-        audit["nodes_touched"] = touched
-        audit["signs_touched"] = 1
-    return AngleTree(n, tuple(tuple(level) for level in nodes), tuple(signs))
-
-
-def angles_and_signs(tree: AngleTree):
-    """Heap-ordered rotation angles (theta_1..theta_{N-1}) and sign bits."""
-    thetas = tuple(tree.angle(r) for r in range(1, tree.num_leaves))
-    return thetas, tree.signs
-
-
 def reconstruct_state(tree: AngleTree) -> np.ndarray:
     """Apply the rotation recursion classically; returns beta / ||beta||."""
     n = tree.n

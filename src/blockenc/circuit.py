@@ -307,11 +307,6 @@ class Circuit:
         _check_tiling(self.registers, self.total_qubits)
         _check_stages(self.stages, len(self.ops))
 
-    def append(self, op):
-        _check_op(op, self.total_qubits)
-        return Circuit(self.registers, self.ops + (op,), self.total_qubits,
-                       self.stages)
-
     def adjoint(self):
         return Circuit(self.registers, adjoint_ops(self.ops), self.total_qubits)
 
@@ -424,13 +419,6 @@ class CircuitBuilder:
     def build(self):
         self.end_stage()
         return Circuit(self._registers, self._ops, self._total, self._stages)
-
-
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    """Concatenate two circuits over the same register layout."""
-    if a.total_qubits != b.total_qubits or a.registers != b.registers:
-        raise CircuitError("concat requires identical register layouts")
-    return Circuit(a.registers, a.ops + b.ops, a.total_qubits)
 
 
 def _op_cost(op):

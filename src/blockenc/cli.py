@@ -136,6 +136,10 @@ def _config_from_args(args, n):
         variant=_VARIANT[args.variant], t=args.t)
 
 
+def _no_formula(variant):
+    return f"the paper gives no closed form for the {variant} variant"
+
+
 def _formula_for(cfg, n):
     if cfg.method is Method.PRE_ROTATED:
         return "be_prerotated", {"n": n}
@@ -168,6 +172,8 @@ def cmd_estimate(args):
                      "generation uses the Frobenius normalization"),
         }, args)
         return 0
+    if args.variant != "standard":
+        raise UsageError(_no_formula(args.variant))
     cfg = _config_from_args(args, n)
     cfg.validate(n)
     params = select_parameters(args.epsilon, alpha, n, cfg.method)
@@ -215,6 +221,8 @@ def _require_frobenius(args):
 
 def cmd_build(args):
     _require_frobenius(args)
+    if args.ry is not None and args.ry < 1:
+        raise UsageError("ry must be >= 1")
     matrix = _read_matrix(args.matrix)
     result = _build_result(args, matrix)
     ry = args.ry if args.ry is not None else result.params.r_y
@@ -244,8 +252,7 @@ def cmd_build(args):
         report["match"] = verdict.passed
         report["ledger_refs"] = verdict.ledger_refs
     else:
-        report["formula"] = {"reason": "the paper gives no closed form for "
-                                       f"the {args.variant} variant"}
+        report["formula"] = {"reason": _no_formula(args.variant)}
         report["match"] = None
         report["ledger_refs"] = []
     if args.out:
@@ -274,8 +281,7 @@ def cmd_verify(args):
         circuit = Circuit(circuit.registers, flips + circuit.ops + flips,
                           circuit.total_qubits)
     try:
-        ext = extract_block(circuit, result.in_qubits,
-                            out_qubits=result.out_qubits)
+        ext = extract_block(circuit, result.in_qubits)
     except SupportCapError as exc:
         raise UsageError(str(exc)) from exc
     if args.variant == "symmetric":
@@ -370,12 +376,9 @@ def make_parser():
     def common(p, matrix_required=False):
         p.add_argument("--matrix", required=matrix_required,
                        help="CSV matrix path (row-major, no header)")
-        p.add_argument("--n", type=int, default=None)
         p.add_argument("--t", type=int, default=None)
         p.add_argument("--lambda", dest="lam", type=int, default=None)
         p.add_argument("--epsilon", type=float, default=0.01)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--ry", type=int, default=None)
         p.add_argument("--method", choices=sorted(_METHOD), default="fixed")
         p.add_argument("--qram", choices=sorted(_QRAM), default=None)
         p.add_argument("--variant", choices=sorted(_VARIANT),
@@ -387,10 +390,14 @@ def make_parser():
 
     p = sub.add_parser("estimate", help="closed-form resource estimate")
     common(p)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--ry", type=int, default=None)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("build", help="compile a circuit and report resources")
     common(p, matrix_required=True)
+    p.add_argument("--ry", type=int, default=None)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="simulate and check the block (n <= 3)")

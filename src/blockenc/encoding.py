@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .circuit import (
     adjoint_ops,
     stored_gates,
 )
-from .decomp import and_toffoli, parallel_cswap_clean
+from .decomp import parallel_cswap_clean
 from .qram import ConfigurationError, LoadSpec, QramModel, load_plan
 from .stateprep import (
     csp_prerotated_ops,
@@ -63,7 +64,6 @@ class BlockEncodingConfig:
     epsilon: float = 0.01
     variant: Variant = Variant.STANDARD
     t: int | None = None
-    num_controls: int = 1
 
     def validate(self, n):
         if self.t is not None and self.t < 1:
@@ -116,11 +116,10 @@ class BlockEncodingResult:
     alpha: float
     n: int
     in_qubits: tuple
-    out_qubits: tuple
     config: BlockEncodingConfig
-    params: EncodingParams | None = None
-    original_shape: tuple | None = None
-    padded_shape: tuple | None = None
+    params: EncodingParams
+    original_shape: tuple
+    padded_shape: tuple
     control_qubits: tuple = ()
 
 
@@ -136,6 +135,43 @@ def _prepare_matrix(a, square=True):
         squared[: padded.shape[0], : padded.shape[1]] = padded
         padded = squared
     return padded, original, tuple(padded.shape)
+
+
+def _setup(a, cfg, variant):
+    """Pad ``a``, check ``cfg`` against it and choose the parameters.
+
+    The symmetric variant pads to a power-of-two M x N with M >= N and
+    encodes on n = log2(M) + 1 qubits; the others pad to a square of side 2^n.
+    Returns the padded matrix, n, t and the ``BlockEncodingResult`` with all
+    but its circuit and block qubits filled in.
+    """
+    if variant is not Variant.STANDARD \
+            and cfg.method is not Method.FIXED_PRECISION:
+        raise ConfigurationError(f"the {variant.value} variant is implemented "
+                                 "for the fixed-precision method only")
+    symmetric = variant is Variant.SYMMETRIC
+    padded, original, shape = _prepare_matrix(a, square=not symmetric)
+    if shape[0] < shape[1]:
+        raise ConfigurationError(
+            "symmetrized encoding assumes M >= N; transpose the input")
+    n = shape[0].bit_length() - (0 if symmetric else 1)
+    if n < 1:
+        raise ConfigurationError("need a matrix of at least 2x2 after padding")
+    cfg.validate(n)
+    alpha = float(np.linalg.norm(padded))
+    if alpha == 0:
+        raise ConfigurationError("matrix is all zero")
+    params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
+    t = cfg.t if cfg.t is not None else params.t
+    return padded, n, t, partial(
+        BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
+        original_shape=original, padded_shape=shape)
+
+
+def _register_swap(builder, data, control):
+    builder.begin_stage("register_swap")
+    for qa, qb in zip(data.qubits, control.qubits):
+        builder.gate(GateKind.SWAP, (qa, qb))
 
 
 class _FixedLegs:
@@ -169,26 +205,18 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         return build_controlled_block_encoding(a, cfg)
     if cfg.variant is Variant.SYMMETRIC:
         return build_symmetric_block_encoding(a, cfg)
-    padded, original, shape = _prepare_matrix(a)
-    n = shape[0].bit_length() - 1
-    if n < 1:
-        raise ConfigurationError("need a matrix of at least 2x2 after padding")
-    cfg.validate(n)
-    row_trees, phi_tree, alpha = matrix_trees(padded)
-    params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
+    padded, n, t, result = _setup(a, cfg, Variant.STANDARD)
+    row_trees, phi_tree, _ = matrix_trees(padded)
     b = CircuitBuilder()
     data = b.allocate("data", n)
     if cfg.method is Method.FIXED_PRECISION:
-        t = cfg.t if cfg.t is not None else params.t
         dblock = b.allocate("dblock", fixed_data_width(n, t))
         control = b.allocate("control", n)
         legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
                           row_trees, phi_tree, n, t, cfg)
         b.begin_stage("leg1_sp_phi")
         b.extend(legs.phi_init + legs.sp_ops + legs.phi_init)
-        b.begin_stage("register_swap")
-        for qa, qb in zip(data.qubits, control.qubits):
-            b.gate(GateKind.SWAP, (qa, qb))
+        _register_swap(b, data, control)
         b.begin_stage("leg2_load")
         b.extend(legs.load_ops)
         b.begin_stage("leg2_sp_dagger")
@@ -208,93 +236,59 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         b.begin_stage("leg1_sp_phi")
         b.extend(sp_prerotated_ops(data.qubits, slots, f_slots, pa, pb,
                                    phi_tree))
-        b.begin_stage("register_swap")
-        for qa, qb in zip(data.qubits, control.qubits):
-            b.gate(GateKind.SWAP, (qa, qb))
+        _register_swap(b, data, control)
         b.begin_stage("leg2_csp_dagger")
         b.extend(adjoint_ops(leg2))
-    circuit = b.build()
-    return BlockEncodingResult(circuit, alpha, n, control.qubits,
-                               control.qubits, cfg, params, original, shape)
+    return result(circuit=b.build(), in_qubits=control.qubits)
 
 
 def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
-    """CU_A: identity unless all ``cfg.num_controls`` control qubits are |1>.
+    """CU_A: identity unless the ``ctrl`` qubit is |1>.
 
     A D-qubit staging register receives the loaded (or X-written) angle data;
     a phase-correct controlled-swap layer moves it into the block the state
     preparation reads, so control |0> leaves the all-zero angle tree in place
     and the whole circuit acts as the identity.
     """
-    padded, original, shape = _prepare_matrix(a)
-    n = shape[0].bit_length() - 1
-    cfg.validate(n)
-    if cfg.method is not Method.FIXED_PRECISION:
-        raise ConfigurationError(
-            "the controlled variant is implemented for the fixed-precision "
-            "method (the flags loader would need doubly-controlled staging)")
-    m = cfg.num_controls
-    if m < 1:
-        raise ConfigurationError("need at least one control qubit")
-    row_trees, phi_tree, alpha = matrix_trees(padded)
-    params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
-    t = cfg.t if cfg.t is not None else params.t
+    padded, n, t, result = _setup(a, cfg, Variant.CONTROLLED)
+    row_trees, phi_tree, _ = matrix_trees(padded)
     d = fixed_data_width(n, t)
 
     b = CircuitBuilder()
-    ctrl = b.allocate("ctrl", m)
+    ctrl = b.allocate("ctrl", 1)
     data = b.allocate("data", n)
     dblock = b.allocate("dblock", d)
     stage = b.allocate("stage", d)
     control = b.allocate("control", n)
-    and_reg = b.maybe_allocate("and_anc", m - 1)
     pool = b.allocate("cswap_pool", 2 * max(d, n))
     legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
                       row_trees, phi_tree, n, t, cfg)
-
-    if m == 1:
-        gate_control = ctrl[0]
-        and_ops = []
-    else:
-        and_ops = [and_toffoli(ctrl[0], ctrl[1], and_reg[0],
-                               ancilla=pool.qubits[0])]
-        for i in range(2, m):
-            and_ops.append(and_toffoli(and_reg[i - 2], ctrl[i],
-                                       and_reg[i - 1], ancilla=pool.qubits[0]))
-        gate_control = and_reg[m - 2]
-
-    def staged_cswap():
-        pairs = tuple(zip(dblock.qubits, stage.qubits))
-        return and_ops + [parallel_cswap_clean(
-            control=gate_control, pairs=pairs,
-            ancillas=pool.qubits[: 2 * d])] + adjoint_ops(and_ops)
+    staged_cswap = parallel_cswap_clean(
+        control=ctrl[0], pairs=tuple(zip(dblock.qubits, stage.qubits)),
+        ancillas=pool.qubits[: 2 * d])
 
     stage_init = fixed_rows_for_trees([phi_tree], t)[0]
     stage_x = [Gate(GateKind.X, (stage[i],)) for i, bit in enumerate(stage_init)
                if bit]
     b.begin_stage("leg1_sp_phi")
     b.extend(stage_x)
-    b.extend(staged_cswap())
+    b.add(staged_cswap)
     b.extend(legs.sp_ops)
-    b.extend(staged_cswap())
+    b.add(staged_cswap)
     b.extend(stage_x)
     b.begin_stage("register_swap")
-    b.extend(and_ops)
-    b.add(parallel_cswap_clean(control=gate_control,
+    b.add(parallel_cswap_clean(control=ctrl[0],
                                pairs=tuple(zip(data.qubits, control.qubits)),
                                ancillas=pool.qubits[2: 2 + 2 * n]))
-    b.extend(adjoint_ops(and_ops))
     b.begin_stage("leg2")
     load_into_stage = _retarget_load(legs, stage.qubits, dblock.qubits)
     b.extend(load_into_stage)
-    b.extend(staged_cswap())
+    b.add(staged_cswap)
     b.extend(adjoint_ops(legs.sp_ops))
-    b.extend(staged_cswap())
+    b.add(staged_cswap)
     b.extend(adjoint_ops(load_into_stage))
-    circuit = b.build()
-    return BlockEncodingResult(circuit, alpha, n, control.qubits,
-                               control.qubits, cfg, params, original, shape,
-                               control_qubits=ctrl.qubits)
+    return result(circuit=b.build(), in_qubits=control.qubits,
+                  control_qubits=ctrl.qubits)
 
 
 def _retarget_load(legs, stage_qubits, dblock_qubits):
@@ -349,19 +343,8 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     Both legs are the same controlled-state preparation over the symmetrized
     state family; normalization stays ||A||_F (not 2||A||_F).
     """
-    if cfg.method is not Method.FIXED_PRECISION:
-        raise ConfigurationError("the symmetric variant uses fixed precision")
-    padded, original, shape = _prepare_matrix(a, square=False)
-    if shape[0] < shape[1]:
-        raise ConfigurationError(
-            "symmetrized encoding assumes M >= N; transpose the input")
-    cfg.validate(shape[0].bit_length())
-    alpha = float(np.linalg.norm(padded))
-    if alpha == 0:
-        raise ConfigurationError("matrix is all zero")
-    trees, ell = symmetric_family_trees(padded)
-    params = select_parameters(cfg.epsilon, alpha, ell, cfg.method)
-    t = cfg.t if cfg.t is not None else params.t
+    padded, ell, t, result = _setup(a, cfg, Variant.SYMMETRIC)
+    trees, _ = symmetric_family_trees(padded)
     b = CircuitBuilder()
     data = b.allocate("data", ell)
     dblock = b.allocate("dblock", fixed_data_width(ell, t))
@@ -371,11 +354,7 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     csp = legs.load_ops + legs.sp_ops + adjoint_ops(legs.load_ops)
     b.begin_stage("csp")
     b.extend(csp)
-    b.begin_stage("register_swap")
-    for qa, qb in zip(data.qubits, control.qubits):
-        b.gate(GateKind.SWAP, (qa, qb))
+    _register_swap(b, data, control)
     b.begin_stage("csp_dagger")
     b.extend(adjoint_ops(csp))
-    circuit = b.build()
-    return BlockEncodingResult(circuit, alpha, ell, control.qubits,
-                               control.qubits, cfg, params, original, shape)
+    return result(circuit=b.build(), in_qubits=control.qubits)

@@ -233,151 +233,6 @@ class LedgerEntry:
     offset: object
 
 
-def _entry(formula, metric, subgrid, rule, cites, applies, offset):
-    return LedgerEntry(formula, metric, subgrid, rule, tuple(cites), applies,
-                       offset)
-
-
-def default_ledger():
-    """Known, explained discrepancies between formulas and counted circuits."""
-    entries = [
-        _entry(
-            "load_ss", "qubits", "lam = n",
-            "+1 (the published 's-1' unary-iteration ancilla term is -1 when "
-            "the select register is empty)",
-            ("published select-swap loader qubit formula D*2^lam + 2n - lam - 1",
-             "published loader-diagram caption charging s-1 select ancillas"),
-            lambda p: p["lam"] == p["n"],
-            lambda p: 1,
-        ),
-        _entry(
-            "load_bb", "qubits", "lam = n",
-            "+1 (same 's-1' term at s = 0)",
-            ("published bucket-brigade loader qubit formula (2D+1)*2^lam + 2n - 2",
-             "published loader-diagram caption charging s-1 select ancillas"),
-            lambda p: p["lam"] == p["n"],
-            lambda p: 1,
-        ),
-        _entry(
-            "load_bb", "qubits", "lam = 0",
-            "+1 (the published per-tree ancilla count q_lam = "
-            "(2^lam-1)(2D+1)-1 is -1 for an empty tree)",
-            ("published bucket-brigade loader qubit formula",
-             "published per-tree ancilla count q_lam = (2^lam-1)(2D+1)-1"),
-            lambda p: p["lam"] == 0,
-            lambda p: 1,
-        ),
-        _entry(
-            "load_bb", "t_depth", "lam = 0",
-            "+44*2^n + 4 (the published term (48*lam-36)*2^(n-lam) is "
-            "negative at lam = 0; the built circuit costs one swap-in/out "
-            "pair of depth-4 layers per iteration, with the unary-iteration "
-            "steps scheduled under them)",
-            ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
-             "published six-swap-layers-per-extra-address-qubit pipeline "
-             "model, whose base case covers no tree at all"),
-            lambda p: p["lam"] == 0,
-            lambda p: 44 * 2 ** p["n"] + 4,
-        ),
-        _entry(
-            "load_bb", "t_depth", "lam = 1",
-            "+12*2^(n-1) + 4 (the published pipeline assigns zero depth to "
-            "the single-level tree, but the bus descent and return cost two "
-            "depth-4 swap layers each way)",
-            ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
-             "published pipeline model plus the depth-4 controlled-swap "
-             "construction"),
-            lambda p: p["lam"] == 1,
-            lambda p: 12 * 2 ** (p["n"] - 1) + 4,
-        ),
-        _entry(
-            "load_bb", "t_depth", "lam >= 2",
-            "(4-8*lam)*2^(n-lam) + 4 (the dependency DAG of the emitted "
-            "circuit routes each iteration in 10*(lam-1) depth-4 swap "
-            "columns against the published 12*(lam-1): adjacent polarity "
-            "columns and the forward/reverse boundary overlap, and the "
-            "unary-iteration steps hide under swap layers)",
-            ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
-             "published six-swap-per-qubit pipeline (a serial-stage schedule)"),
-            lambda p: p["lam"] >= 2,
-            lambda p: (4 - 8 * p["lam"]) * 2 ** (p["n"] - p["lam"]) + 4,
-        ),
-        _entry(
-            "be_ss", "qubits", "all lambda",
-            "-2 (the published block-encoding qubit column exceeds the sum of "
-            "its loader and state-preparation parts by two qubits)",
-            ("published select-swap block-encoding qubit formula",
-             "published loader qubits + state-preparation qubits + n data "
-             "+ n control"),
-            lambda p: True,
-            lambda p: -2 + (1 if p["lam"] == p["n"] else 0),
-        ),
-        _entry(
-            "be_bb", "qubits", "lam in {0, n}",
-            "+1 (inherited from the LOAD_bb ancilla-term slips)",
-            ("published bucket-brigade block-encoding qubit formula",
-             "published loader-diagram ancilla accounting"),
-            lambda p: p["lam"] in (0, p["n"]),
-            lambda p: 1,
-        ),
-        _entry(
-            "sp_fixed", "t_depth", "all n, t",
-            "-2n (the operand-side half of each S_p swap column precedes its "
-            "control interaction and runs under the preceding rotation "
-            "ladder, saving 2 of the 4 T-layers per step; the published "
-            "2tnR_y + 8n sums the stages serially)",
-            ("published fixed-precision state-preparation T-depth 2tnR_y + 8n",
-             "published register-swap construction whose G and CNOT layers "
-             "act across all pairs in parallel"),
-            lambda p: True,
-            lambda p: -2 * p["n"],
-        ),
-        _entry(
-            "sp_prerotated", "t_depth", "n >= 2",
-            "-(n-1) (each controlled repair rotation releases its flag "
-            "control halfway through, so FLAG-dagger overlaps the trailing "
-            "half-rotations)",
-            ("published pre-rotated state-preparation T-depth 3n + 4R_y - 3",
-             "published controlled-rotation decomposition flip, R_y(-h), "
-             "flip, R_y(h): the final half-rotation no longer involves the "
-             "control"),
-            lambda p: p["n"] >= 2,
-            lambda p: -(p["n"] - 1),
-        ),
-        _entry(
-            "be_ss", "t_depth", "all lambda",
-            "-4n (two fixed-precision state-preparation legs, each 2n "
-            "shallower than the published stage-serial sum; see the "
-            "sp_fixed entry)",
-            ("published select-swap block-encoding T-depth",
-             "published state-preparation T-depth (stage-serial sum)"),
-            lambda p: True,
-            lambda p: -4 * p["n"],
-        ),
-        _entry(
-            "be_bb", "t_depth", "all lambda",
-            "two LOAD_bb legs (each off by the load_bb T-depth rule for its "
-            "lambda class) plus two state-preparation legs at -2n each",
-            ("published bucket-brigade block-encoding T-depth",
-             "published loader T-depth and its pipeline model"),
-            lambda p: True,
-            lambda p: 2 * _load_bb_depth_delta(p) - 4 * p["n"],
-        ),
-        _entry(
-            "be_prerotated", "t_depth", "all n",
-            "-(3n-2) (the pre-rotated legs overlap FLAG-dagger with the "
-            "controlled repair rotations, and the mirrored leg overlaps its "
-            "flag work with the LOADF rotation layers)",
-            ("published pre-rotated block-encoding T-depth 10n + 8R_y - 4",
-             "published stage schedule vs the controlled-rotation structure "
-             "releasing its controls mid-fragment"),
-            lambda p: p["n"] >= 1,
-            lambda p: -(3 * p["n"] - 2),
-        ),
-    ]
-    return entries
-
-
 def _load_bb_depth_delta(p):
     n, lam = p["n"], p["lam"]
     if lam == 0:
@@ -385,6 +240,144 @@ def _load_bb_depth_delta(p):
     if lam == 1:
         return 12 * 2 ** (n - 1) + 4
     return (4 - 8 * lam) * 2 ** (n - lam) + 4
+
+
+# Known, explained discrepancies between formulas and counted circuits.
+LEDGER = (
+    LedgerEntry(
+        "load_ss", "qubits", "lam = n",
+        "+1 (the published 's-1' unary-iteration ancilla term is -1 when "
+        "the select register is empty)",
+        ("published select-swap loader qubit formula D*2^lam + 2n - lam - 1",
+         "published loader-diagram caption charging s-1 select ancillas"),
+        lambda p: p["lam"] == p["n"],
+        lambda p: 1,
+    ),
+    LedgerEntry(
+        "load_bb", "qubits", "lam = n",
+        "+1 (same 's-1' term at s = 0)",
+        ("published bucket-brigade loader qubit formula (2D+1)*2^lam + 2n - 2",
+         "published loader-diagram caption charging s-1 select ancillas"),
+        lambda p: p["lam"] == p["n"],
+        lambda p: 1,
+    ),
+    LedgerEntry(
+        "load_bb", "qubits", "lam = 0",
+        "+1 (the published per-tree ancilla count q_lam = "
+        "(2^lam-1)(2D+1)-1 is -1 for an empty tree)",
+        ("published bucket-brigade loader qubit formula",
+         "published per-tree ancilla count q_lam = (2^lam-1)(2D+1)-1"),
+        lambda p: p["lam"] == 0,
+        lambda p: 1,
+    ),
+    LedgerEntry(
+        "load_bb", "t_depth", "lam = 0",
+        "+44*2^n + 4 (the published term (48*lam-36)*2^(n-lam) is "
+        "negative at lam = 0; the built circuit costs one swap-in/out "
+        "pair of depth-4 layers per iteration, with the unary-iteration "
+        "steps scheduled under them)",
+        ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
+         "published six-swap-layers-per-extra-address-qubit pipeline "
+         "model, whose base case covers no tree at all"),
+        lambda p: p["lam"] == 0,
+        _load_bb_depth_delta,
+    ),
+    LedgerEntry(
+        "load_bb", "t_depth", "lam = 1",
+        "+12*2^(n-1) + 4 (the published pipeline assigns zero depth to "
+        "the single-level tree, but the bus descent and return cost two "
+        "depth-4 swap layers each way)",
+        ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
+         "published pipeline model plus the depth-4 controlled-swap "
+         "construction"),
+        lambda p: p["lam"] == 1,
+        _load_bb_depth_delta,
+    ),
+    LedgerEntry(
+        "load_bb", "t_depth", "lam >= 2",
+        "(4-8*lam)*2^(n-lam) + 4 (the dependency DAG of the emitted "
+        "circuit routes each iteration in 10*(lam-1) depth-4 swap "
+        "columns against the published 12*(lam-1): adjacent polarity "
+        "columns and the forward/reverse boundary overlap, and the "
+        "unary-iteration steps hide under swap layers)",
+        ("published bucket-brigade T-depth (48*lam-36)*2^(n-lam) - 4",
+         "published six-swap-per-qubit pipeline (a serial-stage schedule)"),
+        lambda p: p["lam"] >= 2,
+        _load_bb_depth_delta,
+    ),
+    LedgerEntry(
+        "be_ss", "qubits", "all lambda",
+        "-2 (the published block-encoding qubit column exceeds the sum of "
+        "its loader and state-preparation parts by two qubits)",
+        ("published select-swap block-encoding qubit formula",
+         "published loader qubits + state-preparation qubits + n data "
+         "+ n control"),
+        lambda p: True,
+        lambda p: -2 + (1 if p["lam"] == p["n"] else 0),
+    ),
+    LedgerEntry(
+        "be_bb", "qubits", "lam in {0, n}",
+        "+1 (inherited from the LOAD_bb ancilla-term slips)",
+        ("published bucket-brigade block-encoding qubit formula",
+         "published loader-diagram ancilla accounting"),
+        lambda p: p["lam"] in (0, p["n"]),
+        lambda p: 1,
+    ),
+    LedgerEntry(
+        "sp_fixed", "t_depth", "all n, t",
+        "-2n (the operand-side half of each S_p swap column precedes its "
+        "control interaction and runs under the preceding rotation "
+        "ladder, saving 2 of the 4 T-layers per step; the published "
+        "2tnR_y + 8n sums the stages serially)",
+        ("published fixed-precision state-preparation T-depth 2tnR_y + 8n",
+         "published register-swap construction whose G and CNOT layers "
+         "act across all pairs in parallel"),
+        lambda p: True,
+        lambda p: -2 * p["n"],
+    ),
+    LedgerEntry(
+        "sp_prerotated", "t_depth", "n >= 2",
+        "-(n-1) (each controlled repair rotation releases its flag "
+        "control halfway through, so FLAG-dagger overlaps the trailing "
+        "half-rotations)",
+        ("published pre-rotated state-preparation T-depth 3n + 4R_y - 3",
+         "published controlled-rotation decomposition flip, R_y(-h), "
+         "flip, R_y(h): the final half-rotation no longer involves the "
+         "control"),
+        lambda p: p["n"] >= 2,
+        lambda p: -(p["n"] - 1),
+    ),
+    LedgerEntry(
+        "be_ss", "t_depth", "all lambda",
+        "-4n (two fixed-precision state-preparation legs, each 2n "
+        "shallower than the published stage-serial sum; see the "
+        "sp_fixed entry)",
+        ("published select-swap block-encoding T-depth",
+         "published state-preparation T-depth (stage-serial sum)"),
+        lambda p: True,
+        lambda p: -4 * p["n"],
+    ),
+    LedgerEntry(
+        "be_bb", "t_depth", "all lambda",
+        "two LOAD_bb legs (each off by the load_bb T-depth rule for its "
+        "lambda class) plus two state-preparation legs at -2n each",
+        ("published bucket-brigade block-encoding T-depth",
+         "published loader T-depth and its pipeline model"),
+        lambda p: True,
+        lambda p: 2 * _load_bb_depth_delta(p) - 4 * p["n"],
+    ),
+    LedgerEntry(
+        "be_prerotated", "t_depth", "all n",
+        "-(3n-2) (the pre-rotated legs overlap FLAG-dagger with the "
+        "controlled repair rotations, and the mirrored leg overlaps its "
+        "flag work with the LOADF rotation layers)",
+        ("published pre-rotated block-encoding T-depth 10n + 8R_y - 4",
+         "published stage schedule vs the controlled-rotation structure "
+         "releasing its controls mid-fragment"),
+        lambda p: p["n"] >= 1,
+        lambda p: -(3 * p["n"] - 2),
+    ),
+)
 
 
 @dataclass
@@ -398,11 +391,9 @@ class Verdict:
     ledger_refs: list = field(default_factory=list)
 
 
-def cross_validate(counted: ResourceReport, formula: str, inputs: dict,
-                   ledger=None) -> Verdict:
+def cross_validate(counted: ResourceReport, formula: str,
+                   inputs: dict) -> Verdict:
     """Pass iff counted == formula exactly or a ledger entry explains it."""
-    if ledger is None:
-        ledger = default_ledger()
     expected = evaluate(formula, **inputs)
     refs = []
     diffs = {}
@@ -413,7 +404,7 @@ def cross_validate(counted: ResourceReport, formula: str, inputs: dict,
         if have == want:
             continue
         explained = False
-        for entry in ledger:
+        for entry in LEDGER:
             if entry.formula == formula and entry.metric == metric \
                     and entry.applies(inputs) \
                     and want + entry.offset(inputs) == have:
@@ -440,7 +431,7 @@ def _random_tree(rng, n):
 
 def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                            t_values=(3, 5, 8), ry_values=(10, 30),
-                           seed=11, ledger=None, include_be=True):
+                           seed=11, include_be=True):
     """Cross-validate every generator against its formula over the grid."""
     n_values, d_values, t_values, ry_values = (
         tuple(v) for v in (n_values, d_values, t_values, ry_values))
@@ -459,12 +450,12 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                                 model=QramModel.SELECT_SWAP, rows=rows)
                 counted = count_resources(build_load_ss(spec))
                 verdicts.append(cross_validate(
-                    counted, "load_ss", {"n": n, "d": d, "lam": lam}, ledger))
+                    counted, "load_ss", {"n": n, "d": d, "lam": lam}))
                 spec = LoadSpec(n=n, data_width=d, lam=lam,
                                 model=QramModel.BUCKET_BRIGADE, rows=rows)
                 counted = count_resources(build_load_bb(spec))
                 verdicts.append(cross_validate(
-                    counted, "load_bb", {"n": n, "d": d, "lam": lam}, ledger))
+                    counted, "load_bb", {"n": n, "d": d, "lam": lam}))
 
     for n in n_values:
         for d in d_values:
@@ -473,7 +464,7 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
             circuit = build_loadf(spec, thetas)
             for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
-                    counted, "loadf", {"n": n, "d": d, "ry": ry}, ledger))
+                    counted, "loadf", {"n": n, "d": d, "ry": ry}))
 
     for n in n_values:
         tree = _random_tree(rng, n)
@@ -481,11 +472,11 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
             circuit = build_sp_fixed(tree, t)
             for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
-                    counted, "sp_fixed", {"n": n, "t": t, "ry": ry}, ledger))
+                    counted, "sp_fixed", {"n": n, "t": t, "ry": ry}))
         circuit = build_sp_prerotated(tree)
         for ry, counted in per_ry(circuit):
             verdicts.append(cross_validate(
-                counted, "sp_prerotated", {"n": n, "ry": ry}, ledger))
+                counted, "sp_prerotated", {"n": n, "ry": ry}))
 
     if include_be:
         for n in n_values:
@@ -501,12 +492,11 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                         for ry, counted in per_ry(circuit):
                             verdicts.append(cross_validate(
                                 counted, formula,
-                                {"n": n, "t": t, "lam": lam, "ry": ry},
-                                ledger))
+                                {"n": n, "t": t, "lam": lam, "ry": ry}))
             cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
                                       qram=QramModel.FLAGS, lam=n)
             circuit = build_block_encoding(matrix, cfg).circuit
             for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
-                    counted, "be_prerotated", {"n": n, "ry": ry}, ledger))
+                    counted, "be_prerotated", {"n": n, "ry": ry}))
     return verdicts

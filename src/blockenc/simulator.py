@@ -27,6 +27,7 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, Macro
 
 DEFAULT_SUPPORT_CAP = 1 << 20
+PRUNE_THRESHOLD = 1e-14
 _SUPPORT_CAP_ENV = "BLOCKENC_SUPPORT_CAP"
 
 
@@ -146,13 +147,11 @@ class SparseState:
     arrays the gates act on.
     """
 
-    def __init__(self, num_qubits, amplitudes=None, prune_threshold=1e-14,
-                 support_cap=None):
+    def __init__(self, num_qubits, amplitudes=None, support_cap=None):
         amplitudes = dict(amplitudes) if amplitudes else {0: 1.0 + 0.0j}
         indices = list(amplitudes)
         width = max(num_qubits, max(i.bit_length() for i in indices))
         self.num_qubits = num_qubits
-        self.prune_threshold = prune_threshold
         self.support_cap = (support_cap if support_cap is not None
                             else support_cap_default())
         self.pruned_weight = 0.0
@@ -258,7 +257,7 @@ class SparseState:
         keys[w, size:2 * size] |= mask
         amps = out.ravel() if hit is None else np.concatenate((out.ravel(),
                                                                idle_amps))
-        small = np.abs(amps) < self.prune_threshold
+        small = np.abs(amps) < PRUNE_THRESHOLD
         if np.count_nonzero(small):
             dropped = amps[small]
             self.pruned_weight += float(np.sum(dropped.real ** 2
@@ -330,12 +329,11 @@ class BlockExtract:
     """
 
     def __init__(self, block, column_leaks, column_norms, in_qubits,
-                 out_qubits, peak_support, pruned_weight):
+                 peak_support, pruned_weight):
         self.block = block
         self.column_leaks = tuple(column_leaks)
         self.column_norms = tuple(column_norms)
         self.in_qubits = tuple(in_qubits)
-        self.out_qubits = tuple(out_qubits)
         self.peak_support = peak_support
         self.pruned_weight = pruned_weight
 
@@ -351,21 +349,20 @@ class BlockExtract:
                    in zip(self.column_norms, self.column_leaks))
 
 
-def extract_block(circuit: Circuit, in_qubits, dim=None, out_qubits=None,
+def extract_block(circuit: Circuit, in_qubits, dim=None,
                   support_cap=None) -> BlockExtract:
     """Run the circuit on inputs |0...0>|k> and collect <0...0,j|U|0...0,k>.
 
-    ``in_qubits``/``out_qubits`` denote the data register (most-significant
-    qubit first); all other qubits form the <0| projector.
+    ``in_qubits`` is the data register (most-significant qubit first) for
+    both k and j; all other qubits form the <0| projector.
     """
     in_qubits = tuple(in_qubits)
-    out_qubits = tuple(out_qubits) if out_qubits is not None else in_qubits
     dim_in = dim if dim is not None else 1 << len(in_qubits)
     state, col_qubits = _run_columns(circuit.ops, circuit.total_qubits,
                                      in_qubits, dim_in, support_cap)
     keys, amps = state._keys, state._amps
     outside = np.zeros(len(amps), dtype=bool)
-    allowed = dict(_word_masks(out_qubits + col_qubits))
+    allowed = dict(_word_masks(in_qubits + col_qubits))
     for w in range(keys.shape[0]):
         outside |= (keys[w] & ~allowed.get(w, np.uint64(0))) != 0
     col = _read(keys, col_qubits)
@@ -373,10 +370,10 @@ def extract_block(circuit: Circuit, in_qubits, dim=None, out_qubits=None,
     leaks = np.bincount(col[outside], weight[outside], minlength=dim_in)
     inside = ~outside
     norms = np.bincount(col[inside], weight[inside], minlength=dim_in)
-    block = np.zeros((1 << len(out_qubits), dim_in), dtype=complex)
-    block[_read(keys[:, inside], out_qubits), col[inside]] = amps[inside]
+    block = np.zeros((1 << len(in_qubits), dim_in), dtype=complex)
+    block[_read(keys[:, inside], in_qubits), col[inside]] = amps[inside]
     return BlockExtract(block, leaks.tolist(), norms.tolist(), in_qubits,
-                        out_qubits, state.peak_support, state.pruned_weight)
+                        state.peak_support, state.pruned_weight)
 
 
 def spectral_norm(matrix) -> float:

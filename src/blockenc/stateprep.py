@@ -33,7 +33,6 @@ from .qram import (
     FlagLoad,
     LoadSpec,
     QramModel,
-    load_plan,
 )
 
 
@@ -258,28 +257,6 @@ def _check_trees(trees):
     return n
 
 
-def build_csp_fixed(trees, t, lam, model=QramModel.SELECT_SWAP):
-    """Controlled-state preparation: LOAD / SP / LOAD-dagger sandwich."""
-    n = _check_trees(trees)
-    d = fixed_data_width(n, t)
-    rows = fixed_rows_for_trees(trees, t)
-    spec = LoadSpec(n=n, data_width=d, lam=lam, model=model, rows=tuple(rows))
-    b = CircuitBuilder()
-    data = b.allocate("data", n)
-    dblock = b.allocate("dblock", d)
-    control = b.allocate("control", n)
-    plan = load_plan(b, control.qubits, dblock.qubits, spec)
-    a_slots, s_block = fixed_slots(dblock.qubits, n, t)
-    load_ops = plan.build_ops()
-    b.begin_stage("load")
-    b.extend(load_ops)
-    b.begin_stage("sp")
-    b.extend(sp_fixed_ops(data.qubits, a_slots, s_block, n, t))
-    b.begin_stage("load_dagger")
-    b.extend(adjoint_ops(load_ops))
-    return b.build()
-
-
 def prerotated_thetas_for_trees(trees):
     """LOADF angle table: thetas[k][r-1] = folded angle r of tree k."""
     table = []
@@ -320,18 +297,3 @@ def csp_prerotated_ops(builder, data, angle, flag, control, trees):
     ops.extend(Gate(GateKind.X, (flag[r],)) for r in range(big_n - 1))
     return ops, plan
 
-
-def build_csp_prerotated(trees):
-    """Controlled pre-rotated state preparation (Q_F = (N-1)(2N-1) ancillas)."""
-    n = _check_trees(trees)
-    big_n = 1 << n
-    b = CircuitBuilder()
-    data = b.allocate("data", n)
-    angle = b.allocate("angle", big_n - 1)
-    flag = b.allocate("flag", big_n - 1)
-    control = b.allocate("control", n)
-    ops, _ = csp_prerotated_ops(b, data.qubits, angle.qubits, flag.qubits,
-                                control.qubits, trees)
-    b.begin_stage("csp_prerotated")
-    b.extend(ops)
-    return b.build()

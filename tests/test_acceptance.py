@@ -244,8 +244,7 @@ def test_criterion_5_end_to_end_block_encoding():
                                   qram=QramModel.SELECT_SWAP, lam=0, t=t,
                                   variant=Variant.SYMMETRIC)
         res = build_symmetric_block_encoding(a, cfg)
-        ext = extract_block(res.circuit, res.in_qubits,
-                            out_qubits=res.out_qubits)
+        ext = extract_block(res.circuit, res.in_qubits)
         abar = np.zeros((4, 4))
         abar[:2, 2:] = a
         abar[2:, :2] = a.T

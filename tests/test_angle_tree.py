@@ -19,7 +19,6 @@ from blockenc.angle_tree import (
     quantize_angle,
     reconstruct_state,
     symmetrized_targets,
-    update_amplitude,
     zero_tree,
 )
 
@@ -60,30 +59,6 @@ def test_parent_is_sum_of_children_property():
                 left = tree.nodes[w + 1][2 * i]
                 right = tree.nodes[w + 1][2 * i + 1]
                 assert abs(parent - left - right) < 1e-10 * max(1, parent)
-
-
-def test_update_amplitude_matches_rebuild():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        n = int(rng.integers(1, 5))
-        beta = rng.standard_normal(1 << n)
-        tree = build_tree(beta, n)
-        j = int(rng.integers(1 << n))
-        value = float(rng.standard_normal())
-        updated = update_amplitude(tree, j, value)
-        beta[j] = value
-        rebuilt = build_tree(beta, n)
-        for w in range(n + 1):
-            assert np.allclose(updated.nodes[w], rebuilt.nodes[w], atol=1e-12)
-        assert updated.signs == rebuilt.signs
-
-
-def test_update_touches_n_plus_one_nodes():
-    tree = build_tree([0.5] * 4, 2)
-    audit = {}
-    updated = update_amplitude(tree, 0, 0.0, audit=audit)
-    assert audit["nodes_touched"] == 3
-    assert abs(updated.root - 0.75) < 1e-12
 
 
 def test_angles_heap_order_and_signs():
@@ -406,16 +381,3 @@ def test_zero_tree_convention():
     tree = zero_tree(2)
     assert tree.is_zero()
     assert all(tree.angle(r) == 0.0 for r in (1, 2, 3))
-
-
-def test_angles_and_signs_function():
-    from blockenc.angle_tree import angles_and_signs
-    tree = build_tree([0.5, 0.5, 0.5, 0.5], 2)
-    thetas, signs = angles_and_signs(tree)
-    assert len(thetas) == 3
-    assert all(abs(t - math.pi / 2) < 1e-12 for t in thetas)
-    assert signs == (0, 0, 0, 0)
-    tree = build_tree(np.array([3.0, 0.0, 4.0, 0.0]) / 5.0, 2)
-    thetas, _ = angles_and_signs(tree)
-    assert abs(thetas[0] - 1.8546) < 1e-3
-    assert thetas[1] == 0.0 and thetas[2] == 0.0

@@ -15,7 +15,6 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
-    concat,
     count_resources,
     count_resources_at,
     parse_circuit_text,
@@ -30,31 +29,31 @@ from blockenc.decomp import (
 )
 
 
-def empty(n=4):
+def empty(n=4, ops=()):
     b = CircuitBuilder()
     b.allocate("q", n)
+    b.extend(ops)
     return b.build()
 
 
 def test_append_single_gate():
-    c = empty().append(Gate(GateKind.T, (0,)))
+    c = empty(ops=[Gate(GateKind.T, (0,))])
     assert len(c.ops) == 1
 
 
 def test_append_preserves_order():
-    c = empty().append(Gate(GateKind.T, (0,)))
-    c = c.append(Gate(GateKind.H, (1,)))
+    c = empty(ops=[Gate(GateKind.T, (0,)), Gate(GateKind.H, (1,))])
     assert [op.kind for op in c.ops] == [GateKind.T, GateKind.H]
 
 
 def test_append_out_of_range_rejected():
     with pytest.raises(CircuitError):
-        empty(4).append(Gate(GateKind.T, (99,)))
+        empty(4, [Gate(GateKind.T, (99,))])
 
 
 def test_gate_qubits_must_be_distinct():
     with pytest.raises(CircuitError):
-        empty().append(Gate(GateKind.CNOT, (1,), ((1, True),)))
+        empty(ops=[Gate(GateKind.CNOT, (1,), ((1, True),))])
 
 
 def test_registers_must_tile():
@@ -68,14 +67,14 @@ def test_count_empty():
 
 
 def test_disjoint_t_gates_parallelize():
-    c = empty().append(Gate(GateKind.T, (0,))).append(Gate(GateKind.T, (1,)))
+    c = empty(ops=[Gate(GateKind.T, (0,)), Gate(GateKind.T, (1,))])
     rep = count_resources(c)
     assert rep.t_count == 2
     assert rep.t_depth == 1
 
 
 def test_same_qubit_t_gates_chain():
-    c = empty().append(Gate(GateKind.T, (0,))).append(Gate(GateKind.T, (0,)))
+    c = empty(ops=[Gate(GateKind.T, (0,)), Gate(GateKind.T, (0,))])
     assert count_resources(c).t_depth == 2
 
 
@@ -132,7 +131,7 @@ def test_t_count_additive_under_concat():
     for _ in range(10):
         a = _random_circuit(rng)
         b = _random_circuit(rng)
-        joined = concat(a, b)
+        joined = Circuit(a.registers, a.ops + b.ops, a.total_qubits)
         ra, rb, rj = (count_resources(x) for x in (a, b, joined))
         assert rj.t_count == ra.t_count + rb.t_count
         assert rj.t_depth <= ra.t_depth + rb.t_depth

@@ -355,3 +355,54 @@ def test_sweep_comparing_nothing_exits_2(capsys, n_max):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "compares nothing" in err
+
+
+@pytest.mark.parametrize("variant", ["standard", "controlled", "symmetric"])
+@pytest.mark.parametrize("ry", ["0", "-5"])
+def test_ry_below_one_exits_2(capsys, matrix_csv, variant, ry):
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    code, out, err = run_cli(capsys, "build", "--matrix", path, "--variant",
+                             variant, "--ry", ry, "--t", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ry must be >= 1\n"
+
+
+@pytest.mark.parametrize("variant, extra", [
+    ("controlled", ()), ("symmetric", ()),
+    ("controlled", ("--method", "prerotated"))])
+def test_estimate_without_formula_exits_2(capsys, variant, extra):
+    code, out, err = run_cli(capsys, "estimate", "--n", "3", "--alpha", "2",
+                             "--variant", variant, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the paper gives no closed form for the {variant} "
+                   "variant\n")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("build", ("--n", "9")), ("build", ("--alpha", "-4")),
+    ("verify", ("--n", "2")), ("verify", ("--alpha", "3")),
+    ("verify", ("--ry", "10"))])
+def test_flags_a_command_ignores_are_rejected(capsys, matrix_csv, command,
+                                              flags):
+    # argparse exits 2 on an unknown flag; it reads --n as --norm, whose
+    # value then fails to parse, also with exit 2.
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    try:
+        code = main([command, "--matrix", path, *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("variant", ["standard", "controlled"])
+def test_one_by_one_matrix_exits_2(capsys, matrix_csv, command, variant):
+    path = matrix_csv(np.array([[2.0]]))
+    code, out, err = run_cli(capsys, command, "--matrix", path, "--variant",
+                             variant, "--t", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need a matrix of at least 2x2 after padding\n"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from blockenc import decomp, qram
-from blockenc.angle_tree import build_tree
 from blockenc.circuit import Circuit, Gate, GateKind, Macro, count_resources
 from blockenc.encoding import (
     BlockEncodingConfig,
@@ -19,7 +18,6 @@ from blockenc.encoding import (
 )
 from blockenc.qram import ConfigurationError, QramModel
 from blockenc.simulator import extract_block, spectral_norm
-from blockenc.stateprep import build_csp_fixed
 
 
 def test_select_parameters_fixed_example():
@@ -132,20 +130,6 @@ def test_controlled_block_encoding():
     assert spectral_norm(a - res.alpha * on) <= math.pi * 2 * 2.0 ** -8 * res.alpha
 
 
-def test_multi_controlled_block_encoding():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((2, 2))
-    cfg = BlockEncodingConfig(method=Method.FIXED_PRECISION,
-                              qram=QramModel.SELECT_SWAP, lam=1, t=8,
-                              variant=Variant.CONTROLLED, num_controls=2)
-    res = build_controlled_block_encoding(a, cfg)
-    for bits in ((0, 0), (0, 1), (1, 0)):
-        block = controlled_block(res, bits)
-        assert np.abs(block - np.eye(2)).max() < 1e-10, bits
-    on = controlled_block(res, (1, 1))
-    assert spectral_norm(a - res.alpha * on) <= math.pi * 2.0 ** -8 * res.alpha
-
-
 _EMPTY_SELECT = pytest.mark.xfail(
     strict=True,
     reason="with one select bit and all-zero LOAD rows, unary_select emits "
@@ -180,7 +164,7 @@ def test_symmetric_structure_1x1():
                               qram=QramModel.SELECT_SWAP, lam=0, t=8,
                               variant=Variant.SYMMETRIC)
     res = build_symmetric_block_encoding(np.array([[1.0]]), cfg)
-    ext = extract_block(res.circuit, res.in_qubits, out_qubits=res.out_qubits)
+    ext = extract_block(res.circuit, res.in_qubits)
     block = res.alpha * ext.block
     assert abs(block[0, 1] - 1.0) < 4e-2
     assert abs(block[1, 0] - 1.0) < 4e-2
@@ -196,7 +180,7 @@ def test_symmetric_random_2x2():
                               variant=Variant.SYMMETRIC)
     res = build_symmetric_block_encoding(a, cfg)
     assert abs(res.alpha - np.linalg.norm(a)) < 1e-12  # ||A||_F, not 2||A||_F
-    ext = extract_block(res.circuit, res.in_qubits, out_qubits=res.out_qubits)
+    ext = extract_block(res.circuit, res.in_qubits)
     abar = np.zeros((4, 4))
     abar[:2, 2:] = a
     abar[2:, :2] = a.T
@@ -245,13 +229,6 @@ def test_each_load_is_built_once(load_builds, variant, model):
     matrix = np.arange(1.0, 17.0).reshape(4, 4)
     cfg = BlockEncodingConfig(qram=model, lam=1, t=3, variant=variant)
     build_block_encoding(matrix, cfg)
-    assert list(load_builds.values()) == [1]
-
-
-def test_csp_fixed_builds_its_load_once(load_builds):
-    rng = np.random.default_rng(3)
-    trees = [build_tree(rng.standard_normal(4), 2) for _ in range(4)]
-    build_csp_fixed(trees, 3, 1)
     assert list(load_builds.values()) == [1]
 
 

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from blockenc.resources import (
+    LEDGER,
     ParameterError,
     cross_validate,
-    default_ledger,
     evaluate,
     reproduce_headline_table,
     round_to_sigfig,
@@ -125,7 +125,7 @@ def test_cross_validate_rejects_unexplained():
 
 
 def test_ledger_entries_carry_dual_citations():
-    for entry in default_ledger():
+    for entry in LEDGER:
         assert len(entry.citations) == 2
         assert all(entry.citations)
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from blockenc.angle_tree import build_tree, reconstruct_state
-from blockenc.circuit import count_resources
+from blockenc.circuit import Circuit, adjoint_ops, count_resources
+from blockenc.encoding import BlockEncodingConfig, Method, build_block_encoding
 from blockenc.qram import QramModel
 from blockenc.resources import evaluate
 from blockenc.simulator import SparseState, check_clean, encode_register
 from blockenc.stateprep import (
-    build_csp_fixed,
-    build_csp_prerotated,
     build_sp_fixed,
     build_sp_prerotated,
     s_column_spec,
@@ -149,10 +148,32 @@ def csp_column(circuit, n, k):
     return vec, junk
 
 
+def encoding_csp(rows, **config):
+    """Controlled state preparation of ``rows`` as the block encoding of the
+    matrix with those rows emits it: the adjoint of its leg-2 stages."""
+    c = build_block_encoding(np.array(rows, dtype=float),
+                             BlockEncodingConfig(**config)).circuit
+    leg2 = [op for name, lo, hi in c.stages if name.startswith("leg2_")
+            for op in c.ops[lo:hi]]
+    return Circuit(c.registers, adjoint_ops(leg2), c.total_qubits)
+
+
+def fixed_csp(rows, t, lam, qram=QramModel.SELECT_SWAP):
+    return encoding_csp(rows, method=Method.FIXED_PRECISION, qram=qram,
+                        lam=lam, t=t)
+
+
+def prerotated_csp(rows):
+    n = len(rows).bit_length() - 1
+    return encoding_csp(rows, method=Method.PRE_ROTATED, qram=QramModel.FLAGS,
+                        lam=n)
+
+
 def test_csp_fixed_ss_n1_example():
     rng = np.random.default_rng(2)
-    trees = [build_tree(rng.standard_normal(2), 1) for _ in range(2)]
-    c = build_csp_fixed(trees, t=6, lam=1, model=QramModel.SELECT_SWAP)
+    rows = [rng.standard_normal(2) for _ in range(2)]
+    trees = [build_tree(row, 1) for row in rows]
+    c = fixed_csp(rows, t=6, lam=1)
     for k in range(2):
         vec, junk = csp_column(c, 1, k)
         assert junk < 1e-18
@@ -162,8 +183,9 @@ def test_csp_fixed_ss_n1_example():
 
 def test_csp_fixed_bb_small():
     rng = np.random.default_rng(3)
-    trees = [build_tree(rng.standard_normal(2), 1) for _ in range(2)]
-    c = build_csp_fixed(trees, t=3, lam=1, model=QramModel.BUCKET_BRIGADE)
+    rows = [rng.standard_normal(2) for _ in range(2)]
+    trees = [build_tree(row, 1) for row in rows]
+    c = fixed_csp(rows, t=3, lam=1, qram=QramModel.BUCKET_BRIGADE)
     for k in range(2):
         vec, junk = csp_column(c, 1, k)
         assert junk < 1e-18
@@ -172,8 +194,8 @@ def test_csp_fixed_bb_small():
 
 def test_csp_fixed_superposed_control():
     rng = np.random.default_rng(4)
-    trees = [build_tree(rng.standard_normal(4), 2) for _ in range(4)]
-    c = build_csp_fixed(trees, t=8, lam=1, model=QramModel.SELECT_SWAP)
+    rows = [rng.standard_normal(4) for _ in range(4)]
+    c = fixed_csp(rows, t=8, lam=1)
     ctrl = c.register("control").qubits
     data = c.register("data").qubits
     amp = 1 / math.sqrt(2)
@@ -188,10 +210,9 @@ def test_csp_fixed_superposed_control():
 
 
 def test_csp_fixed_identical_trees_equal_plain_sp():
-    tree = build_tree([0.5, -0.5, 0.5, 0.5], 2)
-    trees = [tree] * 4
-    c = build_csp_fixed(trees, t=6, lam=2, model=QramModel.SELECT_SWAP)
-    sp, _ = sp_output(build_sp_fixed(tree, 6), 2)
+    row = [0.5, -0.5, 0.5, 0.5]
+    c = fixed_csp([row] * 4, t=6, lam=2)
+    sp, _ = sp_output(build_sp_fixed(build_tree(row, 2), 6), 2)
     for k in range(4):
         vec, junk = csp_column(c, 2, k)
         assert junk < 1e-18
@@ -200,17 +221,17 @@ def test_csp_fixed_identical_trees_equal_plain_sp():
 
 def test_csp_prerotated_random_family():
     rng = np.random.default_rng(5)
-    trees = [build_tree(rng.standard_normal(4), 2) for _ in range(4)]
-    c = build_csp_prerotated(trees)
+    rows = [rng.standard_normal(4) for _ in range(4)]
+    c = prerotated_csp(rows)
     for k in range(4):
         vec, junk = csp_column(c, 2, k)
         assert junk < 1e-18
-        assert np.linalg.norm(vec - reconstruct_state(trees[k])) < 1e-9
+        assert np.linalg.norm(vec - reconstruct_state(build_tree(rows[k], 2))) \
+            < 1e-9
 
 
 def test_csp_prerotated_basis_trees():
-    trees = [build_tree([1.0, 0, 0, 0], 2)] * 4
-    c = build_csp_prerotated(trees)
+    c = prerotated_csp([[1.0, 0, 0, 0]] * 4)
     for k in range(4):
         vec, junk = csp_column(c, 2, k)
         assert junk < 1e-18
@@ -218,8 +239,7 @@ def test_csp_prerotated_basis_trees():
 
 
 def test_csp_prerotated_ancilla_budget():
-    trees = [build_tree([1.0, 0, 0, 0], 2)] * 4
-    c = build_csp_prerotated(trees)
+    c = prerotated_csp([[1.0, 0, 0, 0]] * 4)
     big_n, n = 4, 2
     # data + control + angle/flag blocks + per-copy LOADF ancillas
     # (N-1)(2N-1) plus the phase-correct swap pools (2N per copy), which
@@ -248,11 +268,13 @@ def test_csp_prerotated_depth_within_block_encoding_budget():
     plain state-preparation leg's share."""
     rng = np.random.default_rng(8)
     for n in (1, 2, 3):
-        trees = [build_tree(rng.standard_normal(1 << n), n)
-                 for _ in range(1 << n)]
-        c = build_csp_prerotated(trees)
+        matrix = rng.standard_normal((1 << n, 1 << n))
+        cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                  qram=QramModel.FLAGS, lam=n)
+        circuit = build_block_encoding(matrix, cfg).circuit
         for ry in (10, 30):
-            counted = count_resources(c, ry_cost=ry).t_depth
+            breakdown = count_resources(circuit, ry_cost=ry).breakdown
+            counted = breakdown["leg2_csp_dagger"][1]
             be_total = evaluate("be_prerotated", n=n, ry=ry).t_depth
             leg1 = evaluate("sp_prerotated", n=n, ry=ry).t_depth
             assert counted <= be_total - leg1
