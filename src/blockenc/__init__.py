@@ -18,14 +18,7 @@ from .circuit import (
     parse_circuit_text,
     write_circuit_text,
 )
-from .angle_tree import (
-    AngleTree,
-    DegenerateInputError,
-    build_tree,
-    matrix_trees,
-    quantize_angle,
-    reconstruct_state,
-)
+from .angle_tree import DegenerateInputError, matrix_trees, reconstruct_state
 from .qram import ConfigurationError, LoadSpec, QramModel
 from .encoding import (
     BlockEncodingConfig,

@@ -1,11 +1,11 @@
-"""Classical preprocessing: binary norm trees, rotation angles, sign bits,
-fixed-point quantization, pre-rotated leaf states, the q-norm report, and the
-appendix target-state families.
+"""Classical preprocessing: rotation angles, sign bits, pre-rotated leaf
+angles, the q-norm report, and the appendix target-state families.
 
-The tree for a real vector beta stores |beta_j|^2 at the leaves plus sign
-bits; every internal node is the sum of its children.  Rotation angles are
-indexed in heap order: theta_1 at the root, the step-w angles at heap indices
-2^(w-1) .. 2^w - 1.
+The angle functions take a (K, 2^n) array of real amplitude vectors, one per
+row; a single vector is a one-row array.  The binary norm tree of a vector has
+its squared amplitudes at the leaves, and every internal node is the sum of
+its children.  Rotation angles are indexed in heap order: theta_1 at the
+root, the step-w angles at heap indices 2^(w-1) .. 2^w - 1.
 """
 from __future__ import annotations
 
@@ -14,157 +14,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomp import TWO_PI
+
 
 class DegenerateInputError(ValueError):
     pass
 
 
-TWO_PI = 2.0 * math.pi
+def heap_angles(vectors):
+    """Rotation angles of each row of a (K, 2^n) array of amplitude vectors.
+
+    Column r - 1 holds theta_r = 2 acos(sqrt(left child / node)) for heap
+    index r, where a node is the sum of its children's squared amplitudes;
+    a zero-norm node gets 0 (rotate nothing).
+    """
+    level = np.square(np.asarray(vectors, dtype=float))
+    count, big_n = level.shape
+    angles = np.zeros((count, big_n - 1))
+    while level.shape[1] > 1:
+        left, right = level[:, 0::2], level[:, 1::2]
+        level = left + right
+        width = level.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.clip(left / level, 0.0, 1.0)
+        angles[:, width - 1: 2 * width - 1] = np.where(
+            level > 0, 2.0 * np.arccos(np.sqrt(ratio)), 0.0)
+    return angles
 
 
-@dataclass(frozen=True)
-class AngleTree:
-    """Squared partial norms by level plus leaf signs; N = 2^n leaves."""
+def prerotated_angles(vectors):
+    """Folded angles in [0, 4*pi) of each row of a (K, 2^n) array.
 
-    n: int
-    nodes: tuple  # nodes[w] = tuple of 2^w squared partial norms, w = 0..n
-    signs: tuple  # N bits, 1 marks a negative amplitude
-
-    @property
-    def num_leaves(self):
-        return 1 << self.n
-
-    @property
-    def root(self):
-        return self.nodes[0][0]
-
-    def node(self, r):
-        """Heap access: node r (1-based) lives at level floor(log2 r)."""
-        w = r.bit_length() - 1
-        return self.nodes[w][r - (1 << w)]
-
-    def angle(self, r):
-        """theta_r = 2 acos(sqrt(left child / node)); 0 for zero-norm nodes."""
-        if r >= self.num_leaves:
-            raise IndexError(f"internal node index {r} out of range")
-        parent = self.node(r)
-        if parent <= 0.0:
-            return 0.0
-        left = self.node(2 * r)
-        ratio = min(1.0, max(0.0, left / parent))
-        return 2.0 * math.acos(math.sqrt(ratio))
-
-    def is_zero(self):
-        return self.root == 0.0
+    Ry(theta_r)|0> = cos(theta_r/2)|0> + sin(theta_r/2)|1> with the leaf
+    signs folded into the last level's amplitudes.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    half = heap_angles(vectors) / 2.0
+    amp0, amp1 = np.cos(half), np.sin(half)
+    last = np.s_[:, vectors.shape[1] // 2 - 1:]
+    amp0[last][vectors[:, 0::2] < 0] *= -1.0
+    amp1[last][vectors[:, 1::2] < 0] *= -1.0
+    theta = 2.0 * np.arctan2(amp1, amp0)
+    return np.where(theta < 0, theta + 2.0 * TWO_PI, theta)
 
 
-def build_tree(beta, n=None) -> AngleTree:
-    """Build the tree for a length-2^n real vector (not all zero)."""
-    vec = np.asarray(beta, dtype=float)
-    if n is None:
-        n = int(vec.size).bit_length() - 1
-    if vec.size != (1 << n):
-        raise ValueError(f"expected 2^{n} amplitudes, got {vec.size}")
-    if not np.any(vec):
-        raise DegenerateInputError("amplitude vector is all zero")
-    return _tree_from_values(n, vec)
-
-
-def zero_tree(n) -> AngleTree:
-    """All-zero tree; by convention every angle is 0 (rotate nothing)."""
-    nodes = tuple(tuple(0.0 for _ in range(1 << w)) for w in range(n + 1))
-    return AngleTree(n, nodes, tuple(0 for _ in range(1 << n)))
-
-
-def _tree_from_values(n, vec):
-    signs = tuple(1 if x < 0 else 0 for x in vec)
-    level = [float(x) * float(x) for x in vec]
-    levels = [tuple(level)]
-    for _ in range(n):
-        level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
-        levels.append(tuple(level))
-    return AngleTree(n, tuple(reversed(levels)), signs)
-
-
-def reconstruct_state(tree: AngleTree) -> np.ndarray:
-    """Apply the rotation recursion classically; returns beta / ||beta||."""
-    n = tree.n
-    amps = np.ones(1)
-    for w in range(n):
-        nxt = np.empty(2 << w)
-        for i, a in enumerate(amps):
-            theta = tree.angle((1 << w) + i)
-            nxt[2 * i] = a * math.cos(theta / 2.0)
-            nxt[2 * i + 1] = a * math.sin(theta / 2.0)
-        amps = nxt
-    return amps * np.array([-1.0 if s else 1.0 for s in tree.signs])
-
-
-@dataclass(frozen=True)
-class QuantizedAngle:
-    """t-bit fixed-point angle on the 2*pi/2^t rounding grid."""
-
-    bits: str
-    value: float
-
-    @property
-    def t(self):
-        return len(self.bits)
-
-    @property
-    def integer(self):
-        return int(self.bits, 2) if self.bits else 0
-
-
-def quantize_angle(theta, t) -> QuantizedAngle:
-    """Round theta to the nearest multiple of 2*pi/2^t, ties up."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not -1e-12 <= theta <= math.pi + 1e-9:
-        raise ValueError("theta must lie in [0, pi]")
-    b = math.floor(theta * (1 << t) / TWO_PI + 0.5)
-    value = TWO_PI * b / (1 << t)
-    return QuantizedAngle(format(b, f"0{t}b"), value)
-
-
-def quantized_tree_bits(tree: AngleTree, t):
-    """Angle bitstrings (heap order) and sign bits for the fixed-point path."""
-    bits = [quantize_angle(tree.angle(r), t).bits
-            for r in range(1, tree.num_leaves)]
-    return bits, tree.signs
-
-
-@dataclass(frozen=True)
-class PreRotatedLeaf:
-    """Single-qubit amplitudes encoding angle r, signs folded at leaf level."""
-
-    r: int
-    amp0: float
-    amp1: float
-
-    def folded_angle(self):
-        """theta in [0, 4*pi) with Ry(theta)|0> = amp0|0> + amp1|1>."""
-        theta = 2.0 * math.atan2(self.amp1, self.amp0)
-        if theta < 0:
-            theta += 2.0 * TWO_PI
-        return theta
-
-
-def prerotated_leaves(tree: AngleTree):
-    """The N-1 pre-rotated single-qubit states, heap order."""
-    out = []
-    half = tree.num_leaves // 2
-    for r in range(1, tree.num_leaves):
-        theta = tree.angle(r)
-        amp0 = math.cos(theta / 2.0)
-        amp1 = math.sin(theta / 2.0)
-        if r >= half:
-            if tree.signs[2 * r - tree.num_leaves]:
-                amp0 = -amp0
-            if tree.signs[2 * r - tree.num_leaves + 1]:
-                amp1 = -amp1
-        out.append(PreRotatedLeaf(r, amp0, amp1))
-    return out
+def reconstruct_state(vectors):
+    """Apply the rotation recursion classically: each row over its norm."""
+    vectors = np.asarray(vectors, dtype=float)
+    half = heap_angles(vectors) / 2.0
+    amps = np.ones((vectors.shape[0], 1))
+    while amps.shape[1] < vectors.shape[1]:
+        width = amps.shape[1]
+        step = half[:, width - 1: 2 * width - 1]
+        amps = np.stack([amps * np.cos(step), amps * np.sin(step)],
+                        axis=2).reshape(len(amps), -1)
+    return np.where(vectors < 0, -amps, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +87,36 @@ def pad_to_power_of_two(a):
     return out
 
 
-def matrix_trees(a):
-    """Row trees, the row-norm tree, and alpha = Frobenius norm.
+def scaled_frobenius(a):
+    """``(a * 2^-e, alpha)``: ``a`` scaled by the power of two 2^e just
+    above its largest |entry|, and its Frobenius norm.
 
-    Zero rows yield degenerate all-zero trees (angles 0 by convention).
+    Squaring the scaled entries neither overflows nor underflows, and a
+    power-of-two scale is exact, so ordinary inputs give the same angles
+    and alpha as the unscaled matrix.  alpha is inf if the norm itself
+    overflows a float.
+    """
+    a = np.asarray(a, dtype=float)
+    _, e = math.frexp(float(np.max(np.abs(a), initial=0.0)))
+    scaled = np.ldexp(a, -e)
+    with np.errstate(over="ignore"):
+        return scaled, float(np.ldexp(np.linalg.norm(scaled), e))
+
+
+def matrix_trees(a):
+    """Scaled row vectors, the one-row row-norm vector, and alpha = ||a||_F.
+
+    ``a`` is an M x N matrix of power-of-two sides; a zero row has all its
+    angles 0 by convention.
     """
     a = np.asarray(a, dtype=float)
     rows, cols = a.shape
-    if rows != cols or rows & (rows - 1):
-        raise ValueError("matrix must be square with power-of-two size")
-    if not np.any(a):
+    if rows & (rows - 1) or cols & (cols - 1):
+        raise ValueError("matrix sides must be powers of two")
+    scaled, alpha = scaled_frobenius(a)
+    if alpha == 0:
         raise DegenerateInputError("matrix is all zero")
-    n = rows.bit_length() - 1
-    row_trees = [build_tree(row, n) if np.any(row) else zero_tree(n)
-                 for row in a]
-    row_norms = np.linalg.norm(a, axis=1)
-    phi_tree = build_tree(row_norms, n)
-    alpha = float(np.linalg.norm(a))
-    return row_trees, phi_tree, alpha
+    return scaled, np.linalg.norm(scaled, axis=1)[None, :], alpha
 
 
 def _power_sum(v, q):

@@ -9,11 +9,12 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .angle_tree import qnorm_profile
+from .angle_tree import qnorm_profile, scaled_frobenius
 from .circuit import (
     Circuit,
     Gate,
@@ -78,10 +79,9 @@ def _read_matrix(path):
     matrix = np.array(rows)
     if not np.isfinite(matrix).all():
         raise UsageError(f"non-finite entry (inf or nan) in {path}")
-    with np.errstate(over="ignore"):
-        if not math.isfinite(np.linalg.norm(matrix)):
-            raise UsageError(f"the Frobenius norm of the matrix in {path} "
-                             "overflows a float")
+    if not math.isfinite(scaled_frobenius(matrix)[1]):
+        raise UsageError(f"the Frobenius norm of the matrix in {path} "
+                         "overflows a float")
     return matrix
 
 
@@ -152,7 +152,7 @@ def cmd_estimate(args):
     if args.matrix:
         matrix = _read_matrix(args.matrix)
         n = _padded_n(matrix)
-        alpha = float(np.linalg.norm(matrix))
+        _, alpha = scaled_frobenius(matrix)
     else:
         if args.n is None or args.alpha is None:
             raise UsageError("estimate needs --matrix or both --n and --alpha")
@@ -273,7 +273,6 @@ def cmd_verify(args):
     result = _build_result(args, matrix)
     if result.n > 3:
         raise UsageError("verify is desk-scale only: padded n must be <= 3")
-    padded, _, _ = _prepare_matrix(matrix)
     circuit = result.circuit
     if result.control_qubits:
         # The controlled variant encodes A/alpha with its controls at |1>.
@@ -287,10 +286,10 @@ def cmd_verify(args):
     if args.variant == "symmetric":
         m_pad, n_pad = result.padded_shape
         target = np.zeros((1 << result.n, 1 << result.n))
-        target[:m_pad, m_pad:m_pad + n_pad] = padded[:m_pad, :n_pad]
-        target[m_pad:m_pad + n_pad, :m_pad] = padded[:m_pad, :n_pad].T
+        target[:m_pad, m_pad:m_pad + n_pad] = result.padded
+        target[m_pad:m_pad + n_pad, :m_pad] = result.padded.T
     else:
-        target = padded
+        target = result.padded
     dim = target.shape[0]
     error = spectral_norm(target - result.alpha * ext.block[:dim, :dim])
     if result.config.method is Method.PRE_ROTATED:
@@ -369,9 +368,10 @@ def cmd_sweep(args):
 
 def make_parser():
     parser = argparse.ArgumentParser(
-        prog="blockenc",
+        prog="blockenc", allow_abbrev=False,
         description="Clifford+T block-encoding compiler and resource estimator")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, matrix_required=False):
         p.add_argument("--matrix", required=matrix_required,
@@ -388,29 +388,29 @@ def make_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("estimate", help="closed-form resource estimate")
+    p = command("estimate", help="closed-form resource estimate")
     common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--ry", type=int, default=None)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("build", help="compile a circuit and report resources")
+    p = command("build", help="compile a circuit and report resources")
     common(p, matrix_required=True)
     p.add_argument("--ry", type=int, default=None)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="simulate and check the block (n <= 3)")
+    p = command("verify", help="simulate and check the block (n <= 3)")
     common(p, matrix_required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tables", help="reproduce the published headline resource table")
+    p = command("tables", help="reproduce the published headline resource table")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("sweep", help="formula-vs-counted cross-validation")
+    p = command("sweep", help="formula-vs-counted cross-validation")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--no-be", action="store_true",

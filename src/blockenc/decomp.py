@@ -169,7 +169,7 @@ def and_toffoli(c1, c2, target, ancilla=None):
                  (c1, c2, target), 4, 1, extra)
 
 
-def _match_controls(select_qubits, value):
+def match_controls(select_qubits, value):
     s = len(select_qubits)
     return tuple((q, bool((value >> (s - 1 - i)) & 1))
                  for i, q in enumerate(select_qubits))
@@ -184,7 +184,7 @@ def _unary_select_gates(select_qubits, write_rows, flag):
                                   ((select_qubits[0], bool(j)),)))
         return gates
     for j, targets in enumerate(write_rows):
-        mcx = Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, j))
+        mcx = Gate(GateKind.MCX, (flag,), match_controls(select_qubits, j))
         gates.append(mcx)
         if targets:
             gates.append(Gate(GateKind.FANOUT_CNOT, targets, ((flag, True),)))
@@ -228,8 +228,8 @@ def unary_select(select_qubits, write_rows, ancillas=None, footprint=()):
 
 def _unary_step_gates(select_qubits, from_value, to_value, flag):
     return [
-        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, from_value)),
-        Gate(GateKind.MCX, (flag,), _match_controls(select_qubits, to_value)),
+        Gate(GateKind.MCX, (flag,), match_controls(select_qubits, from_value)),
+        Gate(GateKind.MCX, (flag,), match_controls(select_qubits, to_value)),
     ]
 
 

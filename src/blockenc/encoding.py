@@ -16,22 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .angle_tree import (
-    build_tree,
-    matrix_trees,
-    pad_to_power_of_two,
-    quantized_tree_bits,
-    zero_tree,
-)
-from .circuit import (
-    Circuit,
-    CircuitBuilder,
-    Gate,
-    GateKind,
-    Macro,
-    adjoint_ops,
-    stored_gates,
-)
+from .angle_tree import matrix_trees, pad_to_power_of_two
+from .circuit import Circuit, CircuitBuilder, GateKind, adjoint_ops
 from .decomp import parallel_cswap_clean
 from .qram import ConfigurationError, LoadSpec, QramModel, load_plan
 from .stateprep import (
@@ -120,6 +106,7 @@ class BlockEncodingResult:
     params: EncodingParams
     original_shape: tuple
     padded_shape: tuple
+    padded: np.ndarray      # the zero-padded matrix the circuit encodes
     control_qubits: tuple = ()
 
 
@@ -142,8 +129,9 @@ def _setup(a, cfg, variant):
 
     The symmetric variant pads to a power-of-two M x N with M >= N and
     encodes on n = log2(M) + 1 qubits; the others pad to a square of side 2^n.
-    Returns the padded matrix, n, t and the ``BlockEncodingResult`` with all
-    but its circuit and block qubits filled in.
+    Returns the scaled rows and row-norm vector of ``matrix_trees``, n, t
+    and the ``BlockEncodingResult`` with all but its circuit and block qubits
+    filled in.
     """
     if variant is not Variant.STANDARD \
             and cfg.method is not Method.FIXED_PRECISION:
@@ -158,14 +146,16 @@ def _setup(a, cfg, variant):
     if n < 1:
         raise ConfigurationError("need a matrix of at least 2x2 after padding")
     cfg.validate(n)
-    alpha = float(np.linalg.norm(padded))
-    if alpha == 0:
-        raise ConfigurationError("matrix is all zero")
+    rows, phi, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
     t = cfg.t if cfg.t is not None else params.t
-    return padded, n, t, partial(
+    if t is not None and t < 1:
+        raise ConfigurationError(
+            f"epsilon {cfg.epsilon:g} chooses t = {t} for alpha {alpha:g}; "
+            "t must be >= 1: set t or a smaller epsilon")
+    return rows, phi, n, t, partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
-        original_shape=original, padded_shape=shape)
+        original_shape=original, padded_shape=shape, padded=padded)
 
 
 def _register_swap(builder, data, control):
@@ -178,22 +168,23 @@ class _FixedLegs:
     """Shared machinery for the fixed-precision legs of a block-encoding.
 
     The LOAD and state-preparation ops are built once; every leg that needs
-    them, and their adjoints, reuses ``load_ops`` and ``sp_ops``.
+    them, and their adjoints, reuses ``load_ops`` and ``sp_ops``.  The LOAD
+    and the row-norm X layer ``phi_init`` write ``load_block`` (default
+    ``dblock``, the block the state preparation reads).
     """
 
-    def __init__(self, builder, data, dblock, control, row_trees, phi_tree,
-                 n, t, cfg):
-        rows = fixed_rows_for_trees(row_trees, t)
+    def __init__(self, builder, data, dblock, control, vectors, phi, n, t,
+                 cfg, load_block=None):
+        load_block = load_block or dblock
         spec = LoadSpec(n=n, data_width=len(dblock), lam=cfg.lam,
-                        model=cfg.qram, rows=tuple(rows))
-        self.load_ops = load_plan(builder, control, dblock, spec).build_ops()
+                        model=cfg.qram, rows=fixed_rows_for_trees(vectors, t))
+        self.load_ops = load_plan(builder, control, load_block,
+                                  spec).build_ops()
         a_slots, s_block = fixed_slots(dblock, n, t)
         self.sp_ops = sp_fixed_ops(data, a_slots, s_block, n, t)
-        if phi_tree is not None:
-            bits, signs = quantized_tree_bits(phi_tree, t)
-            self.phi_init = fixed_init_ops(a_slots, s_block, bits, signs)
-        else:
-            self.phi_init = None
+        if phi is not None:
+            self.phi_init = fixed_init_ops(load_block,
+                                           fixed_rows_for_trees(phi, t)[0])
 
 
 def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
@@ -205,15 +196,14 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         return build_controlled_block_encoding(a, cfg)
     if cfg.variant is Variant.SYMMETRIC:
         return build_symmetric_block_encoding(a, cfg)
-    padded, n, t, result = _setup(a, cfg, Variant.STANDARD)
-    row_trees, phi_tree, _ = matrix_trees(padded)
+    rows, phi, n, t, result = _setup(a, cfg, Variant.STANDARD)
     b = CircuitBuilder()
     data = b.allocate("data", n)
     if cfg.method is Method.FIXED_PRECISION:
         dblock = b.allocate("dblock", fixed_data_width(n, t))
         control = b.allocate("control", n)
         legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
-                          row_trees, phi_tree, n, t, cfg)
+                          rows, phi, n, t, cfg)
         b.begin_stage("leg1_sp_phi")
         b.extend(legs.phi_init + legs.sp_ops + legs.phi_init)
         _register_swap(b, data, control)
@@ -229,13 +219,12 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         flag = b.allocate("flag", big_n - 1)
         control = b.allocate("control", n)
         leg2, plan = csp_prerotated_ops(b, data.qubits, angle.qubits,
-                                        flag.qubits, control.qubits, row_trees)
+                                        flag.qubits, control.qubits, rows)
         slots = {r: angle.qubits[r - 1] for r in range(1, big_n)}
         f_slots = {r: flag.qubits[r - 1] for r in range(1, big_n)}
         pa, pb = plan.copies[0][3], plan.copies[0][4]
         b.begin_stage("leg1_sp_phi")
-        b.extend(sp_prerotated_ops(data.qubits, slots, f_slots, pa, pb,
-                                   phi_tree))
+        b.extend(sp_prerotated_ops(data.qubits, slots, f_slots, pa, pb, phi))
         _register_swap(b, data, control)
         b.begin_stage("leg2_csp_dagger")
         b.extend(adjoint_ops(leg2))
@@ -250,8 +239,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     preparation reads, so control |0> leaves the all-zero angle tree in place
     and the whole circuit acts as the identity.
     """
-    padded, n, t, result = _setup(a, cfg, Variant.CONTROLLED)
-    row_trees, phi_tree, _ = matrix_trees(padded)
+    rows, phi, n, t, result = _setup(a, cfg, Variant.CONTROLLED)
     d = fixed_data_width(n, t)
 
     b = CircuitBuilder()
@@ -262,79 +250,29 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     control = b.allocate("control", n)
     pool = b.allocate("cswap_pool", 2 * max(d, n))
     legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
-                      row_trees, phi_tree, n, t, cfg)
+                      rows, phi, n, t, cfg, load_block=stage.qubits)
     staged_cswap = parallel_cswap_clean(
         control=ctrl[0], pairs=tuple(zip(dblock.qubits, stage.qubits)),
         ancillas=pool.qubits[: 2 * d])
 
-    stage_init = fixed_rows_for_trees([phi_tree], t)[0]
-    stage_x = [Gate(GateKind.X, (stage[i],)) for i, bit in enumerate(stage_init)
-               if bit]
     b.begin_stage("leg1_sp_phi")
-    b.extend(stage_x)
+    b.extend(legs.phi_init)
     b.add(staged_cswap)
     b.extend(legs.sp_ops)
     b.add(staged_cswap)
-    b.extend(stage_x)
+    b.extend(legs.phi_init)
     b.begin_stage("register_swap")
     b.add(parallel_cswap_clean(control=ctrl[0],
                                pairs=tuple(zip(data.qubits, control.qubits)),
                                ancillas=pool.qubits[2: 2 + 2 * n]))
     b.begin_stage("leg2")
-    load_into_stage = _retarget_load(legs, stage.qubits, dblock.qubits)
-    b.extend(load_into_stage)
+    b.extend(legs.load_ops)
     b.add(staged_cswap)
     b.extend(adjoint_ops(legs.sp_ops))
     b.add(staged_cswap)
-    b.extend(adjoint_ops(load_into_stage))
+    b.extend(adjoint_ops(legs.load_ops))
     return result(circuit=b.build(), in_qubits=control.qubits,
                   control_qubits=ctrl.qubits)
-
-
-def _retarget_load(legs, stage_qubits, dblock_qubits):
-    """Rebuild the LOAD ops with the data register redirected to staging."""
-    remap = dict(zip(dblock_qubits, stage_qubits))
-    return [_remap_op(op, remap) for op in legs.load_ops]
-
-
-def _remap_op(op, remap):
-    if isinstance(op, Gate):
-        return Gate(op.kind, tuple(remap.get(q, q) for q in op.targets),
-                    tuple((remap.get(q, q), p) for q, p in op.controls),
-                    op.angle)
-    return Macro(op.kind, op.params, stored_gates,
-                 (tuple(_remap_op(g, remap) for g in op.expansion),),
-                 op.t_count, op.t_depth, op.extra_ancillas,
-                 tuple(remap.get(q, q) for q in op.footprint))
-
-
-def symmetric_family_trees(a):
-    """Controlled-state-preparation trees for the symmetrized encoding.
-
-    With M = 2^m >= N and ell = m + 1, control value i < M selects the i-th
-    row state on indices M..M+N-1; M <= i < M+N selects the row-norm state on
-    indices 0..M-1; larger i select the all-zero tree.
-    """
-    a = np.asarray(a, dtype=float)
-    m_rows, n_cols = a.shape
-    ell = (m_rows.bit_length() - 1) + 1
-    dim = 1 << ell
-    row_norms = np.linalg.norm(a, axis=1)
-    trees = []
-    for i in range(dim):
-        vec = np.zeros(dim)
-        if i < m_rows:
-            if np.any(a[i]):
-                vec[m_rows: m_rows + n_cols] = a[i]
-                trees.append(build_tree(vec, ell))
-            else:
-                trees.append(zero_tree(ell))
-        elif i < m_rows + n_cols:
-            vec[:m_rows] = row_norms
-            trees.append(build_tree(vec, ell))
-        else:
-            trees.append(zero_tree(ell))
-    return trees, ell
 
 
 def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
@@ -343,14 +281,19 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     Both legs are the same controlled-state preparation over the symmetrized
     state family; normalization stays ||A||_F (not 2||A||_F).
     """
-    padded, ell, t, result = _setup(a, cfg, Variant.SYMMETRIC)
-    trees, _ = symmetric_family_trees(padded)
+    rows, phi, ell, t, result = _setup(a, cfg, Variant.SYMMETRIC)
+    # Control value i < M selects row i on indices M..M+N-1, M <= i < M+N
+    # the row-norm state on indices 0..M-1, and larger i the zero vector.
+    m_rows, n_cols = rows.shape
+    family = np.zeros((1 << ell, 1 << ell))
+    family[:m_rows, m_rows: m_rows + n_cols] = rows
+    family[m_rows: m_rows + n_cols, :m_rows] = phi
     b = CircuitBuilder()
     data = b.allocate("data", ell)
     dblock = b.allocate("dblock", fixed_data_width(ell, t))
     control = b.allocate("control", ell)
     legs = _FixedLegs(b, data.qubits, dblock.qubits, control.qubits,
-                      trees, None, ell, t, cfg)
+                      family, None, ell, t, cfg)
     csp = legs.load_ops + legs.sp_ops + adjoint_ops(legs.load_ops)
     b.begin_stage("csp")
     b.extend(csp)

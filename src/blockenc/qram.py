@@ -20,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
 from .decomp import (
     and_toffoli,
     controlled_ry_gates,
     canonical_ry_halves,
+    match_controls,
     parallel_cswap_clean,
     parallel_cswap_phase_incorrect_gates,
     unary_select,
@@ -50,7 +53,7 @@ class LoadSpec:
     data_width: int
     lam: int
     model: QramModel
-    rows: tuple = ()     # 2^n rows of data_width bits (ss/bb)
+    rows: object = ()    # (2^n, data_width) 0/1 array (ss/bb)
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,16 +64,21 @@ class LoadSpec:
             raise ConfigurationError("the flags model requires lambda = n")
         if self.data_width < 1:
             raise ConfigurationError("data width must be >= 1")
-        if self.model is not QramModel.FLAGS:
-            if len(self.rows) != 1 << self.n:
-                raise ConfigurationError(f"expected 2^{self.n} data rows")
-            for row in self.rows:
-                if len(row) != self.data_width:
-                    raise ConfigurationError("ragged data row")
+        if self.model is not QramModel.FLAGS \
+                and np.shape(self.rows) != (1 << self.n, self.data_width):
+            raise ConfigurationError(
+                f"expected 2^{self.n} data rows of {self.data_width} bits")
 
     @property
     def select_bits(self):
         return self.n - self.lam
+
+
+def _halving_pairs(slots, k):
+    """Slot pairs (c, c + 2^k) of one swap-network column, c a multiple
+    of 2^(k+1): the column that halves the live slots at stride 2^k."""
+    return [(slots[c], slots[c + (1 << k)])
+            for c in range(0, len(slots), 2 << k)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +104,26 @@ class SelectSwapLoad:
 
     def build_ops(self):
         spec = self.spec
-        n, d, lam = spec.n, spec.data_width, spec.lam
-        s = spec.select_bits
-        n_slots = 1 << lam
-        ops = []
+        lam, s = spec.lam, spec.select_bits
         # Select: write row (i * 2^lam + c) into slot c for select value i.
+        all_slots = tuple(q for slot in self.slots for q in slot)
+        marked = np.asarray(spec.rows, dtype=bool).reshape(1 << s, -1)
+        # An object array hands out the slots' own int objects, which the
+        # write rows then share instead of holding one new int per bit.
+        slot_qubits = np.array(all_slots, dtype=object)
+        write_rows = [tuple(slot_qubits[m]) for m in marked]
         if s == 0:
-            for c in range(n_slots):
-                for q, bit in zip(self.slots[c], spec.rows[c]):
-                    if bit:
-                        ops.append(Gate(GateKind.X, (q,)))
+            ops = [Gate(GateKind.X, (q,)) for q in write_rows[0]]
         else:
-            write_rows = []
-            for i in range(1 << s):
-                targets = []
-                for c in range(n_slots):
-                    row = spec.rows[i * n_slots + c]
-                    targets.extend(q for q, bit in zip(self.slots[c], row) if bit)
-                write_rows.append(tuple(targets))
-            all_slots = tuple(q for slot in self.slots for q in slot)
-            ops.append(unary_select(
+            ops = [unary_select(
                 select_qubits=self.addr[:s], write_rows=write_rows,
                 ancillas=self.select_anc.qubits if self.select_anc else None,
-                footprint=all_slots))
+                footprint=all_slots)]
         # Swap: move slot j_low to slot 0, low stride first.
         for k in range(lam):
             ctrl = self.addr[s + (lam - 1 - k)]
-            pairs = []
-            for c in range(0, n_slots, 1 << (k + 1)):
-                pairs.extend(zip(self.slots[c], self.slots[c + (1 << k)]))
+            pairs = [qp for a, b in _halving_pairs(self.slots, k)
+                     for qp in zip(a, b)]
             ops.extend(parallel_cswap_phase_incorrect_gates(((ctrl, True),), pairs))
         return ops
 
@@ -204,11 +203,10 @@ class BucketBrigadeLoad:
         """Z imprints of one iteration's rows on the routed leaves."""
         lam = self.spec.lam
         ops = []
-        for leaf in range(1 << lam):
+        for leaf, row in enumerate(subset_rows):
             leaf_qubits = self.anc_d if lam == 0 else self._path(lam, leaf)
-            for q, bit in zip(leaf_qubits, subset_rows[leaf]):
-                if bit:
-                    ops.append(Gate(GateKind.Z, (q,)))
+            ops.extend(Gate(GateKind.Z, (leaf_qubits[i],))
+                       for i in np.flatnonzero(row))
         return ops
 
     def build_ops(self):
@@ -223,9 +221,7 @@ class BucketBrigadeLoad:
         def match_gate(value):
             if s == 0:
                 return Gate(GateKind.X, (self.flag,))
-            controls = tuple((q, bool((value >> (s - 1 - i)) & 1))
-                             for i, q in enumerate(sel))
-            return Gate(GateKind.MCX, (self.flag,), controls)
+            return Gate(GateKind.MCX, (self.flag,), match_controls(sel, value))
 
         in_pairs = tuple(zip(self.addr[s:], self.anc_lam.qubits if self.anc_lam else ())) \
             + tuple(zip(self.bus, self.anc_d))
@@ -313,17 +309,9 @@ class FlagLoad:
     def _network_columns(self, slots_of_copy):
         """The swap network W (low stride first) bringing slot j to slot 0."""
         n = self.spec.n
-        cols = []
-        for k in range(n):
-            ctrl = self.addr[n - 1 - k]
-            per_copy = []
-            for slots in slots_of_copy:
-                pairs = []
-                for c in range(0, 1 << n, 1 << (k + 1)):
-                    pairs.append((slots[c], slots[c + (1 << k)]))
-                per_copy.append(pairs)
-            cols.append((ctrl, per_copy))
-        return cols
+        return [(self.addr[n - 1 - k],
+                 [_halving_pairs(slots, k) for slots in slots_of_copy])
+                for k in range(n)]
 
     def build_ops(self, static_flags_one=False):
         spec = self.spec

@@ -23,7 +23,6 @@ from .encoding import (
 )
 from .qram import LoadSpec, QramModel, build_load_bb, build_load_ss, build_loadf
 from .stateprep import build_sp_fixed, build_sp_prerotated
-from .angle_tree import build_tree
 
 
 def _report(qubits, t_depth, t_count):
@@ -421,12 +420,7 @@ def cross_validate(counted: ResourceReport, formula: str,
 
 
 def _random_rows(rng, count, width):
-    return tuple(tuple(int(b) for b in rng.integers(0, 2, width))
-                 for _ in range(count))
-
-
-def _random_tree(rng, n):
-    return build_tree(rng.standard_normal(1 << n), n)
+    return np.array([rng.integers(0, 2, width) for _ in range(count)])
 
 
 def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
@@ -467,13 +461,13 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                     counted, "loadf", {"n": n, "d": d, "ry": ry}))
 
     for n in n_values:
-        tree = _random_tree(rng, n)
+        vector = rng.standard_normal(1 << n)
         for t in t_values:
-            circuit = build_sp_fixed(tree, t)
+            circuit = build_sp_fixed(vector, t)
             for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
                     counted, "sp_fixed", {"n": n, "t": t, "ry": ry}))
-        circuit = build_sp_prerotated(tree)
+        circuit = build_sp_prerotated(vector)
         for ry, counted in per_ry(circuit):
             verdicts.append(cross_validate(
                 counted, "sp_prerotated", {"n": n, "ry": ry}))

@@ -17,23 +17,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
 from .decomp import (
+    TWO_PI,
     controlled_ry_gates,
     parallel_cswap_clean,
     parallel_cswap_phase_incorrect_gates,
 )
-from .angle_tree import (
-    AngleTree,
-    prerotated_leaves,
-    quantized_tree_bits,
-)
-from .qram import (
-    ConfigurationError,
-    FlagLoad,
-    LoadSpec,
-    QramModel,
-)
+from .angle_tree import heap_angles, prerotated_angles
+from .qram import FlagLoad, LoadSpec, QramModel
 
 
 def s_column_spec(n, p):
@@ -98,17 +92,9 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
     return ops
 
 
-def fixed_init_ops(a_slots, s_block, bits, signs):
-    """Clifford X layer writing the quantized angles and signs."""
-    ops = []
-    for r, bit_string in enumerate(bits, start=1):
-        for i, b in enumerate(bit_string):
-            if b == "1":
-                ops.append(Gate(GateKind.X, (a_slots[r][i],)))
-    for j, s in enumerate(signs):
-        if s:
-            ops.append(Gate(GateKind.X, (s_block[j],)))
-    return ops
+def fixed_init_ops(block, row):
+    """Clifford X layer writing one LOAD row into a fixed-precision block."""
+    return [Gate(GateKind.X, (block[i],)) for i in np.flatnonzero(row)]
 
 
 def fixed_data_width(n, t):
@@ -127,18 +113,18 @@ def fixed_slots(block, n, t):
     return a_slots, tuple(block[(big_n - 1) * t:])
 
 
-def build_sp_fixed(tree: AngleTree, t: int):
-    """Standalone fixed-precision state preparation for one tree."""
+def build_sp_fixed(vector, t: int):
+    """Standalone fixed-precision state preparation of one vector."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    n = tree.n
+    n = len(vector).bit_length() - 1
     b = CircuitBuilder()
     data = b.allocate("data", n)
     angle = b.allocate("angle", ((1 << n) - 1) * t)
     sign = b.allocate("sign", 1 << n)
-    a_slots, s_block = fixed_slots(angle.qubits + sign.qubits, n, t)
-    bits, signs = quantized_tree_bits(tree, t)
-    init = fixed_init_ops(a_slots, s_block, bits, signs)
+    block = angle.qubits + sign.qubits
+    a_slots, s_block = fixed_slots(block, n, t)
+    init = fixed_init_ops(block, fixed_rows_for_trees([vector], t)[0])
     b.begin_stage("init")
     b.extend(init)
     b.begin_stage("sp")
@@ -187,33 +173,33 @@ def flag_dagger_ops(data, f_slots, n, pool):
     return ops
 
 
-def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, tree: AngleTree):
-    """Garbage-free pre-rotated SP body over existing angle/flag registers."""
-    n = tree.n
+def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
+    """Garbage-free pre-rotated SP body over existing angle/flag registers,
+    preparing the one row of ``vectors``."""
+    n = len(data)
     big_n = 1 << n
-    folded = {leaf.r: leaf.folded_angle() for leaf in prerotated_leaves(tree)}
+    folded = prerotated_angles(vectors)[0].tolist()
     ops = []
-    for r in range(1, big_n):
+    for r, theta in enumerate(folded, start=1):
         # Two half-angle rotations: the synthesized form H*H of one V_r.
-        half = folded[r] / 2.0
-        ops.append(Gate(GateKind.RY, (slots[r],), (), half))
-        ops.append(Gate(GateKind.RY, (slots[r],), (), half))
+        ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
+        ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
     ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
     fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
     ops.extend(fwd)
     ops.extend(adjoint_ops(s_ops))
     fdg = flag_dagger_ops(data, f_slots, n, pool_b)
     ops.extend(adjoint_ops(fdg))
-    for r in range(1, big_n):
-        ops.extend(controlled_ry_gates(-folded[r], (f_slots[r],), slots[r]))
+    for r, theta in enumerate(folded, start=1):
+        ops.extend(controlled_ry_gates(-theta, (f_slots[r],), slots[r]))
     ops.extend(flag_dagger_ops(data, f_slots, n, pool_b))
     ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
     return ops
 
 
-def build_sp_prerotated(tree: AngleTree):
-    """Standalone garbage-free pre-rotated state preparation."""
-    n = tree.n
+def build_sp_prerotated(vector):
+    """Standalone garbage-free pre-rotated state preparation of one vector."""
+    n = len(vector).bit_length() - 1
     big_n = 1 << n
     b = CircuitBuilder()
     data = b.allocate("data", n)
@@ -227,7 +213,7 @@ def build_sp_prerotated(tree: AngleTree):
     b.extend(sp_prerotated_ops(
         data.qubits, slots, f_slots,
         pool_a.qubits if pool_a else (), pool_b.qubits if pool_b else (),
-        tree))
+        [vector]))
     return b.build()
 
 
@@ -235,37 +221,21 @@ def build_sp_prerotated(tree: AngleTree):
 # Controlled state preparation
 # ---------------------------------------------------------------------------
 
-def fixed_rows_for_trees(trees, t):
-    """Classical LOAD rows: per control value, angle bits then sign bits."""
-    rows = []
-    for tree in trees:
-        bits, signs = quantized_tree_bits(tree, t)
-        row = []
-        for bs in bits:
-            row.extend(1 if c == "1" else 0 for c in bs)
-        row.extend(signs)
-        rows.append(tuple(row))
-    return rows
+def fixed_rows_for_trees(vectors, t):
+    """LOAD bit rows of a (K, 2^n) array of amplitude vectors, as a (K, D)
+    uint8 array in the data-block layout: each heap-order angle rounded to
+    the nearest multiple of 2*pi/2^t (ties up) as t bits, MSB first, then
+    the 2^n sign bits."""
+    vectors = np.asarray(vectors, dtype=float)
+    steps = np.floor(heap_angles(vectors) * 2.0 ** t / TWO_PI + 0.5)
+    bits = np.empty(steps.shape + (t,), dtype=np.uint8)
+    for j in range(t):
+        bits[:, :, j] = np.floor(steps / 2.0 ** (t - 1 - j)) % 2
+    return np.concatenate([bits.reshape(len(vectors), -1), vectors < 0],
+                          axis=1)
 
 
-def _check_trees(trees):
-    n = trees[0].n
-    if any(tr.n != n for tr in trees):
-        raise ConfigurationError("all trees must share one depth")
-    if len(trees) != 1 << n:
-        raise ConfigurationError("need one tree per control value")
-    return n
-
-
-def prerotated_thetas_for_trees(trees):
-    """LOADF angle table: thetas[k][r-1] = folded angle r of tree k."""
-    table = []
-    for tree in trees:
-        table.append(tuple(leaf.folded_angle() for leaf in prerotated_leaves(tree)))
-    return table
-
-
-def csp_prerotated_ops(builder, data, angle, flag, control, trees):
+def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     """Controlled pre-rotated SP ops over existing block registers.
 
     Allocates the per-copy LOADF blocks on the builder and returns
@@ -273,12 +243,11 @@ def csp_prerotated_ops(builder, data, angle, flag, control, trees):
     (singly-controlled rotations) while the reverse leg keeps the
     doubly-controlled form, whose flag controls skip the injected slots.
     """
-    n = _check_trees(trees)
+    n = len(data)
     big_n = 1 << n
-    thetas = prerotated_thetas_for_trees(trees)
     spec = LoadSpec(n=n, data_width=big_n - 1, lam=n, model=QramModel.FLAGS)
-    plan = FlagLoad(builder, control, spec, thetas, flags=flag,
-                    angle_slot0=angle)
+    plan = FlagLoad(builder, control, spec, prerotated_angles(vectors),
+                    flags=flag, angle_slot0=angle)
     slots = {r: angle[r - 1] for r in range(1, big_n)}
     f_slots = {r: flag[r - 1] for r in range(1, big_n)}
     pa = plan.copies[0][3]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from blockenc.angle_tree import (
-    build_tree,
     qnorm_profile,
     qnorm_targets,
     reconstruct_state,
@@ -164,10 +163,9 @@ def test_criterion_4_state_preparation_accuracy():
     for n in (1, 2, 3):
         for trial in range(50):
             beta = rng.standard_normal(1 << n)
-            tree = build_tree(beta, n)
-            target = reconstruct_state(tree)
+            target = reconstruct_state([beta])[0]
             for t in (4, 8):
-                c = build_sp_fixed(tree, t)
+                c = build_sp_fixed(beta, t)
                 data = c.register("data").qubits
                 anc = [q for q in range(c.total_qubits) if q not in data]
                 st = SparseState.basis(c.total_qubits, 0).run(c)
@@ -179,7 +177,7 @@ def test_criterion_4_state_preparation_accuracy():
                 ok &= err <= bound + 1e-12
                 ok &= check_clean(st, anc)
                 worst_fixed = max(worst_fixed, err / bound)
-            c = build_sp_prerotated(tree)
+            c = build_sp_prerotated(beta)
             data = c.register("data").qubits
             anc = [q for q in range(c.total_qubits) if q not in data]
             st = SparseState.basis(c.total_qubits, 0).run(c)

@@ -1,4 +1,4 @@
-"""Angle-tree preprocessing: trees, quantization, norms, target states."""
+"""Classical preprocessing: angles, bit rows, folded angles, norms, targets."""
 import math
 import tracemalloc
 
@@ -10,158 +10,246 @@ from hypothesis import strategies as st
 from blockenc.angle_tree import (
     DegenerateInputError,
     _power_sum,
-    build_tree,
+    heap_angles,
     matrix_trees,
     pad_to_power_of_two,
-    prerotated_leaves,
+    prerotated_angles,
     qnorm_profile,
     qnorm_targets,
-    quantize_angle,
     reconstruct_state,
+    scaled_frobenius,
     symmetrized_targets,
-    zero_tree,
 )
+from blockenc.stateprep import fixed_rows_for_trees
+
+
+def angle_values(vector, t):
+    """The quantized angles a LOAD row holds, decoded from its bits."""
+    n = len(vector).bit_length() - 1
+    bits = fixed_rows_for_trees([vector], t)[0][: ((1 << n) - 1) * t]
+    steps = [int("".join(map(str, bits[i: i + t])), 2)
+             for i in range(0, len(bits), t)]
+    return np.array(steps) * 2 * math.pi / 2 ** t
 
 
 def test_build_tree_34():
-    tree = build_tree([0.6, 0.8], 1)
-    assert abs(tree.nodes[1][0] - 0.36) < 1e-12
-    assert abs(tree.nodes[1][1] - 0.64) < 1e-12
-    assert abs(tree.root - 1.0) < 1e-12
-    assert abs(tree.angle(1) - 2 * math.acos(0.6)) < 1e-12
+    assert abs(heap_angles([[0.6, 0.8]])[0, 0] - 2 * math.acos(0.6)) < 1e-12
+    assert np.abs(reconstruct_state([[0.6, 0.8]])[0] - [0.6, 0.8]).max() \
+        < 1e-12
 
 
 def test_build_tree_uniform_angles():
-    tree = build_tree([0.5] * 4, 2)
-    for r in (1, 2, 3):
-        assert abs(tree.angle(r) - math.pi / 2) < 1e-12
+    assert np.abs(heap_angles([[0.5] * 4]) - math.pi / 2).max() < 1e-12
 
 
 def test_build_tree_basis_state():
-    tree = build_tree([1, 0, 0, 0], 2)
-    assert tree.angle(1) == 0.0
-    assert tree.angle(2) == 0.0
+    angles = heap_angles([[1, 0, 0, 0]])[0]
+    assert angles[0] == 0.0
+    assert angles[1] == 0.0
 
 
 def test_build_tree_rejects_zero():
     with pytest.raises(DegenerateInputError):
-        build_tree([0.0, 0.0], 1)
+        matrix_trees(np.zeros((2, 2)))
 
 
 def test_parent_is_sum_of_children_property():
+    """Each angle splits its node's weight between the two children."""
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        tree = build_tree(rng.standard_normal(1 << n), n)
+        beta = rng.standard_normal(1 << n)
+        angles = heap_angles([beta])[0]
+        weight = beta ** 2
         for w in range(n):
-            for i in range(1 << w):
-                parent = tree.nodes[w][i]
-                left = tree.nodes[w + 1][2 * i]
-                right = tree.nodes[w + 1][2 * i + 1]
-                assert abs(parent - left - right) < 1e-10 * max(1, parent)
+            nodes = weight.reshape(1 << w, -1)
+            left = nodes[:, : nodes.shape[1] // 2].sum(axis=1)
+            share = np.cos(angles[(1 << w) - 1: (2 << w) - 1] / 2) ** 2
+            assert np.abs(left - share * nodes.sum(axis=1)).max() \
+                < 1e-10 * max(1, weight.sum())
 
 
 def test_angles_heap_order_and_signs():
-    tree = build_tree(np.array([1.0, -1.0]) / math.sqrt(2), 1)
-    assert abs(tree.angle(1) - math.pi / 2) < 1e-12
-    assert tree.signs == (0, 1)
-    tree = build_tree(np.array([3.0, 0.0, 4.0, 0.0]) / 5.0, 2)
-    assert abs(tree.angle(1) - 2 * math.acos(0.6)) < 1e-9
-    assert tree.angle(2) == 0.0
-    assert tree.angle(3) == 0.0
+    beta = np.array([1.0, -1.0]) / math.sqrt(2)
+    assert abs(heap_angles([beta])[0, 0] - math.pi / 2) < 1e-12
+    assert list(fixed_rows_for_trees([beta], 3)[0][-2:]) == [0, 1]
+    angles = heap_angles([np.array([3.0, 0.0, 4.0, 0.0]) / 5.0])[0]
+    assert abs(angles[0] - 2 * math.acos(0.6)) < 1e-9
+    assert angles[1] == 0.0
+    assert angles[2] == 0.0
 
 
 def test_reconstruct_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(30):
         n = int(rng.integers(1, 4))
-        beta = rng.standard_normal(1 << n)
-        tree = build_tree(beta, n)
-        got = reconstruct_state(tree)
-        want = beta / np.linalg.norm(beta)
+        beta = rng.standard_normal((2, 1 << n))
+        got = reconstruct_state(beta)
+        want = beta / np.linalg.norm(beta, axis=1)[:, None]
         assert np.abs(got - want).max() < 1e-12
 
 
 def test_reconstruct_signed_example():
     beta = np.array([1.0, -2.0, 3.0, -4.0])
-    got = reconstruct_state(build_tree(beta, 2))
+    got = reconstruct_state([beta])[0]
     assert np.abs(got - beta / np.linalg.norm(beta)).max() < 1e-12
 
 
 def test_quantize_examples():
-    q = quantize_angle(math.pi / 2, 3)
-    assert q.bits == "010"
-    assert abs(q.value - math.pi / 2) < 1e-12
-    q = quantize_angle(math.pi, 2)
-    assert q.bits == "10"
-    assert abs(q.value - math.pi) < 1e-12
-    q = quantize_angle(1.0, 8)
-    assert q.integer == 41
-    assert abs(q.value - 1.0) < math.pi * 2 ** -8
+    # theta_1 = pi/2, then pi, then 2 acos(1/sqrt(1 + tan(1/2)^2)) = 1.
+    assert list(fixed_rows_for_trees([[1.0, 1.0]], 3)[0]) == [0, 1, 0, 0, 0]
+    assert abs(angle_values([1.0, 1.0], 3)[0] - math.pi / 2) < 1e-12
+    assert list(fixed_rows_for_trees([[0.0, 1.0]], 2)[0]) == [1, 0, 0, 0]
+    assert abs(angle_values([0.0, 1.0], 2)[0] - math.pi) < 1e-12
+    vector = [1.0, math.tan(0.5)]
+    assert abs(heap_angles([vector])[0, 0] - 1.0) < 1e-12
+    assert int("".join(map(str, fixed_rows_for_trees([vector], 8)[0][:8])),
+               2) == 41
+    assert abs(angle_values(vector, 8)[0] - 1.0) < math.pi * 2 ** -8
 
 
 def test_quantization_error_bound_property():
     rng = np.random.default_rng(3)
-    for _ in range(10000):
-        theta = float(rng.uniform(0, math.pi))
+    for _ in range(2000):
+        n = int(rng.integers(1, 4))
         t = int(rng.integers(1, 16))
-        q = quantize_angle(theta, t)
-        assert abs(theta - q.value) <= math.pi * 2.0 ** -t + 1e-15
+        vector = rng.standard_normal(1 << n)
+        err = np.abs(heap_angles([vector])[0] - angle_values(vector, t))
+        assert err.max() <= math.pi * 2.0 ** -t + 1e-15
 
 
 def test_prerotated_leaves_uniform():
-    tree = build_tree([0.5] * 4, 2)
-    for leaf in prerotated_leaves(tree):
-        assert abs(leaf.amp0 - math.cos(math.pi / 4)) < 1e-12
-        assert abs(leaf.amp1 - math.sin(math.pi / 4)) < 1e-12
+    theta = prerotated_angles([[0.5] * 4])[0]
+    assert np.abs(np.cos(theta / 2) - math.cos(math.pi / 4)).max() < 1e-12
+    assert np.abs(np.sin(theta / 2) - math.sin(math.pi / 4)).max() < 1e-12
 
 
 def test_prerotated_leaves_sign_folding():
     beta = np.array([1.0, -1.0, 1.0, 1.0]) / 2.0
-    leaves = {leaf.r: leaf for leaf in prerotated_leaves(build_tree(beta, 2))}
-    assert abs(leaves[2].amp0 - math.cos(math.pi / 4)) < 1e-12
-    assert abs(leaves[2].amp1 + math.sin(math.pi / 4)) < 1e-12
-    # folded angle reproduces the signed amplitudes exactly
-    th = leaves[2].folded_angle()
-    assert abs(math.cos(th / 2) - leaves[2].amp0) < 1e-12
-    assert abs(math.sin(th / 2) - leaves[2].amp1) < 1e-12
+    theta = prerotated_angles([beta])[0]
+    # leaf angle 2 carries the signs of amplitudes 0 and 1
+    assert abs(math.cos(theta[1] / 2) - math.cos(math.pi / 4)) < 1e-12
+    assert abs(math.sin(theta[1] / 2) + math.sin(math.pi / 4)) < 1e-12
+    assert 0 <= theta.min() and theta.max() < 4 * math.pi
 
 
 def test_prerotated_basis_leaf():
-    leaves = {leaf.r: leaf for leaf in
-              prerotated_leaves(build_tree([1, 0, 0, 0], 2))}
-    assert leaves[1].amp0 == 1.0
-    assert leaves[1].amp1 == 0.0
+    theta = prerotated_angles([[1, 0, 0, 0]])[0]
+    assert math.cos(theta[0] / 2) == 1.0
+    assert math.sin(theta[0] / 2) == 0.0
 
 
 def test_matrix_trees_identity():
-    row_trees, phi_tree, alpha = matrix_trees(np.eye(2))
+    rows, phi, alpha = matrix_trees(np.eye(2))
     assert abs(alpha - math.sqrt(2)) < 1e-12
-    assert np.abs(reconstruct_state(row_trees[0]) - [1, 0]).max() < 1e-12
-    assert np.abs(reconstruct_state(row_trees[1]) - [0, 1]).max() < 1e-12
+    assert np.abs(reconstruct_state(rows) - np.eye(2)).max() < 1e-12
     uniform = 1 / math.sqrt(2)
-    assert np.abs(reconstruct_state(phi_tree) - [uniform, uniform]).max() < 1e-12
+    assert np.abs(reconstruct_state(phi) - [uniform, uniform]).max() < 1e-12
 
 
 def test_matrix_trees_1234():
-    row_trees, phi_tree, alpha = matrix_trees(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    _, phi, alpha = matrix_trees(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert abs(alpha - math.sqrt(30)) < 1e-12
     want = np.array([math.sqrt(5), math.sqrt(25)]) / math.sqrt(30)
-    assert np.abs(reconstruct_state(phi_tree) - want).max() < 1e-12
+    assert np.abs(reconstruct_state(phi)[0] - want).max() < 1e-12
 
 
 def test_matrix_trees_zero_row():
-    row_trees, _, _ = matrix_trees(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert row_trees[0].is_zero()
-    assert row_trees[0].angle(1) == 0.0
+    rows, _, _ = matrix_trees(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert not np.any(rows[0])
+    assert heap_angles(rows)[0, 0] == 0.0
 
 
 def test_frobenius_identity_property():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = rng.standard_normal((4, 4))
-        _, phi_tree, alpha = matrix_trees(a)
-        assert abs(phi_tree.root - alpha ** 2) < 1e-10 * alpha ** 2
+        _, phi, alpha = matrix_trees(a)
+        assert abs(alpha - np.linalg.norm(a)) < 1e-12 * alpha
+        want = np.linalg.norm(a, axis=1) / alpha
+        assert np.abs(reconstruct_state(phi)[0] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -660, 2.0 ** 660])
+def test_tiny_and_huge_matrices_scale_exactly(scale):
+    a = np.random.default_rng(9).standard_normal((4, 4))
+    rows, phi, alpha = matrix_trees(a * scale)
+    ref_rows, ref_phi, ref_alpha = matrix_trees(a)
+    assert alpha / scale == ref_alpha
+    assert np.array_equal(heap_angles(rows), heap_angles(ref_rows))
+    assert np.array_equal(heap_angles(phi), heap_angles(ref_phi))
+    assert scaled_frobenius(np.full((2, 2), 1e308))[1] == math.inf
+
+
+# Per-node reference: the definitions, one node and one bit at a time.
+
+def _reference(vector, t):
+    """(heap angles, LOAD bit row, signed leaf amplitudes, tie distances)."""
+    big_n = len(vector)
+    weight = [float(x) * float(x) for x in vector]
+
+    def node(r):
+        w = r.bit_length() - 1
+        span = big_n >> w
+        lo = (r - (1 << w)) * span
+        level = weight[lo: lo + span]
+        while len(level) > 1:
+            level = [level[i] + level[i + 1] for i in range(0, len(level), 2)]
+        return level[0]
+
+    angles, bits, amps, ties = [], [], [], []
+    for r in range(1, big_n):
+        parent = node(r)
+        ratio = min(1.0, max(0.0, node(2 * r) / parent)) if parent > 0 else 1.0
+        theta = 2.0 * math.acos(math.sqrt(ratio))
+        angles.append(theta)
+        x = theta * 2 ** t / (2 * math.pi) + 0.5
+        ties.append(abs(x - round(x)))
+        bits.extend(int(c) for c in format(math.floor(x), f"0{t}b"))
+        amp0, amp1 = math.cos(theta / 2), math.sin(theta / 2)
+        if 2 * r >= big_n:
+            amp0 *= -1.0 if vector[2 * r - big_n] < 0 else 1.0
+            amp1 *= -1.0 if vector[2 * r - big_n + 1] < 0 else 1.0
+        amps.append((amp0, amp1))
+    bits.extend(1 if x < 0 else 0 for x in vector)
+    return angles, bits, amps, ties
+
+
+_AMPLITUDE = st.one_of(st.floats(-10.0, 10.0, allow_subnormal=False),
+                       st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 1e-300]))
+
+
+@st.composite
+def _vector_arrays(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 4))
+    flat = draw(st.lists(_AMPLITUDE, min_size=count << n,
+                         max_size=count << n))
+    vectors = np.array(flat).reshape(count, 1 << n)
+    zero_rows = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    vectors[np.array(zero_rows)] = 0.0
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=_vector_arrays(), t=st.integers(1, 12))
+def test_array_functions_match_per_node_reference(vectors, t):
+    angles = heap_angles(vectors)
+    rows = fixed_rows_for_trees(vectors, t)
+    folded = prerotated_angles(vectors)
+    assert rows.dtype == np.uint8
+    for k, vector in enumerate(vectors):
+        want_angles, want_bits, want_amps, ties = _reference(vector, t)
+        assert np.abs(angles[k] - want_angles).max() <= 1e-12
+        # Two acos implementations may round a tie either way.
+        near_tie = np.repeat(np.array(ties) < 1e-9, t)
+        got_bits = rows[k][: len(near_tie)]
+        want = np.array(want_bits[: len(near_tie)])
+        assert np.array_equal(got_bits[~near_tie], want[~near_tie])
+        assert list(rows[k][len(near_tie):]) == want_bits[len(near_tie):]
+        cos, sin = np.cos(folded[k] / 2), np.sin(folded[k] / 2)
+        assert np.abs(cos - [a for a, _ in want_amps]).max() <= 1e-12
+        assert np.abs(sin - [b for _, b in want_amps]).max() <= 1e-12
 
 
 def test_pad_to_power_of_two():
@@ -378,6 +466,5 @@ def test_symmetrized_targets_match_loop_reference(a):
 
 
 def test_zero_tree_convention():
-    tree = zero_tree(2)
-    assert tree.is_zero()
-    assert all(tree.angle(r) == 0.0 for r in (1, 2, 3))
+    assert not np.any(heap_angles(np.zeros((1, 4))))
+    assert not np.any(fixed_rows_for_trees(np.zeros((1, 4)), 3))

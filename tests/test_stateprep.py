@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blockenc.angle_tree import build_tree, reconstruct_state
+from blockenc.angle_tree import reconstruct_state
 from blockenc.circuit import Circuit, adjoint_ops, count_resources
 from blockenc.encoding import BlockEncodingConfig, Method, build_block_encoding
 from blockenc.qram import QramModel
@@ -63,23 +63,20 @@ def sp_output(circuit, n, initial=0):
 
 
 def test_sp_fixed_34_example():
-    tree = build_tree([0.6, 0.8], 1)
-    vec, clean = sp_output(build_sp_fixed(tree, 8), 1)
+    vec, clean = sp_output(build_sp_fixed([0.6, 0.8], 8), 1)
     assert clean
     assert np.abs(vec - [0.6, 0.8]).max() < math.pi * 2 ** -8
 
 
 def test_sp_fixed_uniform_exact():
-    tree = build_tree([0.5] * 4, 2)
     for t in (2, 5):
-        vec, clean = sp_output(build_sp_fixed(tree, t), 2)
+        vec, clean = sp_output(build_sp_fixed([0.5] * 4, t), 2)
         assert clean
         assert np.abs(vec - 0.5).max() < 1e-12
 
 
 def test_sp_fixed_count_example():
-    tree = build_tree(np.arange(1.0, 9.0), 3)
-    c = build_sp_fixed(tree, 4)
+    c = build_sp_fixed(np.arange(1.0, 9.0), 4)
     for ry in (10, 30):
         assert count_resources(c, ry_cost=ry).t_count == 184 + 24 * ry
 
@@ -89,30 +86,27 @@ def test_sp_fixed_rounding_bound_property():
     for n in (1, 2, 3):
         for t in (3, 5, 8):
             beta = rng.standard_normal(1 << n)
-            tree = build_tree(beta, n)
-            vec, clean = sp_output(build_sp_fixed(tree, t), n)
+            vec, clean = sp_output(build_sp_fixed(beta, t), n)
             assert clean
-            err = np.linalg.norm(vec - reconstruct_state(tree))
+            err = np.linalg.norm(vec - reconstruct_state([beta])[0])
             assert err <= n * math.pi * 2.0 ** -(t + 1) + 1e-12
 
 
 def test_sp_prerotated_examples():
-    tree = build_tree(np.array([1.0, -2.0, 3.0, -4.0]) / math.sqrt(30), 2)
-    vec, clean = sp_output(build_sp_prerotated(tree), 2)
+    beta = np.array([1.0, -2.0, 3.0, -4.0]) / math.sqrt(30)
+    vec, clean = sp_output(build_sp_prerotated(beta), 2)
     assert clean
-    assert np.linalg.norm(vec - reconstruct_state(tree)) < 1e-10
+    assert np.linalg.norm(vec - reconstruct_state([beta])[0]) < 1e-10
 
 
 def test_sp_prerotated_smallest_case():
-    tree = build_tree([0.8, -0.6], 1)
-    vec, clean = sp_output(build_sp_prerotated(tree), 1)
+    vec, clean = sp_output(build_sp_prerotated([0.8, -0.6]), 1)
     assert clean
     assert np.linalg.norm(vec - [0.8, -0.6]) < 1e-12
 
 
 def test_sp_prerotated_depth_formula():
-    tree = build_tree(np.arange(1.0, 9.0), 3)
-    rep = count_resources(build_sp_prerotated(tree), ry_cost=30)
+    rep = count_resources(build_sp_prerotated(np.arange(1.0, 9.0)), ry_cost=30)
     formula = evaluate("sp_prerotated", n=3, ry=30)
     # counted is n-1 shallower than the published stage-serial sum
     assert rep.t_depth == formula.t_depth - 2
@@ -124,10 +118,9 @@ def test_methods_agree_within_rounding():
     rng = np.random.default_rng(1)
     for n in (1, 2):
         beta = rng.standard_normal(1 << n)
-        tree = build_tree(beta, n)
         t = 8
-        fixed, _ = sp_output(build_sp_fixed(tree, t), n)
-        pre, _ = sp_output(build_sp_prerotated(tree), n)
+        fixed, _ = sp_output(build_sp_fixed(beta, t), n)
+        pre, _ = sp_output(build_sp_prerotated(beta), n)
         assert np.linalg.norm(fixed - pre) <= n * math.pi * 2.0 ** -(t + 1)
 
 
@@ -172,24 +165,24 @@ def prerotated_csp(rows):
 def test_csp_fixed_ss_n1_example():
     rng = np.random.default_rng(2)
     rows = [rng.standard_normal(2) for _ in range(2)]
-    trees = [build_tree(row, 1) for row in rows]
+    states = reconstruct_state(rows)
     c = fixed_csp(rows, t=6, lam=1)
     for k in range(2):
         vec, junk = csp_column(c, 1, k)
         assert junk < 1e-18
-        err = np.linalg.norm(vec - reconstruct_state(trees[k]))
+        err = np.linalg.norm(vec - states[k])
         assert err <= math.pi * 2.0 ** -7 + 1e-12
 
 
 def test_csp_fixed_bb_small():
     rng = np.random.default_rng(3)
     rows = [rng.standard_normal(2) for _ in range(2)]
-    trees = [build_tree(row, 1) for row in rows]
+    states = reconstruct_state(rows)
     c = fixed_csp(rows, t=3, lam=1, qram=QramModel.BUCKET_BRIGADE)
     for k in range(2):
         vec, junk = csp_column(c, 1, k)
         assert junk < 1e-18
-        assert np.linalg.norm(vec - reconstruct_state(trees[k])) <= math.pi / 16
+        assert np.linalg.norm(vec - states[k]) <= math.pi / 16
 
 
 def test_csp_fixed_superposed_control():
@@ -212,7 +205,7 @@ def test_csp_fixed_superposed_control():
 def test_csp_fixed_identical_trees_equal_plain_sp():
     row = [0.5, -0.5, 0.5, 0.5]
     c = fixed_csp([row] * 4, t=6, lam=2)
-    sp, _ = sp_output(build_sp_fixed(build_tree(row, 2), 6), 2)
+    sp, _ = sp_output(build_sp_fixed(row, 6), 2)
     for k in range(4):
         vec, junk = csp_column(c, 2, k)
         assert junk < 1e-18
@@ -226,8 +219,7 @@ def test_csp_prerotated_random_family():
     for k in range(4):
         vec, junk = csp_column(c, 2, k)
         assert junk < 1e-18
-        assert np.linalg.norm(vec - reconstruct_state(build_tree(rows[k], 2))) \
-            < 1e-9
+        assert np.linalg.norm(vec - reconstruct_state(rows)[k]) < 1e-9
 
 
 def test_csp_prerotated_basis_trees():
@@ -252,9 +244,9 @@ def test_csp_prerotated_ancilla_budget():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_published_sp_fixed_formula_matching(n):
     rng = np.random.default_rng(n)
-    tree = build_tree(rng.standard_normal(1 << n), n)
+    beta = rng.standard_normal(1 << n)
     for t in (3, 5, 8):
-        c = build_sp_fixed(tree, t)
+        c = build_sp_fixed(beta, t)
         for ry in (10, 30):
             rep = count_resources(c, ry_cost=ry)
             formula = evaluate("sp_fixed", n=n, t=t, ry=ry)
