@@ -163,9 +163,8 @@ class Macro:
 
     The declared cost follows the measurement-assisted accounting (e.g. the
     T-depth-1 Toffoli); the expansion is the measurement-free unitary used by
-    the simulator.  ``extra_ancillas`` counts scratch qubits that live outside
-    the circuit's registers; macros backed by explicit pool registers declare
-    zero.
+    the simulator.  Every qubit a macro uses, scratch qubits included, is a
+    qubit of one of the circuit's registers.
 
     A macro keeps its recipe, not its gates: ``recipe(*args)`` returns the
     forward expansion, a module-level function so that no macro holds a
@@ -175,10 +174,10 @@ class Macro:
     """
 
     __slots__ = ("kind", "params", "recipe", "args", "inverted", "t_count",
-                 "t_depth", "extra_ancillas", "footprint", "_roles")
+                 "t_depth", "footprint", "_roles")
 
     def __init__(self, kind, params, recipe, args, t_count, t_depth,
-                 extra_ancillas=0, footprint=(), inverted=False):
+                 footprint=(), inverted=False):
         self.kind = kind
         self.params = params
         self.recipe = recipe
@@ -186,7 +185,6 @@ class Macro:
         self.inverted = inverted
         self.t_count = int(t_count)
         self.t_depth = int(t_depth)
-        self.extra_ancillas = int(extra_ancillas)
         # Qubits the macro logically owns even when the classical data
         # happens to leave them untouched; keeps depth accounting
         # data-independent.
@@ -227,8 +225,8 @@ class Macro:
 
     def adjoint(self):
         inverse = Macro(self.kind, self.params, self.recipe, self.args,
-                        self.t_count, self.t_depth, self.extra_ancillas,
-                        self.footprint, not self.inverted)
+                        self.t_count, self.t_depth, self.footprint,
+                        not self.inverted)
         inverse._roles = self._classify()
         return inverse
 
@@ -238,13 +236,12 @@ class Macro:
             and self.kind == other.kind
             and self.params == other.params
             and self.expansion == other.expansion
-            and (self.t_count, self.t_depth, self.extra_ancillas)
-            == (other.t_count, other.t_depth, other.extra_ancillas)
+            and (self.t_count, self.t_depth) == (other.t_count, other.t_depth)
         )
 
     def __repr__(self):
         return (f"Macro({self.kind.value}, tc={self.t_count}, td={self.t_depth}, "
-                f"ax={self.extra_ancillas}, ng={len(self.expansion)})")
+                f"ng={len(self.expansion)})")
 
 
 def stored_gates(gates):
@@ -453,11 +450,10 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
 
     An R_y value is the Clifford+T synthesis T-count charged per RY gate
     (rotations are simulated exactly but costed at this rate).  Qubits are
-    the declared register total plus the high-water mark of macro scratch
-    ancillas whose depth intervals overlap.  The breakdown gives each
-    stage's (T-count, T-depth), counted as if the stage's ops were a
-    circuit of their own and summed over stages that share a name; it is
-    empty when the circuit has no stages.
+    the register total: every scratch qubit is a register qubit.  The
+    breakdown gives each stage's (T-count, T-depth), counted as if the
+    stage's ops were a circuit of their own and summed over stages that
+    share a name; it is empty when the circuit has no stages.
 
     One pass schedules every op, for every R_y value, on two depth
     frontiers: the circuit's and a stage-local one that restarts at each
@@ -472,9 +468,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     ops = circuit.ops
     total = circuit.total_qubits
     width = total + 1       # the last slot is the spare qubit -1
-    # Per R_y value: [ry, last_full, busy, s_full, s_busy, events].
-    states = [[ry, [0] * width, [0] * width, None, None, []]
-              for ry in ry_costs]
+    # Per R_y value: [ry, last_full, busy, s_full, s_busy].
+    states = [[ry, [0] * width, [0] * width, None, None] for ry in ry_costs]
     t_count = ry_units = 0
     stage_counts = []
     segments = []
@@ -493,8 +488,7 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
             wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
             s_units += units
-            ancillas = isinstance(op, Macro) and op.extra_ancillas
-            for ry, last_full, busy, s_full, s_busy, events in states:
+            for ry, last_full, busy, s_full, s_busy in states:
                 start = s_start = 0
                 for q in full:
                     b = busy[q]
@@ -521,14 +515,12 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
                         busy[q] = finish
                     if s_finish > s_busy[q]:
                         s_busy[q] = s_finish
-                if ancillas:
-                    events.append((start, max(finish, start + 1), ancillas))
         t_count += s_count
         ry_units += s_units
         stage_counts.append((name, s_count, s_units,
                              [max(state[4]) for state in states]))
     reports = []
-    for v, (ry, _, busy, _, _, events) in enumerate(states):
+    for v, (ry, _, busy, _, _) in enumerate(states):
         breakdown = {}
         for name, s_count, s_units, s_depths in stage_counts:
             if name is not None:
@@ -536,26 +528,9 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
                 breakdown[name] = (tc0 + s_count + s_units * ry,
                                    td0 + s_depths[v])
         reports.append(ResourceReport(
-            qubits=total + _high_water(events),
-            t_count=t_count + ry_units * ry, t_depth=max(busy),
+            qubits=total, t_count=t_count + ry_units * ry, t_depth=max(busy),
             breakdown=breakdown))
     return reports
-
-
-def _high_water(events):
-    if not events:
-        return 0
-    points = []
-    for start, finish, k in events:
-        points.append((start, k))
-        points.append((finish, -k))
-    points.sort(key=lambda p: (p[0], p[1]))
-    level = high = 0
-    for _, dk in points:
-        level += dk
-        if level > high:
-            high = level
-    return high
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +615,7 @@ def write_circuit_text(circuit: Circuit) -> str:
             fp = ",".join(str(q) for q in op.footprint) or "-"
             lines.append(
                 f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
-                f"ax={op.extra_ancillas} fp={fp} p={params or '-'} ops={body}"
+                f"fp={fp} p={params or '-'} ops={body}"
             )
     return "\n".join(lines) + "\n"
 
@@ -664,8 +639,7 @@ def _parse_macro(fields, chunks):
     if attrs.get("fp", "-") != "-":
         footprint = tuple(int(x) for x in attrs["fp"].split(","))
     return Macro(kind, params, stored_gates, (tuple(expansion),),
-                 int(attrs["tc"]), int(attrs["td"]), int(attrs["ax"]),
-                 footprint)
+                 int(attrs["tc"]), int(attrs["td"]), footprint)
 
 
 def parse_circuit_text(text: str) -> Circuit:

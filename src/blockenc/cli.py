@@ -26,7 +26,6 @@ from .encoding import (
     BlockEncodingConfig,
     Method,
     Variant,
-    _prepare_matrix,
     build_block_encoding,
     select_parameters,
 )
@@ -202,8 +201,7 @@ def cmd_estimate(args):
 
 def _padded_n(matrix):
     """log2 of the side of the square power-of-two padding of ``matrix``."""
-    _, _, shape = _prepare_matrix(matrix)
-    return shape[0].bit_length() - 1
+    return max((s - 1).bit_length() for s in matrix.shape)
 
 
 def _build_result(args, matrix):
@@ -232,7 +230,7 @@ def cmd_build(args):
         "config": {
             "command": "build", "matrix": args.matrix,
             "original_shape": list(result.original_shape),
-            "padded_shape": list(result.padded_shape),
+            "padded_shape": list(result.padded.shape),
             "n": result.n, "alpha": result.alpha,
             "method": result.config.method.value,
             "qram": result.config.qram.value, "lambda": result.config.lam,
@@ -284,7 +282,7 @@ def cmd_verify(args):
     except SupportCapError as exc:
         raise UsageError(str(exc)) from exc
     if args.variant == "symmetric":
-        m_pad, n_pad = result.padded_shape
+        m_pad, n_pad = result.padded.shape
         target = np.zeros((1 << result.n, 1 << result.n))
         target[:m_pad, m_pad:m_pad + n_pad] = result.padded
         target[m_pad:m_pad + n_pad, :m_pad] = result.padded.T

@@ -111,8 +111,8 @@ def parallel_cswap_phase_incorrect_gates(controls, pairs, layered=False):
     return gates
 
 
-def _cswap_clean_gates(control, pairs, ancillas):
-    copies = ancillas[:len(pairs)]
+def _cswap_clean_gates(control, pairs, pool):
+    copies = pool[:len(pairs)]
     ctrl = ((control, True),)
     gates = [Gate(GateKind.FANOUT_CNOT, copies, ctrl)]
     for a, b in pairs:
@@ -125,48 +125,35 @@ def _cswap_clean_gates(control, pairs, ancillas):
     return gates
 
 
-def parallel_cswap_clean(control, pairs, ancillas=None):
+def parallel_cswap_clean(control, pairs, pool):
     """Phase-correct parallel controlled-swap macro (CNOT-conjugated
     Toffolis with a fanned-out control copy).
 
-    Cost (4k, 1, 2k): one copy ancilla plus one Toffoli ancilla per pair.
-    When explicit ``ancillas`` (the copy qubits) are supplied from a pool
-    register the macro declares only the k Toffoli scratch qubits; with a
-    full 2k-qubit pool it declares zero.  Without them the copies are the
-    k qubits above the highest one named.
+    Cost (4k, 1): ``pool`` holds 2k register qubits, a copy of the control
+    for each pair (the first k) and the measurement-assisted Toffolis'
+    scratch qubits (the last k).
     """
     pairs = tuple(pairs)
     k = len(pairs)
-    if ancillas is None:
-        base = max((control,) + tuple(q for p in pairs for q in p)) + 1
-        ancillas = tuple(range(base, base + k))
-        extra = 2 * k
-    else:
-        ancillas = tuple(ancillas)
-        if len(ancillas) >= 2 * k:
-            extra = 0
-        elif len(ancillas) >= k:
-            extra = k
-        else:
-            raise ParameterError("need at least k ancillas")
+    pool = tuple(pool)
+    if len(pool) < 2 * k:
+        raise ParameterError(f"need a pool of 2k = {2 * k} qubits")
     return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, {"k": k}, _cswap_clean_gates,
-                 (control, pairs, ancillas), t_count=4 * k, t_depth=1,
-                 extra_ancillas=extra)
+                 (control, pairs, pool), t_count=4 * k, t_depth=1)
 
 
 def _and_toffoli_gates(c1, c2, target):
     return [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
 
 
-def and_toffoli(c1, c2, target, ancilla=None):
+def and_toffoli(c1, c2, target):
     """Measurement-assisted Toffoli macro: T-count 4, T-depth 1.
 
     The expansion is a plain Toffoli (the exact measurement-free unitary);
-    the jones-style scratch qubit is declared unless supplied explicitly.
+    the Jones-style scratch qubit is a register qubit the caller keeps free.
     """
-    extra = 1 if ancilla is None else 0
     return Macro(MacroKind.AND_TOFFOLI, {}, _and_toffoli_gates,
-                 (c1, c2, target), 4, 1, extra)
+                 (c1, c2, target), 4, 1)
 
 
 def match_controls(select_qubits, value):
@@ -192,15 +179,16 @@ def _unary_select_gates(select_qubits, write_rows, flag):
     return gates
 
 
-def unary_select(select_qubits, write_rows, ancillas=None, footprint=()):
+def unary_select(select_qubits, write_rows, flag=None, footprint=()):
     """Unary-iteration select macro writing one classical row per address.
 
     ``write_rows[j]`` lists the fanout target qubits for select value j.
     Cost is the unary iteration model: T-count = T-depth = 4*(2^s - 1) with
-    s - 1 scratch ancillas.  The expansion computes an address-match flag
-    with a mixed-polarity MCX, fanout-writes the row, and uncomputes; for
-    s = 1 the polarized select bit drives the fanout directly.  Without
-    ``ancillas`` the flag is the qubit above the highest one named.
+    s - 1 scratch qubits, a register the caller allocates.  The expansion
+    computes an address-match ``flag`` (the first of those qubits, required
+    for s >= 2) with a mixed-polarity MCX, fanout-writes the row, and
+    uncomputes; for s = 1 the polarized select bit drives the fanout
+    directly and ``flag`` is unused.
     """
     select_qubits = tuple(select_qubits)
     s = len(select_qubits)
@@ -212,18 +200,12 @@ def unary_select(select_qubits, write_rows, ancillas=None, footprint=()):
         raise ParameterError(f"write_rows must have 2^{s} entries")
     if s == 1:
         flag = None
-        extra = 0
-    elif ancillas:
-        flag = tuple(ancillas)[0]
-        extra = 0
-    else:
-        flag = max(select_qubits + tuple(q for row in write_rows for q in row),
-                   default=0) + 1
-        extra = s - 1
+    elif flag is None:
+        raise ParameterError("s >= 2 needs a flag qubit")
     return Macro(MacroKind.UNARY_SELECT, {"s": s}, _unary_select_gates,
                  (select_qubits, write_rows, flag),
                  t_count=4 * (rows - 1), t_depth=4 * (rows - 1),
-                 extra_ancillas=extra, footprint=footprint)
+                 footprint=footprint)
 
 
 def _unary_step_gates(select_qubits, from_value, to_value, flag):
@@ -241,4 +223,4 @@ def unary_step(select_qubits, from_value, to_value, flag):
     """
     return Macro(MacroKind.UNARY_STEP, {"from": from_value, "to": to_value},
                  _unary_step_gates,
-                 (tuple(select_qubits), from_value, to_value, flag), 4, 4, 0)
+                 (tuple(select_qubits), from_value, to_value, flag), 4, 4)

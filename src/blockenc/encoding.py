@@ -105,7 +105,6 @@ class BlockEncodingResult:
     config: BlockEncodingConfig
     params: EncodingParams
     original_shape: tuple
-    padded_shape: tuple
     padded: np.ndarray      # the zero-padded matrix the circuit encodes
     control_qubits: tuple = ()
 
@@ -121,7 +120,7 @@ def _prepare_matrix(a, square=True):
         squared = np.zeros((side, side))
         squared[: padded.shape[0], : padded.shape[1]] = padded
         padded = squared
-    return padded, original, tuple(padded.shape)
+    return padded, original
 
 
 def _setup(a, cfg, variant):
@@ -138,7 +137,8 @@ def _setup(a, cfg, variant):
         raise ConfigurationError(f"the {variant.value} variant is implemented "
                                  "for the fixed-precision method only")
     symmetric = variant is Variant.SYMMETRIC
-    padded, original, shape = _prepare_matrix(a, square=not symmetric)
+    padded, original = _prepare_matrix(a, square=not symmetric)
+    shape = padded.shape
     if shape[0] < shape[1]:
         raise ConfigurationError(
             "symmetrized encoding assumes M >= N; transpose the input")
@@ -155,7 +155,7 @@ def _setup(a, cfg, variant):
             "t must be >= 1: set t or a smaller epsilon")
     return rows, phi, n, t, partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
-        original_shape=original, padded_shape=shape, padded=padded)
+        original_shape=original, padded=padded)
 
 
 def _register_swap(builder, data, control):
@@ -253,7 +253,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
                       rows, phi, n, t, cfg, load_block=stage.qubits)
     staged_cswap = parallel_cswap_clean(
         control=ctrl[0], pairs=tuple(zip(dblock.qubits, stage.qubits)),
-        ancillas=pool.qubits[: 2 * d])
+        pool=pool.qubits[: 2 * d])
 
     b.begin_stage("leg1_sp_phi")
     b.extend(legs.phi_init)
@@ -264,7 +264,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     b.begin_stage("register_swap")
     b.add(parallel_cswap_clean(control=ctrl[0],
                                pairs=tuple(zip(data.qubits, control.qubits)),
-                               ancillas=pool.qubits[2: 2 + 2 * n]))
+                               pool=pool.qubits[2: 2 + 2 * n]))
     b.begin_stage("leg2")
     b.extend(legs.load_ops)
     b.add(staged_cswap)

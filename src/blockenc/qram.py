@@ -117,7 +117,7 @@ class SelectSwapLoad:
         else:
             ops = [unary_select(
                 select_qubits=self.addr[:s], write_rows=write_rows,
-                ancillas=self.select_anc.qubits if self.select_anc else None,
+                flag=self.select_anc[0] if self.select_anc else None,
                 footprint=all_slots)]
         # Swap: move slot j_low to slot 0, low stride first.
         for k in range(lam):
@@ -327,8 +327,7 @@ class FlagLoad:
             for (flag, angle, onehot, pool_a, pool_b), pairs in zip(
                     self.copies, per_copy):
                 ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=pairs,
-                    ancillas=pool_b[: 2 * len(pairs)]))
+                    control=ctrl, pairs=pairs, pool=pool_b[: 2 * len(pairs)]))
         # V: rotate angle slot k by theta^(k) under flag and one-hot controls.
         for r, (flag, angle, onehot, pool_a, pool_b) in enumerate(self.copies):
             if static_flags_one:
@@ -340,15 +339,14 @@ class FlagLoad:
                 ops.append(fan)
                 halves = [canonical_ry_halves(self.thetas[k][r])
                           for k in range(big_n)]
+                # Each Toffoli's scratch qubit is pool_a[k].
                 for k in range(big_n):
-                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k],
-                                           ancilla=pool_a[k]))
+                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k]))
                 for k in range(big_n):
                     ops.append(Gate(GateKind.RY, (angle[k],), (),
                                     -halves[k][0]))
                 for k in range(big_n):
-                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k],
-                                           ancilla=pool_a[k]))
+                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k]))
                 for k in range(big_n):
                     ops.append(Gate(GateKind.RY, (angle[k],), (),
                                     halves[k][0]))
@@ -364,9 +362,9 @@ class FlagLoad:
             for (flag, angle, onehot, pool_a, pool_b), ap, op_ in zip(
                     self.copies, angle_per_copy, onehot_per_copy):
                 ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=ap, ancillas=pool_a[: 2 * len(ap)]))
+                    control=ctrl, pairs=ap, pool=pool_a[: 2 * len(ap)]))
                 ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=op_, ancillas=pool_b[: 2 * len(op_)]))
+                    control=ctrl, pairs=op_, pool=pool_b[: 2 * len(op_)]))
         for flag, angle, onehot, pool_a, pool_b in self.copies:
             ops.append(Gate(GateKind.X, (onehot[0],)))
         return ops

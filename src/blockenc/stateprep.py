@@ -142,7 +142,7 @@ def _one_wide_column_ops(control, reg_pairs, slots, pool):
     """One phase-correct S_p column over 1-wide slots, pool-backed."""
     pairs = [(slots[a], slots[b]) for a, b in reg_pairs]
     return [parallel_cswap_clean(control=control, pairs=pairs,
-                                 ancillas=pool[: 2 * len(pairs)])]
+                                 pool=pool[: 2 * len(pairs)])]
 
 
 def spf_forward_ops(data, slots, n, pool):

@@ -24,6 +24,7 @@ from blockenc.circuit import (
     count_resources,
 )
 from blockenc.decomp import (
+    ParameterError,
     controlled_ry_gates,
     parallel_cswap_clean,
     parallel_cswap_phase_incorrect_gates,
@@ -353,22 +354,24 @@ def test_criterion_8_decomposition_fidelity():
             ok &= list(out) == [want]
 
     # phase-correct parallel controlled swap (clean ancillas start |0>)
-    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
-    u = dense_unitary([macro], 4)
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),), pool=(3, 4))
+    u = dense_unitary([macro], 5)
     for c in (0, 1):
         for va in (0, 1):
             for vb in (0, 1):
-                col = (c << 3) | (va << 2) | (vb << 1)
+                col = (c << 4) | (va << 3) | (vb << 2)
                 x, y = (vb, va) if c else (va, vb)
-                want = (c << 3) | (x << 2) | (y << 1)
+                want = (c << 4) | (x << 3) | (y << 2)
                 ok &= abs(u[want, col] - 1) < 1e-12
-    ok &= (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 1, 2)
+    ok &= (macro.t_count, macro.t_depth) == (4, 1)
+    with pytest.raises(ParameterError):
+        parallel_cswap_clean(control=0, pairs=((1, 2),), pool=(3,))
 
     # unary select costs
     ok &= unary_select(select_qubits=(0,), write_rows=[(), ()]).t_count == 4
     macro = unary_select(select_qubits=(0, 1, 2),
-                         write_rows=[() for _ in range(8)])
-    ok &= (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
+                         write_rows=[() for _ in range(8)], flag=3)
+    ok &= (macro.t_count, macro.t_depth) == (28, 28)
 
     elapsed = report(8, "decomposition fidelity", ok, started,
                      "dense-unitary equality and declared construction costs")

@@ -154,38 +154,24 @@ def test_adjoint_preserves_resources():
         assert ra.t_depth == rb.t_depth
 
 
-def test_macro_declared_costs_and_ancilla_high_water():
+def test_macro_declared_costs():
     b = CircuitBuilder()
     b.allocate("q", 8)
-    # Two parallel AndToffolis on disjoint qubits share a T-layer, so the
-    # scratch ancilla demand peaks at 2.
+    # Two parallel AndToffolis on disjoint qubits share a T-layer.
     b.add(and_toffoli(0, 1, 2))
     b.add(and_toffoli(3, 4, 5))
     rep = count_resources(b.build())
     assert rep.t_count == 8
     assert rep.t_depth == 1
-    assert rep.qubits == 8 + 2
-    # Sequential on shared qubits: depth adds, ancillas are reused.
+    assert rep.qubits == 8
+    # Sequential on shared qubits: depth adds.
     b = CircuitBuilder()
     b.allocate("q", 3)
     b.add(and_toffoli(0, 1, 2))
     b.add(and_toffoli(0, 1, 2))
     rep = count_resources(b.build())
     assert rep.t_depth == 2
-    assert rep.qubits == 3 + 1
-
-
-def test_unary_select_costs():
-    macro = unary_select(select_qubits=(0,), write_rows=[(2,), (3,)])
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 4, 0)
-    macro = unary_select(select_qubits=(0, 1, 2),
-                         write_rows=[() for _ in range(8)])
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
-
-
-def test_parallel_cswap_clean_cost():
-    macro = parallel_cswap_clean(control=0, pairs=((1, 2), (3, 4)))
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (8, 1, 4)
+    assert rep.qubits == 3
 
 
 def test_breakdown_by_stage():
@@ -209,9 +195,9 @@ def test_text_format_round_trip():
     b.gate(GateKind.RY, 0, angle=1.5707963)
     b.gate(GateKind.MCX, (4,), ((0, False), (1, True)))
     b.add(unary_select(select_qubits=(0, 1),
-                       write_rows=[(2,), (), (3,), (2, 3)],
+                       write_rows=[(2,), (), (3,), (2, 3)], flag=4,
                        footprint=(2, 3, 4, 5)))
-    b.add(parallel_cswap_clean(control=0, pairs=((2, 3),), ancillas=(4, 5)))
+    b.add(parallel_cswap_clean(control=0, pairs=((2, 3),), pool=(4, 5)))
     circuit = b.build()
     text = write_circuit_text(circuit)
     parsed = parse_circuit_text(text)
@@ -291,8 +277,8 @@ def test_invalid_line_seen_once_rejected():
 
 def test_out_of_range_macro_rejected():
     text = ("qubits 3\nreg q 0 3\n"
-            "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2\n"
-            "m AND_TOFFOLI tc=4 td=1 ax=1 fp=7 p=- ops=TOFFOLI;c=+0,+1;t=2\n")
+            "m AND_TOFFOLI tc=4 td=1 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2\n"
+            "m AND_TOFFOLI tc=4 td=1 fp=7 p=- ops=TOFFOLI;c=+0,+1;t=2\n")
     with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
         parse_circuit_text(text)
 
@@ -376,7 +362,7 @@ def _macros(draw, gates):
                                     unique=True)))
     return Macro(draw(st.sampled_from(list(MacroKind))), params, stored_gates,
                  (tuple(expansion),), draw(st.integers(0, 8)),
-                 draw(st.integers(0, 8)), draw(st.integers(0, 2)), footprint)
+                 draw(st.integers(0, 8)), footprint)
 
 
 @st.composite
@@ -551,6 +537,6 @@ def test_macro_adjoint_keeps_qubit_roles(data, classify_first):
     inverse = macro.adjoint()
     fresh = Macro(inverse.kind, inverse.params, stored_gates,
                   (inverse.expansion,), inverse.t_count, inverse.t_depth,
-                  inverse.extra_ancillas, inverse.footprint)
+                  inverse.footprint)
     assert inverse.control_qubits() == fresh.control_qubits()
     assert inverse.full_qubits() == fresh.full_qubits()

@@ -179,38 +179,44 @@ def test_multi_cswap_semantics_all_basis():
 # -- phase-correct parallel controlled swap ----------------------------------
 
 def test_parallel_cswap_clean_k1_exact():
-    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
-    u = dense_unitary([macro], 4)
-    # Layout: control 0, pair (1, 2), copy ancilla 3 starting |0>.
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),), pool=(3, 4))
+    u = dense_unitary([macro], 5)
+    # Layout: control 0, pair (1, 2), pool (3, 4) starting |0>.
     for c in (0, 1):
         for a in (0, 1):
             for b in (0, 1):
-                col = (c << 3) | (a << 2) | (b << 1)
+                col = (c << 4) | (a << 3) | (b << 2)
                 x, y = (b, a) if c else (a, b)
-                want = (c << 3) | (x << 2) | (y << 1)
+                want = (c << 4) | (x << 3) | (y << 2)
                 vec = u[:, col]
                 assert abs(vec[want] - 1) < 1e-12
 
 
 def test_parallel_cswap_control_off_is_identity():
-    macro = parallel_cswap_clean(control=0, pairs=((1, 2),))
-    u = dense_unitary([macro], 4)
-    for col in range(0, 8, 2):
+    macro = parallel_cswap_clean(control=0, pairs=((1, 2),), pool=(3, 4))
+    u = dense_unitary([macro], 5)
+    for col in range(0, 16, 4):
         assert abs(u[col, col] - 1) < 1e-12
 
 
 def test_parallel_cswap_clean_k2_cost():
-    macro = parallel_cswap_clean(control=0, pairs=((1, 2), (3, 4)))
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (8, 1, 4)
+    pairs = ((1, 2), (3, 4))
+    macro = parallel_cswap_clean(control=0, pairs=pairs, pool=(5, 6, 7, 8))
+    assert (macro.t_count, macro.t_depth) == (8, 1)
+    with pytest.raises(ParameterError, match="pool of 2k = 4"):
+        parallel_cswap_clean(control=0, pairs=pairs, pool=(5, 6, 7))
 
 
 # -- unary select -------------------------------------------------------------
 
 def test_unary_select_costs():
-    assert unary_select(select_qubits=(0,), write_rows=[(), ()]).t_count == 4
-    macro = unary_select(select_qubits=(0, 1, 2),
-                         write_rows=[() for _ in range(8)])
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (28, 28, 2)
+    macro = unary_select(select_qubits=(0,), write_rows=[(2,), (3,)])
+    assert (macro.t_count, macro.t_depth) == (4, 4)
+    rows = [() for _ in range(8)]
+    macro = unary_select(select_qubits=(0, 1, 2), write_rows=rows, flag=3)
+    assert (macro.t_count, macro.t_depth) == (28, 28)
+    with pytest.raises(ParameterError, match="flag"):
+        unary_select(select_qubits=(0, 1, 2), write_rows=rows)
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -222,9 +228,9 @@ def test_unary_select_semantics(s):
     data_qubits = tuple(range(s, s + width))
     write_rows = [tuple(q for q, bit in zip(data_qubits, row) if bit)
                   for row in rows]
-    anc = (s + width,) if s >= 2 else None
+    flag = s + width if s >= 2 else None
     macro = unary_select(select_qubits=tuple(range(s)), write_rows=write_rows,
-                         ancillas=anc, footprint=data_qubits)
+                         flag=flag, footprint=data_qubits)
     total = s + width + (1 if s >= 2 else 0)
     u = dense_unitary([macro], total)
     for j in range(1 << s):
@@ -238,7 +244,7 @@ def test_and_toffoli_exactness():
     macro = and_toffoli(0, 1, 2)
     u = dense_unitary([macro], 3)
     assert np.abs(u - toffoli_matrix()).max() < 1e-12
-    assert (macro.t_count, macro.t_depth, macro.extra_ancillas) == (4, 1, 1)
+    assert (macro.t_count, macro.t_depth) == (4, 1)
 
 
 # -- macro recipes against eagerly built expansions ---------------------------
@@ -246,13 +252,8 @@ def test_and_toffoli_exactness():
 # The reference functions write out each factory's gate list as it was built
 # when a macro stored its expansion.
 
-def _ref_cswap_clean(control, pairs, ancillas):
-    k = len(pairs)
-    if ancillas is None:
-        base = max((control,) + tuple(q for p in pairs for q in p)) + 1
-        copies = tuple(range(base, base + k))
-    else:
-        copies = tuple(ancillas)[:k]
+def _ref_cswap_clean(control, pairs, pool):
+    copies = tuple(pool)[:len(pairs)]
     ctrl = ((control, True),)
     gates = [Gate(GateKind.FANOUT_CNOT, copies, ctrl)]
     for a, b in pairs:
@@ -271,7 +272,7 @@ def _ref_match(select_qubits, value):
                  for i, q in enumerate(select_qubits))
 
 
-def _ref_unary_select(select_qubits, write_rows, ancillas):
+def _ref_unary_select(select_qubits, write_rows, flag):
     s = len(select_qubits)
     gates = []
     if s == 1:
@@ -281,11 +282,6 @@ def _ref_unary_select(select_qubits, write_rows, ancillas):
                 gates.append(Gate(GateKind.FANOUT_CNOT, targets,
                                   ((select_qubits[0], bool(j)),)))
         return gates
-    if ancillas:
-        flag = tuple(ancillas)[0]
-    else:
-        flag = max(select_qubits + tuple(q for row in write_rows for q in row),
-                   default=0) + 1
     for j in range(1 << s):
         mcx = Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, j))
         gates.append(mcx)
@@ -298,8 +294,7 @@ def _ref_unary_select(select_qubits, write_rows, ancillas):
 
 def _fresh_roles(macro):
     fresh = Macro(macro.kind, macro.params, stored_gates, (macro.expansion,),
-                  macro.t_count, macro.t_depth, macro.extra_ancillas,
-                  macro.footprint)
+                  macro.t_count, macro.t_depth, macro.footprint)
     return fresh.full_qubits(), fresh.control_qubits()
 
 
@@ -325,25 +320,19 @@ def test_parallel_cswap_clean_recipe(data, k, classify_first):
     order = data.draw(st.permutations(range(20)))
     control = order[0]
     pairs = tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k]))
-    n_anc = data.draw(st.sampled_from((None, k, 2 * k)))
-    ancillas = (None if n_anc is None
-                else tuple(order[1 + 2 * k:1 + 2 * k + n_anc]))
-    macro = parallel_cswap_clean(control=control, pairs=pairs,
-                                 ancillas=ancillas)
-    _check_recipe(macro, _ref_cswap_clean(control, pairs, ancillas),
+    pool = tuple(order[1 + 2 * k:1 + 4 * k])
+    macro = parallel_cswap_clean(control=control, pairs=pairs, pool=pool)
+    _check_recipe(macro, _ref_cswap_clean(control, pairs, pool),
                   classify_first)
-    assert macro.extra_ancillas == {None: 2 * k, k: k, 2 * k: 0}[n_anc]
 
 
 @_RECIPES
-@given(order=st.permutations(range(6)), ancilla=st.booleans(),
-       classify_first=st.booleans())
-def test_and_toffoli_recipe(order, ancilla, classify_first):
-    c1, c2, target, anc = order[:4]
-    macro = and_toffoli(c1, c2, target, ancilla=anc if ancilla else None)
+@given(order=st.permutations(range(6)), classify_first=st.booleans())
+def test_and_toffoli_recipe(order, classify_first):
+    c1, c2, target = order[:3]
+    macro = and_toffoli(c1, c2, target)
     reference = [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
     _check_recipe(macro, reference, classify_first)
-    assert macro.extra_ancillas == (0 if ancilla else 1)
 
 
 @_RECIPES
@@ -353,13 +342,12 @@ def test_unary_select_recipe(data, s, classify_first):
     select_qubits, slots = tuple(order[:s]), order[s:s + 4]
     write_rows = [tuple(q for q in slots if data.draw(st.booleans()))
                   for _ in range(1 << s)]
-    ancillas = data.draw(st.sampled_from((None, (order[8], order[9]))))
+    flag = order[8]
     footprint = tuple(data.draw(st.lists(st.sampled_from(slots),
                                          unique=True)))
     macro = unary_select(select_qubits=select_qubits, write_rows=write_rows,
-                         ancillas=ancillas, footprint=footprint)
-    _check_recipe(macro,
-                  _ref_unary_select(select_qubits, write_rows, ancillas),
+                         flag=flag, footprint=footprint)
+    _check_recipe(macro, _ref_unary_select(select_qubits, write_rows, flag),
                   classify_first)
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockenc import decomp, qram
 from blockenc.circuit import Circuit, Gate, GateKind, Macro, count_resources
@@ -16,8 +18,18 @@ from blockenc.encoding import (
     build_symmetric_block_encoding,
     select_parameters,
 )
-from blockenc.qram import ConfigurationError, QramModel
+from blockenc.qram import (
+    ConfigurationError,
+    LoadSpec,
+    QramModel,
+    build_load_bb,
+    build_load_ss,
+    build_loadf,
+)
 from blockenc.simulator import extract_block, spectral_norm
+from blockenc.stateprep import build_sp_fixed, build_sp_prerotated
+
+SS, BB = QramModel.SELECT_SWAP, QramModel.BUCKET_BRIGADE
 
 
 def test_select_parameters_fixed_example():
@@ -139,7 +151,8 @@ _EMPTY_SELECT = pytest.mark.xfail(
 
 @pytest.mark.parametrize("n, lam", [
     pytest.param(1, 0, marks=_EMPTY_SELECT), (1, 1), (2, 0),
-    pytest.param(2, 1, marks=_EMPTY_SELECT), (3, 0), (3, 1)])
+    pytest.param(2, 1, marks=_EMPTY_SELECT), (3, 0), (3, 1),
+    pytest.param(3, 2, marks=_EMPTY_SELECT)])
 def test_controlled_counts_independent_of_values(n, lam):
     side = 1 << n
     rng = np.random.default_rng(n)
@@ -157,6 +170,86 @@ def test_controlled_counts_independent_of_values(n, lam):
         for a in (uniform, zero_row,
                   uniform * rng.choice((-1.0, 1.0), uniform.shape), single)}
     assert len(counts) == 1, counts
+
+
+# (shape, config) pairs at n <= 3 whose counts must not depend on the
+# matrix values; the controlled variant is covered above.
+_VALUE_GRID = (
+    [((1 << n, 1 << n), BlockEncodingConfig(qram=model, lam=lam, t=4))
+     for n in (1, 2, 3) for model in (SS, BB) for lam in range(n + 1)]
+    + [((1 << n, 1 << n), BlockEncodingConfig(
+        method=Method.PRE_ROTATED, qram=QramModel.FLAGS, lam=n))
+       for n in (1, 2, 3)]
+    + [(shape, BlockEncodingConfig(qram=model, lam=0, t=4,
+                                   variant=Variant.SYMMETRIC))
+       for shape in ((2, 1), (4, 3)) for model in (SS, BB)])
+_REFERENCE_COUNTS = {}
+
+
+def _value_counts(matrix, cfg):
+    return count_resources(build_block_encoding(matrix, cfg).circuit,
+                           ry_cost=30)
+
+
+def _matrix_of_kind(kind, shape, rng):
+    """A nonzero matrix of ``shape``: random, with a zero row, sign-flipped,
+    sparse, or with a single nonzero entry."""
+    positive = rng.uniform(5, 105, shape)
+    if kind == "random":
+        return rng.standard_normal(shape)
+    if kind == "zero_row":
+        positive[rng.integers(shape[0])] = 0.0
+        return positive
+    if kind == "sign_flipped":
+        return positive * rng.choice((-1.0, 1.0), shape)
+    out = np.zeros(shape)
+    if kind == "sparse":
+        out = positive * (rng.random(shape) < 0.3)
+    out.flat[rng.integers(out.size)] = rng.standard_normal()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(_VALUE_GRID) - 1),
+       kind=st.sampled_from(("random", "zero_row", "sign_flipped", "sparse",
+                             "single")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_counts_independent_of_values(index, kind, seed):
+    shape, cfg = _VALUE_GRID[index]
+    matrix = _matrix_of_kind(kind, shape, np.random.default_rng(seed))
+    if index not in _REFERENCE_COUNTS:
+        reference = np.random.default_rng(0).uniform(5, 105, shape)
+        _REFERENCE_COUNTS[index] = _value_counts(reference, cfg)
+    assert _value_counts(matrix, cfg) == _REFERENCE_COUNTS[index]
+
+
+def _every_generator_circuit():
+    """Every generator at n <= 3: the block-encoding variants and the
+    standalone LOAD, LOADF and state-preparation builders."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        side = 1 << n
+        matrix = rng.uniform(5, 105, (side, side))
+        for model in (SS, BB):
+            for lam in range(n + 1):
+                for variant in Variant:
+                    cfg = BlockEncodingConfig(qram=model, lam=lam, t=1,
+                                              variant=variant)
+                    yield build_block_encoding(matrix, cfg).circuit
+                rows = rng.integers(0, 2, (side, 2))
+                yield build_load_ss(LoadSpec(n, 2, lam, SS, rows))
+                yield build_load_bb(LoadSpec(n, 2, lam, BB, rows))
+        yield build_block_encoding(matrix, BlockEncodingConfig(
+            method=Method.PRE_ROTATED, qram=QramModel.FLAGS, lam=n)).circuit
+        yield build_loadf(LoadSpec(n, 2, n, QramModel.FLAGS),
+                          rng.uniform(0, 3, (side, 2)))
+        yield build_sp_fixed(matrix[0], 1)
+        yield build_sp_prerotated(matrix[0])
+
+
+def test_counted_qubits_are_the_register_total():
+    for circuit in _every_generator_circuit():
+        assert count_resources(circuit).qubits == circuit.total_qubits
 
 
 def test_symmetric_structure_1x1():
@@ -207,7 +300,7 @@ def test_padding_report():
                               qram=QramModel.SELECT_SWAP, lam=0, t=4)
     res = build_block_encoding(a, cfg)
     assert res.original_shape == (3, 5)
-    assert res.padded_shape == (8, 8)
+    assert res.padded.shape == (8, 8)
 
 
 @pytest.fixture
