@@ -87,6 +87,14 @@ def pad_to_power_of_two(a):
     return out
 
 
+def _power_of_two_scaled(a):
+    """``(a * 2^-e, e)`` for the power of two 2^e just above the largest
+    |entry| of ``a``; a power-of-two scale is exact."""
+    a = np.asarray(a, dtype=float)
+    _, e = math.frexp(float(np.max(np.abs(a), initial=0.0)))
+    return np.ldexp(a, -e), e
+
+
 def scaled_frobenius(a):
     """``(a * 2^-e, alpha)``: ``a`` scaled by the power of two 2^e just
     above its largest |entry|, and its Frobenius norm.
@@ -96,9 +104,7 @@ def scaled_frobenius(a):
     and alpha as the unscaled matrix.  alpha is inf if the norm itself
     overflows a float.
     """
-    a = np.asarray(a, dtype=float)
-    _, e = math.frexp(float(np.max(np.abs(a), initial=0.0)))
-    scaled = np.ldexp(a, -e)
+    scaled, e = _power_of_two_scaled(a)
     with np.errstate(over="ignore"):
         return scaled, float(np.ldexp(np.linalg.norm(scaled), e))
 
@@ -143,14 +149,24 @@ class QNormData:
 
 
 def _qnorm_terms(a, p):
-    """mu_p, the row and column power sums, and the chi angles."""
+    """mu_p, the row and column power sums, and the chi angles.
+
+    The power sums are those of ``a`` scaled as in ``scaled_frobenius``, so
+    tiny or huge entries neither underflow nor overflow; mu_p is
+    homogeneous of degree one and is scaled back, and the chi angles and
+    the normalized target coefficients do not depend on the scale.
+    """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
+    a, e = _power_of_two_scaled(a)
     s2p = s_q(a, 2 * p)
     s2q = s_q(a.T, 2 * (1 - p))
     if s2p == 0 or s2q == 0:
         raise DegenerateInputError("matrix is all zero")
-    mu = math.sqrt(s2p * s2q)
+    try:
+        mu = math.ldexp(math.sqrt(s2p * s2q), e)
+    except OverflowError:
+        raise ValueError("mu_p overflows a float") from None
     row_pow = [_power_sum(row, 2 * p) for row in a]
     col_pow = [_power_sum(col, 2 * (1 - p)) for col in a.T]
     if any(x == 0 for x in row_pow) or any(x == 0 for x in col_pow):
@@ -162,7 +178,7 @@ def _qnorm_terms(a, p):
 
 def qnorm_profile(a, p) -> QNormData:
     """mu_p and the chi angles of any M x N matrix, in O(MN)."""
-    mu, _, _, chi_row, chi_col = _qnorm_terms(np.asarray(a, dtype=float), p)
+    mu, _, _, chi_row, chi_col = _qnorm_terms(a, p)
     return QNormData(p, mu, chi_row, chi_col)
 
 
@@ -186,7 +202,7 @@ def qnorm_targets(a, p):
     they are (2N)^2-dimensional; the symmetrized ones are (4M)^2-dimensional.
     Row states come first in the symmetrized families, then column states.
     """
-    a = np.asarray(a, dtype=float)
+    a = _power_of_two_scaled(a)[0]
     _, row_pow, col_pow, chi_row, chi_col = _qnorm_terms(a, p)
     m_rows, n_cols = a.shape
     if m_rows != n_cols:
@@ -223,7 +239,7 @@ def symmetrized_targets(a):
     Indices live on two ell-qubit registers with ell = log2(M) + 1 and
     M >= N both powers of two; vectors are 2^(2*ell)-dimensional.
     """
-    a = np.asarray(a, dtype=float)
+    a = _power_of_two_scaled(a)[0]
     m_rows, n_cols = a.shape
     if m_rows & (m_rows - 1) or n_cols & (n_cols - 1):
         raise ValueError("pad to power-of-two shape first")

@@ -620,6 +620,9 @@ def write_circuit_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MACRO_FIELDS = frozenset(("tc", "td", "fp", "p", "ops"))
+
+
 def _parse_macro(fields, chunks):
     kind = MacroKind(fields[0])
     attrs = dict(tok.split("=", 1) for tok in fields[1:])
@@ -638,6 +641,9 @@ def _parse_macro(fields, chunks):
     footprint = ()
     if attrs.get("fp", "-") != "-":
         footprint = tuple(int(x) for x in attrs["fp"].split(","))
+    unknown = sorted(attrs.keys() - _MACRO_FIELDS)
+    if unknown:
+        raise CircuitError(f"unknown macro field {unknown[0]!r}")
     return Macro(kind, params, stored_gates, (tuple(expansion),),
                  int(attrs["tc"]), int(attrs["td"]), footprint)
 

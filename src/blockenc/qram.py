@@ -337,21 +337,20 @@ class FlagLoad:
             else:
                 fan = Gate(GateKind.FANOUT_CNOT, pool_b, ((flag, True),))
                 ops.append(fan)
-                halves = [canonical_ry_halves(self.thetas[k][r])
-                          for k in range(big_n)]
-                # Each Toffoli's scratch qubit is pool_a[k].
+                # Slot by slot: slot k's ops touch only slot k's qubits, so
+                # the counter, which sees only each qubit's use order,
+                # schedules the N slots in parallel all the same, while the
+                # simulator branches on one angle slot at a time instead of
+                # on all N at once.  Each Toffoli's scratch qubit is
+                # pool_a[k].
                 for k in range(big_n):
-                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k]))
-                for k in range(big_n):
-                    ops.append(Gate(GateKind.RY, (angle[k],), (),
-                                    -halves[k][0]))
-                for k in range(big_n):
-                    ops.append(and_toffoli(pool_b[k], onehot[k], angle[k]))
-                for k in range(big_n):
-                    ops.append(Gate(GateKind.RY, (angle[k],), (),
-                                    halves[k][0]))
-                for k in range(big_n):
-                    if halves[k][1]:
+                    half, fix = canonical_ry_halves(self.thetas[k][r])
+                    toffoli = and_toffoli(pool_b[k], onehot[k], angle[k])
+                    ops += [toffoli,
+                            Gate(GateKind.RY, (angle[k],), (), -half),
+                            toffoli,
+                            Gate(GateKind.RY, (angle[k],), (), half)]
+                    if fix:
                         ops.append(Gate(GateKind.CZ, (pool_b[k], onehot[k])))
                 ops.append(fan)
         # Final parallel swap networks: angle block uses pool A, one-hot pool B.

@@ -302,6 +302,30 @@ def test_qnorm_p1_diag_example():
     assert abs(data.mu_p - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_qnorm_profile_scales_with_the_matrix(c, p):
+    a = np.random.default_rng(8).uniform(-4, 4, (4, 4))
+    ref, got = qnorm_profile(a, p), qnorm_profile(c * a, p)
+    assert got.mu_p == pytest.approx(c * ref.mu_p, rel=1e-12)
+    np.testing.assert_allclose(got.chi_row, ref.chi_row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.chi_col, ref.chi_col, rtol=0, atol=1e-12)
+
+
+def test_tiny_and_huge_qnorm_and_symmetrized_targets():
+    a = np.diag([1.0, 2.0])
+    for p in (0.5, 1.0):
+        assert qnorm_profile(a * 1e-200, p).mu_p == pytest.approx(2e-200)
+    _assert_families_equal(symmetrized_targets(a * 1e-200),
+                           symmetrized_targets(a))
+    _assert_families_equal(qnorm_targets(a * 1e200, 0.5),
+                           qnorm_targets(a, 0.5))
+    # ||A||_F is a float, but mu_1 = 1.5e308 * sqrt(2) is not.
+    huge = np.array([[1.5e308, 0.0], [0.0, 1e300], [0.0, 1e300]])
+    with pytest.raises(ValueError, match="mu_p overflows a float"):
+        qnorm_profile(huge, 1.0)
+
+
 def test_qnorm_recovery_identity():
     rng = np.random.default_rng(5)
     for p in (0.25, 0.5, 0.75):
@@ -355,6 +379,9 @@ def test_qnorm_targets_need_a_square_matrix():
 
 # Loop references for the target families: one coefficient at a time.  The
 # power sums and chi angles are the report's own, so only the families differ.
+# The families do not depend on the matrix's scale, so the references take
+# the matrix scaled exactly by a power of two (``scaled_frobenius``), whose
+# squared entries neither underflow nor overflow.
 
 def _loop_qnorm_targets(a, p):
     data = qnorm_profile(a, p)
@@ -446,7 +473,7 @@ def _matrices(draw, shapes):
        p=st.floats(0.0, 1.0))
 def test_qnorm_targets_match_loop_reference(a, p):
     try:
-        want = _loop_qnorm_targets(a, p)
+        want = _loop_qnorm_targets(scaled_frobenius(a)[0], p)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
             qnorm_targets(a, p)
@@ -457,12 +484,12 @@ def test_qnorm_targets_match_loop_reference(a, p):
 @settings(max_examples=40, deadline=None)
 @given(a=_matrices(st.sampled_from([(2, 2), (4, 4), (8, 8), (4, 2)])))
 def test_symmetrized_targets_match_loop_reference(a):
-    if np.linalg.norm(a) == 0:
+    if not np.any(a):
         with pytest.raises(DegenerateInputError):
             symmetrized_targets(a)
         return
     _assert_families_equal(symmetrized_targets(a),
-                           _loop_symmetrized_targets(a))
+                           _loop_symmetrized_targets(scaled_frobenius(a)[0]))
 
 
 def test_zero_tree_convention():

@@ -296,6 +296,17 @@ def test_malformed_line_raises_circuit_error(line):
         parse_circuit_text(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("g T t=0 bogus=1", "unknown gate field 'bogus'"),
+    ("m AND_TOFFOLI tc=4 td=1 bogus=9 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2",
+     "unknown macro field 'bogus'"),
+])
+def test_unknown_field_rejected(line, message):
+    text = "qubits 3\nreg q 0 3\n" + line + "\n"
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit_text(text)
+
+
 def test_write_keeps_signed_zero_angles():
     b = CircuitBuilder()
     b.allocate("q", 1)
@@ -416,6 +427,35 @@ def test_text_round_trip_property(circuit, ry):
     assert ([getattr(op, "footprint", None) for op in parsed.ops]
             == [getattr(op, "footprint", None) for op in circuit.ops])
     assert count_resources(parsed, ry) == count_resources(circuit, ry)
+
+
+def _reorder_keeping_use_order(circuit, rnd):
+    """A random reordering of each stage, and of each stretch between
+    stages, in which every qubit sees its uses in the original order."""
+    ops = list(circuit.ops)
+    cuts = sorted({0, len(ops), *(b for _, lo, hi in circuit.stages
+                                  for b in (lo, hi))})
+    reordered = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        rest = ops[lo:hi]
+        while rest:
+            ready = []
+            used = set()
+            for i, op in enumerate(rest):
+                if used.isdisjoint(op.qubits()):
+                    ready.append(i)
+                used.update(op.qubits())
+            reordered.append(rest.pop(rnd.choice(ready)))
+    return Circuit(circuit.registers, reordered, circuit.total_qubits,
+                   circuit.stages)
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), rnd=st.randoms(use_true_random=False))
+def test_counts_depend_only_on_each_qubits_use_order(circuit, rnd):
+    reordered = _reorder_keeping_use_order(circuit, rnd)
+    assert (count_resources_at(reordered, (0, 7, 30))
+            == count_resources_at(circuit, (0, 7, 30)))
 
 
 def _stage_recount(circuit, ry):

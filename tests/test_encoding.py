@@ -107,6 +107,19 @@ def test_random_4x4_fixed_ss_bound():
     assert err <= math.pi * 2 * 2.0 ** -8 * res.alpha
 
 
+def test_prerotated_n3_support_guard():
+    """LOADF rotates its angle slots one at a time, so the simulator never
+    holds every slot's branch at once: n = 3 peaks at 2,048 entries
+    (emitting each rotation layer across all slots gives 163,840)."""
+    a = np.random.default_rng(11).standard_normal((8, 8))
+    cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
+                              qram=QramModel.FLAGS, lam=3)
+    res = build_block_encoding(a, cfg)
+    ext = extract_block(res.circuit, res.in_qubits)
+    assert ext.peak_support <= 4096
+    assert spectral_norm(a - res.alpha * ext.block) <= 1e-9 * res.alpha
+
+
 def test_matrix_element_identity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 2))

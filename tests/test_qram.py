@@ -14,7 +14,12 @@ from blockenc.qram import (
     build_loadf,
 )
 from blockenc.resources import cross_validate, evaluate
-from blockenc.simulator import SparseState, check_clean, encode_register
+from blockenc.simulator import (
+    SparseState,
+    check_clean,
+    encode_register,
+    extract_block,
+)
 
 
 def random_rows(rng, n, d):
@@ -226,6 +231,29 @@ def test_loadf_multi_copy_parallel():
                          else math.sin(thetas[j][1] / 2))
                 got = dense.get((b0, b1), 0.0)
                 assert abs(got - want) < 1e-10
+
+
+def test_loadf_n3_support_guard():
+    """Slot by slot, n = 3 peaks at 92 entries (each rotation layer
+    across all slots gives 8,192); flag 0 is the identity and flag 1 writes
+    Ry(theta_j)|0> on the output slot, for angles across [0, 4*pi)."""
+    n = 3
+    thetas = np.random.default_rng(4).uniform(0, 4 * math.pi, (1 << n, 1))
+    c = build_loadf(LoadSpec(n, 1, n, QramModel.FLAGS), thetas)
+    ins = (c.register("addr").qubits + c.register("f0_flag").qubits
+           + c.register("f0_angle").qubits[:1])
+    ext = extract_block(c, ins)
+    assert ext.peak_support <= 4096
+    for j in range(1 << n):
+        for flag in (0, 1):
+            col = (j << 2) | (flag << 1)     # output slot at |0>
+            want = np.zeros(len(ext.block))
+            if flag:
+                want[col] = math.cos(thetas[j, 0] / 2)
+                want[col | 1] = math.sin(thetas[j, 0] / 2)
+            else:
+                want[col] = 1.0
+            assert np.abs(ext.block[:, col] - want).max() < 1e-9
 
 
 def test_loadf_depth_formula():
