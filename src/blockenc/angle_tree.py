@@ -134,12 +134,6 @@ def _power_sum(v, q):
     return float(np.sum(nz ** q))
 
 
-def s_q(a, q):
-    """S_q(A) = max_j sum_k |A_jk|^q (q-th power of the max row q-norm)."""
-    a = np.asarray(a, dtype=float)
-    return max(_power_sum(row, q) for row in a)
-
-
 @dataclass(frozen=True)
 class QNormData:
     p: float
@@ -149,37 +143,39 @@ class QNormData:
 
 
 def _qnorm_terms(a, p):
-    """mu_p, the row and column power sums, and the chi angles.
+    """mu_p and the chi angles.
 
     The power sums are those of ``a`` scaled as in ``scaled_frobenius``, so
-    tiny or huge entries neither underflow nor overflow; mu_p is
-    homogeneous of degree one and is scaled back, and the chi angles and
-    the normalized target coefficients do not depend on the scale.
+    that the largest ones neither underflow nor overflow; mu_p is
+    homogeneous of degree one and is scaled back, and the chi angles do not
+    depend on the scale.  A row or column far below the largest one may
+    have a power sum that underflows to 0; its chi angle is then pi/2, the
+    limit of the exact value.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    a, e = _power_of_two_scaled(a)
-    s2p = s_q(a, 2 * p)
-    s2q = s_q(a.T, 2 * (1 - p))
-    if s2p == 0 or s2q == 0:
+    a = np.asarray(a, dtype=float)
+    if not a.any():
         raise DegenerateInputError("matrix is all zero")
+    if not (a.any(axis=1).all() and a.any(axis=0).all()):
+        raise DegenerateInputError(
+            "zero row or column makes a chi angle degenerate")
+    a, e = _power_of_two_scaled(a)
+    row_pow = [_power_sum(row, 2 * p) for row in a]
+    col_pow = [_power_sum(col, 2 * (1 - p)) for col in a.T]
+    s2p, s2q = max(row_pow), max(col_pow)
     try:
         mu = math.ldexp(math.sqrt(s2p * s2q), e)
     except OverflowError:
         raise ValueError("mu_p overflows a float") from None
-    row_pow = [_power_sum(row, 2 * p) for row in a]
-    col_pow = [_power_sum(col, 2 * (1 - p)) for col in a.T]
-    if any(x == 0 for x in row_pow) or any(x == 0 for x in col_pow):
-        raise DegenerateInputError("zero row or column makes a chi angle degenerate")
     chi_row = tuple(math.acos(min(1.0, math.sqrt(x / s2p))) for x in row_pow)
     chi_col = tuple(math.acos(min(1.0, math.sqrt(x / s2q))) for x in col_pow)
-    return mu, row_pow, col_pow, chi_row, chi_col
+    return mu, chi_row, chi_col
 
 
 def qnorm_profile(a, p) -> QNormData:
     """mu_p and the chi angles of any M x N matrix, in O(MN)."""
-    mu, _, _, chi_row, chi_col = _qnorm_terms(a, p)
-    return QNormData(p, mu, chi_row, chi_col)
+    return QNormData(p, *_qnorm_terms(a, p))
 
 
 def _scatter(coeff, dim, *placements):
@@ -195,6 +191,16 @@ def _scatter(coeff, dim, *placements):
     return tuple(out)
 
 
+def _unit_powers(m, q):
+    """|m|^q (0^0 := 0) with each row scaled to unit norm.  Each row is
+    first scaled exactly by the power of two just above its largest
+    |entry|, so its power sum does not underflow."""
+    _, e = np.frexp(np.max(np.abs(m), axis=1, keepdims=True))
+    m = np.abs(np.ldexp(m, -e))
+    powers = np.where(m > 0, m ** q, 0.0)
+    return powers / np.linalg.norm(powers, axis=1, keepdims=True)
+
+
 def qnorm_targets(a, p):
     """The q-norm target families ``(psi, phi, psi_sym, phi_sym)``.
 
@@ -202,13 +208,13 @@ def qnorm_targets(a, p):
     they are (2N)^2-dimensional; the symmetrized ones are (4M)^2-dimensional.
     Row states come first in the symmetrized families, then column states.
     """
-    a = _power_of_two_scaled(a)[0]
-    _, row_pow, col_pow, chi_row, chi_col = _qnorm_terms(a, p)
+    a = np.asarray(a, dtype=float)
+    _, chi_row, chi_col = _qnorm_terms(a, p)
     m_rows, n_cols = a.shape
     if m_rows != n_cols:
         raise ValueError("plain q-norm targets need a square matrix")
-    row_coeff = np.copysign(np.abs(a) ** p, a) / np.sqrt(row_pow)[:, None]
-    col_coeff = (np.abs(a) ** (1 - p)).T / np.sqrt(col_pow)[:, None]
+    row_coeff = np.copysign(_unit_powers(a, p), a)
+    col_coeff = _unit_powers(a.T, 1 - p)
     cos_r, sin_r = np.cos(chi_row), np.sin(chi_row)
     cos_c, sin_c = np.cos(chi_col), np.sin(chi_col)
     j = np.arange(m_rows)[:, None]

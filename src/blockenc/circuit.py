@@ -169,15 +169,16 @@ class Macro:
     A macro keeps its recipe, not its gates: ``recipe(*args)`` returns the
     forward expansion, a module-level function so that no macro holds a
     closure, and ``inverted`` marks the adjoint.  Counting reads only the
-    declared cost and the qubit roles, which one classification caches; the
-    text writer and the simulator build the expansion.
+    declared cost and qubit roles, sorted tuples of the qubits the macro may
+    change (``full``) and of those it only reads (``ctrl``); the text writer
+    and the simulator build the expansion.
     """
 
     __slots__ = ("kind", "params", "recipe", "args", "inverted", "t_count",
-                 "t_depth", "footprint", "_roles")
+                 "t_depth", "full", "ctrl")
 
-    def __init__(self, kind, params, recipe, args, t_count, t_depth,
-                 footprint=(), inverted=False):
+    def __init__(self, kind, params, recipe, args, t_count, t_depth, full,
+                 ctrl, inverted=False):
         self.kind = kind
         self.params = params
         self.recipe = recipe
@@ -185,49 +186,25 @@ class Macro:
         self.inverted = inverted
         self.t_count = int(t_count)
         self.t_depth = int(t_depth)
-        # Qubits the macro logically owns even when the classical data
-        # happens to leave them untouched; keeps depth accounting
-        # data-independent.
-        self.footprint = tuple(footprint)
-        self._roles = None
+        self.full = tuple(sorted(full))
+        self.ctrl = tuple(sorted(ctrl))
+        if not self.full and not self.ctrl:
+            raise CircuitError(f"{kind.value} macro declares no qubit")
 
     @property
     def expansion(self):
         gates = self.recipe(*self.args)
         return tuple(adjoint_ops(gates) if self.inverted else gates)
 
-    def _classify(self):
-        """(full, control-only) qubits as sorted tuples, computed once.
-        Inverting the expansion keeps every qubit's role, so the forward
-        recipe serves both directions."""
-        if self._roles is None:
-            full = set(self.footprint)
-            ctrl = set()
-            for g in self.recipe(*self.args):
-                if g.kind is GateKind.CZ:
-                    ctrl.update(g.targets)
-                else:
-                    full.update(g.targets)
-                for q, _ in g.controls:
-                    ctrl.add(q)
-            self._roles = (tuple(sorted(full)), tuple(sorted(ctrl - full)))
-        return self._roles
-
     def qubits(self):
-        full, ctrl = self._classify()
-        return tuple(sorted(full + ctrl))
-
-    def control_qubits(self):
-        return self._classify()[1]
-
-    def full_qubits(self):
-        return self._classify()[0]
+        return self.full + self.ctrl
 
     def adjoint(self):
-        inverse = Macro(self.kind, self.params, self.recipe, self.args,
-                        self.t_count, self.t_depth, self.footprint,
-                        not self.inverted)
-        inverse._roles = self._classify()
+        """Inverting the expansion keeps every qubit's role."""
+        inverse = Macro.__new__(Macro)
+        for name in Macro.__slots__:
+            setattr(inverse, name, getattr(self, name))
+        inverse.inverted = not self.inverted
         return inverse
 
     def __eq__(self, other):
@@ -342,10 +319,7 @@ def _check_stages(stages, num_ops):
 def _check_op(op, total):
     if isinstance(op, Gate):
         op.validate()
-        qubits = op.qubits()
-    else:
-        qubits = op.qubits()
-    for q in qubits:
+    for q in op.qubits():
         if not 0 <= q < total:
             raise CircuitError(f"qubit {q} out of range [0, {total})")
 
@@ -423,16 +397,10 @@ def _op_cost(op):
 
     An op's T-count is ``t_count + ry_units * ry_cost`` and its T-depth
     ``t_depth + ry_units * ry_cost``.  Control-only qubits are diagonal uses:
-    two of them on one qubit commute.  A macro that touches no qubit still
-    takes depth; it is scheduled as a control-only use of the counter's
-    spare qubit -1.
+    two of them on one qubit commute.
     """
     if isinstance(op, Macro):
-        full = op.full_qubits()
-        ctrl = op.control_qubits()
-        if not full and not ctrl:
-            ctrl = (-1,)
-        return op.t_count, op.t_depth, 0, full, ctrl
+        return op.t_count, op.t_depth, 0, op.full, op.ctrl
     w, units = _GATE_WEIGHTS[op.kind]
     if op.kind is GateKind.CZ:
         return w, w, units, (), op.targets
@@ -467,9 +435,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     """
     ops = circuit.ops
     total = circuit.total_qubits
-    width = total + 1       # the last slot is the spare qubit -1
     # Per R_y value: [ry, last_full, busy, s_full, s_busy].
-    states = [[ry, [0] * width, [0] * width, None, None] for ry in ry_costs]
+    states = [[ry, [0] * total, [0] * total, None, None] for ry in ry_costs]
     t_count = ry_units = 0
     stage_counts = []
     segments = []
@@ -480,8 +447,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     segments.append((None, pos, len(ops)))
     for name, lo, hi in segments:
         for state in states:
-            state[3] = [0] * width
-            state[4] = [0] * width
+            state[3] = [0] * total
+            state[4] = [0] * total
         s_count = s_units = 0
         for i in range(lo, hi):
             op = ops[i]
@@ -518,7 +485,7 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
         t_count += s_count
         ry_units += s_units
         stage_counts.append((name, s_count, s_units,
-                             [max(state[4]) for state in states]))
+                             [max(state[4], default=0) for state in states]))
     reports = []
     for v, (ry, _, busy, _, _) in enumerate(states):
         breakdown = {}
@@ -528,8 +495,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
                 breakdown[name] = (tc0 + s_count + s_units * ry,
                                    td0 + s_depths[v])
         reports.append(ResourceReport(
-            qubits=total, t_count=t_count + ry_units * ry, t_depth=max(busy),
-            breakdown=breakdown))
+            qubits=total, t_count=t_count + ry_units * ry,
+            t_depth=max(busy, default=0), breakdown=breakdown))
     return reports
 
 
@@ -560,8 +527,11 @@ def _parse_controls(text):
     return tuple(out)
 
 
+_GATE_KINDS = {k.value: k for k in GateKind}
+
+
 def _parse_gate(fields):
-    kind = GateKind(fields[0])
+    kind = _GATE_KINDS[fields[0]]
     controls = ()
     targets = ()
     angle = None
@@ -570,7 +540,7 @@ def _parse_gate(fields):
         if key == "c":
             controls = _parse_controls(val)
         elif key == "t":
-            targets = tuple(int(x) for x in val.split(","))
+            targets = tuple(map(int, val.split(",")))
         elif key == "a":
             angle = float(val)
         else:
@@ -597,6 +567,14 @@ def _fmt_chunk(g):
     return _fmt_gate(g).replace(" ", ";")
 
 
+def _fmt_qubits(qubits):
+    return ",".join(map(str, qubits)) or "-"
+
+
+def _parse_qubits(text):
+    return () if text == "-" else tuple(map(int, text.split(",")))
+
+
 def write_circuit_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.total_qubits}"]
     for reg in circuit.registers:
@@ -612,18 +590,21 @@ def write_circuit_text(circuit: Circuit) -> str:
             params = ",".join(f"{k}:{v}" for k, v in sorted(op.params.items()))
             body = "|".join(_memo_text(chunks, g, _fmt_chunk)
                             for g in op.expansion)
-            fp = ",".join(str(q) for q in op.footprint) or "-"
             lines.append(
                 f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
-                f"fp={fp} p={params or '-'} ops={body}"
+                f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
+                f"p={params or '-'} ops={body}"
             )
     return "\n".join(lines) + "\n"
 
 
-_MACRO_FIELDS = frozenset(("tc", "td", "fp", "p", "ops"))
+_MACRO_FIELDS = frozenset(("tc", "td", "fq", "cq", "p", "ops"))
 
 
 def _parse_macro(fields, chunks):
+    """A macro line's op.  Its declared roles must cover its expansion, with
+    a gate's qubits split as ``_op_cost`` splits them: each target (a CZ's
+    are only read) lies in ``fq``, and each other qubit in ``fq`` or ``cq``."""
     kind = MacroKind(fields[0])
     attrs = dict(tok.split("=", 1) for tok in fields[1:])
     params = {}
@@ -638,14 +619,26 @@ def _parse_macro(fields, chunks):
             if g is None:
                 g = chunks[chunk] = _parse_gate(chunk.split(";"))
             expansion.append(g)
-    footprint = ()
-    if attrs.get("fp", "-") != "-":
-        footprint = tuple(int(x) for x in attrs["fp"].split(","))
     unknown = sorted(attrs.keys() - _MACRO_FIELDS)
     if unknown:
         raise CircuitError(f"unknown macro field {unknown[0]!r}")
-    return Macro(kind, params, stored_gates, (tuple(expansion),),
-                 int(attrs["tc"]), int(attrs["td"]), footprint)
+    macro = Macro(kind, params, stored_gates, (tuple(expansion),),
+                  int(attrs["tc"]), int(attrs["td"]),
+                  _parse_qubits(attrs["fq"]), _parse_qubits(attrs["cq"]))
+    changed, read = set(), set()
+    for g in expansion:
+        (read if g.kind is GateKind.CZ else changed).update(g.targets)
+        for q, _ in g.controls:
+            read.add(q)
+    outside = changed.difference(macro.full)
+    if outside:
+        raise CircuitError(f"{kind.value} macro changes qubit {min(outside)} "
+                           "outside fq")
+    outside = read.difference(macro.full, macro.ctrl)
+    if outside:
+        raise CircuitError(f"{kind.value} macro uses qubit {min(outside)} "
+                           "outside fq and cq")
+    return macro
 
 
 def parse_circuit_text(text: str) -> Circuit:

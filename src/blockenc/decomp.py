@@ -1,7 +1,8 @@
 """Clifford+T gate decompositions and costed macro factories.
 
 Each factory returns either a plain gate list, whose counted resources are its
-cost, or a ``Macro`` with a declared cost and an exact unitary expansion.
+cost, or a ``Macro`` with a declared cost, qubit roles that do not depend
+on the data, and an exact unitary expansion.
 These are the gadgets the generators emit.  The phase-incorrect controlled
 swaps permute basis states correctly but pick up -1 phases on some inputs;
 they are only used where the phase lands in garbage or cancels against the
@@ -10,6 +11,8 @@ adjoint leg.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .circuit import Gate, GateKind, Macro, MacroKind
 
@@ -139,7 +142,9 @@ def parallel_cswap_clean(control, pairs, pool):
     if len(pool) < 2 * k:
         raise ParameterError(f"need a pool of 2k = {2 * k} qubits")
     return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, {"k": k}, _cswap_clean_gates,
-                 (control, pairs, pool), t_count=4 * k, t_depth=1)
+                 (control, pairs, pool), 4 * k, 1,
+                 full=pool[:k] + tuple(q for pair in pairs for q in pair),
+                 ctrl=(control,))
 
 
 def _and_toffoli_gates(c1, c2, target):
@@ -153,7 +158,7 @@ def and_toffoli(c1, c2, target):
     the Jones-style scratch qubit is a register qubit the caller keeps free.
     """
     return Macro(MacroKind.AND_TOFFOLI, {}, _and_toffoli_gates,
-                 (c1, c2, target), 4, 1)
+                 (c1, c2, target), 4, 1, full=(target,), ctrl=(c1, c2))
 
 
 def match_controls(select_qubits, value):
@@ -162,15 +167,16 @@ def match_controls(select_qubits, value):
                  for i, q in enumerate(select_qubits))
 
 
-def _unary_select_gates(select_qubits, write_rows, flag):
+def _unary_select_gates(select_qubits, rows, slots, flag):
     gates = []
-    if flag is None:
-        for j, targets in enumerate(write_rows):
+    slots = np.asarray(slots)
+    for j, row in enumerate(rows):
+        targets = tuple(slots[np.flatnonzero(row)].tolist())
+        if flag is None:
             if targets:
                 gates.append(Gate(GateKind.FANOUT_CNOT, targets,
                                   ((select_qubits[0], bool(j)),)))
-        return gates
-    for j, targets in enumerate(write_rows):
+            continue
         mcx = Gate(GateKind.MCX, (flag,), match_controls(select_qubits, j))
         gates.append(mcx)
         if targets:
@@ -179,33 +185,32 @@ def _unary_select_gates(select_qubits, write_rows, flag):
     return gates
 
 
-def unary_select(select_qubits, write_rows, flag=None, footprint=()):
+def unary_select(select_qubits, rows, slots, flag=None):
     """Unary-iteration select macro writing one classical row per address.
 
-    ``write_rows[j]`` lists the fanout target qubits for select value j.
-    Cost is the unary iteration model: T-count = T-depth = 4*(2^s - 1) with
-    s - 1 scratch qubits, a register the caller allocates.  The expansion
-    computes an address-match ``flag`` (the first of those qubits, required
-    for s >= 2) with a mixed-polarity MCX, fanout-writes the row, and
-    uncomputes; for s = 1 the polarized select bit drives the fanout
-    directly and ``flag`` is unused.
+    Select value j flips the ``slots`` where row j of the 0/1 array
+    ``rows`` is 1.  Cost is the unary iteration model: T-count = T-depth =
+    4*(2^s - 1) with s - 1 scratch qubits, a register the caller allocates.
+    The expansion computes an address-match ``flag`` (the first of those
+    qubits, required for s >= 2) with a mixed-polarity MCX, fanout-writes
+    the row, and uncomputes; for s = 1 the polarized select bit drives the
+    fanout directly and ``flag`` is unused.  All-zero rows keep the roles.
     """
     select_qubits = tuple(select_qubits)
+    slots = tuple(slots)
     s = len(select_qubits)
     if s < 1:
         raise ParameterError("s must be >= 1")
-    rows = 1 << s
-    write_rows = tuple(tuple(row) for row in write_rows)
-    if len(write_rows) != rows:
-        raise ParameterError(f"write_rows must have 2^{s} entries")
+    if np.shape(rows) != (1 << s, len(slots)):
+        raise ParameterError(f"rows must be 2^{s} rows of {len(slots)} bits")
     if s == 1:
         flag = None
     elif flag is None:
         raise ParameterError("s >= 2 needs a flag qubit")
+    cost = 4 * ((1 << s) - 1)
     return Macro(MacroKind.UNARY_SELECT, {"s": s}, _unary_select_gates,
-                 (select_qubits, write_rows, flag),
-                 t_count=4 * (rows - 1), t_depth=4 * (rows - 1),
-                 footprint=footprint)
+                 (select_qubits, rows, slots, flag), cost, cost,
+                 full=slots + ((flag,) if s >= 2 else ()), ctrl=select_qubits)
 
 
 def _unary_step_gates(select_qubits, from_value, to_value, flag):
@@ -223,4 +228,5 @@ def unary_step(select_qubits, from_value, to_value, flag):
     """
     return Macro(MacroKind.UNARY_STEP, {"from": from_value, "to": to_value},
                  _unary_step_gates,
-                 (tuple(select_qubits), from_value, to_value, flag), 4, 4)
+                 (tuple(select_qubits), from_value, to_value, flag), 4, 4,
+                 full=(flag,), ctrl=select_qubits)

@@ -36,6 +36,9 @@ class Method(str, Enum):
     PRE_ROTATED = "prerotated"
 
 
+MAX_T = 1023    # the rounding steps of t-bit angles, up to 2^t, are floats
+
+
 class Variant(str, Enum):
     STANDARD = "standard"
     CONTROLLED = "controlled"
@@ -52,8 +55,8 @@ class BlockEncodingConfig:
     t: int | None = None
 
     def validate(self, n):
-        if self.t is not None and self.t < 1:
-            raise ConfigurationError("t must be >= 1")
+        if self.t is not None and not 1 <= self.t <= MAX_T:
+            raise ConfigurationError(f"t must be >= 1 and <= {MAX_T}")
         if self.method is Method.PRE_ROTATED:
             if self.qram is not QramModel.FLAGS or self.lam != n:
                 raise ConfigurationError(
@@ -84,6 +87,8 @@ def select_parameters(epsilon, alpha, n,
         raise ValueError("epsilon and alpha must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if alpha / epsilon == math.inf:
+        raise ValueError("alpha / epsilon overflows a float")
     la = math.log2(alpha / epsilon)
     ln = math.log2(n) if n > 1 else 0.0
     if method is Method.FIXED_PRECISION:
@@ -149,10 +154,10 @@ def _setup(a, cfg, variant):
     rows, phi, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
     t = cfg.t if cfg.t is not None else params.t
-    if t is not None and t < 1:
+    if t is not None and not 1 <= t <= MAX_T:
         raise ConfigurationError(
             f"epsilon {cfg.epsilon:g} chooses t = {t} for alpha {alpha:g}; "
-            "t must be >= 1: set t or a smaller epsilon")
+            f"t must be >= 1 and <= {MAX_T}: set t or another epsilon")
     return rows, phi, n, t, partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
         original_shape=original, padded=padded)

@@ -107,18 +107,14 @@ class SelectSwapLoad:
         lam, s = spec.lam, spec.select_bits
         # Select: write row (i * 2^lam + c) into slot c for select value i.
         all_slots = tuple(q for slot in self.slots for q in slot)
-        marked = np.asarray(spec.rows, dtype=bool).reshape(1 << s, -1)
-        # An object array hands out the slots' own int objects, which the
-        # write rows then share instead of holding one new int per bit.
-        slot_qubits = np.array(all_slots, dtype=object)
-        write_rows = [tuple(slot_qubits[m]) for m in marked]
+        rows = np.asarray(spec.rows).reshape(1 << s, -1)
         if s == 0:
-            ops = [Gate(GateKind.X, (q,)) for q in write_rows[0]]
+            ops = [Gate(GateKind.X, (all_slots[i],))
+                   for i in np.flatnonzero(rows[0])]
         else:
             ops = [unary_select(
-                select_qubits=self.addr[:s], write_rows=write_rows,
-                flag=self.select_anc[0] if self.select_anc else None,
-                footprint=all_slots)]
+                self.addr[:s], rows, all_slots,
+                flag=self.select_anc[0] if self.select_anc else None)]
         # Swap: move slot j_low to slot 0, low stride first.
         for k in range(lam):
             ctrl = self.addr[s + (lam - 1 - k)]

@@ -225,9 +225,12 @@ def fixed_rows_for_trees(vectors, t):
     """LOAD bit rows of a (K, 2^n) array of amplitude vectors, as a (K, D)
     uint8 array in the data-block layout: each heap-order angle rounded to
     the nearest multiple of 2*pi/2^t (ties up) as t bits, MSB first, then
-    the 2^n sign bits."""
+    the 2^n sign bits.  The rounding is exact for every t <= 1023: scaling
+    by 2^t is exact, and so is splitting off the fraction."""
     vectors = np.asarray(vectors, dtype=float)
-    steps = np.floor(heap_angles(vectors) * 2.0 ** t / TWO_PI + 0.5)
+    scaled = np.ldexp(heap_angles(vectors) / TWO_PI, t)
+    steps = np.floor(scaled)
+    steps += scaled - steps >= 0.5
     bits = np.empty(steps.shape + (t,), dtype=np.uint8)
     for j in range(t):
         bits[:, :, j] = np.floor(steps / 2.0 ** (t - 1 - j)) % 2

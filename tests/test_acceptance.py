@@ -368,9 +368,8 @@ def test_criterion_8_decomposition_fidelity():
         parallel_cswap_clean(control=0, pairs=((1, 2),), pool=(3,))
 
     # unary select costs
-    ok &= unary_select(select_qubits=(0,), write_rows=[(), ()]).t_count == 4
-    macro = unary_select(select_qubits=(0, 1, 2),
-                         write_rows=[() for _ in range(8)], flag=3)
+    ok &= unary_select((0,), np.zeros((2, 1)), slots=(1,)).t_count == 4
+    macro = unary_select((0, 1, 2), np.zeros((8, 1)), slots=(4,), flag=3)
     ok &= (macro.t_count, macro.t_depth) == (28, 28)
 
     elapsed = report(8, "decomposition fidelity", ok, started,

@@ -354,6 +354,19 @@ def test_qnorm_symmetrized_recovery():
                 assert abs(_inner(psi_sym[j], phi_sym[jp])) < 1e-10
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_qnorm_of_entries_far_apart(p):
+    """Row 1's power sum underflows for p = 1 (1e-400) and column 1's for
+    p = 0; the report stays finite and every target state has unit norm."""
+    a = np.array([[1.0, 0.0], [0.0, 1e-200]])
+    data = qnorm_profile(a, p)
+    assert data.mu_p == 1.0
+    assert all(math.isfinite(chi) for chi in data.chi_row + data.chi_col)
+    for family in qnorm_targets(a, p):
+        for state in family:
+            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_qnorm_zero_row_degenerate():
     with pytest.raises(DegenerateInputError):
         qnorm_profile(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.5)
@@ -378,16 +391,25 @@ def test_qnorm_targets_need_a_square_matrix():
 
 
 # Loop references for the target families: one coefficient at a time.  The
-# power sums and chi angles are the report's own, so only the families differ.
-# The families do not depend on the matrix's scale, so the references take
-# the matrix scaled exactly by a power of two (``scaled_frobenius``), whose
-# squared entries neither underflow nor overflow.
+# chi angles are the report's own, so only the families differ.  A family's
+# states do not depend on the scale of their row or column, so the q-norm
+# reference divides each by its largest |entry| before taking powers; the
+# symmetrized reference takes the matrix scaled exactly by a power of two
+# (``scaled_frobenius``), whose squared entries neither underflow nor
+# overflow.
+
+def _unit_row_powers(row, q):
+    """|row_k|^q over the row's q-power sum's root, with 0^0 := 0."""
+    row = np.abs(row) / np.max(np.abs(row))
+    norm = math.sqrt(_power_sum(row, 2 * q))
+    return [x ** q / norm if x else 0.0 for x in row]
+
 
 def _loop_qnorm_targets(a, p):
     data = qnorm_profile(a, p)
     chi_row, chi_col = data.chi_row, data.chi_col
-    row_pow = [_power_sum(row, 2 * p) for row in a]
-    col_pow = [_power_sum(col, 2 * (1 - p)) for col in a.T]
+    row_units = [_unit_row_powers(row, p) for row in a]
+    col_units = [_unit_row_powers(col, 1 - p) for col in a.T]
     nn = a.shape[0]
     width = 2 * nn
     big = 4 * nn
@@ -396,7 +418,7 @@ def _loop_qnorm_targets(a, p):
         pv, sp, sf = (np.zeros(width * width), np.zeros(big * big),
                       np.zeros(big * big))
         for k in range(nn):
-            coeff = math.copysign(abs(a[j, k]) ** p, a[j, k]) / math.sqrt(row_pow[j])
+            coeff = math.copysign(row_units[j][k], a[j, k])
             c, s = coeff * math.cos(chi_row[j]), coeff * math.sin(chi_row[j])
             pv[j * width + k] += c
             pv[j * width + nn + k] += s
@@ -411,7 +433,7 @@ def _loop_qnorm_targets(a, p):
         fv, sp, sf = (np.zeros(width * width), np.zeros(big * big),
                       np.zeros(big * big))
         for j in range(nn):
-            coeff = abs(a[j, k]) ** (1 - p) / math.sqrt(col_pow[k])
+            coeff = col_units[k][j]
             c, s = coeff * math.cos(chi_col[k]), coeff * math.sin(chi_col[k])
             fv[j * width + k] += c
             fv[(nn + j) * width + k] += s
@@ -473,7 +495,7 @@ def _matrices(draw, shapes):
        p=st.floats(0.0, 1.0))
 def test_qnorm_targets_match_loop_reference(a, p):
     try:
-        want = _loop_qnorm_targets(scaled_frobenius(a)[0], p)
+        want = _loop_qnorm_targets(a, p)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
             qnorm_targets(a, p)

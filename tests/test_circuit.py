@@ -15,6 +15,7 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    adjoint_ops,
     count_resources,
     count_resources_at,
     parse_circuit_text,
@@ -194,9 +195,8 @@ def test_text_format_round_trip():
     b.gate(GateKind.CSWAP, (4, 5), ((3, True),))
     b.gate(GateKind.RY, 0, angle=1.5707963)
     b.gate(GateKind.MCX, (4,), ((0, False), (1, True)))
-    b.add(unary_select(select_qubits=(0, 1),
-                       write_rows=[(2,), (), (3,), (2, 3)], flag=4,
-                       footprint=(2, 3, 4, 5)))
+    b.add(unary_select((0, 1), [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0),
+                                (1, 1, 0, 0)], slots=(2, 3, 4, 5), flag=4))
     b.add(parallel_cswap_clean(control=0, pairs=((2, 3),), pool=(4, 5)))
     circuit = b.build()
     text = write_circuit_text(circuit)
@@ -277,8 +277,9 @@ def test_invalid_line_seen_once_rejected():
 
 def test_out_of_range_macro_rejected():
     text = ("qubits 3\nreg q 0 3\n"
-            "m AND_TOFFOLI tc=4 td=1 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2\n"
-            "m AND_TOFFOLI tc=4 td=1 fp=7 p=- ops=TOFFOLI;c=+0,+1;t=2\n")
+            "m AND_TOFFOLI tc=4 td=1 fq=2 cq=0,1 p=- ops=TOFFOLI;c=+0,+1;t=2\n"
+            "m AND_TOFFOLI tc=4 td=1 fq=2,7 cq=0,1 p=- "
+            "ops=TOFFOLI;c=+0,+1;t=2\n")
     with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
         parse_circuit_text(text)
 
@@ -305,6 +306,39 @@ def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
     with pytest.raises(CircuitError, match=message):
         parse_circuit_text(text)
+
+
+_TOFFOLI_OPS = "ops=TOFFOLI;c=+0,+1;t=2"
+
+
+@pytest.mark.parametrize("roles, message", [
+    ("fp=2", "unknown macro field 'fp'"),
+    ("fq=0,1 cq=2", "changes qubit 2 outside fq"),
+    ("fq=2 cq=0", "uses qubit 1 outside fq and cq"),
+    ("fq=- cq=-", "AND_TOFFOLI macro declares no qubit"),
+])
+def test_macro_roles_must_cover_the_expansion(roles, message):
+    text = f"qubits 3\nreg q 0 3\nm AND_TOFFOLI tc=4 td=1 {roles} p=- "
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit_text(text + _TOFFOLI_OPS + "\n")
+
+
+def test_macro_line_writes_declared_roles():
+    b = CircuitBuilder()
+    b.allocate("q", 4)
+    b.add(and_toffoli(1, 0, 3))
+    b.add(unary_select((0,), [(0, 0), (0, 0)], slots=(2, 3)))
+    lines = write_circuit_text(b.build()).splitlines()[2:]
+    assert lines == [
+        "m AND_TOFFOLI tc=4 td=1 fq=3 cq=0,1 p=- ops=TOFFOLI;c=+1,+0;t=3",
+        "m UNARY_SELECT tc=4 td=4 fq=2,3 cq=0 p=s:1 ops="]
+    # The all-zero select still reads its select qubit: the T on qubit 0
+    # waits for it.
+    b.gate(GateKind.T, 0)
+    circuit = b.build()
+    assert count_resources(circuit).t_depth == 6
+    assert count_resources(parse_circuit_text(
+        write_circuit_text(circuit))).t_depth == 6
 
 
 def test_write_keeps_signed_zero_angles():
@@ -366,14 +400,20 @@ def _gates(draw):
 
 @st.composite
 def _macros(draw, gates):
+    """A macro over drawn gates whose roles cover its expansion, plus at
+    least one drawn qubit declared full or control-only."""
     expansion = draw(st.lists(st.sampled_from(gates), max_size=4))
     params = draw(st.dictionaries(st.sampled_from(("s", "k", "from")),
                                   st.integers(0, 9), max_size=2))
-    footprint = tuple(draw(st.lists(st.integers(0, _WIDTH - 1), max_size=3,
-                                    unique=True)))
+    full = {q for g in expansion if g.kind is not GateKind.CZ
+            for q in g.targets}
+    read = {q for g in expansion for q in g.qubits()}
+    for q in draw(st.lists(st.integers(0, _WIDTH - 1), min_size=1,
+                           max_size=3, unique=True)):
+        (full if draw(st.booleans()) else read).add(q)
     return Macro(draw(st.sampled_from(list(MacroKind))), params, stored_gates,
                  (tuple(expansion),), draw(st.integers(0, 8)),
-                 draw(st.integers(0, 8)), footprint)
+                 draw(st.integers(0, 8)), full, read - full)
 
 
 @st.composite
@@ -424,8 +464,9 @@ def test_text_round_trip_property(circuit, ry):
     assert parsed.registers == circuit.registers
     assert parsed.stages == circuit.stages
     assert list(parsed.ops) == list(circuit.ops)
-    assert ([getattr(op, "footprint", None) for op in parsed.ops]
-            == [getattr(op, "footprint", None) for op in circuit.ops])
+    assert ([(op.full, op.ctrl) for op in parsed.ops if isinstance(op, Macro)]
+            == [(op.full, op.ctrl) for op in circuit.ops
+                if isinstance(op, Macro)])
     assert count_resources(parsed, ry) == count_resources(circuit, ry)
 
 
@@ -486,7 +527,7 @@ def _oracle_counts(ops, ry):
     for op in ops:
         if isinstance(op, Macro):
             weight = (op.t_count, op.t_depth)
-            ctrl = set(op.control_qubits())
+            ctrl = set(op.ctrl)
         else:
             w = {GateKind.T: 1, GateKind.TDG: 1, GateKind.G: 1,
                  GateKind.GDG: 1, GateKind.RY: ry, GateKind.CRY: 2 * ry,
@@ -568,15 +609,11 @@ def test_gate_adjoint_round_trip_and_sharing(kind):
 
 
 @_PROPERTY
-@given(data=st.data(), classify_first=st.booleans())
-def test_macro_adjoint_keeps_qubit_roles(data, classify_first):
+@given(data=st.data())
+def test_macro_adjoint_keeps_qubit_roles(data):
     gates = data.draw(st.lists(_gates(), min_size=1, max_size=5))
     macro = data.draw(_macros(gates))
-    if classify_first:
-        macro.control_qubits()
     inverse = macro.adjoint()
-    fresh = Macro(inverse.kind, inverse.params, stored_gates,
-                  (inverse.expansion,), inverse.t_count, inverse.t_depth,
-                  inverse.footprint)
-    assert inverse.control_qubits() == fresh.control_qubits()
-    assert inverse.full_qubits() == fresh.full_qubits()
+    assert inverse.full is macro.full and inverse.ctrl is macro.ctrl
+    assert inverse.inverted and not inverse.adjoint().inverted
+    assert inverse.expansion == tuple(adjoint_ops(macro.expansion))

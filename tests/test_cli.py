@@ -350,6 +350,33 @@ def test_epsilon_above_alpha_exits_2(capsys, matrix_csv, command, entries,
     assert err.startswith("error: epsilon") and "t must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--t", "1024"), "t must be >= 1 and <= 1023"),
+    (("build", "--epsilon", "1e-320"), "overflows a float"),
+    (("estimate", "--alpha", "1e300", "--epsilon", "1e-10", "--n", "2"),
+     "overflows a float"),
+])
+def test_values_outside_the_float_range_exit_2(capsys, matrix_csv, argv,
+                                               message):
+    if argv[0] == "build":
+        argv += ("--matrix", matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]])))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_estimate_qnorm_of_entries_far_apart(capsys, matrix_csv):
+    path = matrix_csv(np.array([[1.0, 0.0], [0.0, 1e-200]]))
+    code, out, _ = run_cli(capsys, "estimate", "--matrix", path,
+                           "--norm", "qnorm:1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mu_p"] == 1.0
+    assert payload["chi_row"] == [0.0, pytest.approx(math.pi / 2)]
+    assert payload["chi_col"] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("flags", [("--n", "frobenius"), ("--form", "json")])
 def test_abbreviated_flags_exit_2(capsys, matrix_csv, flags):
     path = matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -17,10 +17,8 @@ from blockenc.circuit import (
     CircuitBuilder,
     Gate,
     GateKind,
-    Macro,
     adjoint_ops,
     count_resources,
-    stored_gates,
 )
 from blockenc.decomp import (
     ParameterError,
@@ -210,27 +208,25 @@ def test_parallel_cswap_clean_k2_cost():
 # -- unary select -------------------------------------------------------------
 
 def test_unary_select_costs():
-    macro = unary_select(select_qubits=(0,), write_rows=[(2,), (3,)])
+    macro = unary_select((0,), np.eye(2), slots=(2, 3))
     assert (macro.t_count, macro.t_depth) == (4, 4)
-    rows = [() for _ in range(8)]
-    macro = unary_select(select_qubits=(0, 1, 2), write_rows=rows, flag=3)
+    rows = np.zeros((8, 1))
+    macro = unary_select((0, 1, 2), rows, slots=(4,), flag=3)
     assert (macro.t_count, macro.t_depth) == (28, 28)
     with pytest.raises(ParameterError, match="flag"):
-        unary_select(select_qubits=(0, 1, 2), write_rows=rows)
+        unary_select((0, 1, 2), rows, slots=(4,))
+    with pytest.raises(ParameterError, match=r"2\^1 rows of 1 bits"):
+        unary_select((0,), rows, slots=(4,))
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_unary_select_semantics(s):
     rng = np.random.default_rng(s)
     width = 3
-    rows = [tuple(int(x) for x in rng.integers(0, 2, width))
-            for _ in range(1 << s)]
+    rows = rng.integers(0, 2, (1 << s, width))
     data_qubits = tuple(range(s, s + width))
-    write_rows = [tuple(q for q, bit in zip(data_qubits, row) if bit)
-                  for row in rows]
     flag = s + width if s >= 2 else None
-    macro = unary_select(select_qubits=tuple(range(s)), write_rows=write_rows,
-                         flag=flag, footprint=data_qubits)
+    macro = unary_select(tuple(range(s)), rows, data_qubits, flag=flag)
     total = s + width + (1 if s >= 2 else 0)
     u = dense_unitary([macro], total)
     for j in range(1 << s):
@@ -272,8 +268,9 @@ def _ref_match(select_qubits, value):
                  for i, q in enumerate(select_qubits))
 
 
-def _ref_unary_select(select_qubits, write_rows, flag):
+def _ref_unary_select(select_qubits, rows, slots, flag):
     s = len(select_qubits)
+    write_rows = [[q for q, bit in zip(slots, row) if bit] for row in rows]
     gates = []
     if s == 1:
         for j in range(2):
@@ -292,68 +289,78 @@ def _ref_unary_select(select_qubits, write_rows, flag):
     return gates
 
 
-def _fresh_roles(macro):
-    fresh = Macro(macro.kind, macro.params, stored_gates, (macro.expansion,),
-                  macro.t_count, macro.t_depth, macro.footprint)
-    return fresh.full_qubits(), fresh.control_qubits()
+def _reference_roles(gates):
+    """(full, control-only) qubits of a gate list as sorted tuples: a
+    gate's targets change (a CZ's are only read), its controls are read."""
+    full, ctrl = set(), set()
+    for g in gates:
+        (ctrl if g.kind is GateKind.CZ else full).update(g.targets)
+        ctrl.update(q for q, _ in g.controls)
+    return tuple(sorted(full)), tuple(sorted(ctrl - full))
 
 
-def _check_recipe(macro, reference, classify_first):
-    if classify_first:
-        macro.qubits()
+def _check_recipe(macro, reference, exact_roles=True):
+    """The recipe builds ``reference``; the declared roles cover the
+    expansion of the macro and its adjoint, which shares them, and equal
+    its classification when ``exact_roles``."""
     inverse = macro.adjoint()
     assert macro.expansion == tuple(reference)
     assert inverse.expansion == tuple(adjoint_ops(macro.expansion))
     assert inverse.adjoint().expansion == macro.expansion
-    for m in (macro, inverse):
-        assert (m.full_qubits(), m.control_qubits()) == _fresh_roles(m)
-        assert m.qubits() == tuple(sorted(set(m.footprint).union(
-            *(g.qubits() for g in m.expansion))))
+    assert inverse.full is macro.full and inverse.ctrl is macro.ctrl
+    assert macro.full == tuple(sorted(macro.full))
+    assert macro.ctrl == tuple(sorted(macro.ctrl))
+    full, ctrl = _reference_roles(reference)
+    assert set(macro.full) >= set(full)
+    assert set(macro.full) | set(macro.ctrl) >= set(full) | set(ctrl)
+    if exact_roles:
+        assert (macro.full, macro.ctrl) == (full, ctrl)
 
 
 _RECIPES = settings(max_examples=40, deadline=None)
 
 
 @_RECIPES
-@given(data=st.data(), k=st.integers(1, 4), classify_first=st.booleans())
-def test_parallel_cswap_clean_recipe(data, k, classify_first):
+@given(data=st.data(), k=st.integers(1, 4))
+def test_parallel_cswap_clean_recipe(data, k):
     order = data.draw(st.permutations(range(20)))
     control = order[0]
     pairs = tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k]))
     pool = tuple(order[1 + 2 * k:1 + 4 * k])
     macro = parallel_cswap_clean(control=control, pairs=pairs, pool=pool)
-    _check_recipe(macro, _ref_cswap_clean(control, pairs, pool),
-                  classify_first)
+    _check_recipe(macro, _ref_cswap_clean(control, pairs, pool))
 
 
 @_RECIPES
-@given(order=st.permutations(range(6)), classify_first=st.booleans())
-def test_and_toffoli_recipe(order, classify_first):
+@given(order=st.permutations(range(6)))
+def test_and_toffoli_recipe(order):
     c1, c2, target = order[:3]
     macro = and_toffoli(c1, c2, target)
     reference = [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
-    _check_recipe(macro, reference, classify_first)
+    _check_recipe(macro, reference)
 
 
 @_RECIPES
-@given(data=st.data(), s=st.integers(1, 3), classify_first=st.booleans())
-def test_unary_select_recipe(data, s, classify_first):
+@given(data=st.data(), s=st.integers(1, 3))
+def test_unary_select_recipe(data, s):
     order = data.draw(st.permutations(range(10)))
-    select_qubits, slots = tuple(order[:s]), order[s:s + 4]
-    write_rows = [tuple(q for q in slots if data.draw(st.booleans()))
-                  for _ in range(1 << s)]
+    select_qubits, slots = tuple(order[:s]), tuple(order[s:s + 4])
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        min_size=1 << s, max_size=1 << s)))
     flag = order[8]
-    footprint = tuple(data.draw(st.lists(st.sampled_from(slots),
-                                         unique=True)))
-    macro = unary_select(select_qubits=select_qubits, write_rows=write_rows,
-                         flag=flag, footprint=footprint)
-    _check_recipe(macro, _ref_unary_select(select_qubits, write_rows, flag),
-                  classify_first)
+    macro = unary_select(select_qubits, rows, slots, flag=flag)
+    assert macro.full == tuple(sorted(slots + ((flag,) if s >= 2 else ())))
+    assert macro.ctrl == tuple(sorted(select_qubits))
+    # The expansion shows every role once each slot is written by some row;
+    # with all-zero rows the declared roles stay the same.
+    _check_recipe(macro, _ref_unary_select(select_qubits, rows, slots, flag),
+                  exact_roles=rows.any(axis=0).all())
 
 
 @_RECIPES
-@given(data=st.data(), s=st.integers(1, 4), classify_first=st.booleans())
-def test_unary_step_recipe(data, s, classify_first):
+@given(data=st.data(), s=st.integers(1, 4))
+def test_unary_step_recipe(data, s):
     order = data.draw(st.permutations(range(6)))
     select_qubits, flag = tuple(order[:s]), order[5]
     lo = data.draw(st.integers(0, (1 << s) - 1))
@@ -361,5 +368,5 @@ def test_unary_step_recipe(data, s, classify_first):
     macro = unary_step(select_qubits, lo, hi, flag)
     reference = [Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, lo)),
                  Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, hi))]
-    _check_recipe(macro, reference, classify_first)
+    _check_recipe(macro, reference)
     assert macro.params == {"from": lo, "to": hi}

@@ -155,17 +155,10 @@ def test_controlled_block_encoding():
     assert spectral_norm(a - res.alpha * on) <= math.pi * 2 * 2.0 ** -8 * res.alpha
 
 
-_EMPTY_SELECT = pytest.mark.xfail(
-    strict=True,
-    reason="with one select bit and all-zero LOAD rows, unary_select emits "
-           "an empty expansion, so its select qubit never counts as a "
-           "control and the T-depth drops by one")
-
-
-@pytest.mark.parametrize("n, lam", [
-    pytest.param(1, 0, marks=_EMPTY_SELECT), (1, 1), (2, 0),
-    pytest.param(2, 1, marks=_EMPTY_SELECT), (3, 0), (3, 1),
-    pytest.param(3, 2, marks=_EMPTY_SELECT)])
+# (1, 0), (2, 1) and (3, 2) select with one bit; the single-entry matrix
+# gives that select all-zero rows.
+@pytest.mark.parametrize("n, lam", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
+                                    (3, 1), (3, 2)])
 def test_controlled_counts_independent_of_values(n, lam):
     side = 1 << n
     rng = np.random.default_rng(n)
@@ -186,10 +179,12 @@ def test_controlled_counts_independent_of_values(n, lam):
 
 
 # (shape, config) pairs at n <= 3 whose counts must not depend on the
-# matrix values; the controlled variant is covered above.
+# matrix values.
 _VALUE_GRID = (
-    [((1 << n, 1 << n), BlockEncodingConfig(qram=model, lam=lam, t=4))
-     for n in (1, 2, 3) for model in (SS, BB) for lam in range(n + 1)]
+    [((1 << n, 1 << n), BlockEncodingConfig(qram=model, lam=lam, t=4,
+                                            variant=variant))
+     for n in (1, 2, 3) for model in (SS, BB) for lam in range(n + 1)
+     for variant in (Variant.STANDARD, Variant.CONTROLLED)]
     + [((1 << n, 1 << n), BlockEncodingConfig(
         method=Method.PRE_ROTATED, qram=QramModel.FLAGS, lam=n))
        for n in (1, 2, 3)]
@@ -340,8 +335,7 @@ def test_each_load_is_built_once(load_builds, variant, model):
 
 def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
     """Building and counting the pre-rotated n = 5 encoding holds no macro
-    expansion and runs each forward macro's recipe once, to classify its
-    qubits; an inverted macro takes its roles from the macro it inverts."""
+    expansion and runs no recipe: every macro declares its qubit roles."""
     runs = [0]
     for name in ("_cswap_clean_gates", "_and_toffoli_gates",
                  "_unary_select_gates", "_unary_step_gates"):
@@ -361,8 +355,16 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
         tracemalloc.stop()
     macros = [op for op in circuit.ops if isinstance(op, Macro)]
     assert any(op.inverted for op in macros)
-    # One run per forward macro, whose adjoints share its argument tuple.
-    assert runs[0] == len({id(op.args) for op in macros})
+    assert runs[0] == 0
     # Peak with every expansion stored (and frozenset roles): 9.3 MB; with
     # recipes: 4.2 MB (Python 3.11).
     assert peak < 6.5e6
+
+
+def test_largest_t_encodes_the_matrix():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    res = build_block_encoding(a, BlockEncodingConfig(t=1023))
+    block = extract_block(res.circuit, res.in_qubits).block
+    assert np.abs(res.alpha * block - a).max() < 1e-12
+    with pytest.raises(ConfigurationError, match="<= 1023"):
+        build_block_encoding(a, BlockEncodingConfig(t=1024))

@@ -226,7 +226,7 @@ def _op_lists(draw):
     lo = draw(st.integers(0, len(gates)))
     hi = draw(st.integers(lo, len(gates)))
     macro = Macro(MacroKind.AND_TOFFOLI, {}, stored_gates,
-                  (tuple(gates[lo:hi]),), 0, 0)
+                  (tuple(gates[lo:hi]),), 0, 0, full=ACTIVE, ctrl=())
     return gates[:lo] + [macro] + gates[hi:]
 
 

@@ -1,10 +1,11 @@
 """State preparation: swap-network tracing, output accuracy, resource match."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blockenc.angle_tree import reconstruct_state
+from blockenc.angle_tree import heap_angles, reconstruct_state
 from blockenc.circuit import Circuit, adjoint_ops, count_resources
 from blockenc.encoding import BlockEncodingConfig, Method, build_block_encoding
 from blockenc.qram import QramModel
@@ -13,8 +14,10 @@ from blockenc.simulator import SparseState, check_clean, encode_register
 from blockenc.stateprep import (
     build_sp_fixed,
     build_sp_prerotated,
+    fixed_rows_for_trees,
     s_column_spec,
 )
+from blockenc.decomp import TWO_PI
 
 
 def heap_path_angles(n, y_bits):
@@ -270,3 +273,21 @@ def test_csp_prerotated_depth_within_block_encoding_budget():
             be_total = evaluate("be_prerotated", n=n, ry=ry).t_depth
             leg1 = evaluate("sp_prerotated", n=n, ry=ry).t_depth
             assert counted <= be_total - leg1
+
+
+@pytest.mark.parametrize("t", [10, 60, 1023])
+def test_fixed_rows_round_exactly(t):
+    """Each angle's t bits are those of round(angle / 2pi * 2^t), ties up,
+    in exact arithmetic on the float quotient.  The small leaf angles of the
+    first rows put angle / 2pi * 2^60 in [2^52, 2^53), where adding 0.5 in
+    floats would round a tie to even."""
+    rng = np.random.default_rng(t)
+    vectors = np.vstack([[[1.0, 0.02, -1.0, 0.015], [0.03, 1.0, 1.0, 0.04]],
+                         rng.standard_normal((6, 4))])
+    rows = fixed_rows_for_trees(vectors, t)
+    for row, angles, vector in zip(rows, heap_angles(vectors), vectors):
+        want = []
+        for x in angles / TWO_PI:
+            step = math.floor(Fraction(float(x)) * 2 ** t + Fraction(1, 2))
+            want += [(step >> (t - 1 - j)) & 1 for j in range(t)]
+        assert row.tolist() == want + [int(v < 0) for v in vector]
