@@ -27,6 +27,7 @@ from .encoding import (
     Method,
     Variant,
     build_block_encoding,
+    chosen_t,
     select_parameters,
 )
 # Unused here; perfbench/tracing.py wraps these names on this module.
@@ -176,7 +177,7 @@ def cmd_estimate(args):
     cfg = _config_from_args(args, n)
     cfg.validate(n)
     params = select_parameters(args.epsilon, alpha, n, cfg.method)
-    t = args.t if args.t is not None else params.t
+    t = chosen_t(cfg, params)
     ry = args.ry if args.ry is not None else params.r_y
     name, inputs = _formula_for(cfg, n)
     if "lam" in inputs:

@@ -114,6 +114,20 @@ class BlockEncodingResult:
     control_qubits: tuple = ()
 
 
+def chosen_t(cfg, params):
+    """The angle precision t: ``cfg.t`` if set, else the one ``params`` chose.
+
+    Raises ``ConfigurationError`` when the chosen t lies outside [1, MAX_T].
+    """
+    t = cfg.t if cfg.t is not None else params.t
+    if t is not None and not 1 <= t <= MAX_T:
+        raise ConfigurationError(
+            f"epsilon {cfg.epsilon:g} chooses t = {t} for alpha "
+            f"{params.alpha:g}; t must be >= 1 and <= {MAX_T}: set t or "
+            "another epsilon")
+    return t
+
+
 def _prepare_matrix(a, square=True):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -153,12 +167,7 @@ def _setup(a, cfg, variant):
     cfg.validate(n)
     rows, phi, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
-    t = cfg.t if cfg.t is not None else params.t
-    if t is not None and not 1 <= t <= MAX_T:
-        raise ConfigurationError(
-            f"epsilon {cfg.epsilon:g} chooses t = {t} for alpha {alpha:g}; "
-            f"t must be >= 1 and <= {MAX_T}: set t or another epsilon")
-    return rows, phi, n, t, partial(
+    return rows, phi, n, chosen_t(cfg, params), partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
         original_shape=original, padded=padded)
 

@@ -9,6 +9,16 @@ G^dagger and the RY family) emit both branches and merge the entries that
 meet.  Block-encoding circuits keep their ancillas basis-correlated with the
 address, so the support stays small except through H layers.
 
+``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
+gate stream (macro expansions flattened) in runs: a stretch of consecutive
+gates without a rotation on at most ``MONOMIAL_RUN_WIDTH`` qubits that holds
+an H, G or G^dagger, and whose product permutes basis states and multiplies
+phases (one unit-modulus entry per column), acts as one masked permutation
+and one phase gather, with no branch.  A phase-incorrect controlled swap is
+such a run.  The product is computed once per run shape, by the per-gate
+kernels on the run's basis.  Every other gate is applied on its own, as
+``SparseState.apply`` does.
+
 ``extract_block`` and ``dense_unitary`` run all their input columns in one
 pass: column k carries its index in bits at or above the circuit's qubit
 count, which no gate touches, so the support cap bounds the total support of
@@ -28,6 +38,7 @@ from .circuit import Circuit, Gate, GateKind, Macro
 
 DEFAULT_SUPPORT_CAP = 1 << 20
 PRUNE_THRESHOLD = 1e-14
+MONOMIAL_RUN_WIDTH = 3
 _SUPPORT_CAP_ENV = "BLOCKENC_SUPPORT_CAP"
 
 
@@ -140,6 +151,87 @@ def _runs(keys):
     return order, starts.nonzero()[0]
 
 
+def _gates(ops):
+    """The gate stream of ``ops``, macro expansions flattened."""
+    for op in ops:
+        if isinstance(op, Macro):
+            yield from op.expansion
+        elif isinstance(op, Gate):
+            yield op
+        else:
+            raise SimulationError(f"unknown op {op!r}")
+
+
+def _monomial_run(gates, start):
+    """The fused run at ``gates[start]``: (end, qubits, moves, phases) or None.
+
+    The run is the longest stretch from ``start`` without a rotation on at
+    most ``MONOMIAL_RUN_WIDTH`` qubits; ``qubits`` lists them, local qubit p
+    at position p.  It fuses up to ``end`` when ``_monomial_prefix`` finds a
+    monomial prefix holding a branching gate, otherwise the result is None.
+    Such a prefix holds two branching gates or more: one between permutations
+    leaves the product branching.
+    """
+    local = {}
+    branches = 0
+    end, stop = start, len(gates)
+    while end < stop:
+        g = gates[end]
+        if g.kind in _ROTATIONS:
+            break
+        new = [q for q in g.targets if q not in local]
+        new += [q for q, _ in g.controls if q not in local]
+        if len(local) + len(new) > MONOMIAL_RUN_WIDTH:
+            break
+        for q in new:
+            local[q] = len(local)
+        branches += g.kind in _FIXED_BRANCHES
+        end += 1
+    if branches < 2:
+        return None
+    shape = tuple((g.kind, tuple(local[q] for q in g.targets),
+                   tuple((local[q], positive) for q, positive in g.controls))
+                  for g in gates[start:end])
+    product = _monomial_prefix(len(local), shape)
+    if product is None:
+        return None
+    length, moves, phases = product
+    return start + length, tuple(local), moves, phases
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _monomial_prefix(width, shape):
+    """The longest monomial prefix of a run shape that holds a branching gate.
+
+    ``shape`` lists (kind, targets, controls) on local qubits 0..width-1.  The
+    gate kernels act on all 2^width local basis states at once, column c
+    carrying c above the local bits; a prefix is monomial when the product
+    keeps one entry per column.  Returns (length, moves, phases) or None: the
+    prefix maps local value v to ``phases[v]`` times v with local qubit p
+    flipped where ``flip[v]`` holds, for each (p, flip) of ``moves``.
+    """
+    size = 1 << width
+    state = SparseState(width, {c << width | c: 1.0 for c in range(size)},
+                        support_cap=size * size)
+    product, branched = None, False
+    for length, (kind, targets, controls) in enumerate(shape, 1):
+        state._apply_gate(Gate(kind, targets, controls))
+        branched = branched or kind in _FIXED_BRANCHES
+        if branched and len(state._amps) == size:
+            product = length, state._keys[0].copy(), state._amps.copy()
+    if product is None:
+        return None
+    length, keys, amps = product
+    column = (keys >> np.uint64(width)).astype(np.int64)
+    flips = np.empty(size, dtype=np.int64)
+    flips[column] = (keys & np.uint64(size - 1)).astype(np.int64) ^ column
+    phases = np.empty(size, dtype=complex)
+    phases[column] = amps
+    moves = tuple((p, flip) for p in range(width)
+                  if (flip := (flips >> p) & 1 != 0).any())
+    return length, moves, phases
+
+
 class SparseState:
     """Mutable sparse state; single owner per simulation run.
 
@@ -176,14 +268,42 @@ class SparseState:
         return math.sqrt(float(np.sum(a.real ** 2 + a.imag ** 2)))
 
     def apply(self, op):
-        if isinstance(op, Macro):
-            for g in op.expansion:
-                self._apply_gate(g)
-        elif isinstance(op, Gate):
-            self._apply_gate(op)
-        else:
-            raise SimulationError(f"unknown op {op!r}")
+        """Apply one op gate by gate."""
+        for g in _gates((op,)):
+            self._apply_gate(g)
         return self
+
+    def _run_ops(self, ops):
+        """Apply ``ops``, each monomial run of gates as one permutation."""
+        gates = list(_gates(ops))
+        # hope[i]: two branching gates follow i before the next rotation, as
+        # a fusable run needs; elsewhere no run is scanned.
+        hope, branches = [False] * len(gates), 0
+        for i in range(len(gates) - 1, -1, -1):
+            kind = gates[i].kind
+            branches = (0 if kind in _ROTATIONS
+                        else branches + (kind in _FIXED_BRANCHES))
+            hope[i] = branches >= 2
+        i = 0
+        while i < len(gates):
+            run = _monomial_run(gates, i) if hope[i] else None
+            if run is None:
+                self._apply_gate(gates[i])
+                i += 1
+            else:
+                i, qubits, moves, phases = run
+                self._permute(qubits, moves, phases)
+        return self
+
+    def _permute(self, qubits, moves, phases):
+        """Apply a ``_monomial_prefix`` product to ``qubits`` (local order)."""
+        keys = self._keys
+        value = _read(keys, qubits[::-1])
+        for p, flip in moves:
+            w, m = _locate(qubits[p])
+            np.bitwise_xor(keys[w], m, out=keys[w], where=flip[value])
+        np.multiply(self._amps, phases[value], out=self._amps)
+        self._view = None
 
     def _controls_pass(self, controls):
         keys = self._keys
@@ -267,9 +387,7 @@ class SparseState:
         self._keys, self._amps = keys, amps
 
     def run(self, circuit: Circuit):
-        for op in circuit.ops:
-            self.apply(op)
-        return self
+        return self._run_ops(circuit.ops)
 
     def register_value(self, idx, qubits):
         """Read a register value; qubits listed most-significant first."""
@@ -312,9 +430,7 @@ def _run_columns(ops, num_qubits, in_qubits, columns, support_cap=None):
     start = {encode_register(in_qubits, k) | (k << num_qubits): 1.0 + 0.0j
              for k in range(columns)}
     state = SparseState(num_qubits, start, support_cap=support_cap)
-    for op in ops:
-        state.apply(op)
-    return state, col_qubits
+    return state._run_ops(ops), col_qubits
 
 
 class BlockExtract:

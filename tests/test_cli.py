@@ -366,6 +366,20 @@ def test_values_outside_the_float_range_exit_2(capsys, matrix_csv, argv,
     assert err.startswith("error:") and message in err
 
 
+def test_estimate_refuses_the_t_that_build_refuses(capsys, matrix_csv):
+    big = np.zeros((4, 4))
+    big[0, 0] = 1e300
+    errors = []
+    for argv in (("estimate", "--n", "2", "--alpha", "1e300"),
+                 ("build", "--matrix", matrix_csv(big))):
+        code, out, err = run_cli(capsys, *argv, "--epsilon", "1e-8")
+        assert code == 2
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "chooses t = 1027" in errors[0] and "<= 1023" in errors[0]
+
+
 def test_estimate_qnorm_of_entries_far_apart(capsys, matrix_csv):
     path = matrix_csv(np.array([[1.0, 0.0], [0.0, 1e-200]]))
     code, out, _ = run_cli(capsys, "estimate", "--matrix", path,

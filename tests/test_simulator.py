@@ -15,11 +15,15 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    adjoint_ops,
     stored_gates,
 )
+from blockenc.decomp import parallel_cswap_phase_incorrect_gates
+from blockenc.encoding import BlockEncodingConfig, build_block_encoding
 from blockenc.simulator import (
     SparseState,
     SupportCapError,
+    _monomial_run,
     check_clean,
     dense_unitary,
     encode_register,
@@ -292,8 +296,8 @@ def _to_tensor(amplitudes):
     return psi
 
 
-def _wide_circuit(ops):
-    return Circuit((QubitRegister("q", 0, WIDE),), ops, WIDE)
+def _circuit(ops, num_qubits=WIDE):
+    return Circuit((QubitRegister("q", 0, num_qubits),), ops, num_qubits)
 
 
 _SETTINGS = settings(max_examples=60, deadline=None,
@@ -323,7 +327,7 @@ def test_wide_circuit_matches_dense_reference(ops, seed, terms):
 @_SETTINGS
 @given(ops=_op_lists(), n_in=st.integers(1, 3), dim_cut=st.integers(0, 1))
 def test_batched_extract_matches_per_column_runs(ops, n_in, dim_cut):
-    circuit = _wide_circuit(ops)
+    circuit = _circuit(ops)
     in_qubits = ACTIVE[len(ACTIVE) - n_in:]
     dim = (1 << n_in) - dim_cut
     ext = extract_block(circuit, in_qubits, dim=dim)
@@ -350,7 +354,7 @@ def test_batched_extract_matches_per_column_runs(ops, n_in, dim_cut):
 def test_batched_extract_support_cap(spread, n_in):
     # Each column fans out over 2^spread entries; 2^n_in columns share the cap.
     ops = [Gate(GateKind.H, (q,)) for q in ACTIVE[:spread]]
-    circuit = _wide_circuit(ops)
+    circuit = _circuit(ops)
     in_qubits = ACTIVE[len(ACTIVE) - n_in:]
     total = (1 << n_in) << spread
     ext = extract_block(circuit, in_qubits, support_cap=total)
@@ -358,3 +362,131 @@ def test_batched_extract_support_cap(spread, n_in):
     with pytest.raises(SupportCapError, match="exceeds cap"):
         extract_block(circuit, in_qubits, support_cap=total - 1)
 
+
+
+# --------------------------------------------------------------------------
+# Monomial runs: fused permute-and-phase blocks against per-op application
+# --------------------------------------------------------------------------
+
+# Seven active qubits of a 70-qubit circuit, on both sides of bit 64.
+NARROW = (0, 1, 62, 63, 64, 65, 69)
+NARROW_WIDTH = 70
+
+
+def _per_op(num_qubits, start, ops):
+    state = SparseState(num_qubits, start)
+    for op in ops:
+        state.apply(op)
+    return state
+
+
+def _assert_same_state(fused, reference, tol=1e-12):
+    assert set(fused.amplitudes) == set(reference.amplitudes)
+    assert max(abs(a - reference.amplitudes[i])
+               for i, a in fused.amplitudes.items()) < tol
+    assert fused.peak_support <= reference.peak_support
+
+
+@st.composite
+def _fragment_pieces(draw):
+    """A cswap fragment, its adjoint, or one H, G, S, T, CNOT, Toffoli, RY."""
+    kind = draw(st.sampled_from(("cswap", "cswap_adjoint", "H", "G", "S", "T",
+                                 "CNOT", "TOFFOLI", "RY")))
+    qs = [NARROW[i] for i in draw(st.permutations(range(len(NARROW))))]
+    if kind.startswith("cswap"):
+        n_pairs = draw(st.integers(1, 3))
+        pairs = tuple(zip(qs[1:1 + n_pairs], qs[4:4 + n_pairs]))
+        gates = parallel_cswap_phase_incorrect_gates(
+            ((qs[0], draw(st.booleans())),), pairs)
+        return adjoint_ops(gates) if kind == "cswap_adjoint" else gates
+    if kind == "CNOT":
+        return [Gate(GateKind.CNOT, (qs[0],), ((qs[1], draw(st.booleans())),))]
+    if kind == "TOFFOLI":
+        return [Gate(GateKind.TOFFOLI, (qs[0],),
+                     ((qs[1], draw(st.booleans())),
+                      (qs[2], draw(st.booleans()))))]
+    if kind == "RY":
+        return [Gate(GateKind.RY, (qs[0],), (), draw(st.floats(0.25, 6.0)))]
+    return [Gate(GateKind[kind], (qs[0],))]
+
+
+@_SETTINGS
+@given(pieces=st.lists(_fragment_pieces(), max_size=12),
+       cut=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+       seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(1, 6))
+def test_monomial_runs_match_per_op_application(pieces, cut, seed, terms):
+    gates = [g for piece in pieces for g in piece]
+    lo, hi = sorted(min(c, len(gates)) for c in cut)
+    macro = Macro(MacroKind.AND_TOFFOLI, {}, stored_gates,
+                  (tuple(gates[lo:hi]),), 0, 0, full=NARROW, ctrl=())
+    ops = gates[:lo] + [macro] + gates[hi:]
+    rng = np.random.default_rng(seed)
+    start = {}
+    for _ in range(terms):
+        bits = rng.integers(0, 2, len(NARROW))
+        index = sum(1 << q for q, b in zip(NARROW, bits) if b)
+        start[index] = complex(*rng.standard_normal(2))
+    scale = math.sqrt(sum(abs(a) ** 2 for a in start.values()))
+    start = {i: a / scale for i, a in start.items()}
+    fused = SparseState(NARROW_WIDTH, start).run(_circuit(ops, NARROW_WIDTH))
+    _assert_same_state(fused, _per_op(NARROW_WIDTH, start, ops))
+
+
+def _superposed(qubits, seed=5):
+    """Every basis state on ``qubits`` (the others |0>), random amplitudes."""
+    rng = np.random.default_rng(seed)
+    size = 1 << len(qubits)
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    amps /= np.linalg.norm(amps)
+    return {encode_register(qubits, k): a for k, a in enumerate(amps.tolist())}
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_cswap_fragment_is_one_monomial_block(adjoint):
+    pairs = ((1, 2), (3, 4))
+    gates = parallel_cswap_phase_incorrect_gates(((0, True),), pairs)
+    if adjoint:
+        gates = adjoint_ops(gates)
+    # One block per pair: each pair's 9-gate fragment on (a, b, control).
+    assert _monomial_run(gates, 0)[0] == 9
+    assert _monomial_run(gates, 9)[0] == 18
+    # The second qubit of each pair starts at |0>, so G branches it.
+    start = _superposed((0, 1, 3))
+    fused = SparseState(5, start).run(_circuit(gates, 5))
+    reference = _per_op(5, start, gates)
+    _assert_same_state(fused, reference)
+    assert fused.peak_support == len(start) < reference.peak_support
+
+
+def test_rotation_and_layered_column_keep_per_op_support():
+    fragment = parallel_cswap_phase_incorrect_gates(((0, True),), ((1, 2),))
+    with_ry = fragment[:4] + [Gate(GateKind.RY, (2,), (), 0.7)] + fragment[4:]
+    layered = parallel_cswap_phase_incorrect_gates(
+        ((0, True),), ((1, 2), (3, 4)), layered=True)
+    for gates in (with_ry, layered):
+        start = _superposed((0, 1, 3))
+        fused = SparseState(5, start).run(_circuit(gates, 5))
+        reference = _per_op(5, start, gates)
+        _assert_same_state(fused, reference)
+        assert fused.peak_support == reference.peak_support > len(start)
+
+
+def test_select_swap_block_peaks_at_half_the_per_op_support():
+    # The shape of the verify benchmark's ss-l1-n3 request: n = 3, lambda = 1.
+    a = np.random.default_rng(7).uniform(5, 105, (8, 8))
+    res = build_block_encoding(a, BlockEncodingConfig(lam=1, t=10))
+    ext = extract_block(res.circuit, res.in_qubits)
+    assert ext.peak_support == 512
+    block = np.zeros_like(ext.block)
+    data = encode_register(res.in_qubits, (1 << len(res.in_qubits)) - 1)
+    peak = 0
+    for k in range(block.shape[1]):
+        state = _per_op(res.circuit.total_qubits,
+                        {encode_register(res.in_qubits, k): 1.0},
+                        res.circuit.ops)
+        peak = max(peak, state.peak_support)
+        for idx, amp in state.amplitudes.items():
+            if not idx & ~data:
+                block[state.register_value(idx, res.in_qubits), k] = amp
+    assert peak == 128       # per column; 1024 for the per-op batched pass
+    assert np.abs(ext.block - block).max() < 1e-12
