@@ -1,10 +1,11 @@
 """Gate-level IR, qubit registers, and T-resource accounting.
 
-A circuit is an ordered list of gates and macros over named, disjoint qubit
-registers.  Resource accounting follows the fault-tolerant cost model:
-T/T`/G/G` gates cost one T each, Clifford gates (including fanout-CNOT of any
-arity) are free and contribute no depth, rotations cost a configurable
-synthesis T-count, and macros carry declared costs.
+A circuit is an ordered list of gates, macros and controlled-swap layers over
+named, disjoint qubit registers.  Resource accounting follows the
+fault-tolerant cost model: T/T`/G/G` gates cost one T each, Clifford gates
+(including fanout-CNOT of any arity) are free and contribute no depth,
+rotations cost a configurable synthesis T-count, macros carry declared costs,
+and a swap layer costs what its gates cost.
 
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 
 class CircuitError(Exception):
@@ -226,6 +228,50 @@ def stored_gates(gates):
     return gates
 
 
+class SwapLayer:
+    """A layer of phase-incorrect controlled swaps: one polarized control
+    (``controls`` holds it) and disjoint qubit ``pairs``.
+
+    Like a macro, a layer keeps its recipe, ``recipe(controls, pairs,
+    layered)`` returning the forward gates, and ``inverted`` marks the
+    adjoint; ``decomp.parallel_cswap_phase_incorrect`` is its factory.  The
+    counter schedules a layer in one step from the closed form of its gates'
+    schedule (``_schedule_layer``); the text writer and the simulator flatten
+    it into its expansion.
+    """
+
+    __slots__ = ("controls", "pairs", "layered", "recipe", "inverted")
+
+    def __init__(self, controls, pairs, layered, recipe, inverted=False):
+        self.controls = tuple(controls)
+        self.pairs = tuple(pairs)
+        self.layered = layered
+        self.recipe = recipe
+        self.inverted = inverted
+
+    def validate(self):
+        if len(self.controls) != 1:
+            raise CircuitError("a swap layer takes exactly one control")
+        if set(map(len, self.pairs)) != {2}:
+            raise CircuitError("a swap layer takes one or more qubit pairs")
+        qubits = self.qubits()
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError("swap layer qubits must be distinct")
+
+    @property
+    def expansion(self):
+        gates = self.recipe(self.controls, self.pairs, self.layered)
+        return tuple(adjoint_ops(gates) if self.inverted else gates)
+
+    def qubits(self):
+        return (tuple(chain.from_iterable(self.pairs))
+                + tuple(q for q, _ in self.controls))
+
+    def adjoint(self):
+        return SwapLayer(self.controls, self.pairs, self.layered, self.recipe,
+                         not self.inverted)
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     name: str
@@ -317,7 +363,7 @@ def _check_stages(stages, num_ops):
 
 
 def _check_op(op, total):
-    if isinstance(op, Gate):
+    if not isinstance(op, Macro):
         op.validate()
     for q in op.qubits():
         if not 0 <= q < total:
@@ -392,6 +438,35 @@ class CircuitBuilder:
         return Circuit(self._registers, self._ops, self._total, self._stages)
 
 
+def _schedule_layer(layer, last_full, busy):
+    """Advance a depth frontier over a swap layer as its gates would.
+
+    A pair (a, b) reads the control c between two T-layers on b before and
+    two after: at X = max(max(busy[a], busy[b]) + 2, last_full[c]), leaving
+    a and b at X + 2.  A ``layered`` layer reads c once for all its pairs, so
+    its one X takes the first term's maximum over them.
+    """
+    c = layer.controls[0][0]
+    pairs = layer.pairs
+    ready = last_full[c]
+    if layer.layered:
+        for a, b in pairs:
+            ba, bb = busy[a], busy[b]
+            x = (ba if ba > bb else bb) + 2
+            if x > ready:
+                ready = x
+    top = busy[c]
+    for a, b in pairs:
+        ba, bb = busy[a], busy[b]
+        x = (ba if ba > bb else bb) + 2
+        if ready > x:
+            x = ready
+        last_full[a] = busy[a] = last_full[b] = busy[b] = x + 2
+        if x > top:
+            top = x
+    busy[c] = top
+
+
 def _op_cost(op):
     """Return (t_count, t_depth, ry_units, full_qubits, control_qubits).
 
@@ -429,7 +504,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     A frontier holds, per qubit, the finish of the last full use
     (``last_full``) and the latest finish of any use (``busy``): a full use
     waits for ``busy``, a control-only use only for ``last_full``.  A
-    frontier's T-depth is its largest ``busy``.  T-count is affine in R_y
+    frontier's T-depth is its largest ``busy``.  A swap layer advances both
+    frontiers in one step (``_schedule_layer``).  T-count is affine in R_y
     and is summed once; T-depth is a longest path, whose critical path may
     change with R_y, so each value keeps frontiers of its own.
     """
@@ -452,6 +528,12 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
         s_count = s_units = 0
         for i in range(lo, hi):
             op = ops[i]
+            if isinstance(op, SwapLayer):
+                s_count += 4 * len(op.pairs)
+                for state in states:
+                    _schedule_layer(op, state[1], state[2])
+                    _schedule_layer(op, state[3], state[4])
+                continue
             wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
             s_units += units
@@ -576,25 +658,46 @@ def _parse_qubits(text):
 
 
 def write_circuit_text(circuit: Circuit) -> str:
+    """The circuit's text: one line per gate or macro, each swap layer
+    written as the lines of its gates, and stage bounds counted in lines."""
     lines = [f"qubits {circuit.total_qubits}"]
     for reg in circuit.registers:
         lines.append(f"reg {reg.name} {reg.offset} {reg.size}")
-    for name, lo, hi in circuit.stages:
-        lines.append(f"stage {name} {lo} {hi}")
+    lines += [""] * len(circuit.stages)     # stage lines, once placed
+    head = len(lines)
+    ops = circuit.ops
+    cuts = sorted({0, len(ops), *(b for _, lo, hi in circuit.stages
+                                  for b in (lo, hi))})
+    line_of = {0: 0}    # op index of a cut -> its line among the op lines
     gate_lines = {}
     chunks = {}
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
-        else:
-            params = ",".join(f"{k}:{v}" for k, v in sorted(op.params.items()))
-            body = "|".join(_memo_text(chunks, g, _fmt_chunk)
-                            for g in op.expansion)
-            lines.append(
-                f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
-                f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
-                f"p={params or '-'} ops={body}"
-            )
+    layer_lines = {}    # swap layer fields -> its gate lines
+    for lo, hi in zip(cuts, cuts[1:]):
+        for op in ops[lo:hi]:
+            if isinstance(op, Gate):
+                lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
+            elif isinstance(op, SwapLayer):
+                key = (op.recipe, op.controls, op.pairs, op.layered,
+                       op.inverted)
+                text = layer_lines.get(key)
+                if text is None:
+                    text = layer_lines[key] = [
+                        _memo_text(gate_lines, g, _fmt_gate_line)
+                        for g in op.expansion]
+                lines += text
+            else:
+                params = ",".join(f"{k}:{v}"
+                                  for k, v in sorted(op.params.items()))
+                body = "|".join(_memo_text(chunks, g, _fmt_chunk)
+                                for g in op.expansion)
+                lines.append(
+                    f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
+                    f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
+                    f"p={params or '-'} ops={body}")
+        line_of[hi] = len(lines) - head
+    lines[head - len(circuit.stages):head] = [
+        f"stage {name} {line_of[lo]} {line_of[hi]}"
+        for name, lo, hi in circuit.stages]
     return "\n".join(lines) + "\n"
 
 

@@ -178,7 +178,7 @@ def cmd_estimate(args):
     cfg.validate(n)
     params = select_parameters(args.epsilon, alpha, n, cfg.method)
     t = chosen_t(cfg, params)
-    ry = args.ry if args.ry is not None else params.r_y
+    ry = _chosen_ry(args, params)
     name, inputs = _formula_for(cfg, n)
     if "lam" in inputs:
         inputs["t"] = t
@@ -198,6 +198,17 @@ def cmd_estimate(args):
         "ledger_refs": [],
     }, args)
     return 0
+
+
+def _chosen_ry(args, params):
+    """``--ry`` if given, else the R_y ``params`` chose, which must be >= 1."""
+    if args.ry is not None:
+        return args.ry
+    if params.r_y < 1:
+        raise UsageError(
+            f"epsilon {args.epsilon:g} chooses R_y = {params.r_y} for alpha "
+            f"{params.alpha:g}; ry must be >= 1: set --ry or another epsilon")
+    return params.r_y
 
 
 def _padded_n(matrix):
@@ -224,7 +235,7 @@ def cmd_build(args):
         raise UsageError("ry must be >= 1")
     matrix = _read_matrix(args.matrix)
     result = _build_result(args, matrix)
-    ry = args.ry if args.ry is not None else result.params.r_y
+    ry = _chosen_ry(args, result.params)
     counted = count_resources(result.circuit, ry_cost=ry)
     name, inputs = _formula_for(result.config, result.n)
     report = {
@@ -255,12 +266,15 @@ def cmd_build(args):
         report["match"] = None
         report["ledger_refs"] = []
     if args.out:
-        Path(args.out).write_text(write_circuit_text(result.circuit))
+        text = write_circuit_text(result.circuit)
+        Path(args.out).write_text(text)
         sidecar = Path(args.out).with_suffix(".report.json")
         sidecar.write_text(json.dumps(report, indent=2, sort_keys=True))
+        # The op lines written: a swap layer writes one line per gate.
+        lines = text.count("\ng ") + text.count("\nm ")
         print(f"circuit written to {args.out} "
               f"({result.circuit.total_qubits} qubits, "
-              f"{len(result.circuit.ops)} ops); report in {sidecar}")
+              f"{lines} ops); report in {sidecar}")
     else:
         _emit(report, args)
     return 0

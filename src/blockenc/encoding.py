@@ -93,7 +93,8 @@ def select_parameters(epsilon, alpha, n,
     ln = math.log2(n) if n > 1 else 0.0
     if method is Method.FIXED_PRECISION:
         t = math.ceil(la + math.log2(math.pi) + ln + 1)
-        delta = epsilon / (8 * t * alpha * n)
+        # No t below 1 builds (``chosen_t`` says so), and none has a delta.
+        delta = epsilon / (8 * t * alpha * n) if t >= 1 else math.nan
         r_y = math.ceil(3 * la + 3 * ln + 9)
         return EncodingParams(t, r_y, delta, alpha)
     delta = epsilon / (4 * alpha * n)

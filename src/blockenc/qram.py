@@ -29,7 +29,7 @@ from .decomp import (
     canonical_ry_halves,
     match_controls,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect_gates,
+    parallel_cswap_phase_incorrect,
     unary_select,
     unary_step,
 )
@@ -120,7 +120,7 @@ class SelectSwapLoad:
             ctrl = self.addr[s + (lam - 1 - k)]
             pairs = [qp for a, b in _halving_pairs(self.slots, k)
                      for qp in zip(a, b)]
-            ops.extend(parallel_cswap_phase_incorrect_gates(((ctrl, True),), pairs))
+            ops.append(parallel_cswap_phase_incorrect(((ctrl, True),), pairs))
         return ops
 
 
@@ -178,7 +178,7 @@ class BucketBrigadeLoad:
                 for u in range(1 << v):
                     src = source if v == 0 else self._path(v, u)[: len(source)]
                     dst = self._path(v + 1, 2 * u + (1 if positive else 0))
-                    ops.extend(parallel_cswap_phase_incorrect_gates(
+                    ops.append(parallel_cswap_phase_incorrect(
                         ((self._router(v, u), positive),),
                         tuple(zip(src, dst[: len(source)])), layered=True))
         return ops
@@ -221,19 +221,19 @@ class BucketBrigadeLoad:
 
         in_pairs = tuple(zip(self.addr[s:], self.anc_lam.qubits if self.anc_lam else ())) \
             + tuple(zip(self.bus, self.anc_d))
-        in_ops = parallel_cswap_phase_incorrect_gates(
+        swap_in = parallel_cswap_phase_incorrect(
             ((self.flag, True),), in_pairs, layered=True)
-        out_ops = adjoint_ops(in_ops)
+        swap_out = swap_in.adjoint()
         forward = self._routing_ops()
         reverse = adjoint_ops(forward)
         ops.append(match_gate(0))
         for i in range(1 << s):
-            ops.extend(in_ops)
+            ops.append(swap_in)
             ops.extend(forward)
             ops.extend(self._data_layer(
                 spec.rows[i * n_leaves: (i + 1) * n_leaves]))
             ops.extend(reverse)
-            ops.extend(out_ops)
+            ops.append(swap_out)
             if i + 1 < (1 << s):
                 ops.append(unary_step(sel, i, i + 1, self.flag))
         ops.append(match_gate((1 << s) - 1))

@@ -10,7 +10,8 @@ meet.  Block-encoding circuits keep their ancillas basis-correlated with the
 address, so the support stays small except through H layers.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
-gate stream (macro expansions flattened) in runs: a stretch of consecutive
+gate stream (macro and swap-layer expansions flattened: a layer of
+controlled swaps is one op of the circuit) in runs: a stretch of consecutive
 gates without a rotation on at most ``MONOMIAL_RUN_WIDTH`` qubits that holds
 an H, G or G^dagger, and whose product permutes basis states and multiplies
 phases (one unit-modulus entry per column), acts as one masked permutation
@@ -34,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, Macro
+from .circuit import Circuit, Gate, GateKind, Macro, SwapLayer
 
 DEFAULT_SUPPORT_CAP = 1 << 20
 PRUNE_THRESHOLD = 1e-14
@@ -152,12 +153,12 @@ def _runs(keys):
 
 
 def _gates(ops):
-    """The gate stream of ``ops``, macro expansions flattened."""
+    """The gate stream of ``ops``, macro and swap-layer expansions flattened."""
     for op in ops:
-        if isinstance(op, Macro):
-            yield from op.expansion
-        elif isinstance(op, Gate):
+        if isinstance(op, Gate):
             yield op
+        elif isinstance(op, (Macro, SwapLayer)):
+            yield from op.expansion
         else:
             raise SimulationError(f"unknown op {op!r}")
 

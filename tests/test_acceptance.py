@@ -27,7 +27,7 @@ from blockenc.decomp import (
     ParameterError,
     controlled_ry_gates,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect_gates,
+    parallel_cswap_phase_incorrect,
     unary_select,
 )
 from blockenc.encoding import (
@@ -336,7 +336,7 @@ def test_criterion_8_decomposition_fidelity():
     for size in (1, 2, 3):
         width = 1 + 2 * size
         pairs = tuple((1 + i, 1 + size + i) for i in range(size))
-        gates = parallel_cswap_phase_incorrect_gates(((0, True),), pairs)
+        gates = [parallel_cswap_phase_incorrect(((0, True),), pairs)]
         u = dense_unitary(gates, width)
         if size == 1:
             ok &= bool(np.abs(np.abs(u) - cswap_matrix()).max() < 1e-12)

@@ -15,6 +15,7 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    SwapLayer,
     adjoint_ops,
     count_resources,
     count_resources_at,
@@ -25,7 +26,7 @@ from blockenc.circuit import (
 from blockenc.decomp import (
     and_toffoli,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect_gates,
+    parallel_cswap_phase_incorrect,
     unary_select,
 )
 
@@ -82,7 +83,7 @@ def test_same_qubit_t_gates_chain():
 def test_fig20_cswap_cost():
     b = CircuitBuilder()
     b.allocate("q", 3)
-    b.extend(parallel_cswap_phase_incorrect_gates(((0, True),), ((1, 2),)))
+    b.add(parallel_cswap_phase_incorrect(((0, True),), ((1, 2),)))
     rep = count_resources(b.build())
     assert (rep.t_count, rep.t_depth) == (4, 4)
 
@@ -382,14 +383,14 @@ _ANGLED = (GateKind.RY, GateKind.CRY, GateKind.CCRY)
 
 
 @st.composite
-def _gates(draw):
+def _gates(draw, width=_WIDTH):
     kind = draw(st.sampled_from(list(GateKind)))
     n_t, n_c = _SHAPES.get(kind, (1, 0))
     if n_t is None:
         n_t = draw(st.integers(1, 3))
     if n_c is None:
-        n_c = draw(st.integers(1, _WIDTH - n_t))
-    order = draw(st.permutations(range(_WIDTH)))
+        n_c = draw(st.integers(1, width - n_t))
+    order = draw(st.permutations(range(width)))
     controls = tuple((q, draw(st.booleans())) for q in order[n_t:n_t + n_c])
     angle = None
     if kind in _ANGLED:
@@ -399,7 +400,7 @@ def _gates(draw):
 
 
 @st.composite
-def _macros(draw, gates):
+def _macros(draw, gates, width=_WIDTH):
     """A macro over drawn gates whose roles cover its expansion, plus at
     least one drawn qubit declared full or control-only."""
     expansion = draw(st.lists(st.sampled_from(gates), max_size=4))
@@ -408,7 +409,7 @@ def _macros(draw, gates):
     full = {q for g in expansion if g.kind is not GateKind.CZ
             for q in g.targets}
     read = {q for g in expansion for q in g.qubits()}
-    for q in draw(st.lists(st.integers(0, _WIDTH - 1), min_size=1,
+    for q in draw(st.lists(st.integers(0, width - 1), min_size=1,
                            max_size=3, unique=True)):
         (full if draw(st.booleans()) else read).add(q)
     return Macro(draw(st.sampled_from(list(MacroKind))), params, stored_gates,
@@ -617,3 +618,86 @@ def test_macro_adjoint_keeps_qubit_roles(data):
     assert inverse.full is macro.full and inverse.ctrl is macro.ctrl
     assert inverse.inverted and not inverse.adjoint().inverted
     assert inverse.expansion == tuple(adjoint_ops(macro.expansion))
+
+
+# ---------------------------------------------------------------------------
+# Swap layers: one op, counted as its gates
+# ---------------------------------------------------------------------------
+
+def flattened(circuit):
+    """``circuit`` with each swap layer replaced by its gates, and the stage
+    bounds moved with them."""
+    ops, at = [], [0]
+    for op in circuit.ops:
+        ops.extend(op.expansion if isinstance(op, SwapLayer) else (op,))
+        at.append(len(ops))
+    return Circuit(circuit.registers, ops, circuit.total_qubits,
+                   [(name, at[lo], at[hi]) for name, lo, hi in circuit.stages])
+
+
+_LAYER_WIDTH = 9
+
+
+@st.composite
+def _layer_circuits(draw):
+    """A swap layer (default or layered, forward or adjoint, 1-4 pairs,
+    either control polarity) after a drawn prefix of gates and macros on
+    its qubits and before a drawn suffix, with drawn stage bounds."""
+    k = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(_LAYER_WIDTH)))
+    layer = parallel_cswap_phase_incorrect(
+        ((order[0], draw(st.booleans())),),
+        tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
+        layered=draw(st.booleans()))
+    if draw(st.booleans()):
+        layer = layer.adjoint()
+    gates = draw(st.lists(_gates(_LAYER_WIDTH), min_size=1, max_size=6))
+    # A rotation that only reads the layer's control, so the control's last
+    # read can follow its last full use.
+    reader = Gate(GateKind.CRY, (draw(st.sampled_from(order[1:])),),
+                  ((order[0], draw(st.booleans())),), 0.5)
+    pool = (gates + [reader]
+            + draw(st.lists(_macros(gates, _LAYER_WIDTH), max_size=2)))
+    ops = (draw(st.lists(st.sampled_from(pool), max_size=16)) + [layer]
+           + draw(st.lists(st.sampled_from(pool), max_size=6)))
+    bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
+    stages = [(f"s{i % 2}", bounds[2 * i], bounds[2 * i + 1])
+              for i in range(len(bounds) // 2)]
+    return Circuit([QubitRegister("q", 0, _LAYER_WIDTH)], ops, _LAYER_WIDTH,
+                   stages)
+
+
+# Control 0 is last read (busy) after its last full use; pair (2, 3) ends
+# its first half later than pair (4, 5), which a T then reads.
+_LAYERED_AFTER_READ = Circuit(
+    [QubitRegister("q", 0, 6)],
+    [Gate(GateKind.T, (1,))] * 5 + [
+        Gate(GateKind.CNOT, (1,), ((0, True),)), Gate(GateKind.T, (2,)),
+        parallel_cswap_phase_incorrect(((0, True),), ((2, 3), (4, 5)),
+                                       layered=True),
+        Gate(GateKind.T, (4,))],
+    6, [("s0", 0, 7), ("s1", 7, 9)])
+
+
+@_PROPERTY
+@given(circuit=_layer_circuits())
+@example(circuit=_LAYERED_AFTER_READ)
+def test_swap_layer_counts_as_its_gates(circuit):
+    assert (count_resources_at(circuit, (1, 10, 30))
+            == count_resources_at(flattened(circuit), (1, 10, 30)))
+
+
+@pytest.mark.parametrize("controls, pairs, message", [
+    ((), ((1, 2),), "exactly one control"),
+    (((0, True), (3, True)), ((1, 2),), "exactly one control"),
+    (((0, True),), (), "one or more qubit pairs"),
+    (((0, True),), ((1, 2, 3),), "one or more qubit pairs"),
+    (((0, True),), ((1, 2), (2, 3)), "distinct"),
+    (((1, True),), ((1, 2),), "distinct"),
+    (((0, True),), ((1, 9),), "out of range"),
+])
+def test_builder_checks_a_swap_layer(controls, pairs, message):
+    b = CircuitBuilder()
+    b.allocate("q", 4)
+    with pytest.raises(CircuitError, match=message):
+        b.add(parallel_cswap_phase_incorrect(controls, pairs))

@@ -118,10 +118,12 @@ def test_build_out_text_matches_report(capsys, matrix_csv, tmp_path):
     rng = np.random.default_rng(7)
     path = matrix_csv(rng.uniform(5, 105, (4, 4)))
     out_path = tmp_path / "circuit.txt"
-    code, _, _ = run_cli(capsys, "build", "--matrix", path, "--t", "6",
-                         "--ry", "20", "--out", str(out_path))
+    code, out, _ = run_cli(capsys, "build", "--matrix", path, "--t", "6",
+                           "--ry", "20", "--out", str(out_path))
     assert code == 0
     parsed = parse_circuit_text(out_path.read_text())
+    # The message counts the op lines written, one per parsed op.
+    assert f"({parsed.total_qubits} qubits, {len(parsed.ops)} ops)" in out
     report = json.loads(out_path.with_suffix(".report.json").read_text())
     counted = count_resources(parsed, ry_cost=20)
     assert counted.as_tuple() == (report["qubits"], report["t_count"],
@@ -514,3 +516,45 @@ def test_one_by_one_matrix_exits_2(capsys, matrix_csv, command, variant):
     assert code == 2
     assert out == ""
     assert err == "error: need a matrix of at least 2x2 after padding\n"
+
+
+# alpha / epsilon = 0.1 at n = 1: the fixed-precision choice is t = 0 and
+# R_y = 0.
+_SMALL_ALPHA = [[0.001, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--matrix"), ("verify", "--matrix"),
+    ("estimate", "--n", "1", "--alpha", "0.001")])
+def test_chosen_t_of_zero_exits_2(capsys, matrix_csv, argv):
+    if argv[-1] == "--matrix":
+        argv += (matrix_csv(np.array(_SMALL_ALPHA)),)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: epsilon 0.01 chooses t = 0 for alpha 0.001")
+    assert "t must be >= 1" in err
+
+
+def test_small_alpha_with_t_given_builds_and_verifies(capsys, matrix_csv):
+    path = matrix_csv(np.array(_SMALL_ALPHA))
+    code, out, _ = run_cli(capsys, "verify", "--matrix", path, "--t", "4",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    code, out, _ = run_cli(capsys, "build", "--matrix", path, "--t", "4",
+                           "--ry", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--matrix"), ("estimate", "--n", "1", "--alpha", "1e-300")])
+def test_chosen_ry_below_one_exits_2(capsys, matrix_csv, argv):
+    if argv[-1] == "--matrix":
+        argv += (matrix_csv(np.array([[1e-300, 0.0], [0.0, 0.0]])),)
+    code, out, err = run_cli(capsys, *argv, "--t", "4")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: epsilon 0.01 chooses R_y = -2960 for alpha "
+                   "1e-300; ry must be >= 1: set --ry or another epsilon\n")

@@ -4,11 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc import decomp, qram
-from blockenc.circuit import Circuit, Gate, GateKind, Macro, count_resources
+from blockenc.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    Macro,
+    count_resources,
+    count_resources_at,
+    parse_circuit_text,
+    write_circuit_text,
+)
 from blockenc.encoding import (
     BlockEncodingConfig,
     Method,
@@ -28,6 +37,7 @@ from blockenc.qram import (
 )
 from blockenc.simulator import extract_block, spectral_norm
 from blockenc.stateprep import build_sp_fixed, build_sp_prerotated
+from test_circuit import flattened
 
 SS, BB = QramModel.SELECT_SWAP, QramModel.BUCKET_BRIGADE
 
@@ -222,6 +232,7 @@ def _matrix_of_kind(kind, shape, rng):
        kind=st.sampled_from(("random", "zero_row", "sign_flipped", "sparse",
                              "single")),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(index=0, kind="single", seed=308)
 def test_counts_independent_of_values(index, kind, seed):
     shape, cfg = _VALUE_GRID[index]
     matrix = _matrix_of_kind(kind, shape, np.random.default_rng(seed))
@@ -258,6 +269,16 @@ def _every_generator_circuit():
 def test_counted_qubits_are_the_register_total():
     for circuit in _every_generator_circuit():
         assert count_resources(circuit).qubits == circuit.total_qubits
+
+
+def test_written_text_counts_as_the_built_circuit():
+    """Swap layers are written as their gates: the text is that of the
+    flattened circuit, and parses into a circuit with the same reports."""
+    for circuit in _every_generator_circuit():
+        text = write_circuit_text(circuit)
+        assert text == write_circuit_text(flattened(circuit))
+        assert (count_resources_at(parse_circuit_text(text), (1, 10, 30))
+                == count_resources_at(circuit, (1, 10, 30)))
 
 
 def test_symmetric_structure_1x1():

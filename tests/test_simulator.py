@@ -15,10 +15,9 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
-    adjoint_ops,
     stored_gates,
 )
-from blockenc.decomp import parallel_cswap_phase_incorrect_gates
+from blockenc.decomp import parallel_cswap_phase_incorrect
 from blockenc.encoding import BlockEncodingConfig, build_block_encoding
 from blockenc.simulator import (
     SparseState,
@@ -396,9 +395,11 @@ def _fragment_pieces(draw):
     if kind.startswith("cswap"):
         n_pairs = draw(st.integers(1, 3))
         pairs = tuple(zip(qs[1:1 + n_pairs], qs[4:4 + n_pairs]))
-        gates = parallel_cswap_phase_incorrect_gates(
+        layer = parallel_cswap_phase_incorrect(
             ((qs[0], draw(st.booleans())),), pairs)
-        return adjoint_ops(gates) if kind == "cswap_adjoint" else gates
+        if kind == "cswap_adjoint":
+            layer = layer.adjoint()
+        return list(layer.expansion)
     if kind == "CNOT":
         return [Gate(GateKind.CNOT, (qs[0],), ((qs[1], draw(st.booleans())),))]
     if kind == "TOFFOLI":
@@ -444,25 +445,27 @@ def _superposed(qubits, seed=5):
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_cswap_fragment_is_one_monomial_block(adjoint):
     pairs = ((1, 2), (3, 4))
-    gates = parallel_cswap_phase_incorrect_gates(((0, True),), pairs)
+    layer = parallel_cswap_phase_incorrect(((0, True),), pairs)
     if adjoint:
-        gates = adjoint_ops(gates)
+        layer = layer.adjoint()
+    gates = layer.expansion
     # One block per pair: each pair's 9-gate fragment on (a, b, control).
     assert _monomial_run(gates, 0)[0] == 9
     assert _monomial_run(gates, 9)[0] == 18
     # The second qubit of each pair starts at |0>, so G branches it.
     start = _superposed((0, 1, 3))
-    fused = SparseState(5, start).run(_circuit(gates, 5))
+    fused = SparseState(5, start).run(_circuit([layer], 5))
     reference = _per_op(5, start, gates)
     _assert_same_state(fused, reference)
     assert fused.peak_support == len(start) < reference.peak_support
 
 
 def test_rotation_and_layered_column_keep_per_op_support():
-    fragment = parallel_cswap_phase_incorrect_gates(((0, True),), ((1, 2),))
+    fragment = list(parallel_cswap_phase_incorrect(((0, True),),
+                                                   ((1, 2),)).expansion)
     with_ry = fragment[:4] + [Gate(GateKind.RY, (2,), (), 0.7)] + fragment[4:]
-    layered = parallel_cswap_phase_incorrect_gates(
-        ((0, True),), ((1, 2), (3, 4)), layered=True)
+    layered = parallel_cswap_phase_incorrect(
+        ((0, True),), ((1, 2), (3, 4)), layered=True).expansion
     for gates in (with_ry, layered):
         start = _superposed((0, 1, 3))
         fused = SparseState(5, start).run(_circuit(gates, 5))
