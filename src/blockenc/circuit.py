@@ -10,6 +10,10 @@ and a swap layer costs what its gates cost.
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
 the computational basis), which commute and may share a layer.
+
+The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
+line per op: a gate, a macro with its expansion, or a swap layer by its
+fields alone; stage bounds count ops.
 """
 from __future__ import annotations
 
@@ -230,23 +234,31 @@ def stored_gates(gates):
 
 class SwapLayer:
     """A layer of phase-incorrect controlled swaps: one polarized control
-    (``controls`` holds it) and disjoint qubit ``pairs``.
+    (``controls`` holds it) and disjoint qubit ``pairs``; T-count 4 per pair.
 
-    Like a macro, a layer keeps its recipe, ``recipe(controls, pairs,
-    layered)`` returning the forward gates, and ``inverted`` marks the
-    adjoint; ``decomp.parallel_cswap_phase_incorrect`` is its factory.  The
-    counter schedules a layer in one step from the closed form of its gates'
-    schedule (``_schedule_layer``); the text writer and the simulator flatten
-    it into its expansion.
+    The default form is one whole controlled-swap fragment per pair; the
+    shared control enters each fragment only as a control (architecturally a
+    single fanout-CNOT), so the fragments occupy a common depth-4 layer
+    while the sparse-simulation support stays bounded (each G chain closes
+    back to a permutation before the next pair branches).  ``layered=True``
+    is the layered form - per-layer G walls around one explicit fanout-CNOT -
+    which pins the whole column to a common start in the dependency DAG; the
+    simulation support then grows with 2^pairs mid-column, so it is reserved
+    for narrow columns.  The swaps permute basis states correctly but pick up
+    -1 phases on some inputs, so they are only used where the phase lands in
+    garbage or cancels against the adjoint leg.
+
+    ``inverted`` marks the adjoint.  The counter schedules a layer in one
+    step from the closed form of its gates' schedule (``_schedule_layer``);
+    the simulator flattens it into its expansion (``_layer_gates``).
     """
 
-    __slots__ = ("controls", "pairs", "layered", "recipe", "inverted")
+    __slots__ = ("controls", "pairs", "layered", "inverted")
 
-    def __init__(self, controls, pairs, layered, recipe, inverted=False):
+    def __init__(self, controls, pairs, layered=False, inverted=False):
         self.controls = tuple(controls)
         self.pairs = tuple(pairs)
         self.layered = layered
-        self.recipe = recipe
         self.inverted = inverted
 
     def validate(self):
@@ -260,7 +272,7 @@ class SwapLayer:
 
     @property
     def expansion(self):
-        gates = self.recipe(self.controls, self.pairs, self.layered)
+        gates = _layer_gates(self.controls, self.pairs, self.layered)
         return tuple(adjoint_ops(gates) if self.inverted else gates)
 
     def qubits(self):
@@ -268,7 +280,7 @@ class SwapLayer:
                 + tuple(q for q, _ in self.controls))
 
     def adjoint(self):
-        return SwapLayer(self.controls, self.pairs, self.layered, self.recipe,
+        return SwapLayer(self.controls, self.pairs, self.layered,
                          not self.inverted)
 
 
@@ -438,8 +450,27 @@ class CircuitBuilder:
         return Circuit(self._registers, self._ops, self._total, self._stages)
 
 
+def _layer_gates(controls, pairs, layered):
+    """A swap layer's forward gates.  Pair (a, b) of control c is CNOT b->a,
+    G-dagger b, CNOT a->b, G-dagger b, CNOT c->b, G b, CNOT a->b, G b,
+    CNOT b->a; the default form runs those nine steps pair by pair, the
+    layered form step by step across all pairs, with one fanout from c."""
+    ab = [Gate(GateKind.CNOT, (a,), ((b, True),)) for a, b in pairs]
+    ba = [Gate(GateKind.CNOT, (b,), ((a, True),)) for a, b in pairs]
+    gdg = [Gate(GateKind.GDG, (b,)) for _, b in pairs]
+    g = [Gate(GateKind.G, (b,)) for _, b in pairs]
+    if layered:
+        fanout = Gate(GateKind.FANOUT_CNOT, tuple(b for _, b in pairs),
+                      controls)
+        return ab + gdg + ba + gdg + [fanout] + g + ba + g + ab
+    cb = [Gate(GateKind.CNOT, (b,), controls) for _, b in pairs]
+    steps = (ab, gdg, ba, gdg, cb, g, ba, g, ab)
+    return [step[i] for i in range(len(pairs)) for step in steps]
+
+
 def _schedule_layer(layer, last_full, busy):
-    """Advance a depth frontier over a swap layer as its gates would.
+    """Advance a depth frontier over a swap layer as its gates
+    (``_layer_gates``) would: the closed form of their schedule.
 
     A pair (a, b) reads the control c between two T-layers on b before and
     two after: at X = max(max(busy[a], busy[b]) + 2, last_full[c]), leaving
@@ -657,48 +688,52 @@ def _parse_qubits(text):
     return () if text == "-" else tuple(map(int, text.split(",")))
 
 
+def _fmt_layer(layer):
+    pairs = ",".join(f"{a}:{b}" for a, b in layer.pairs)
+    return (f"l c={_fmt_controls(layer.controls)} p={pairs} "
+            f"layered={int(layer.layered)} inv={int(layer.inverted)}")
+
+
 def write_circuit_text(circuit: Circuit) -> str:
-    """The circuit's text: one line per gate or macro, each swap layer
-    written as the lines of its gates, and stage bounds counted in lines."""
+    """The circuit's text: one line per op, and stage bounds in ops."""
     lines = [f"qubits {circuit.total_qubits}"]
     for reg in circuit.registers:
         lines.append(f"reg {reg.name} {reg.offset} {reg.size}")
-    lines += [""] * len(circuit.stages)     # stage lines, once placed
-    head = len(lines)
-    ops = circuit.ops
-    cuts = sorted({0, len(ops), *(b for _, lo, hi in circuit.stages
-                                  for b in (lo, hi))})
-    line_of = {0: 0}    # op index of a cut -> its line among the op lines
+    for name, lo, hi in circuit.stages:
+        lines.append(f"stage {name} {lo} {hi}")
     gate_lines = {}
     chunks = {}
-    layer_lines = {}    # swap layer fields -> its gate lines
-    for lo, hi in zip(cuts, cuts[1:]):
-        for op in ops[lo:hi]:
-            if isinstance(op, Gate):
-                lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
-            elif isinstance(op, SwapLayer):
-                key = (op.recipe, op.controls, op.pairs, op.layered,
-                       op.inverted)
-                text = layer_lines.get(key)
-                if text is None:
-                    text = layer_lines[key] = [
-                        _memo_text(gate_lines, g, _fmt_gate_line)
-                        for g in op.expansion]
-                lines += text
-            else:
-                params = ",".join(f"{k}:{v}"
-                                  for k, v in sorted(op.params.items()))
-                body = "|".join(_memo_text(chunks, g, _fmt_chunk)
-                                for g in op.expansion)
-                lines.append(
-                    f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
-                    f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
-                    f"p={params or '-'} ops={body}")
-        line_of[hi] = len(lines) - head
-    lines[head - len(circuit.stages):head] = [
-        f"stage {name} {line_of[lo]} {line_of[hi]}"
-        for name, lo, hi in circuit.stages]
+    for op in circuit.ops:
+        if isinstance(op, Gate):
+            lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
+        elif isinstance(op, SwapLayer):
+            lines.append(_fmt_layer(op))
+        else:
+            params = ",".join(f"{k}:{v}" for k, v in sorted(op.params.items()))
+            body = "|".join(_memo_text(chunks, g, _fmt_chunk)
+                            for g in op.expansion)
+            lines.append(
+                f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
+                f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
+                f"p={params or '-'} ops={body}")
     return "\n".join(lines) + "\n"
+
+
+_LAYER_FIELDS = frozenset(("c", "p", "layered", "inv"))
+_FLAGS = {"0": False, "1": True}
+
+
+def _parse_layer(fields):
+    attrs = dict(tok.split("=", 1) for tok in fields)
+    unknown = sorted(attrs.keys() - _LAYER_FIELDS)
+    if unknown:
+        raise CircuitError(f"unknown swap layer field {unknown[0]!r}")
+    pairs = []
+    for item in attrs["p"].split(","):
+        a, b = item.split(":")
+        pairs.append((int(a), int(b)))
+    return SwapLayer(_parse_controls(attrs["c"]), pairs,
+                     _FLAGS[attrs["layered"]], _FLAGS[attrs["inv"]])
 
 
 _MACRO_FIELDS = frozenset(("tc", "td", "fq", "cq", "p", "ops"))
@@ -768,6 +803,8 @@ def parse_circuit_text(text: str) -> Circuit:
                     op = seen[line] = _parse_gate(rest.split())
                 elif head == "m":
                     op = seen[line] = _parse_macro(rest.split(), chunks)
+                elif head == "l":
+                    op = seen[line] = _parse_layer(rest.split())
                 elif head == "qubits":
                     total = int(rest)
                     continue

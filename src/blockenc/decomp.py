@@ -1,14 +1,10 @@
 """Clifford+T gate decompositions and costed macro factories.
 
 Each factory returns a plain gate list, whose counted resources are its
-cost; a ``Macro`` with a declared cost, qubit roles that do not depend on the
-data, and an exact unitary expansion; or a ``SwapLayer``, a layer of
-phase-incorrect controlled swaps that is one op, counted as its gates would
-be and flattened into them by the text writer and the simulator.
-These are the gadgets the generators emit.  The phase-incorrect controlled
-swaps permute basis states correctly but pick up -1 phases on some inputs;
-they are only used where the phase lands in garbage or cancels against the
-adjoint leg.
+cost, or a ``Macro`` with a declared cost, qubit roles that do not depend on
+the data, and an exact unitary expansion.  These, and the layers of
+phase-incorrect controlled swaps (``circuit.SwapLayer``, built directly), are
+the gadgets the generators emit.
 """
 from __future__ import annotations
 
@@ -16,7 +12,7 @@ import math
 
 import numpy as np
 
-from .circuit import Gate, GateKind, Macro, MacroKind, SwapLayer
+from .circuit import Gate, GateKind, Macro, MacroKind
 
 
 class ParameterError(ValueError):
@@ -64,60 +60,6 @@ def controlled_ry_gates(theta, controls, target):
         else:
             gates.append(Gate(GateKind.CZ, tuple(controls)))
     return gates
-
-
-def _cswap_phase_incorrect_gates(controls, pairs, layered):
-    """The gates of a ``SwapLayer`` (see ``parallel_cswap_phase_incorrect``)."""
-    gates = []
-    if layered:
-        for a, b in pairs:
-            gates.append(Gate(GateKind.CNOT, (a,), ((b, True),)))
-        for _, b in pairs:
-            gates.append(Gate(GateKind.GDG, (b,)))
-        for a, b in pairs:
-            gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
-        for _, b in pairs:
-            gates.append(Gate(GateKind.GDG, (b,)))
-        gates.append(Gate(GateKind.FANOUT_CNOT,
-                          tuple(b for _, b in pairs), controls))
-        for _, b in pairs:
-            gates.append(Gate(GateKind.G, (b,)))
-        for a, b in pairs:
-            gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
-        for _, b in pairs:
-            gates.append(Gate(GateKind.G, (b,)))
-        for a, b in pairs:
-            gates.append(Gate(GateKind.CNOT, (a,), ((b, True),)))
-        return gates
-    for a, b in pairs:
-        gates.append(Gate(GateKind.CNOT, (a,), ((b, True),)))
-        gates.append(Gate(GateKind.GDG, (b,)))
-        gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
-        gates.append(Gate(GateKind.GDG, (b,)))
-        gates.append(Gate(GateKind.CNOT, (b,), controls))
-        gates.append(Gate(GateKind.G, (b,)))
-        gates.append(Gate(GateKind.CNOT, (b,), ((a, True),)))
-        gates.append(Gate(GateKind.G, (b,)))
-        gates.append(Gate(GateKind.CNOT, (a,), ((b, True),)))
-    return gates
-
-
-def parallel_cswap_phase_incorrect(controls, pairs, layered=False):
-    """Layer of phase-incorrect cswaps sharing one (polarized) control, as
-    one ``SwapLayer`` op; T-count 4 per pair.
-
-    Default emission is one whole controlled-swap fragment per target pair; the
-    shared control enters each fragment only as a control (architecturally a
-    single fanout-CNOT), so the fragments occupy a common depth-4 layer
-    while the sparse-simulation support stays bounded (each G chain closes
-    back to a permutation before the next pair branches).
-
-    ``layered=True`` emits the layered form instead - per-layer G walls
-    around one explicit fanout-CNOT - which pins the whole column to a
-    common start in the dependency DAG; the simulation support then grows
-    with 2^pairs mid-column, so it is reserved for narrow columns.
-    """
-    return SwapLayer(controls, pairs, layered, _cswap_phase_incorrect_gates)
 
 
 def _cswap_clean_gates(control, pairs, pool):

@@ -110,6 +110,7 @@ class BlockEncodingResult:
     in_qubits: tuple
     config: BlockEncodingConfig
     params: EncodingParams
+    t: int | None           # the chosen angle precision (``chosen_t``)
     original_shape: tuple
     padded: np.ndarray      # the zero-padded matrix the circuit encodes
     control_qubits: tuple = ()
@@ -168,9 +169,10 @@ def _setup(a, cfg, variant):
     cfg.validate(n)
     rows, phi, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
-    return rows, phi, n, chosen_t(cfg, params), partial(
+    t = chosen_t(cfg, params)
+    return rows, phi, n, t, partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
-        original_shape=original, padded=padded)
+        t=t, original_shape=original, padded=padded)
 
 
 def _register_swap(builder, data, control):

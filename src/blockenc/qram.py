@@ -22,14 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
+from .circuit import CircuitBuilder, Gate, GateKind, SwapLayer, adjoint_ops
 from .decomp import (
     and_toffoli,
     controlled_ry_gates,
     canonical_ry_halves,
     match_controls,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect,
     unary_select,
     unary_step,
 )
@@ -120,7 +119,7 @@ class SelectSwapLoad:
             ctrl = self.addr[s + (lam - 1 - k)]
             pairs = [qp for a, b in _halving_pairs(self.slots, k)
                      for qp in zip(a, b)]
-            ops.append(parallel_cswap_phase_incorrect(((ctrl, True),), pairs))
+            ops.append(SwapLayer(((ctrl, True),), pairs))
         return ops
 
 
@@ -178,7 +177,7 @@ class BucketBrigadeLoad:
                 for u in range(1 << v):
                     src = source if v == 0 else self._path(v, u)[: len(source)]
                     dst = self._path(v + 1, 2 * u + (1 if positive else 0))
-                    ops.append(parallel_cswap_phase_incorrect(
+                    ops.append(SwapLayer(
                         ((self._router(v, u), positive),),
                         tuple(zip(src, dst[: len(source)])), layered=True))
         return ops
@@ -221,8 +220,7 @@ class BucketBrigadeLoad:
 
         in_pairs = tuple(zip(self.addr[s:], self.anc_lam.qubits if self.anc_lam else ())) \
             + tuple(zip(self.bus, self.anc_d))
-        swap_in = parallel_cswap_phase_incorrect(
-            ((self.flag, True),), in_pairs, layered=True)
+        swap_in = SwapLayer(((self.flag, True),), in_pairs, layered=True)
         swap_out = swap_in.adjoint()
         forward = self._routing_ops()
         reverse = adjoint_ops(forward)

@@ -344,7 +344,10 @@ LEDGER = (
          "flip, R_y(h): the final half-rotation no longer involves the "
          "control"),
         lambda p: p["n"] >= 2,
-        lambda p: -(p["n"] - 1),
+        # Observed, not yet explained: the overlap never exceeds the depth
+        # R_y of one half-rotation.  The text, which build reports quote,
+        # gives the value at R_y >= n-1.
+        lambda p: -min(p["n"] - 1, p["ry"]),
     ),
     LedgerEntry(
         "be_ss", "t_depth", "all lambda",
@@ -374,7 +377,9 @@ LEDGER = (
          "published stage schedule vs the controlled-rotation structure "
          "releasing its controls mid-fragment"),
         lambda p: p["n"] >= 1,
-        lambda p: -(3 * p["n"] - 2),
+        # Observed, capped by R_y as in sp_prerotated; the text gives the
+        # value at R_y >= 3n-2.
+        lambda p: -min(3 * p["n"] - 2, p["ry"]),
     ),
 )
 

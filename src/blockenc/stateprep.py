@@ -19,12 +19,11 @@ import math
 
 import numpy as np
 
-from .circuit import CircuitBuilder, Gate, GateKind, adjoint_ops
+from .circuit import CircuitBuilder, Gate, GateKind, SwapLayer, adjoint_ops
 from .decomp import (
     TWO_PI,
     controlled_ry_gates,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect,
 )
 from .angle_tree import heap_angles, prerotated_angles
 from .qram import FlagLoad, LoadSpec, QramModel
@@ -74,16 +73,14 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
             for ra, rb in angle_pairs:
                 qubit_pairs.extend(zip(a_slots[ra], a_slots[rb]))
             qubit_pairs.extend((s_block[i], s_block[j]) for i, j in sign_pairs)
-            emit(parallel_cswap_phase_incorrect(((data[p - 2], True),),
-                                                qubit_pairs), record=True)
+            emit(SwapLayer(((data[p - 2], True),), qubit_pairs), record=True)
             for qa, qb in zip(a_slots[1], a_slots[1 << (p - 1)]):
                 emit(Gate(GateKind.SWAP, (qa, qb)), record=True)
         for j, angle in enumerate(ladder_angles(t)):
             for g in controlled_ry_gates(angle, (a_slots[1][j],), data[p - 1]):
                 emit(g)
     # Sign selection and application.
-    emit(parallel_cswap_phase_incorrect(((data[n - 1], True),),
-                                        ((s_block[0], s_block[1]),)),
+    emit(SwapLayer(((data[n - 1], True),), ((s_block[0], s_block[1]),)),
          record=True)
     emit(Gate(GateKind.SWAP, (a_slots[1][0], s_block[0])), record=True)
     ops.append(Gate(GateKind.Z, (a_slots[1][0],)))

@@ -20,6 +20,7 @@ from blockenc.circuit import (
     CircuitBuilder,
     Gate,
     GateKind,
+    SwapLayer,
     adjoint_ops,
     count_resources,
 )
@@ -27,7 +28,6 @@ from blockenc.decomp import (
     ParameterError,
     controlled_ry_gates,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect,
     unary_select,
 )
 from blockenc.encoding import (
@@ -336,7 +336,7 @@ def test_criterion_8_decomposition_fidelity():
     for size in (1, 2, 3):
         width = 1 + 2 * size
         pairs = tuple((1 + i, 1 + size + i) for i in range(size))
-        gates = [parallel_cswap_phase_incorrect(((0, True),), pairs)]
+        gates = [SwapLayer(((0, True),), pairs)]
         u = dense_unitary(gates, width)
         if size == 1:
             ok &= bool(np.abs(np.abs(u) - cswap_matrix()).max() < 1e-12)

@@ -26,7 +26,6 @@ from blockenc.circuit import (
 from blockenc.decomp import (
     and_toffoli,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect,
     unary_select,
 )
 
@@ -83,7 +82,7 @@ def test_same_qubit_t_gates_chain():
 def test_fig20_cswap_cost():
     b = CircuitBuilder()
     b.allocate("q", 3)
-    b.add(parallel_cswap_phase_incorrect(((0, True),), ((1, 2),)))
+    b.add(SwapLayer(((0, True),), ((1, 2),)))
     rep = count_resources(b.build())
     assert (rep.t_count, rep.t_depth) == (4, 4)
 
@@ -291,6 +290,8 @@ def test_out_of_range_macro_rejected():
     "g T t=a",
     "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=-",
     "stage a 0",
+    "l c=-0 p=1:2 layered=0",
+    "l c=-0 p=1:2:0 layered=0 inv=0",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -302,6 +303,10 @@ def test_malformed_line_raises_circuit_error(line):
     ("g T t=0 bogus=1", "unknown gate field 'bogus'"),
     ("m AND_TOFFOLI tc=4 td=1 bogus=9 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2",
      "unknown macro field 'bogus'"),
+    ("l c=+0 p=1:2 layered=0 inv=0 bogus=1",
+     "unknown swap layer field 'bogus'"),
+    ("l c=+0,+1 p=2:1 layered=0 inv=0", "exactly one control"),
+    ("l c=+0 p=1:7 layered=1 inv=0", r"qubit 7 out of range \[0, 3\)"),
 ])
 def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -645,7 +650,7 @@ def _layer_circuits(draw):
     its qubits and before a drawn suffix, with drawn stage bounds."""
     k = draw(st.integers(1, 4))
     order = draw(st.permutations(range(_LAYER_WIDTH)))
-    layer = parallel_cswap_phase_incorrect(
+    layer = SwapLayer(
         ((order[0], draw(st.booleans())),),
         tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
         layered=draw(st.booleans()))
@@ -673,8 +678,7 @@ _LAYERED_AFTER_READ = Circuit(
     [QubitRegister("q", 0, 6)],
     [Gate(GateKind.T, (1,))] * 5 + [
         Gate(GateKind.CNOT, (1,), ((0, True),)), Gate(GateKind.T, (2,)),
-        parallel_cswap_phase_incorrect(((0, True),), ((2, 3), (4, 5)),
-                                       layered=True),
+        SwapLayer(((0, True),), ((2, 3), (4, 5)), layered=True),
         Gate(GateKind.T, (4,))],
     6, [("s0", 0, 7), ("s1", 7, 9)])
 
@@ -685,6 +689,22 @@ _LAYERED_AFTER_READ = Circuit(
 def test_swap_layer_counts_as_its_gates(circuit):
     assert (count_resources_at(circuit, (1, 10, 30))
             == count_resources_at(flattened(circuit), (1, 10, 30)))
+
+
+@_PROPERTY
+@given(circuit=_layer_circuits())
+def test_swap_layer_is_one_text_line(circuit):
+    text = write_circuit_text(circuit)
+    parsed = parse_circuit_text(text)
+    layers = [op for op in parsed.ops if isinstance(op, SwapLayer)]
+    assert len(parsed.ops) == len(circuit.ops) and len(layers) == 1
+    (layer,) = layers
+    (want,) = (op for op in circuit.ops if isinstance(op, SwapLayer))
+    assert layer.expansion == want.expansion
+    assert parsed.stages == circuit.stages
+    assert write_circuit_text(parsed) == text
+    assert (count_resources_at(parsed, (1, 10, 30))
+            == count_resources_at(circuit, (1, 10, 30)))
 
 
 @pytest.mark.parametrize("controls, pairs, message", [
@@ -700,4 +720,4 @@ def test_builder_checks_a_swap_layer(controls, pairs, message):
     b = CircuitBuilder()
     b.allocate("q", 4)
     with pytest.raises(CircuitError, match=message):
-        b.add(parallel_cswap_phase_incorrect(controls, pairs))
+        b.add(SwapLayer(controls, pairs))

@@ -122,7 +122,7 @@ def test_build_out_text_matches_report(capsys, matrix_csv, tmp_path):
                            "--ry", "20", "--out", str(out_path))
     assert code == 0
     parsed = parse_circuit_text(out_path.read_text())
-    # The message counts the op lines written, one per parsed op.
+    # The message counts the built circuit's ops, one line each.
     assert f"({parsed.total_qubits} qubits, {len(parsed.ops)} ops)" in out
     report = json.loads(out_path.with_suffix(".report.json").read_text())
     counted = count_resources(parsed, ry_cost=20)
@@ -189,6 +189,21 @@ def test_verify_pass_fixed(capsys, matrix_csv):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["error"] <= payload["bound"]
+    assert payload["bound_kind"].startswith("rounding")
+
+
+@pytest.mark.parametrize("variant", ["standard", "symmetric"])
+@pytest.mark.parametrize("entry", [1e12, 1e15])
+def test_verify_large_entry_passes(capsys, matrix_csv, entry, variant):
+    """The fixed-precision bound is floored at 1e-9 * alpha, which the
+    simulator's rounding error at this alpha stays under."""
+    path = matrix_csv(np.array([[1.0, 2.0], [3.0, entry]]))
+    code, out, _ = run_cli(capsys, "verify", "--matrix", path, "--variant",
+                           variant, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert payload["bound"] == 1e-9 * payload["config"]["alpha"]
+    assert payload["bound_kind"] == "simulation floor: 1e-9 * alpha"
 
 
 def test_verify_pass_prerotated(capsys, matrix_csv):

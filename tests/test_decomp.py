@@ -17,6 +17,7 @@ from blockenc.circuit import (
     CircuitBuilder,
     Gate,
     GateKind,
+    SwapLayer,
     adjoint_ops,
     count_resources,
 )
@@ -25,7 +26,6 @@ from blockenc.decomp import (
     and_toffoli,
     controlled_ry_gates,
     parallel_cswap_clean,
-    parallel_cswap_phase_incorrect,
     unary_select,
     unary_step,
 )
@@ -67,7 +67,7 @@ def cswaps(size):
     """Controlled swap of registers 1..size and size+1..2*size on control 0,
     as the state preparation and select-swap loader emit it: one layer op."""
     pairs = tuple((1 + i, 1 + size + i) for i in range(size))
-    return [parallel_cswap_phase_incorrect(((0, True),), pairs)]
+    return [SwapLayer(((0, True),), pairs)]
 
 
 def counted(gates, num_qubits, ry_cost=0):

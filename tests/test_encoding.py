@@ -266,19 +266,38 @@ def _every_generator_circuit():
         yield build_sp_prerotated(matrix[0])
 
 
+@pytest.mark.parametrize("method, t, want", [
+    (Method.FIXED_PRECISION, None, 12),
+    (Method.FIXED_PRECISION, 4, 4),
+    (Method.PRE_ROTATED, None, None),
+])
+def test_result_carries_the_chosen_t(method, t, want):
+    matrix = np.arange(1.0, 5.0).reshape(2, 2)
+    cfg = BlockEncodingConfig(method=method, t=t, lam=1, qram=(
+        QramModel.FLAGS if method is Method.PRE_ROTATED else SS))
+    result = build_block_encoding(matrix, cfg)
+    assert result.t == want
+
+
 def test_counted_qubits_are_the_register_total():
     for circuit in _every_generator_circuit():
         assert count_resources(circuit).qubits == circuit.total_qubits
 
 
 def test_written_text_counts_as_the_built_circuit():
-    """Swap layers are written as their gates: the text is that of the
-    flattened circuit, and parses into a circuit with the same reports."""
+    """The text has one line per op: it parses into a circuit with the same
+    ops, which writes the same text and counts the same reports.  The flat
+    text, each swap layer written as its gates, parses into those reports
+    too."""
     for circuit in _every_generator_circuit():
         text = write_circuit_text(circuit)
-        assert text == write_circuit_text(flattened(circuit))
-        assert (count_resources_at(parse_circuit_text(text), (1, 10, 30))
-                == count_resources_at(circuit, (1, 10, 30)))
+        parsed = parse_circuit_text(text)
+        assert len(parsed.ops) == len(circuit.ops)
+        assert write_circuit_text(parsed) == text
+        reports = count_resources_at(circuit, (1, 10, 30))
+        assert count_resources_at(parsed, (1, 10, 30)) == reports
+        flat = parse_circuit_text(write_circuit_text(flattened(circuit)))
+        assert count_resources_at(flat, (1, 10, 30)) == reports
 
 
 def test_symmetric_structure_1x1():

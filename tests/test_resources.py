@@ -12,7 +12,10 @@ from blockenc.resources import (
     sweep_cross_validation,
     uniform_entry_alpha,
 )
-from blockenc.circuit import ResourceReport
+from blockenc.circuit import ResourceReport, count_resources_at
+from blockenc.encoding import BlockEncodingConfig, Method, build_block_encoding
+from blockenc.qram import QramModel
+from blockenc.stateprep import build_sp_prerotated
 
 
 def test_evaluate_min_depth_qubits_example():
@@ -128,6 +131,33 @@ def test_ledger_entries_carry_dual_citations():
     for entry in LEDGER:
         assert len(entry.citations) == 2
         assert all(entry.citations)
+
+
+_SMALL_RY = (1, 2, 4, 10, 30)
+
+
+def test_prerotated_depth_offsets_are_capped_by_ry():
+    """Counted minus formula T-depth is -min(n-1, R_y) for the pre-rotated
+    state preparation (n >= 2) and -min(3n-2, R_y) for the block encoding,
+    also where R_y is below the uncapped offset (11 points at n <= 4)."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        side = 1 << n
+        encoding = build_block_encoding(
+            rng.standard_normal((side, side)),
+            BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                qram=QramModel.FLAGS, lam=n)).circuit
+        for name, circuit, cap in (
+                ("sp_prerotated", build_sp_prerotated(rng.standard_normal(side)),
+                 n - 1),
+                ("be_prerotated", encoding, 3 * n - 2)):
+            for ry, counted in zip(_SMALL_RY,
+                                   count_resources_at(circuit, _SMALL_RY)):
+                point = {"n": n, "ry": ry}
+                verdict = cross_validate(counted, name, point)
+                assert verdict.passed, (name, point, verdict.diffs)
+                assert (counted.t_depth - evaluate(name, **point).t_depth
+                        == -min(cap, ry))
 
 
 def test_sweep_small_grid_clean():

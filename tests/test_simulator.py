@@ -15,9 +15,9 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    SwapLayer,
     stored_gates,
 )
-from blockenc.decomp import parallel_cswap_phase_incorrect
 from blockenc.encoding import BlockEncodingConfig, build_block_encoding
 from blockenc.simulator import (
     SparseState,
@@ -395,7 +395,7 @@ def _fragment_pieces(draw):
     if kind.startswith("cswap"):
         n_pairs = draw(st.integers(1, 3))
         pairs = tuple(zip(qs[1:1 + n_pairs], qs[4:4 + n_pairs]))
-        layer = parallel_cswap_phase_incorrect(
+        layer = SwapLayer(
             ((qs[0], draw(st.booleans())),), pairs)
         if kind == "cswap_adjoint":
             layer = layer.adjoint()
@@ -445,7 +445,7 @@ def _superposed(qubits, seed=5):
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_cswap_fragment_is_one_monomial_block(adjoint):
     pairs = ((1, 2), (3, 4))
-    layer = parallel_cswap_phase_incorrect(((0, True),), pairs)
+    layer = SwapLayer(((0, True),), pairs)
     if adjoint:
         layer = layer.adjoint()
     gates = layer.expansion
@@ -461,10 +461,9 @@ def test_cswap_fragment_is_one_monomial_block(adjoint):
 
 
 def test_rotation_and_layered_column_keep_per_op_support():
-    fragment = list(parallel_cswap_phase_incorrect(((0, True),),
-                                                   ((1, 2),)).expansion)
+    fragment = list(SwapLayer(((0, True),), ((1, 2),)).expansion)
     with_ry = fragment[:4] + [Gate(GateKind.RY, (2,), (), 0.7)] + fragment[4:]
-    layered = parallel_cswap_phase_incorrect(
+    layered = SwapLayer(
         ((0, True),), ((1, 2), (3, 4)), layered=True).expansion
     for gates in (with_ry, layered):
         start = _superposed((0, 1, 3))
