@@ -12,8 +12,8 @@ uses of a qubit chain an edge unless both uses are pure controls (diagonal in
 the computational basis), which commute and may share a layer.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
-line per op: a gate, a macro with its expansion, or a swap layer by its
-fields alone; stage bounds count ops.
+line per op: a gate, a macro by its factory's arguments, or a swap layer by
+its fields; stage bounds count ops.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+
+import numpy as np
 
 
 class CircuitError(Exception):
@@ -122,9 +124,6 @@ class Gate:
             raise CircuitError("FANOUT_CNOT requires at least one target")
         if (self.angle is None) == (kind in _RY_UNITS):
             raise CircuitError(f"angle mismatch for {kind.value}")
-        qubits = list(self.targets) + [q for q, _ in self.controls]
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError("gate qubits must be distinct")
 
     def qubits(self):
         return self.targets + tuple(q for q, _ in self.controls)
@@ -176,17 +175,17 @@ class Macro:
     forward expansion, a module-level function so that no macro holds a
     closure, and ``inverted`` marks the adjoint.  Counting reads only the
     declared cost and qubit roles, sorted tuples of the qubits the macro may
-    change (``full``) and of those it only reads (``ctrl``); the text writer
-    and the simulator build the expansion.
+    change (``full``) and of those it only reads (``ctrl``); only the
+    simulator builds the expansion.  The text holds a macro's kind, its
+    factory's ``args`` and ``inverted``.
     """
 
-    __slots__ = ("kind", "params", "recipe", "args", "inverted", "t_count",
-                 "t_depth", "full", "ctrl")
+    __slots__ = ("kind", "recipe", "args", "inverted", "t_count", "t_depth",
+                 "full", "ctrl")
 
-    def __init__(self, kind, params, recipe, args, t_count, t_depth, full,
-                 ctrl, inverted=False):
+    def __init__(self, kind, recipe, args, t_count, t_depth, full, ctrl,
+                 inverted=False):
         self.kind = kind
-        self.params = params
         self.recipe = recipe
         self.args = args
         self.inverted = inverted
@@ -217,7 +216,7 @@ class Macro:
         return (
             isinstance(other, Macro)
             and self.kind == other.kind
-            and self.params == other.params
+            and (self.full, self.ctrl) == (other.full, other.ctrl)
             and self.expansion == other.expansion
             and (self.t_count, self.t_depth) == (other.t_count, other.t_depth)
         )
@@ -225,11 +224,6 @@ class Macro:
     def __repr__(self):
         return (f"Macro({self.kind.value}, tc={self.t_count}, td={self.t_depth}, "
                 f"ng={len(self.expansion)})")
-
-
-def stored_gates(gates):
-    """The recipe of a macro that holds its gates (parsed or remapped)."""
-    return gates
 
 
 class SwapLayer:
@@ -266,9 +260,6 @@ class SwapLayer:
             raise CircuitError("a swap layer takes exactly one control")
         if set(map(len, self.pairs)) != {2}:
             raise CircuitError("a swap layer takes one or more qubit pairs")
-        qubits = self.qubits()
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError("swap layer qubits must be distinct")
 
     @property
     def expansion(self):
@@ -375,9 +366,14 @@ def _check_stages(stages, num_ops):
 
 
 def _check_op(op, total):
+    """An op's own checks (a macro's are its factory's), then its qubits:
+    distinct and in range."""
     if not isinstance(op, Macro):
         op.validate()
-    for q in op.qubits():
+    qubits = op.qubits()
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"op qubits {_fmt_qubits(qubits)} must be distinct")
+    for q in qubits:
         if not 0 <= q < total:
             raise CircuitError(f"qubit {q} out of range [0, {total})")
 
@@ -661,23 +657,15 @@ def _parse_gate(fields):
     return Gate(kind, targets, controls, angle)
 
 
-def _memo_text(memo, g, fmt):
-    """``fmt(g)``, computed once per distinct gate in ``memo``."""
+def _gate_line(memo, g):
+    """A gate's line, formatted once per distinct gate in ``memo``."""
     key = (g.kind, g.targets, g.controls, g.angle)
     text = memo.get(key)
     if text is None:
-        text = fmt(g)
+        text = "g " + _fmt_gate(g)
         if g.angle != 0:    # 0.0 and -0.0 are one key but print differently
             memo[key] = text
     return text
-
-
-def _fmt_gate_line(g):
-    return "g " + _fmt_gate(g)
-
-
-def _fmt_chunk(g):
-    return _fmt_gate(g).replace(" ", ";")
 
 
 def _fmt_qubits(qubits):
@@ -688,10 +676,39 @@ def _parse_qubits(text):
     return () if text == "-" else tuple(map(int, text.split(",")))
 
 
+def _fmt_pairs(pairs):
+    return ",".join(f"{a}:{b}" for a, b in pairs)
+
+
+def _parse_pairs(text):
+    return tuple((int(a), int(b))
+                 for a, b in (item.split(":") for item in text.split(",")))
+
+
 def _fmt_layer(layer):
-    pairs = ",".join(f"{a}:{b}" for a, b in layer.pairs)
-    return (f"l c={_fmt_controls(layer.controls)} p={pairs} "
+    return (f"l c={_fmt_controls(layer.controls)} p={_fmt_pairs(layer.pairs)} "
             f"layered={int(layer.layered)} inv={int(layer.inverted)}")
+
+
+def _fmt_macro(op):
+    """A macro's kind, its factory's arguments and ``inv``: the parser calls
+    the factory again, which fixes the cost, the roles and the recipe."""
+    kind = op.kind
+    if kind is MacroKind.AND_TOFFOLI:
+        fields = f"q={_fmt_qubits(op.args)}"
+    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+        control, pairs, pool = op.args
+        fields = f"c={control} p={_fmt_pairs(pairs)} pool={_fmt_qubits(pool)}"
+    elif kind is MacroKind.UNARY_STEP:
+        select, lo, hi, flag = op.args
+        fields = f"s={_fmt_qubits(select)} from={lo} to={hi} flag={flag}"
+    else:
+        select, rows, slots, flag = op.args
+        packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
+        fields = (f"s={_fmt_qubits(select)} slots={_fmt_qubits(slots)} "
+                  f"flag={'-' if flag is None else flag} rows="
+                  + ",".join(row.tobytes().hex() for row in packed))
+    return f"m {kind.value} {fields} inv={int(op.inverted)}"
 
 
 def write_circuit_text(circuit: Circuit) -> str:
@@ -702,20 +719,13 @@ def write_circuit_text(circuit: Circuit) -> str:
     for name, lo, hi in circuit.stages:
         lines.append(f"stage {name} {lo} {hi}")
     gate_lines = {}
-    chunks = {}
     for op in circuit.ops:
         if isinstance(op, Gate):
-            lines.append(_memo_text(gate_lines, op, _fmt_gate_line))
+            lines.append(_gate_line(gate_lines, op))
         elif isinstance(op, SwapLayer):
             lines.append(_fmt_layer(op))
         else:
-            params = ",".join(f"{k}:{v}" for k, v in sorted(op.params.items()))
-            body = "|".join(_memo_text(chunks, g, _fmt_chunk)
-                            for g in op.expansion)
-            lines.append(
-                f"m {op.kind.value} tc={op.t_count} td={op.t_depth} "
-                f"fq={_fmt_qubits(op.full)} cq={_fmt_qubits(op.ctrl)} "
-                f"p={params or '-'} ops={body}")
+            lines.append(_fmt_macro(op))
     return "\n".join(lines) + "\n"
 
 
@@ -723,60 +733,63 @@ _LAYER_FIELDS = frozenset(("c", "p", "layered", "inv"))
 _FLAGS = {"0": False, "1": True}
 
 
-def _parse_layer(fields):
+def _fields(fields, known, what):
+    """A line's ``key=value`` fields; a key outside ``known`` raises."""
     attrs = dict(tok.split("=", 1) for tok in fields)
-    unknown = sorted(attrs.keys() - _LAYER_FIELDS)
+    unknown = sorted(attrs.keys() - known)
     if unknown:
-        raise CircuitError(f"unknown swap layer field {unknown[0]!r}")
-    pairs = []
-    for item in attrs["p"].split(","):
-        a, b = item.split(":")
-        pairs.append((int(a), int(b)))
-    return SwapLayer(_parse_controls(attrs["c"]), pairs,
+        raise CircuitError(f"unknown {what} field {unknown[0]!r}")
+    return attrs
+
+
+def _parse_layer(fields):
+    attrs = _fields(fields, _LAYER_FIELDS, "swap layer")
+    return SwapLayer(_parse_controls(attrs["c"]), _parse_pairs(attrs["p"]),
                      _FLAGS[attrs["layered"]], _FLAGS[attrs["inv"]])
 
 
-_MACRO_FIELDS = frozenset(("tc", "td", "fq", "cq", "p", "ops"))
+_MACRO_ARGS = {
+    MacroKind.AND_TOFFOLI: frozenset(("q", "inv")),
+    MacroKind.PARALLEL_CSWAP_CLEAN: frozenset(("c", "p", "pool", "inv")),
+    MacroKind.UNARY_STEP: frozenset(("s", "from", "to", "flag", "inv")),
+    MacroKind.UNARY_SELECT: frozenset(("s", "slots", "flag", "rows", "inv")),
+}
 
 
-def _parse_macro(fields, chunks):
-    """A macro line's op.  Its declared roles must cover its expansion, with
-    a gate's qubits split as ``_op_cost`` splits them: each target (a CZ's
-    are only read) lies in ``fq``, and each other qubit in ``fq`` or ``cq``."""
+def _parse_rows(text, width):
+    """Rows of ``width`` bits, each packed by ``np.packbits`` into hex."""
+    rows = text.split(",")
+    size = (width + 7) // 8
+    if any(len(row) != 2 * size for row in rows):
+        raise ValueError(f"each row must be {2 * size} hex digits")
+    packed = np.frombuffer(bytes.fromhex("".join(rows)), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=width)
+
+
+def _parse_macro(fields):
+    """A macro line's op, built by the kind's factory in ``decomp`` (which
+    imports this module); a factory's ``ParameterError`` is a ValueError."""
+    from . import decomp
     kind = MacroKind(fields[0])
-    attrs = dict(tok.split("=", 1) for tok in fields[1:])
-    params = {}
-    if attrs.get("p", "-") != "-":
-        for item in attrs["p"].split(","):
-            k, v = item.split(":")
-            params[k] = int(v)
-    expansion = []
-    for chunk in attrs["ops"].split("|"):
-        if chunk:
-            g = chunks.get(chunk)
-            if g is None:
-                g = chunks[chunk] = _parse_gate(chunk.split(";"))
-            expansion.append(g)
-    unknown = sorted(attrs.keys() - _MACRO_FIELDS)
-    if unknown:
-        raise CircuitError(f"unknown macro field {unknown[0]!r}")
-    macro = Macro(kind, params, stored_gates, (tuple(expansion),),
-                  int(attrs["tc"]), int(attrs["td"]),
-                  _parse_qubits(attrs["fq"]), _parse_qubits(attrs["cq"]))
-    changed, read = set(), set()
-    for g in expansion:
-        (read if g.kind is GateKind.CZ else changed).update(g.targets)
-        for q, _ in g.controls:
-            read.add(q)
-    outside = changed.difference(macro.full)
-    if outside:
-        raise CircuitError(f"{kind.value} macro changes qubit {min(outside)} "
-                           "outside fq")
-    outside = read.difference(macro.full, macro.ctrl)
-    if outside:
-        raise CircuitError(f"{kind.value} macro uses qubit {min(outside)} "
-                           "outside fq and cq")
-    return macro
+    attrs = _fields(fields[1:], _MACRO_ARGS[kind], "macro")
+    if kind is MacroKind.AND_TOFFOLI:
+        c1, c2, target = _parse_qubits(attrs["q"])
+        macro = decomp.and_toffoli(c1, c2, target)
+    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+        macro = decomp.parallel_cswap_clean(
+            int(attrs["c"]), _parse_pairs(attrs["p"]),
+            _parse_qubits(attrs["pool"]))
+    elif kind is MacroKind.UNARY_STEP:
+        macro = decomp.unary_step(_parse_qubits(attrs["s"]),
+                                  int(attrs["from"]), int(attrs["to"]),
+                                  int(attrs["flag"]))
+    else:
+        slots = _parse_qubits(attrs["slots"])
+        flag = None if attrs["flag"] == "-" else int(attrs["flag"])
+        macro = decomp.unary_select(_parse_qubits(attrs["s"]),
+                                    _parse_rows(attrs["rows"], len(slots)),
+                                    slots, flag)
+    return macro.adjoint() if _FLAGS[attrs["inv"]] else macro
 
 
 def parse_circuit_text(text: str) -> Circuit:
@@ -790,7 +803,6 @@ def parse_circuit_text(text: str) -> Circuit:
     stages = []
     ops = []
     seen = {}       # op line -> op
-    chunks = {}     # macro expansion chunk -> Gate
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -802,7 +814,7 @@ def parse_circuit_text(text: str) -> Circuit:
                 if head == "g":
                     op = seen[line] = _parse_gate(rest.split())
                 elif head == "m":
-                    op = seen[line] = _parse_macro(rest.split(), chunks)
+                    op = seen[line] = _parse_macro(rest.split())
                 elif head == "l":
                     op = seen[line] = _parse_layer(rest.split())
                 elif head == "qubits":

@@ -2,9 +2,10 @@
 
 Each factory returns a plain gate list, whose counted resources are its
 cost, or a ``Macro`` with a declared cost, qubit roles that do not depend on
-the data, and an exact unitary expansion.  These, and the layers of
-phase-incorrect controlled swaps (``circuit.SwapLayer``, built directly), are
-the gadgets the generators emit.
+the data, and an exact unitary expansion; the circuit text holds a macro's
+factory arguments, and the parser calls the factory again.  These, and the
+layers of phase-incorrect controlled swaps (``circuit.SwapLayer``, built
+directly), are the gadgets the generators emit.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def parallel_cswap_clean(control, pairs, pool):
     pool = tuple(pool)
     if len(pool) < 2 * k:
         raise ParameterError(f"need a pool of 2k = {2 * k} qubits")
-    return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, {"k": k}, _cswap_clean_gates,
+    return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, _cswap_clean_gates,
                  (control, pairs, pool), 4 * k, 1,
                  full=pool[:k] + tuple(q for pair in pairs for q in pair),
                  ctrl=(control,))
@@ -105,7 +106,7 @@ def and_toffoli(c1, c2, target):
     The expansion is a plain Toffoli (the exact measurement-free unitary);
     the Jones-style scratch qubit is a register qubit the caller keeps free.
     """
-    return Macro(MacroKind.AND_TOFFOLI, {}, _and_toffoli_gates,
+    return Macro(MacroKind.AND_TOFFOLI, _and_toffoli_gates,
                  (c1, c2, target), 4, 1, full=(target,), ctrl=(c1, c2))
 
 
@@ -156,7 +157,7 @@ def unary_select(select_qubits, rows, slots, flag=None):
     elif flag is None:
         raise ParameterError("s >= 2 needs a flag qubit")
     cost = 4 * ((1 << s) - 1)
-    return Macro(MacroKind.UNARY_SELECT, {"s": s}, _unary_select_gates,
+    return Macro(MacroKind.UNARY_SELECT, _unary_select_gates,
                  (select_qubits, rows, slots, flag), cost, cost,
                  full=slots + ((flag,) if s >= 2 else ()), ctrl=select_qubits)
 
@@ -174,7 +175,6 @@ def unary_step(select_qubits, from_value, to_value, flag):
     Carries the amortized cost (4, 4, 0); the 2^s - 1 steps of a full loop
     reproduce the 4*(2^s - 1) model.
     """
-    return Macro(MacroKind.UNARY_STEP, {"from": from_value, "to": to_value},
-                 _unary_step_gates,
+    return Macro(MacroKind.UNARY_STEP, _unary_step_gates,
                  (tuple(select_qubits), from_value, to_value, flag), 4, 4,
                  full=(flag,), ctrl=select_qubits)

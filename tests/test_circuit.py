@@ -20,13 +20,13 @@ from blockenc.circuit import (
     count_resources,
     count_resources_at,
     parse_circuit_text,
-    stored_gates,
     write_circuit_text,
 )
 from blockenc.decomp import (
     and_toffoli,
     parallel_cswap_clean,
     unary_select,
+    unary_step,
 )
 
 
@@ -191,12 +191,12 @@ def test_breakdown_by_stage():
 def test_text_format_round_trip():
     b = CircuitBuilder()
     b.allocate("addr", 2)
-    b.allocate("data", 4)
+    b.allocate("data", 5)
     b.gate(GateKind.CSWAP, (4, 5), ((3, True),))
     b.gate(GateKind.RY, 0, angle=1.5707963)
     b.gate(GateKind.MCX, (4,), ((0, False), (1, True)))
     b.add(unary_select((0, 1), [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0),
-                                (1, 1, 0, 0)], slots=(2, 3, 4, 5), flag=4))
+                                (1, 1, 0, 0)], slots=(2, 3, 4, 5), flag=6))
     b.add(parallel_cswap_clean(control=0, pairs=((2, 3),), pool=(4, 5)))
     circuit = b.build()
     text = write_circuit_text(circuit)
@@ -276,10 +276,8 @@ def test_invalid_line_seen_once_rejected():
 
 
 def test_out_of_range_macro_rejected():
-    text = ("qubits 3\nreg q 0 3\n"
-            "m AND_TOFFOLI tc=4 td=1 fq=2 cq=0,1 p=- ops=TOFFOLI;c=+0,+1;t=2\n"
-            "m AND_TOFFOLI tc=4 td=1 fq=2,7 cq=0,1 p=- "
-            "ops=TOFFOLI;c=+0,+1;t=2\n")
+    text = ("qubits 3\nreg q 0 3\n" + "m AND_TOFFOLI q=0,1,2 inv=0\n"
+            + "m AND_TOFFOLI q=0,1,7 inv=0\n" * 2)
     with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
         parse_circuit_text(text)
 
@@ -288,7 +286,6 @@ def test_out_of_range_macro_rejected():
     "qubits x",
     "g BOGUS t=0",
     "g T t=a",
-    "m AND_TOFFOLI tc=4 td=1 ax=1 fp=- p=-",
     "stage a 0",
     "l c=-0 p=1:2 layered=0",
     "l c=-0 p=1:2:0 layered=0 inv=0",
@@ -301,8 +298,6 @@ def test_malformed_line_raises_circuit_error(line):
 
 @pytest.mark.parametrize("line, message", [
     ("g T t=0 bogus=1", "unknown gate field 'bogus'"),
-    ("m AND_TOFFOLI tc=4 td=1 bogus=9 fp=- p=- ops=TOFFOLI;c=+0,+1;t=2",
-     "unknown macro field 'bogus'"),
     ("l c=+0 p=1:2 layered=0 inv=0 bogus=1",
      "unknown swap layer field 'bogus'"),
     ("l c=+0,+1 p=2:1 layered=0 inv=0", "exactly one control"),
@@ -314,32 +309,85 @@ def test_unknown_field_rejected(line, message):
         parse_circuit_text(text)
 
 
-_TOFFOLI_OPS = "ops=TOFFOLI;c=+0,+1;t=2"
+_UNPARSEABLE = "unparseable line"
 
 
-@pytest.mark.parametrize("roles, message", [
-    ("fp=2", "unknown macro field 'fp'"),
-    ("fq=0,1 cq=2", "changes qubit 2 outside fq"),
-    ("fq=2 cq=0", "uses qubit 1 outside fq and cq"),
-    ("fq=- cq=-", "AND_TOFFOLI macro declares no qubit"),
+@pytest.mark.parametrize("line, message", [
+    # A missing field, and a factory argument of the wrong arity.
+    ("m AND_TOFFOLI inv=0", _UNPARSEABLE),
+    ("m AND_TOFFOLI q=0,1 inv=0", _UNPARSEABLE),
+    ("m UNARY_STEP s=0,1 from=0 flag=2 inv=0", _UNPARSEABLE),
+    ("m AND_TOFFOLI q=0,1,2 inv=2", _UNPARSEABLE),
+    ("m BOGUS q=0,1,2 inv=0", _UNPARSEABLE),
+    # Unknown fields, the older line with its expansion among them.
+    ("m AND_TOFFOLI q=0,1,2 bogus=1 inv=0", "unknown macro field 'bogus'"),
+    ("m AND_TOFFOLI tc=4 td=1 fq=2 cq=0,1 p=- ops=TOFFOLI;c=+0,+1;t=2",
+     "unknown macro field 'cq'"),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,4 flag=5 inv=0",
+     "unknown macro field 'flag'"),
+    # Arguments the factory rejects: a pool shorter than 2k, rows hex of
+    # the wrong length or not hex, and s >= 2 without a flag.
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2,3:4 pool=5,6,7 inv=0", _UNPARSEABLE),
+    ("m UNARY_SELECT s=0 slots=1,2 flag=- rows=00,0000 inv=0", _UNPARSEABLE),
+    ("m UNARY_SELECT s=0 slots=1,2 flag=- rows=00 inv=0", _UNPARSEABLE),
+    ("m UNARY_SELECT s=0 slots=1,2 flag=- rows=00,zz inv=0", _UNPARSEABLE),
+    ("m UNARY_SELECT s=0,1 slots=3 flag=- rows=00,00,80,80 inv=0",
+     _UNPARSEABLE),
+    # Qubits out of range or repeated.
+    ("m AND_TOFFOLI q=0,1,9 inv=1", r"qubit 9 out of range \[0, 8\)"),
+    ("m UNARY_SELECT s=8 slots=1 flag=- rows=00,80 inv=0",
+     r"qubit 8 out of range \[0, 8\)"),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=8,3 inv=0",
+     r"qubit 8 out of range \[0, 8\)"),
+    ("m AND_TOFFOLI q=0,0,2 inv=0", "must be distinct"),
+    ("m PARALLEL_CSWAP_CLEAN c=1 p=1:2 pool=3,4 inv=0",
+     "must be distinct"),
+    ("m UNARY_STEP s=0,1 from=0 to=1 flag=1 inv=0",
+     "must be distinct"),
+    ("m UNARY_SELECT s=0,1 slots=2,3 flag=3 rows=00,00,40,c0 inv=0",
+     "must be distinct"),
 ])
-def test_macro_roles_must_cover_the_expansion(roles, message):
-    text = f"qubits 3\nreg q 0 3\nm AND_TOFFOLI tc=4 td=1 {roles} p=- "
+def test_bad_macro_line_rejected(line, message):
+    text = "qubits 8\nreg q 0 8\ng T t=0\n" + line + "\n"
     with pytest.raises(CircuitError, match=message):
-        parse_circuit_text(text + _TOFFOLI_OPS + "\n")
+        parse_circuit_text(text)
+
+
+def test_builder_checks_macro_qubits_are_distinct():
+    b = CircuitBuilder()
+    b.allocate("q", 3)
+    with pytest.raises(CircuitError, match="distinct"):
+        b.add(and_toffoli(0, 0, 2))
 
 
 def test_macro_line_writes_declared_roles():
+    """A macro line holds its factory's arguments; the factory declares the
+    cost and the roles."""
+    b = CircuitBuilder()
+    b.allocate("q", 13)
+    b.add(and_toffoli(1, 0, 3))
+    b.add(unary_select((0,), [(0, 0), (0, 0)], slots=(2, 3)))
+    b.add(parallel_cswap_clean(4, ((5, 6),), (7, 8)).adjoint())
+    b.add(unary_step((4, 5), 1, 2, 9))
+    b.add(unary_select((10, 11), np.eye(4, 9, 5, dtype=int), slots=range(9),
+                       flag=12))
+    circuit = b.build()
+    lines = write_circuit_text(circuit).splitlines()[2:]
+    assert lines == [
+        "m AND_TOFFOLI q=1,0,3 inv=0",
+        "m UNARY_SELECT s=0 slots=2,3 flag=- rows=00,00 inv=0",
+        "m PARALLEL_CSWAP_CLEAN c=4 p=5:6 pool=7,8 inv=1",
+        "m UNARY_STEP s=4,5 from=1 to=2 flag=9 inv=0",
+        "m UNARY_SELECT s=10,11 slots=0,1,2,3,4,5,6,7,8 flag=12 "
+        "rows=0400,0200,0100,0080 inv=0"]
+    assert list(parse_circuit_text(write_circuit_text(circuit)).ops) == list(
+        circuit.ops)
+    # The all-zero select still reads its select qubit: the T on qubit 0
+    # waits for it.
     b = CircuitBuilder()
     b.allocate("q", 4)
     b.add(and_toffoli(1, 0, 3))
     b.add(unary_select((0,), [(0, 0), (0, 0)], slots=(2, 3)))
-    lines = write_circuit_text(b.build()).splitlines()[2:]
-    assert lines == [
-        "m AND_TOFFOLI tc=4 td=1 fq=3 cq=0,1 p=- ops=TOFFOLI;c=+1,+0;t=3",
-        "m UNARY_SELECT tc=4 td=4 fq=2,3 cq=0 p=s:1 ops="]
-    # The all-zero select still reads its select qubit: the T on qubit 0
-    # waits for it.
     b.gate(GateKind.T, 0)
     circuit = b.build()
     assert count_resources(circuit).t_depth == 6
@@ -404,22 +452,52 @@ def _gates(draw, width=_WIDTH):
     return Gate(kind, order[:n_t], controls, angle)
 
 
+def _stored(gates):
+    return gates
+
+
 @st.composite
 def _macros(draw, gates, width=_WIDTH):
     """A macro over drawn gates whose roles cover its expansion, plus at
     least one drawn qubit declared full or control-only."""
     expansion = draw(st.lists(st.sampled_from(gates), max_size=4))
-    params = draw(st.dictionaries(st.sampled_from(("s", "k", "from")),
-                                  st.integers(0, 9), max_size=2))
     full = {q for g in expansion if g.kind is not GateKind.CZ
             for q in g.targets}
     read = {q for g in expansion for q in g.qubits()}
     for q in draw(st.lists(st.integers(0, width - 1), min_size=1,
                            max_size=3, unique=True)):
         (full if draw(st.booleans()) else read).add(q)
-    return Macro(draw(st.sampled_from(list(MacroKind))), params, stored_gates,
+    return Macro(draw(st.sampled_from(list(MacroKind))), _stored,
                  (tuple(expansion),), draw(st.integers(0, 8)),
                  draw(st.integers(0, 8)), full, read - full)
+
+
+@st.composite
+def _factory_macros(draw, width=_WIDTH):
+    """A macro from one of the four factories on distinct drawn qubits,
+    forward or adjoint: the macros the text can write."""
+    order = draw(st.permutations(range(width)))
+    kind = draw(st.sampled_from(list(MacroKind)))
+    if kind is MacroKind.AND_TOFFOLI:
+        macro = and_toffoli(*order[:3])
+    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+        k = draw(st.integers(1, (width - 1) // 4))
+        macro = parallel_cswap_clean(
+            order[0], tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
+            order[1 + 2 * k:1 + 4 * k])
+    elif kind is MacroKind.UNARY_STEP:
+        s = draw(st.integers(1, 3))
+        values = st.integers(0, (1 << s) - 1)
+        macro = unary_step(order[:s], draw(values), draw(values), order[s])
+    else:
+        s = draw(st.integers(1, 2))
+        slots = order[s + 1:s + 1 + draw(st.integers(0, width - s - 1))]
+        rows = draw(st.lists(st.lists(st.booleans(), min_size=len(slots),
+                                      max_size=len(slots)),
+                             min_size=1 << s, max_size=1 << s))
+        macro = unary_select(order[:s], np.array(rows, dtype=bool), slots,
+                             order[s])
+    return macro.adjoint() if draw(st.booleans()) else macro
 
 
 @st.composite
@@ -437,13 +515,15 @@ def _hub_rotations(draw):
 
 
 @st.composite
-def _staged_circuits(draw):
+def _staged_circuits(draw, factory=False):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
-    pool always holds two or more rotations that share control qubit 0."""
+    pool always holds two or more rotations that share control qubit 0, and
+    its macros are the factories' when ``factory``."""
     gates = (draw(st.lists(_gates(), min_size=1, max_size=5))
              + draw(st.lists(_hub_rotations(), min_size=2, max_size=3)))
-    pool = gates + draw(st.lists(_macros(gates), max_size=3))
+    macros = _factory_macros() if factory else _macros(gates)
+    pool = gates + draw(st.lists(macros, max_size=3))
     ops = draw(st.lists(st.sampled_from(pool), max_size=60))
     cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
                                 unique=True)))
@@ -464,7 +544,7 @@ _PROPERTY = settings(max_examples=60, deadline=None,
 
 
 @_PROPERTY
-@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+@given(circuit=_staged_circuits(factory=True), ry=st.integers(0, 40))
 def test_text_round_trip_property(circuit, ry):
     parsed = parse_circuit_text(write_circuit_text(circuit))
     assert parsed.registers == circuit.registers
@@ -644,10 +724,11 @@ _LAYER_WIDTH = 9
 
 
 @st.composite
-def _layer_circuits(draw):
+def _layer_circuits(draw, factory=False):
     """A swap layer (default or layered, forward or adjoint, 1-4 pairs,
     either control polarity) after a drawn prefix of gates and macros on
-    its qubits and before a drawn suffix, with drawn stage bounds."""
+    its qubits and before a drawn suffix, with drawn stage bounds; the
+    macros are the factories' when ``factory``."""
     k = draw(st.integers(1, 4))
     order = draw(st.permutations(range(_LAYER_WIDTH)))
     layer = SwapLayer(
@@ -661,8 +742,9 @@ def _layer_circuits(draw):
     # read can follow its last full use.
     reader = Gate(GateKind.CRY, (draw(st.sampled_from(order[1:])),),
                   ((order[0], draw(st.booleans())),), 0.5)
-    pool = (gates + [reader]
-            + draw(st.lists(_macros(gates, _LAYER_WIDTH), max_size=2)))
+    macros = (_factory_macros(_LAYER_WIDTH) if factory
+              else _macros(gates, _LAYER_WIDTH))
+    pool = gates + [reader] + draw(st.lists(macros, max_size=2))
     ops = (draw(st.lists(st.sampled_from(pool), max_size=16)) + [layer]
            + draw(st.lists(st.sampled_from(pool), max_size=6)))
     bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
@@ -692,7 +774,7 @@ def test_swap_layer_counts_as_its_gates(circuit):
 
 
 @_PROPERTY
-@given(circuit=_layer_circuits())
+@given(circuit=_layer_circuits(factory=True))
 def test_swap_layer_is_one_text_line(circuit):
     text = write_circuit_text(circuit)
     parsed = parse_circuit_text(text)
@@ -701,6 +783,8 @@ def test_swap_layer_is_one_text_line(circuit):
     (layer,) = layers
     (want,) = (op for op in circuit.ops if isinstance(op, SwapLayer))
     assert layer.expansion == want.expansion
+    macros = [op for op in parsed.ops if isinstance(op, Macro)]
+    assert macros == [op for op in circuit.ops if isinstance(op, Macro)]
     assert parsed.stages == circuit.stages
     assert write_circuit_text(parsed) == text
     assert (count_resources_at(parsed, (1, 10, 30))

@@ -369,4 +369,4 @@ def test_unary_step_recipe(data, s):
     reference = [Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, lo)),
                  Gate(GateKind.MCX, (flag,), _ref_match(select_qubits, hi))]
     _check_recipe(macro, reference)
-    assert macro.params == {"from": lo, "to": hi}
+    assert macro.args == (select_qubits, lo, hi, flag)

@@ -286,13 +286,15 @@ def test_counted_qubits_are_the_register_total():
 
 def test_written_text_counts_as_the_built_circuit():
     """The text has one line per op: it parses into a circuit with the same
-    ops, which writes the same text and counts the same reports.  The flat
-    text, each swap layer written as its gates, parses into those reports
-    too."""
+    ops, macros with the same expansions included, which writes the same
+    text and counts the same reports.  The flat text, each swap layer
+    written as its gates, parses into those reports too."""
     for circuit in _every_generator_circuit():
         text = write_circuit_text(circuit)
         parsed = parse_circuit_text(text)
         assert len(parsed.ops) == len(circuit.ops)
+        assert ([op for op in parsed.ops if isinstance(op, Macro)]
+                == [op for op in circuit.ops if isinstance(op, Macro)])
         assert write_circuit_text(parsed) == text
         reports = count_resources_at(circuit, (1, 10, 30))
         assert count_resources_at(parsed, (1, 10, 30)) == reports
@@ -374,8 +376,10 @@ def test_each_load_is_built_once(load_builds, variant, model):
 
 
 def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
-    """Building and counting the pre-rotated n = 5 encoding holds no macro
-    expansion and runs no recipe: every macro declares its qubit roles."""
+    """Building, counting, writing and parsing the pre-rotated n = 5
+    encoding holds no macro expansion and runs no recipe: every macro
+    declares its qubit roles, and its text line holds its factory's
+    arguments."""
     runs = [0]
     for name in ("_cswap_clean_gates", "_and_toffoli_gates",
                  "_unary_select_gates", "_unary_step_gates"):
@@ -395,6 +399,8 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
         tracemalloc.stop()
     macros = [op for op in circuit.ops if isinstance(op, Macro)]
     assert any(op.inverted for op in macros)
+    parsed = parse_circuit_text(write_circuit_text(circuit))
+    assert len(parsed.ops) == len(circuit.ops)
     assert runs[0] == 0
     # Peak with every expansion stored (and frozenset roles): 9.3 MB; with
     # recipes: 4.2 MB (Python 3.11).

@@ -16,7 +16,6 @@ from blockenc.circuit import (
     MacroKind,
     QubitRegister,
     SwapLayer,
-    stored_gates,
 )
 from blockenc.encoding import BlockEncodingConfig, build_block_encoding
 from blockenc.simulator import (
@@ -223,12 +222,16 @@ def _gates(draw):
     return Gate(kind, targets, controls, angle)
 
 
+def _stored(gates):
+    return gates
+
+
 @st.composite
 def _op_lists(draw):
     gates = draw(st.lists(_gates(), max_size=20))
     lo = draw(st.integers(0, len(gates)))
     hi = draw(st.integers(lo, len(gates)))
-    macro = Macro(MacroKind.AND_TOFFOLI, {}, stored_gates,
+    macro = Macro(MacroKind.AND_TOFFOLI, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=ACTIVE, ctrl=())
     return gates[:lo] + [macro] + gates[hi:]
 
@@ -418,7 +421,7 @@ def _fragment_pieces(draw):
 def test_monomial_runs_match_per_op_application(pieces, cut, seed, terms):
     gates = [g for piece in pieces for g in piece]
     lo, hi = sorted(min(c, len(gates)) for c in cut)
-    macro = Macro(MacroKind.AND_TOFFOLI, {}, stored_gates,
+    macro = Macro(MacroKind.AND_TOFFOLI, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=NARROW, ctrl=())
     ops = gates[:lo] + [macro] + gates[hi:]
     rng = np.random.default_rng(seed)
