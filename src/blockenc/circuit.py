@@ -1,19 +1,20 @@
 """Gate-level IR, qubit registers, and T-resource accounting.
 
-A circuit is an ordered list of gates, macros and controlled-swap layers over
-named, disjoint qubit registers.  Resource accounting follows the
-fault-tolerant cost model: T/T`/G/G` gates cost one T each, Clifford gates
-(including fanout-CNOT of any arity) are free and contribute no depth,
-rotations cost a configurable synthesis T-count, macros carry declared costs,
-and a swap layer costs what its gates cost.
+A circuit is an ordered list of gates, macros, controlled-swap layers and
+controlled-rotation blocks over named, disjoint qubit registers.  Resource
+accounting follows the fault-tolerant cost model: T/T`/G/G` gates cost one T
+each, Clifford gates (including fanout-CNOT of any arity) are free and
+contribute no depth, rotations cost a configurable synthesis T-count, macros
+carry declared costs, and a swap layer or a rotation block costs what its
+gates cost.
 
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
 the computational basis), which commute and may share a layer.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
-line per op: a gate, a macro by its factory's arguments, or a swap layer by
-its fields; stage bounds count ops.
+line per op: a gate, a macro by its factory's arguments, or a swap layer or
+a rotation block by its fields; stage bounds count ops.
 """
 from __future__ import annotations
 
@@ -176,15 +177,18 @@ class Macro:
     closure, and ``inverted`` marks the adjoint.  Counting reads only the
     declared cost and qubit roles, sorted tuples of the qubits the macro may
     change (``full``) and of those it only reads (``ctrl``); only the
-    simulator builds the expansion.  The text holds a macro's kind, its
+    simulator builds the expansion.  ``scratch`` holds the register qubits
+    that the cost model uses and the expansion leaves alone (the
+    measurement-assisted Toffolis' scratch): they are checked as the
+    macro's qubits but not counted.  The text holds a macro's kind, its
     factory's ``args`` and ``inverted``.
     """
 
     __slots__ = ("kind", "recipe", "args", "inverted", "t_count", "t_depth",
-                 "full", "ctrl")
+                 "full", "ctrl", "scratch")
 
     def __init__(self, kind, recipe, args, t_count, t_depth, full, ctrl,
-                 inverted=False):
+                 inverted=False, scratch=()):
         self.kind = kind
         self.recipe = recipe
         self.args = args
@@ -193,6 +197,7 @@ class Macro:
         self.t_depth = int(t_depth)
         self.full = tuple(sorted(full))
         self.ctrl = tuple(sorted(ctrl))
+        self.scratch = tuple(scratch)
         if not self.full and not self.ctrl:
             raise CircuitError(f"{kind.value} macro declares no qubit")
 
@@ -202,7 +207,7 @@ class Macro:
         return tuple(adjoint_ops(gates) if self.inverted else gates)
 
     def qubits(self):
-        return self.full + self.ctrl
+        return self.full + self.ctrl + self.scratch
 
     def adjoint(self):
         """Inverting the expansion keeps every qubit's role."""
@@ -216,7 +221,8 @@ class Macro:
         return (
             isinstance(other, Macro)
             and self.kind == other.kind
-            and (self.full, self.ctrl) == (other.full, other.ctrl)
+            and (self.full, self.ctrl, self.scratch)
+            == (other.full, other.ctrl, other.scratch)
             and self.expansion == other.expansion
             and (self.t_count, self.t_depth) == (other.t_count, other.t_depth)
         )
@@ -273,6 +279,72 @@ class SwapLayer:
     def adjoint(self):
         return SwapLayer(self.controls, self.pairs, self.layered,
                          not self.inverted)
+
+
+class RotationBlock:
+    """A block of controlled rotations on slots that share no qubit: slot k
+    is ``slots[k]`` = (controls..., target), with one positive control in
+    every slot or two in every slot, and rotates by ``thetas[k]``.  When
+    ``fanout`` is a qubit, a fanout-CNOT from it onto every slot's first
+    control comes before the rotations and again after them.
+
+    Each slot's gates are ``decomp.controlled_ry_gates``: a flip, RY(-h),
+    the flip, RY(h), and the Z (one control) or CZ (two) that
+    ``canonical_ry_halves`` adds for some angles.  A one-control flip is a
+    CNOT; a two-control flip is counted as the measurement-assisted Toffoli
+    of ``decomp.and_toffoli`` (T-count 4, T-depth 1), and its expansion is a
+    plain Toffoli.  ``inverted`` marks the adjoint.  The counter schedules a
+    block in one step from the closed form of its gates' schedule
+    (``_schedule_block``); the simulator flattens it into its expansion.
+    """
+
+    __slots__ = ("slots", "thetas", "fanout", "inverted")
+
+    def __init__(self, slots, thetas, fanout=None, inverted=False):
+        self.slots = tuple(map(tuple, slots))
+        self.thetas = tuple(map(float, thetas))
+        self.fanout = fanout
+        self.inverted = inverted
+
+    def validate(self):
+        if not self.slots or set(map(len, self.slots)) not in ({2}, {3}):
+            raise CircuitError("a rotation block takes one or more slots "
+                               "of one control and a target each, or of "
+                               "two controls and a target each")
+        if len(self.thetas) != len(self.slots):
+            raise CircuitError("a rotation block takes one angle per slot")
+        if not all(map(math.isfinite, self.thetas)):
+            raise CircuitError("rotation block angles must be finite")
+
+    @property
+    def t_count(self):
+        """Two measurement-assisted Toffolis per two-control slot."""
+        return 8 * len(self.slots) if len(self.slots[0]) == 3 else 0
+
+    def fixes(self):
+        """Per slot, whether ``canonical_ry_halves`` adds its Z or CZ."""
+        from .decomp import canonical_ry_halves   # decomp imports this module
+        return [canonical_ry_halves(theta)[1] for theta in self.thetas]
+
+    @property
+    def expansion(self):
+        from .decomp import controlled_ry_gates
+        gates = []
+        for (*controls, target), theta in zip(self.slots, self.thetas):
+            gates += controlled_ry_gates(theta, controls, target)
+        if self.fanout is not None:
+            fan = Gate(GateKind.FANOUT_CNOT, [s[0] for s in self.slots],
+                       ((self.fanout, True),))
+            gates = [fan, *gates, fan]
+        return tuple(adjoint_ops(gates) if self.inverted else gates)
+
+    def qubits(self):
+        return (tuple(chain.from_iterable(self.slots))
+                + (() if self.fanout is None else (self.fanout,)))
+
+    def adjoint(self):
+        return RotationBlock(self.slots, self.thetas, self.fanout,
+                             not self.inverted)
 
 
 @dataclass(frozen=True)
@@ -494,6 +566,69 @@ def _schedule_layer(layer, last_full, busy):
     busy[c] = top
 
 
+def _schedule_block(block, fixes, ry, last_full, busy):
+    """Advance a depth frontier over a rotation block as its gates
+    (``RotationBlock.expansion``) would: the closed form of their schedule.
+
+    A slot (controls C, target t) whose flips take T-depth d (1 for two
+    controls, 0 for one) starts at X = max(busy[t], last_full[C]), or
+    inverted, where a rotation comes first, at X = max(busy[t] + R,
+    last_full[C]); its controls are read until X + 2d + R, and t is done at
+    X + 2d + 2R (X + 2d + R inverted).  The one-control fix (``fixes[k]``)
+    is a weight-0 full use of the control after the slot (before it,
+    inverted): it sets last_full to busy there.  The two-control fix is a
+    weight-0 control-only use of both controls, which the flips' reads of
+    them outlast, so it changes nothing.
+    """
+    slots, inverted = block.slots, block.inverted
+    pre, post = (ry, 0) if inverted else (0, ry)
+    if block.fanout is not None:
+        _schedule_fanout(block, last_full, busy)
+    if len(slots[0]) == 3:
+        step = 2 + ry
+        for c1, c2, t in slots:
+            x = busy[t] + pre
+            if last_full[c1] > x:
+                x = last_full[c1]
+            if last_full[c2] > x:
+                x = last_full[c2]
+            x += step
+            last_full[t] = busy[t] = x + post
+            if x > busy[c1]:
+                busy[c1] = x
+            if x > busy[c2]:
+                busy[c2] = x
+    else:
+        for (c, t), fix in zip(slots, fixes):
+            if fix and inverted:
+                last_full[c] = busy[c]
+            x = busy[t] + pre
+            if last_full[c] > x:
+                x = last_full[c]
+            x += ry
+            last_full[t] = busy[t] = x + post
+            if x > busy[c]:
+                busy[c] = x
+            if fix and not inverted:
+                last_full[c] = busy[c]
+    if block.fanout is not None:
+        _schedule_fanout(block, last_full, busy)
+
+
+def _schedule_fanout(block, last_full, busy):
+    """A rotation block's fanout: a weight-0 full use of every slot's first
+    control that reads the fanout qubit."""
+    f = block.fanout
+    x = last_full[f]
+    for slot in block.slots:
+        if busy[slot[0]] > x:
+            x = busy[slot[0]]
+    for slot in block.slots:
+        last_full[slot[0]] = busy[slot[0]] = x
+    if x > busy[f]:
+        busy[f] = x
+
+
 def _op_cost(op):
     """Return (t_count, t_depth, ry_units, full_qubits, control_qubits).
 
@@ -531,8 +666,9 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     A frontier holds, per qubit, the finish of the last full use
     (``last_full``) and the latest finish of any use (``busy``): a full use
     waits for ``busy``, a control-only use only for ``last_full``.  A
-    frontier's T-depth is its largest ``busy``.  A swap layer advances both
-    frontiers in one step (``_schedule_layer``).  T-count is affine in R_y
+    frontier's T-depth is its largest ``busy``.  A swap layer or a rotation
+    block advances both frontiers in one step (``_schedule_layer``,
+    ``_schedule_block``).  T-count is affine in R_y
     and is summed once; T-depth is a longest path, whose critical path may
     change with R_y, so each value keeps frontiers of its own.
     """
@@ -560,6 +696,14 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
                 for state in states:
                     _schedule_layer(op, state[1], state[2])
                     _schedule_layer(op, state[3], state[4])
+                continue
+            if isinstance(op, RotationBlock):
+                s_count += op.t_count
+                s_units += 2 * len(op.slots)
+                fixes = op.fixes() if len(op.slots[0]) == 2 else None
+                for state in states:
+                    _schedule_block(op, fixes, state[0], state[1], state[2])
+                    _schedule_block(op, fixes, state[0], state[3], state[4])
                 continue
             wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
@@ -690,6 +834,14 @@ def _fmt_layer(layer):
             f"layered={int(layer.layered)} inv={int(layer.inverted)}")
 
 
+def _fmt_block(block):
+    """A rotation block's line; ``repr`` writes each angle exactly."""
+    slots = ",".join(":".join(map(str, slot)) for slot in block.slots)
+    fanout = "-" if block.fanout is None else block.fanout
+    return (f"r q={slots} a={','.join(map(repr, block.thetas))} "
+            f"fan={fanout} inv={int(block.inverted)}")
+
+
 def _fmt_macro(op):
     """A macro's kind, its factory's arguments and ``inv``: the parser calls
     the factory again, which fixes the cost, the roles and the recipe."""
@@ -724,12 +876,15 @@ def write_circuit_text(circuit: Circuit) -> str:
             lines.append(_gate_line(gate_lines, op))
         elif isinstance(op, SwapLayer):
             lines.append(_fmt_layer(op))
+        elif isinstance(op, RotationBlock):
+            lines.append(_fmt_block(op))
         else:
             lines.append(_fmt_macro(op))
     return "\n".join(lines) + "\n"
 
 
 _LAYER_FIELDS = frozenset(("c", "p", "layered", "inv"))
+_BLOCK_FIELDS = frozenset(("q", "a", "fan", "inv"))
 _FLAGS = {"0": False, "1": True}
 
 
@@ -748,6 +903,15 @@ def _parse_layer(fields):
                      _FLAGS[attrs["layered"]], _FLAGS[attrs["inv"]])
 
 
+def _parse_block(fields):
+    attrs = _fields(fields, _BLOCK_FIELDS, "rotation block")
+    slots = [tuple(map(int, slot.split(":")))
+             for slot in attrs["q"].split(",")]
+    fanout = None if attrs["fan"] == "-" else int(attrs["fan"])
+    return RotationBlock(slots, map(float, attrs["a"].split(",")), fanout,
+                         _FLAGS[attrs["inv"]])
+
+
 _MACRO_ARGS = {
     MacroKind.AND_TOFFOLI: frozenset(("q", "inv")),
     MacroKind.PARALLEL_CSWAP_CLEAN: frozenset(("c", "p", "pool", "inv")),
@@ -757,13 +921,17 @@ _MACRO_ARGS = {
 
 
 def _parse_rows(text, width):
-    """Rows of ``width`` bits, each packed by ``np.packbits`` into hex."""
+    """Rows of ``width`` bits, each packed by ``np.packbits`` into hex with
+    zero padding bits."""
     rows = text.split(",")
     size = (width + 7) // 8
     if any(len(row) != 2 * size for row in rows):
         raise ValueError(f"each row must be {2 * size} hex digits")
     packed = np.frombuffer(bytes.fromhex("".join(rows)), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=width)
+    bits = np.unpackbits(packed.reshape(len(rows), size), axis=1)
+    if bits[:, width:].any():
+        raise ValueError("row padding bits must be 0")
+    return bits[:, :width]
 
 
 def _parse_macro(fields):
@@ -817,6 +985,8 @@ def parse_circuit_text(text: str) -> Circuit:
                     op = seen[line] = _parse_macro(rest.split())
                 elif head == "l":
                     op = seen[line] = _parse_layer(rest.split())
+                elif head == "r":
+                    op = seen[line] = _parse_block(rest.split())
                 elif head == "qubits":
                     total = int(rest)
                     continue

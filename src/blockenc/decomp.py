@@ -3,9 +3,20 @@
 Each factory returns a plain gate list, whose counted resources are its
 cost, or a ``Macro`` with a declared cost, qubit roles that do not depend on
 the data, and an exact unitary expansion; the circuit text holds a macro's
-factory arguments, and the parser calls the factory again.  These, and the
-layers of phase-incorrect controlled swaps (``circuit.SwapLayer``, built
-directly), are the gadgets the generators emit.
+factory arguments, and the parser calls the factory again.  These, the
+layers of phase-incorrect controlled swaps (``circuit.SwapLayer``) and the
+blocks of controlled rotations on disjoint slots (``circuit.RotationBlock``,
+whose slots are ``controlled_ry_gates``), both built directly, are the
+gadgets the generators emit:
+
+* ``controlled_ry_gates``: an exact singly or doubly controlled RY, alone
+  (the fixed-precision ladder) or as one slot of a rotation block (the
+  pre-rotated repair rotations and LOADF);
+* ``parallel_cswap_clean``: phase-correct controlled swaps of k pairs over a
+  pool of 2k qubits (control copies, then Toffoli scratch);
+* ``and_toffoli``: the measurement-assisted Toffoli, no longer emitted on
+  its own: a rotation block counts each two-control flip as one;
+* ``unary_select`` and ``unary_step``: unary iteration over select values.
 """
 from __future__ import annotations
 
@@ -81,19 +92,19 @@ def parallel_cswap_clean(control, pairs, pool):
     """Phase-correct parallel controlled-swap macro (CNOT-conjugated
     Toffolis with a fanned-out control copy).
 
-    Cost (4k, 1): ``pool`` holds 2k register qubits, a copy of the control
-    for each pair (the first k) and the measurement-assisted Toffolis'
-    scratch qubits (the last k).
+    Cost (4k, 1): ``pool`` holds exactly 2k register qubits, a copy of the
+    control for each pair (the first k) and the measurement-assisted
+    Toffolis' scratch qubits (the last k, the macro's ``scratch``).
     """
     pairs = tuple(pairs)
     k = len(pairs)
     pool = tuple(pool)
-    if len(pool) < 2 * k:
+    if len(pool) != 2 * k:
         raise ParameterError(f"need a pool of 2k = {2 * k} qubits")
     return Macro(MacroKind.PARALLEL_CSWAP_CLEAN, _cswap_clean_gates,
                  (control, pairs, pool), 4 * k, 1,
                  full=pool[:k] + tuple(q for pair in pairs for q in pair),
-                 ctrl=(control,))
+                 ctrl=(control,), scratch=pool[k:])
 
 
 def _and_toffoli_gates(c1, c2, target):
@@ -173,8 +184,11 @@ def unary_step(select_qubits, from_value, to_value, flag):
     """One walk step of unary iteration: uncompute flag(j), compute flag(j+1).
 
     Carries the amortized cost (4, 4, 0); the 2^s - 1 steps of a full loop
-    reproduce the 4*(2^s - 1) model.
+    reproduce the 4*(2^s - 1) model.  Both values lie in [0, 2^s).
     """
+    s = len(select_qubits)
+    if not (0 <= from_value < 1 << s and 0 <= to_value < 1 << s):
+        raise ParameterError(f"select values must lie in [0, 2^{s})")
     return Macro(MacroKind.UNARY_STEP, _unary_step_gates,
                  (tuple(select_qubits), from_value, to_value, flag), 4, 4,
                  full=(flag,), ctrl=select_qubits)

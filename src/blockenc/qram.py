@@ -9,7 +9,7 @@ Three loaders parameterized by the depth/width tradeoff lambda:
   controlled-swap descent through a binary tree, data imprinted by Z gates on
   a |+> bus; garbage-free,
 * LOADF: flag-conditioned loading of single-qubit rotated states, built from
-  phase-correct swap networks and doubly-controlled rotations.
+  phase-correct swap networks and blocks of doubly-controlled rotations.
 
 Emission order is the natural semantic order; the dependency DAG of the
 counter then recovers the layer pipelining on its own (ops that share no
@@ -22,11 +22,15 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import CircuitBuilder, Gate, GateKind, SwapLayer, adjoint_ops
+from .circuit import (
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    RotationBlock,
+    SwapLayer,
+    adjoint_ops,
+)
 from .decomp import (
-    and_toffoli,
-    controlled_ry_gates,
-    canonical_ry_halves,
     match_controls,
     parallel_cswap_clean,
     unary_select,
@@ -308,9 +312,6 @@ class FlagLoad:
                 for k in range(n)]
 
     def build_ops(self, static_flags_one=False):
-        spec = self.spec
-        n = spec.n
-        big_n = 1 << n
         ops = []
         for flag, angle, onehot, pool_a, pool_b in self.copies:
             ops.append(Gate(GateKind.X, (onehot[0],)))
@@ -322,31 +323,17 @@ class FlagLoad:
                     self.copies, per_copy):
                 ops.append(parallel_cswap_clean(
                     control=ctrl, pairs=pairs, pool=pool_b[: 2 * len(pairs)]))
-        # V: rotate angle slot k by theta^(k) under flag and one-hot controls.
-        for r, (flag, angle, onehot, pool_a, pool_b) in enumerate(self.copies):
+        # V: rotate angle slot k by theta^(k) under the flag and one-hot
+        # controls, one rotation block per copy.  Its expansion runs slot by
+        # slot, so the simulator branches on one angle slot at a time.  Each
+        # Toffoli's scratch qubit is pool_a[k].
+        for (flag, angle, onehot, pool_a, pool_b), thetas in zip(
+                self.copies, zip(*self.thetas)):
             if static_flags_one:
-                for k in range(big_n):
-                    ops.extend(controlled_ry_gates(
-                        self.thetas[k][r], (onehot[k],), angle[k]))
+                ops.append(RotationBlock(zip(onehot, angle), thetas))
             else:
-                fan = Gate(GateKind.FANOUT_CNOT, pool_b, ((flag, True),))
-                ops.append(fan)
-                # Slot by slot: slot k's ops touch only slot k's qubits, so
-                # the counter, which sees only each qubit's use order,
-                # schedules the N slots in parallel all the same, while the
-                # simulator branches on one angle slot at a time instead of
-                # on all N at once.  Each Toffoli's scratch qubit is
-                # pool_a[k].
-                for k in range(big_n):
-                    half, fix = canonical_ry_halves(self.thetas[k][r])
-                    toffoli = and_toffoli(pool_b[k], onehot[k], angle[k])
-                    ops += [toffoli,
-                            Gate(GateKind.RY, (angle[k],), (), -half),
-                            toffoli,
-                            Gate(GateKind.RY, (angle[k],), (), half)]
-                    if fix:
-                        ops.append(Gate(GateKind.CZ, (pool_b[k], onehot[k])))
-                ops.append(fan)
+                ops.append(RotationBlock(zip(pool_b, onehot, angle), thetas,
+                                         fanout=flag))
         # Final parallel swap networks: angle block uses pool A, one-hot pool B.
         angle_cols = self._network_columns([c[1] for c in self.copies])
         onehot_cols = self._network_columns([c[2] for c in self.copies])

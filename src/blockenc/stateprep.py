@@ -19,7 +19,14 @@ import math
 
 import numpy as np
 
-from .circuit import CircuitBuilder, Gate, GateKind, SwapLayer, adjoint_ops
+from .circuit import (
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    RotationBlock,
+    SwapLayer,
+    adjoint_ops,
+)
 from .decomp import (
     TWO_PI,
     controlled_ry_gates,
@@ -186,8 +193,8 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
     ops.extend(adjoint_ops(s_ops))
     fdg = flag_dagger_ops(data, f_slots, n, pool_b)
     ops.extend(adjoint_ops(fdg))
-    for r, theta in enumerate(folded, start=1):
-        ops.extend(controlled_ry_gates(-theta, (f_slots[r],), slots[r]))
+    ops.append(RotationBlock(((f_slots[r], slots[r]) for r in range(1, big_n)),
+                             [-theta for theta in folded]))
     ops.extend(flag_dagger_ops(data, f_slots, n, pool_b))
     ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
     return ops

@@ -15,6 +15,7 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    RotationBlock,
     SwapLayer,
     adjoint_ops,
     count_resources,
@@ -302,6 +303,12 @@ def test_malformed_line_raises_circuit_error(line):
      "unknown swap layer field 'bogus'"),
     ("l c=+0,+1 p=2:1 layered=0 inv=0", "exactly one control"),
     ("l c=+0 p=1:7 layered=1 inv=0", r"qubit 7 out of range \[0, 3\)"),
+    ("r q=0:1 a=0.5 fan=- inv=0 bogus=1",
+     "unknown rotation block field 'bogus'"),
+    ("r q=0:1 a=0.5 inv=0", "unparseable line"),
+    ("r q=0:1 a=0.5,0.25 fan=- inv=0", "one angle per slot"),
+    ("r q=0:1 a=nan fan=- inv=0", "finite"),
+    ("r q=0:1:2 a=0.5 fan=1 inv=0", "distinct"),
 ])
 def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -346,6 +353,16 @@ _UNPARSEABLE = "unparseable line"
      "must be distinct"),
     ("m UNARY_SELECT s=0,1 slots=2,3 flag=3 rows=00,00,40,c0 inv=0",
      "must be distinct"),
+    # The Toffoli scratch half of the pool: in range, distinct, exactly k.
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,99 inv=0",
+     r"qubit 99 out of range \[0, 8\)"),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,1 inv=0", "must be distinct"),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,4,5 inv=0", _UNPARSEABLE),
+    # Lines that would write back differently: a select value outside
+    # [0, 2^s), and a row with a padding bit set.
+    ("m UNARY_STEP s=0,1 from=9 to=2 flag=5 inv=0", _UNPARSEABLE),
+    ("m UNARY_STEP s=0,1 from=0 to=-1 flag=5 inv=0", _UNPARSEABLE),
+    ("m UNARY_SELECT s=0 slots=1,2 flag=- rows=01,00 inv=0", _UNPARSEABLE),
 ])
 def test_bad_macro_line_rejected(line, message):
     text = "qubits 8\nreg q 0 8\ng T t=0\n" + line + "\n"
@@ -710,11 +727,21 @@ def test_macro_adjoint_keeps_qubit_roles(data):
 # ---------------------------------------------------------------------------
 
 def flattened(circuit):
-    """``circuit`` with each swap layer replaced by its gates, and the stage
-    bounds moved with them."""
+    """``circuit`` with each swap layer and rotation block replaced by its
+    gates, and the stage bounds moved with them.  A rotation block's
+    Toffolis become the ``and_toffoli`` macros it is counted as: the ops
+    each slot was emitted as before blocks."""
     ops, at = [], [0]
     for op in circuit.ops:
-        ops.extend(op.expansion if isinstance(op, SwapLayer) else (op,))
+        if isinstance(op, SwapLayer):
+            ops.extend(op.expansion)
+        elif isinstance(op, RotationBlock):
+            ops.extend(and_toffoli(g.controls[0][0], g.controls[1][0],
+                                   g.targets[0])
+                       if g.kind is GateKind.TOFFOLI else g
+                       for g in op.expansion)
+        else:
+            ops.append(op)
         at.append(len(ops))
     return Circuit(circuit.registers, ops, circuit.total_qubits,
                    [(name, at[lo], at[hi]) for name, lo, hi in circuit.stages])
@@ -805,3 +832,143 @@ def test_builder_checks_a_swap_layer(controls, pairs, message):
     b.allocate("q", 4)
     with pytest.raises(CircuitError, match=message):
         b.add(SwapLayer(controls, pairs))
+
+
+# ---------------------------------------------------------------------------
+# Rotation blocks: one op, counted as its gates
+# ---------------------------------------------------------------------------
+
+_BLOCK_WIDTH = 13
+# Angles on both sides of the Z/CZ fix boundaries (theta = pi, 3 pi mod
+# 4 pi), and any finite angle.
+_BLOCK_ANGLES = st.one_of(
+    st.builds(lambda base, step: math.nextafter(base, step),
+              st.sampled_from((math.pi, 3 * math.pi, -math.pi, -3 * math.pi,
+                               5 * math.pi)),
+              st.sampled_from((-math.inf, math.inf))),
+    st.sampled_from((math.pi, 3 * math.pi, -math.pi, 7 * math.pi, 0.0,
+                     -0.0)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _block_circuits(draw, factory=False):
+    """A rotation block (one or two controls per slot, 1-4 slots, with or
+    without its fanout, forward or adjoint) after a drawn prefix of gates
+    and macros, and before a drawn suffix, with drawn stage bounds; the
+    macros are the factories' when ``factory``."""
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(_BLOCK_WIDTH)))
+    slots = [order[i * (m + 1):(i + 1) * (m + 1)] for i in range(k)]
+    fanout = order[-1] if draw(st.booleans()) else None
+    block = RotationBlock(slots, draw(st.lists(_BLOCK_ANGLES, min_size=k,
+                                               max_size=k)), fanout)
+    if draw(st.booleans()):
+        block = block.adjoint()
+    gates = draw(st.lists(_gates(_BLOCK_WIDTH), min_size=1, max_size=6))
+    controls = [q for slot in slots for q in slot[:-1]] + (
+        [] if fanout is None else [fanout])
+    # T gates on the block's qubits and rotations that read its controls,
+    # so that the qubits of one slot reach the block at different times.
+    block_ops = [Gate(GateKind.T, (q,)) for q in draw(st.lists(
+        st.sampled_from(block.qubits()), min_size=1, max_size=3))]
+    for _ in range(2):
+        c = draw(st.sampled_from(controls))
+        t = draw(st.sampled_from([q for q in order if q != c]))
+        block_ops.append(Gate(GateKind.CRY, (t,),
+                              ((c, draw(st.booleans())),), 0.5))
+    macros = (_factory_macros(_BLOCK_WIDTH) if factory
+              else _macros(gates, _BLOCK_WIDTH))
+    pool = gates + block_ops + draw(st.lists(macros, max_size=2))
+    ops = (draw(st.lists(st.sampled_from(pool), max_size=16)) + [block]
+           + draw(st.lists(st.sampled_from(pool), max_size=6)))
+    bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
+    stages = [(f"s{i % 2}", bounds[2 * i], bounds[2 * i + 1])
+              for i in range(len(bounds) // 2)]
+    return Circuit([QubitRegister("q", 0, _BLOCK_WIDTH)], ops, _BLOCK_WIDTH,
+                   stages)
+
+
+def _t(q, times=1):
+    return [Gate(GateKind.T, (q,))] * times
+
+
+def _read(target, control):
+    return Gate(GateKind.CRY, (target,), ((control, True),), 0.5)
+
+
+_PI_SLOT = RotationBlock([(0, 1)], [math.pi])    # one control, Z fix
+_FANNED = RotationBlock([(1, 2, 3)], [0.5], fanout=0)
+# (before, block, after) where one rule of ``_schedule_block`` shows.
+_BLOCK_EXAMPLES = [
+    # The Z fix: control 0 is read after its last full use, and after the
+    # block.
+    ([_read(2, 0)], _PI_SLOT, [_read(3, 0)]),
+    # The fanout waits for the last full use of its qubit.
+    (_t(0, 3), _FANNED, []),
+    # A slot waits for the last full use of its second control.
+    (_t(2, 3), _FANNED, []),
+    # The fanout after the rotations: its target is read after the block.
+    ([], _FANNED, [_read(4, 1)]),
+]
+
+
+def _block_examples(test):
+    """Each of ``_BLOCK_EXAMPLES``, forward and adjoint, as an example of
+    ``test`` on 5 qubits in one stage."""
+    for before, block, after in _BLOCK_EXAMPLES:
+        for op in (block, block.adjoint()):
+            ops = [*before, op, *after]
+            test = example(circuit=Circuit(
+                [QubitRegister("q", 0, 5)], ops, 5,
+                [("s0", 0, len(ops))]))(test)
+    return test
+
+
+@_PROPERTY
+@given(circuit=_block_circuits())
+@_block_examples
+def test_rotation_block_counts_as_its_gates(circuit):
+    assert (count_resources_at(circuit, (1, 10, 30))
+            == count_resources_at(flattened(circuit), (1, 10, 30)))
+
+
+@_PROPERTY
+@given(circuit=_block_circuits(factory=True))
+def test_rotation_block_is_one_text_line(circuit):
+    text = write_circuit_text(circuit)
+    assert sum(line.startswith("r ") for line in text.splitlines()) == 1
+    parsed = parse_circuit_text(text)
+    blocks = [op for op in parsed.ops if isinstance(op, RotationBlock)]
+    assert len(parsed.ops) == len(circuit.ops) and len(blocks) == 1
+    (block,) = blocks
+    (want,) = (op for op in circuit.ops if isinstance(op, RotationBlock))
+    assert (block.slots, block.fanout, block.inverted) == (
+        want.slots, want.fanout, want.inverted)
+    assert list(map(float.hex, block.thetas)) == list(map(float.hex,
+                                                          want.thetas))
+    assert block.expansion == want.expansion
+    assert parsed.stages == circuit.stages
+    assert write_circuit_text(parsed) == text
+    assert (count_resources_at(parsed, (1, 10, 30))
+            == count_resources_at(circuit, (1, 10, 30)))
+
+
+@pytest.mark.parametrize("slots, thetas, fanout, message", [
+    ((), (), None, "one or more slots"),
+    (((0,),), (0.5,), None, "one or more slots"),
+    (((0, 1), (2, 3, 4)), (0.5, 0.5), None, "one or more slots"),
+    (((0, 1, 2, 3),), (0.5,), None, "one or more slots"),
+    (((0, 1),), (0.5, 0.5), None, "one angle per slot"),
+    (((0, 1),), (math.inf,), None, "finite"),
+    (((0, 1), (1, 2)), (0.5, 0.5), None, "distinct"),
+    (((0, 1, 2),), (0.5,), 1, "distinct"),
+    (((0, 9),), (0.5,), None, "out of range"),
+    (((0, 1),), (0.5,), 9, "out of range"),
+])
+def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
+    b = CircuitBuilder()
+    b.allocate("q", 4)
+    with pytest.raises(CircuitError, match=message):
+        b.add(RotationBlock(slots, thetas, fanout))

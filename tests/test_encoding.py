@@ -13,6 +13,7 @@ from blockenc.circuit import (
     Gate,
     GateKind,
     Macro,
+    RotationBlock,
     count_resources,
     count_resources_at,
     parse_circuit_text,
@@ -287,8 +288,8 @@ def test_counted_qubits_are_the_register_total():
 def test_written_text_counts_as_the_built_circuit():
     """The text has one line per op: it parses into a circuit with the same
     ops, macros with the same expansions included, which writes the same
-    text and counts the same reports.  The flat text, each swap layer
-    written as its gates, parses into those reports too."""
+    text and counts the same reports.  The flat text, each swap layer and
+    rotation block written as its gates, parses into those reports too."""
     for circuit in _every_generator_circuit():
         text = write_circuit_text(circuit)
         parsed = parse_circuit_text(text)
@@ -377,12 +378,14 @@ def test_each_load_is_built_once(load_builds, variant, model):
 
 def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
     """Building, counting, writing and parsing the pre-rotated n = 5
-    encoding holds no macro expansion and runs no recipe: every macro
-    declares its qubit roles, and its text line holds its factory's
-    arguments."""
+    encoding holds no macro or rotation-block expansion and runs no recipe:
+    every macro declares its qubit roles, and its text line holds its
+    factory's arguments; a rotation block is counted from its slots and
+    written as its slots and angles."""
     runs = [0]
     for name in ("_cswap_clean_gates", "_and_toffoli_gates",
-                 "_unary_select_gates", "_unary_step_gates"):
+                 "_unary_select_gates", "_unary_step_gates",
+                 "controlled_ry_gates"):
         def counting(*args, _recipe=getattr(decomp, name)):
             runs[0] += 1
             return _recipe(*args)
@@ -399,12 +402,24 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
         tracemalloc.stop()
     macros = [op for op in circuit.ops if isinstance(op, Macro)]
     assert any(op.inverted for op in macros)
+    blocks = [op for op in circuit.ops if isinstance(op, RotationBlock)]
+    assert {(len(op.slots[0]), op.inverted) for op in blocks} == {
+        (2, False), (2, True), (3, False)}
     parsed = parse_circuit_text(write_circuit_text(circuit))
     assert len(parsed.ops) == len(circuit.ops)
     assert runs[0] == 0
     # Peak with every expansion stored (and frozenset roles): 9.3 MB; with
     # recipes: 4.2 MB (Python 3.11).
     assert peak < 6.5e6
+
+
+def test_prerotated_n6_is_a_few_thousand_ops():
+    """Each LOADF copy's rotations are one block, not 4-5 ops per slot
+    (35,654 ops before blocks)."""
+    matrix = np.random.default_rng(1).uniform(5, 105, (64, 64))
+    cfg = BlockEncodingConfig(method=Method.PRE_ROTATED, qram=QramModel.FLAGS,
+                              lam=6)
+    assert len(build_block_encoding(matrix, cfg).circuit.ops) <= 4000
 
 
 def test_largest_t_encodes_the_matrix():
