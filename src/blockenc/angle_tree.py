@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import TWO_PI
+TWO_PI = 2.0 * math.pi
 
 
 class DegenerateInputError(ValueError):

@@ -19,6 +19,7 @@ a rotation block by its fields; stage bounds count ops.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -44,12 +45,9 @@ class GateKind(str, Enum):
     FANOUT_CNOT = "FANOUT_CNOT"
     CZ = "CZ"
     SWAP = "SWAP"
-    CSWAP = "CSWAP"
     TOFFOLI = "TOFFOLI"
     MCX = "MCX"
     RY = "RY"
-    CRY = "CRY"
-    CCRY = "CCRY"
 
 
 class MacroKind(str, Enum):
@@ -61,24 +59,19 @@ class MacroKind(str, Enum):
 
 # Kinds whose targets count as one unit of T cost.
 _T_WEIGHT_ONE = frozenset((GateKind.T, GateKind.TDG, GateKind.G, GateKind.GDG))
-# Rotation kinds weighted by the synthesis cost parameter, in units of it.
-_RY_UNITS = {GateKind.RY: 1, GateKind.CRY: 2, GateKind.CCRY: 2}
-# Per gate kind: (T weight, R_y units).
-_GATE_WEIGHTS = {k: (int(k in _T_WEIGHT_ONE), _RY_UNITS.get(k, 0))
+# Per gate kind: (T weight, R_y units); an RY is one synthesis unit.
+_GATE_WEIGHTS = {k: (int(k in _T_WEIGHT_ONE), int(k is GateKind.RY))
                  for k in GateKind}
 
+# The flip kinds, the only kinds that take controls (MCX takes one or more).
 _EXPECTED_CONTROLS = {
     GateKind.CNOT: 1,
     GateKind.FANOUT_CNOT: 1,
-    GateKind.CSWAP: 1,
     GateKind.TOFFOLI: 2,
-    GateKind.CRY: 1,
-    GateKind.CCRY: 2,
 }
 _EXPECTED_TARGETS = {
     GateKind.CZ: 2,
     GateKind.SWAP: 2,
-    GateKind.CSWAP: 2,
 }
 
 _ADJOINT_KIND = {
@@ -95,7 +88,7 @@ class Gate:
     """One gate: kind, target qubits, polarized controls, optional angle.
 
     Controls are ``(qubit, positive)`` pairs; ``positive=False`` is an
-    open-circle control.  Angles are radians and only valid for the RY family.
+    open-circle control.  Angles are radians and only valid for RY.
     """
 
     __slots__ = ("kind", "targets", "controls", "angle")
@@ -123,7 +116,7 @@ class Gate:
             raise CircuitError(f"{kind.value} expects {want_t} target(s)")
         if kind is GateKind.FANOUT_CNOT and not self.targets:
             raise CircuitError("FANOUT_CNOT requires at least one target")
-        if (self.angle is None) == (kind in _RY_UNITS):
+        if (self.angle is None) == (kind is GateKind.RY):
             raise CircuitError(f"angle mismatch for {kind.value}")
 
     def qubits(self):
@@ -288,10 +281,9 @@ class RotationBlock:
     ``fanout`` is a qubit, a fanout-CNOT from it onto every slot's first
     control comes before the rotations and again after them.
 
-    Each slot's gates are ``decomp.controlled_ry_gates``: a flip, RY(-h),
-    the flip, RY(h), and the Z (one control) or CZ (two) that
-    ``canonical_ry_halves`` adds for some angles.  A one-control flip is a
-    CNOT; a two-control flip is counted as the measurement-assisted Toffoli
+    Each slot's gates are ``decomp.controlled_ry_gates``: a flip,
+    RY(-theta/2), the flip, RY(theta/2).  A one-control flip is a CNOT; a
+    two-control flip is counted as the measurement-assisted Toffoli
     of ``decomp.and_toffoli`` (T-count 4, T-depth 1), and its expansion is a
     plain Toffoli.  ``inverted`` marks the adjoint.  The counter schedules a
     block in one step from the closed form of its gates' schedule
@@ -320,11 +312,6 @@ class RotationBlock:
     def t_count(self):
         """Two measurement-assisted Toffolis per two-control slot."""
         return 8 * len(self.slots) if len(self.slots[0]) == 3 else 0
-
-    def fixes(self):
-        """Per slot, whether ``canonical_ry_halves`` adds its Z or CZ."""
-        from .decomp import canonical_ry_halves   # decomp imports this module
-        return [canonical_ry_halves(theta)[1] for theta in self.thetas]
 
     @property
     def expansion(self):
@@ -566,7 +553,7 @@ def _schedule_layer(layer, last_full, busy):
     busy[c] = top
 
 
-def _schedule_block(block, fixes, ry, last_full, busy):
+def _schedule_block(block, ry, last_full, busy):
     """Advance a depth frontier over a rotation block as its gates
     (``RotationBlock.expansion``) would: the closed form of their schedule.
 
@@ -574,11 +561,7 @@ def _schedule_block(block, fixes, ry, last_full, busy):
     controls, 0 for one) starts at X = max(busy[t], last_full[C]), or
     inverted, where a rotation comes first, at X = max(busy[t] + R,
     last_full[C]); its controls are read until X + 2d + R, and t is done at
-    X + 2d + 2R (X + 2d + R inverted).  The one-control fix (``fixes[k]``)
-    is a weight-0 full use of the control after the slot (before it,
-    inverted): it sets last_full to busy there.  The two-control fix is a
-    weight-0 control-only use of both controls, which the flips' reads of
-    them outlast, so it changes nothing.
+    X + 2d + 2R (X + 2d + R inverted).
     """
     slots, inverted = block.slots, block.inverted
     pre, post = (ry, 0) if inverted else (0, ry)
@@ -599,9 +582,7 @@ def _schedule_block(block, fixes, ry, last_full, busy):
             if x > busy[c2]:
                 busy[c2] = x
     else:
-        for (c, t), fix in zip(slots, fixes):
-            if fix and inverted:
-                last_full[c] = busy[c]
+        for c, t in slots:
             x = busy[t] + pre
             if last_full[c] > x:
                 x = last_full[c]
@@ -609,8 +590,6 @@ def _schedule_block(block, fixes, ry, last_full, busy):
             last_full[t] = busy[t] = x + post
             if x > busy[c]:
                 busy[c] = x
-            if fix and not inverted:
-                last_full[c] = busy[c]
     if block.fanout is not None:
         _schedule_fanout(block, last_full, busy)
 
@@ -653,12 +632,13 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     """Count qubits, T-count, scheduled T-depth and the per-stage breakdown,
     one ``ResourceReport`` per value in ``ry_costs``.
 
-    An R_y value is the Clifford+T synthesis T-count charged per RY gate
-    (rotations are simulated exactly but costed at this rate).  Qubits are
-    the register total: every scratch qubit is a register qubit.  The
-    breakdown gives each stage's (T-count, T-depth), counted as if the
-    stage's ops were a circuit of their own and summed over stages that
-    share a name; it is empty when the circuit has no stages.
+    An R_y value, a non-negative integer, is the Clifford+T synthesis
+    T-count charged per RY gate (rotations are simulated exactly but costed
+    at this rate).  Qubits are the register total: every scratch qubit is a
+    register qubit.  The breakdown gives each stage's (T-count, T-depth),
+    counted as if the stage's ops were a circuit of their own and summed
+    over stages that share a name; it is empty when the circuit has no
+    stages.
 
     One pass schedules every op, for every R_y value, on two depth
     frontiers: the circuit's and a stage-local one that restarts at each
@@ -672,6 +652,9 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     and is summed once; T-depth is a longest path, whose critical path may
     change with R_y, so each value keeps frontiers of its own.
     """
+    for ry in ry_costs:
+        if not isinstance(ry, numbers.Integral) or ry < 0:
+            raise ValueError(f"R_y must be a non-negative integer, not {ry!r}")
     ops = circuit.ops
     total = circuit.total_qubits
     # Per R_y value: [ry, last_full, busy, s_full, s_busy].
@@ -700,10 +683,9 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
             if isinstance(op, RotationBlock):
                 s_count += op.t_count
                 s_units += 2 * len(op.slots)
-                fixes = op.fixes() if len(op.slots[0]) == 2 else None
                 for state in states:
-                    _schedule_block(op, fixes, state[0], state[1], state[2])
-                    _schedule_block(op, fixes, state[0], state[3], state[4])
+                    _schedule_block(op, state[0], state[1], state[2])
+                    _schedule_block(op, state[0], state[3], state[4])
                 continue
             wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
@@ -904,12 +886,17 @@ def _parse_layer(fields):
 
 
 def _parse_block(fields):
+    """A rotation block line; its angles must be spelled as ``repr`` writes
+    them, so that the line writes back unchanged."""
     attrs = _fields(fields, _BLOCK_FIELDS, "rotation block")
     slots = [tuple(map(int, slot.split(":")))
              for slot in attrs["q"].split(",")]
     fanout = None if attrs["fan"] == "-" else int(attrs["fan"])
-    return RotationBlock(slots, map(float, attrs["a"].split(",")), fanout,
-                         _FLAGS[attrs["inv"]])
+    block = RotationBlock(slots, map(float, attrs["a"].split(",")), fanout,
+                          _FLAGS[attrs["inv"]])
+    if ",".join(map(repr, block.thetas)) != attrs["a"]:
+        raise ValueError("angles not written as repr writes them")
+    return block
 
 
 _MACRO_ARGS = {

@@ -20,8 +20,6 @@ gadgets the generators emit:
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .circuit import Gate, GateKind, Macro, MacroKind
@@ -31,31 +29,9 @@ class ParameterError(ValueError):
     pass
 
 
-TWO_PI = 2.0 * math.pi
-
-
-def canonical_ry_halves(theta):
-    """Split a rotation angle into (half_angle, z_correction).
-
-    The controlled rotation is emitted with half-angle ``h`` chosen near zero
-    (theta reduced mod 2*pi toward the shorter arc); when the reduction winds
-    an odd multiple of 2*pi, a Z on the control restores the exact
-    controlled-Ry(theta) unitary.
-    """
-    k = 0
-    reduced = math.fmod(theta, 2 * TWO_PI)
-    if reduced < 0:
-        reduced += 2 * TWO_PI
-    if math.pi <= reduced < 3 * math.pi:
-        k = 1
-    elif reduced >= 3 * math.pi:
-        k = 2
-    return (reduced - TWO_PI * k) / 2.0, k % 2 == 1
-
-
 def controlled_ry_gates(theta, controls, target):
-    """Exact controlled-Ry(theta) over any number of positive controls."""
-    h, z_fix = canonical_ry_halves(theta)
+    """Exact controlled-Ry(theta) over one or two positive controls: flip,
+    RY(-theta/2), flip, RY(theta/2), since X RY(a) X = RY(-a)."""
     n_ctrl = len(controls)
     if n_ctrl == 1:
         flip = Gate(GateKind.CNOT, (target,), ((controls[0], True),))
@@ -64,14 +40,8 @@ def controlled_ry_gates(theta, controls, target):
                     ((controls[0], True), (controls[1], True)))
     else:
         raise ParameterError("controlled_ry supports 1 or 2 controls")
-    gates = [flip, Gate(GateKind.RY, (target,), (), -h),
-             flip, Gate(GateKind.RY, (target,), (), h)]
-    if z_fix:
-        if n_ctrl == 1:
-            gates.append(Gate(GateKind.Z, (controls[0],)))
-        else:
-            gates.append(Gate(GateKind.CZ, tuple(controls)))
-    return gates
+    return [flip, Gate(GateKind.RY, (target,), (), -theta / 2.0),
+            flip, Gate(GateKind.RY, (target,), (), theta / 2.0)]
 
 
 def _cswap_clean_gates(control, pairs, pool):

@@ -5,9 +5,10 @@ the indices as a uint64 bitset with one row per 64-qubit word (bit q of an
 index is bit q % 64 of word q // 64, so circuits of any width fit) and the
 amplitudes as a complex128 vector.  Permutation and diagonal gates act on
 every entry at once as masked XORs and multiplies.  Branching gates (H, G,
-G^dagger and the RY family) emit both branches and merge the entries that
-meet.  Block-encoding circuits keep their ancillas basis-correlated with the
-address, so the support stays small except through H layers.
+G^dagger and RY) emit both branches and merge the entries that meet.  Only
+the flip kinds take controls.  Block-encoding circuits keep their ancillas
+basis-correlated with the address, so the support stays small except
+through H layers.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
 gate stream (macro, swap-layer and rotation-block expansions flattened: a
@@ -81,7 +82,6 @@ _PHASES = {GateKind.Z: -1.0 + 0.0j, GateKind.CZ: -1.0 + 0.0j, GateKind.S: 1j,
            GateKind.SDG: -1j, GateKind.T: cmath.exp(1j * math.pi / 4),
            GateKind.TDG: cmath.exp(-1j * math.pi / 4)}
 _FIXED_BRANCHES = {GateKind.H: _H, GateKind.G: _G, GateKind.GDG: _G.conj().T}
-_ROTATIONS = frozenset((GateKind.RY, GateKind.CRY, GateKind.CCRY))
 
 _WORD = 64
 
@@ -179,7 +179,7 @@ def _monomial_run(gates, start):
     end, stop = start, len(gates)
     while end < stop:
         g = gates[end]
-        if g.kind in _ROTATIONS:
+        if g.kind is GateKind.RY:
             break
         new = [q for q in g.targets if q not in local]
         new += [q for q, _ in g.controls if q not in local]
@@ -283,7 +283,7 @@ class SparseState:
         hope, branches = [False] * len(gates), 0
         for i in range(len(gates) - 1, -1, -1):
             kind = gates[i].kind
-            branches = (0 if kind in _ROTATIONS
+            branches = (0 if kind is GateKind.RY
                         else branches + (kind in _FIXED_BRANCHES))
             hope[i] = branches >= 2
         i = 0
@@ -318,28 +318,27 @@ class SparseState:
     def _apply_gate(self, g):
         kind = g.kind
         keys, amps = self._keys, self._amps
-        hit = self._controls_pass(g.controls) if g.controls else None
         if kind in _FLIPS:
-            where = True if hit is None else hit
+            where = self._controls_pass(g.controls) if g.controls else True
             for w, m in _word_masks(g.targets):
                 np.bitwise_xor(keys[w], m, out=keys[w], where=where)
+        elif g.controls:
+            raise SimulationError(f"{kind.value} takes no controls")
         elif kind in _PHASES:
-            on = hit
+            on = None
             for w, m in _word_masks(g.targets):
                 term = (keys[w] & m) == m
                 on = term if on is None else np.logical_and(on, term, out=on)
             np.multiply(amps, _PHASES[kind], out=amps, where=on)
-        elif kind in (GateKind.SWAP, GateKind.CSWAP):
+        elif kind is GateKind.SWAP:
             (wa, ma), (wb, mb) = (_locate(q) for q in g.targets)
             flip = ((keys[wa] & ma) != 0) ^ ((keys[wb] & mb) != 0)
-            if hit is not None:
-                flip &= hit
             np.bitwise_xor(keys[wa], ma, out=keys[wa], where=flip)
             np.bitwise_xor(keys[wb], mb, out=keys[wb], where=flip)
         elif kind in _FIXED_BRANCHES:
-            self._branch(g.targets[0], _FIXED_BRANCHES[kind], hit)
-        elif kind in _ROTATIONS:
-            self._branch(g.targets[0], _ry_matrix(g.angle), hit)
+            self._branch(g.targets[0], _FIXED_BRANCHES[kind])
+        elif kind is GateKind.RY:
+            self._branch(g.targets[0], _ry_matrix(g.angle))
         else:
             raise SimulationError(f"unknown gate kind {kind}")
         self._view = None
@@ -350,13 +349,9 @@ class SparseState:
                 f"support {support} exceeds cap {self.support_cap}; "
                 "reduce D, t, or n (or raise BLOCKENC_SUPPORT_CAP)")
 
-    def _branch(self, q, m, hit):
-        """Apply the 2x2 matrix ``m`` to qubit ``q`` where ``hit`` holds."""
+    def _branch(self, q, m):
+        """Apply the 2x2 matrix ``m`` to qubit ``q``."""
         keys, amps = self._keys, self._amps
-        if hit is not None:
-            idle = ~hit
-            idle_keys, idle_amps = keys[:, idle], amps[idle]
-            keys, amps = keys[:, hit], amps[hit]
         w, mask = _locate(q)
         on = (keys[w] & mask) != 0
         ones = np.count_nonzero(on)
@@ -374,11 +369,9 @@ class SparseState:
             out = np.add.reduceat(m[:, on[order].view(np.int8)] * amps[order],
                                   starts, axis=1)
         size = base.shape[1]
-        parts = (base, base) if hit is None else (base, base, idle_keys)
-        keys = np.concatenate(parts, axis=1)
-        keys[w, size:2 * size] |= mask
-        amps = out.ravel() if hit is None else np.concatenate((out.ravel(),
-                                                               idle_amps))
+        keys = np.concatenate((base, base), axis=1)
+        keys[w, size:] |= mask
+        amps = out.ravel()
         small = np.abs(amps) < PRUNE_THRESHOLD
         if np.count_nonzero(small):
             dropped = amps[small]

@@ -27,12 +27,8 @@ from .circuit import (
     SwapLayer,
     adjoint_ops,
 )
-from .decomp import (
-    TWO_PI,
-    controlled_ry_gates,
-    parallel_cswap_clean,
-)
-from .angle_tree import heap_angles, prerotated_angles
+from .decomp import controlled_ry_gates, parallel_cswap_clean
+from .angle_tree import TWO_PI, heap_angles, prerotated_angles
 from .qram import FlagLoad, LoadSpec, QramModel
 
 

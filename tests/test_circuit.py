@@ -110,19 +110,31 @@ def test_ry_weighting():
     assert rep.t_depth == 7
 
 
+@pytest.mark.parametrize("ry", [-1, 2.5, 2.0, "3", None])
+def test_ry_must_be_a_non_negative_integer(ry):
+    circuit = empty(1, [Gate(GateKind.RY, (0,), (), 0.3)])
+    with pytest.raises(ValueError, match="non-negative integer"):
+        count_resources(circuit, ry_cost=ry)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        count_resources_at(circuit, (1, ry))
+    # R_y 0 (the default) and integers of any type count.
+    assert count_resources(circuit).as_tuple() == (1, 0, 0)
+    assert count_resources(circuit, np.int64(3)).as_tuple() == (1, 3, 3)
+
+
 def _random_circuit(rng, n=5, ops=40):
     b = CircuitBuilder()
     b.allocate("q", n)
     for _ in range(ops):
         kinds = [GateKind.T, GateKind.H, GateKind.X, GateKind.S,
-                 GateKind.GDG, GateKind.CNOT, GateKind.CSWAP]
+                 GateKind.GDG, GateKind.CNOT, "layer"]
         kind = kinds[int(rng.integers(len(kinds)))]
         qubits = rng.permutation(n)
         if kind is GateKind.CNOT:
             b.gate(kind, (int(qubits[0]),), ((int(qubits[1]), True),))
-        elif kind is GateKind.CSWAP:
-            b.gate(kind, (int(qubits[0]), int(qubits[1])),
-                   ((int(qubits[2]), bool(rng.integers(2))),))
+        elif kind == "layer":
+            b.add(SwapLayer(((int(qubits[2]), bool(rng.integers(2))),),
+                            ((int(qubits[0]), int(qubits[1])),)))
         else:
             b.gate(kind, int(qubits[0]))
     return b.build()
@@ -193,7 +205,7 @@ def test_text_format_round_trip():
     b = CircuitBuilder()
     b.allocate("addr", 2)
     b.allocate("data", 5)
-    b.gate(GateKind.CSWAP, (4, 5), ((3, True),))
+    b.gate(GateKind.TOFFOLI, (5,), ((3, True), (4, False)))
     b.gate(GateKind.RY, 0, angle=1.5707963)
     b.gate(GateKind.MCX, (4,), ((0, False), (1, True)))
     b.add(unary_select((0, 1), [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0),
@@ -290,6 +302,9 @@ def test_out_of_range_macro_rejected():
     "stage a 0",
     "l c=-0 p=1:2 layered=0",
     "l c=-0 p=1:2:0 layered=0 inv=0",
+    # Angles that ``repr`` would write back differently.
+    "r q=0:1 a=1_0 fan=- inv=0",
+    "r q=0:1 a=0.50 fan=- inv=0",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -314,6 +329,21 @@ def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
     with pytest.raises(CircuitError, match=message):
         parse_circuit_text(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.floats(allow_nan=False),
+       spelling=st.sampled_from(("{!r}", "{:.17g}", "{:.12g}", "{:e}",
+                                 "{!r}0", "+{!r}")))
+def test_accepted_block_line_writes_back_unchanged(angle, spelling):
+    text = ("qubits 2\nreg q 0 2\nr q=0:1 a=" + spelling.format(angle)
+            + " fan=- inv=0\n")
+    try:
+        parsed = parse_circuit_text(text)
+    except CircuitError:
+        assert spelling != "{!r}" or not math.isfinite(angle)
+    else:
+        assert write_circuit_text(parsed) == text
 
 
 _UNPARSEABLE = "unparseable line"
@@ -445,11 +475,9 @@ def test_builder_checks_each_distinct_gate():
 _WIDTH = 6
 _SHAPES = {  # kind -> (targets, controls); None means "drawn"
     GateKind.CNOT: (1, 1), GateKind.FANOUT_CNOT: (None, 1),
-    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0), GateKind.CSWAP: (2, 1),
+    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0),
     GateKind.TOFFOLI: (1, 2), GateKind.MCX: (1, None),
-    GateKind.CRY: (1, 1), GateKind.CCRY: (1, 2),
 }
-_ANGLED = (GateKind.RY, GateKind.CRY, GateKind.CCRY)
 
 
 @st.composite
@@ -463,7 +491,7 @@ def _gates(draw, width=_WIDTH):
     order = draw(st.permutations(range(width)))
     controls = tuple((q, draw(st.booleans())) for q in order[n_t:n_t + n_c])
     angle = None
-    if kind in _ANGLED:
+    if kind is GateKind.RY:
         angle = draw(st.one_of(st.sampled_from((0.0, -0.0, math.pi)),
                                st.floats(-2 * math.pi, 2 * math.pi)))
     return Gate(kind, order[:n_t], controls, angle)
@@ -519,28 +547,24 @@ def _factory_macros(draw, width=_WIDTH):
 
 @st.composite
 def _hub_rotations(draw):
-    """A controlled rotation whose first control is qubit 0: rotations drawn
-    this way share a control-only qubit, where the schedule must let them
-    commute."""
-    kind = draw(st.sampled_from((GateKind.CRY, GateKind.CCRY)))
+    """A one-slot rotation block (one or two controls) whose first control
+    is qubit 0: blocks drawn this way share a control-only qubit, where the
+    schedule must let them commute."""
     order = draw(st.permutations(range(1, _WIDTH)))
-    n_c = _SHAPES[kind][1]
-    controls = ((0, draw(st.booleans())),) + tuple(
-        (q, draw(st.booleans())) for q in order[1:n_c])
-    return Gate(kind, order[:1], controls,
-                draw(st.floats(-math.pi, math.pi)))
+    slot = (0, *order[:draw(st.integers(1, 2))])
+    return RotationBlock([slot], [draw(st.floats(-math.pi, math.pi))])
 
 
 @st.composite
 def _staged_circuits(draw, factory=False):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
-    pool always holds two or more rotations that share control qubit 0, and
-    its macros are the factories' when ``factory``."""
-    gates = (draw(st.lists(_gates(), min_size=1, max_size=5))
-             + draw(st.lists(_hub_rotations(), min_size=2, max_size=3)))
+    pool always holds two or more rotation blocks that share control qubit
+    0, and its macros are the factories' when ``factory``."""
+    gates = draw(st.lists(_gates(), min_size=1, max_size=5))
     macros = _factory_macros() if factory else _macros(gates)
-    pool = gates + draw(st.lists(macros, max_size=3))
+    pool = (gates + draw(st.lists(_hub_rotations(), min_size=2, max_size=3))
+            + draw(st.lists(macros, max_size=3)))
     ops = draw(st.lists(st.sampled_from(pool), max_size=60))
     cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
                                 unique=True)))
@@ -560,13 +584,24 @@ _PROPERTY = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
+def _same_ops(ops, others):
+    """Equal op for op; a rotation block, which defines no equality, by its
+    fields and exact angles."""
+    def key(op):
+        if isinstance(op, RotationBlock):
+            return (op.slots, tuple(map(float.hex, op.thetas)), op.fanout,
+                    op.inverted)
+        return op
+    return list(map(key, ops)) == list(map(key, others))
+
+
 @_PROPERTY
 @given(circuit=_staged_circuits(factory=True), ry=st.integers(0, 40))
 def test_text_round_trip_property(circuit, ry):
     parsed = parse_circuit_text(write_circuit_text(circuit))
     assert parsed.registers == circuit.registers
     assert parsed.stages == circuit.stages
-    assert list(parsed.ops) == list(circuit.ops)
+    assert _same_ops(parsed.ops, circuit.ops)
     assert ([(op.full, op.ctrl) for op in parsed.ops if isinstance(op, Macro)]
             == [(op.full, op.ctrl) for op in circuit.ops
                 if isinstance(op, Macro)])
@@ -621,111 +656,6 @@ def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
     assert report.as_tuple() == count_resources(unstaged, ry).as_tuple()
 
 
-def _oracle_counts(ops, ry):
-    """T-count and T-depth by a longest path over pairwise conflicts: op j
-    waits for an earlier op i when they share a qubit that is not
-    control-only in both."""
-    t_count = 0
-    placed = []     # (full qubits, control-only qubits, finish) per op
-    for op in ops:
-        if isinstance(op, Macro):
-            weight = (op.t_count, op.t_depth)
-            ctrl = set(op.ctrl)
-        else:
-            w = {GateKind.T: 1, GateKind.TDG: 1, GateKind.G: 1,
-                 GateKind.GDG: 1, GateKind.RY: ry, GateKind.CRY: 2 * ry,
-                 GateKind.CCRY: 2 * ry}.get(op.kind, 0)
-            weight = (w, w)
-            ctrl = {q for q, _ in op.controls}
-            if op.kind is GateKind.CZ:
-                ctrl |= set(op.targets)
-        full = set(op.qubits()) - ctrl
-        start = max((finish for f, c, finish in placed
-                     if full & (f | c) or ctrl & f), default=0)
-        t_count += weight[0]
-        placed.append((full, ctrl, start + weight[1]))
-    return t_count, max((finish for _, _, finish in placed), default=0)
-
-
-# Two rotations sharing only a control commute; the T on that control waits
-# for both.
-_SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
-    Gate(GateKind.CRY, (1,), ((0, True),), 0.5),
-    Gate(GateKind.CRY, (2,), ((0, False),), 0.5),
-    Gate(GateKind.T, (0,)),
-], 3)
-
-
-@_PROPERTY
-@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
-@example(circuit=_SHARED_CONTROL, ry=5)
-def test_counts_match_pairwise_conflict_oracle(circuit, ry):
-    report = count_resources(circuit, ry)
-    assert (report.t_count, report.t_depth) == _oracle_counts(circuit.ops, ry)
-
-
-# One qubit carries 20 T gates, another one RY: T-depth is max(20, R_y), so
-# R_y values on both sides of 20 take different critical paths.
-_SWITCHING_PATH = Circuit([QubitRegister("q", 0, 2)],
-                          [Gate(GateKind.T, (0,))] * 20
-                          + [Gate(GateKind.RY, (1,), (), 0.3)],
-                          2, [("ts", 0, 20), ("rot", 20, 21)])
-
-
-@_PROPERTY
-@given(circuit=_staged_circuits(),
-       rys=st.lists(st.integers(0, 40), min_size=1, max_size=4))
-@example(circuit=_SWITCHING_PATH, rys=[10, 30])
-@example(circuit=_SHARED_CONTROL, rys=[0, 5, 5])
-def test_multi_ry_reports_match_oracle_per_value(circuit, rys):
-    reports = count_resources_at(circuit, rys)
-    assert len(reports) == len(rys)
-    for ry, report in zip(rys, reports):
-        assert (report.t_count, report.t_depth) == _oracle_counts(
-            circuit.ops, ry)
-        assert report.breakdown == _stage_recount(circuit, ry)
-        assert report == count_resources(circuit, ry_cost=ry)
-
-
-# ---------------------------------------------------------------------------
-# Adjoints: self-inverse gates are shared, macros keep their qubit roles
-# ---------------------------------------------------------------------------
-
-_NOT_SELF_INVERSE = {GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
-                     GateKind.G, GateKind.GDG, *_ANGLED}
-
-
-@pytest.mark.parametrize("kind", list(GateKind))
-def test_gate_adjoint_round_trip_and_sharing(kind):
-    n_t, n_c = _SHAPES.get(kind, (1, 0))
-    n_t = n_t or 2
-    n_c = 2 if n_c is None else n_c
-    gate = Gate(kind, range(n_t), [(q, q % 2 == 0)
-                                    for q in range(n_t, n_t + n_c)],
-                0.25 if kind in _ANGLED else None)
-    gate.validate()
-    inverse = gate.adjoint()
-    assert inverse.adjoint() == gate
-    assert (inverse is gate) == (kind not in _NOT_SELF_INVERSE)
-    if kind in _ANGLED:
-        assert inverse.angle == -0.25
-
-
-@_PROPERTY
-@given(data=st.data())
-def test_macro_adjoint_keeps_qubit_roles(data):
-    gates = data.draw(st.lists(_gates(), min_size=1, max_size=5))
-    macro = data.draw(_macros(gates))
-    inverse = macro.adjoint()
-    assert inverse.full is macro.full and inverse.ctrl is macro.ctrl
-    assert inverse.inverted and not inverse.adjoint().inverted
-    assert inverse.expansion == tuple(adjoint_ops(macro.expansion))
-
-
-# ---------------------------------------------------------------------------
-# Swap layers: one op, counted as its gates
-# ---------------------------------------------------------------------------
-
 def flattened(circuit):
     """``circuit`` with each swap layer and rotation block replaced by its
     gates, and the stage bounds moved with them.  A rotation block's
@@ -747,6 +677,111 @@ def flattened(circuit):
                    [(name, at[lo], at[hi]) for name, lo, hi in circuit.stages])
 
 
+def _oracle_counts(ops, ry):
+    """T-count and T-depth of gates and macros by a longest path over
+    pairwise conflicts: op j waits for an earlier op i when they share a
+    qubit that is not control-only in both."""
+    t_count = 0
+    placed = []     # (full qubits, control-only qubits, finish) per op
+    for op in ops:
+        if isinstance(op, Macro):
+            weight = (op.t_count, op.t_depth)
+            ctrl = set(op.ctrl)
+        else:
+            w = {GateKind.T: 1, GateKind.TDG: 1, GateKind.G: 1,
+                 GateKind.GDG: 1, GateKind.RY: ry}.get(op.kind, 0)
+            weight = (w, w)
+            ctrl = {q for q, _ in op.controls}
+            if op.kind is GateKind.CZ:
+                ctrl |= set(op.targets)
+        full = set(op.qubits()) - ctrl
+        start = max((finish for f, c, finish in placed
+                     if full & (f | c) or ctrl & f), default=0)
+        t_count += weight[0]
+        placed.append((full, ctrl, start + weight[1]))
+    return t_count, max((finish for _, _, finish in placed), default=0)
+
+
+# Two rotation blocks sharing only a control commute; the T on that control
+# waits for both.
+_SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
+    RotationBlock([(0, 1)], [0.5]),
+    RotationBlock([(0, 2)], [0.5]),
+    Gate(GateKind.T, (0,)),
+], 3)
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(), ry=st.integers(0, 40))
+@example(circuit=_SHARED_CONTROL, ry=5)
+def test_counts_match_pairwise_conflict_oracle(circuit, ry):
+    report = count_resources(circuit, ry)
+    assert (report.t_count, report.t_depth) == _oracle_counts(
+        flattened(circuit).ops, ry)
+
+
+# One qubit carries 20 T gates, another one RY: T-depth is max(20, R_y), so
+# R_y values on both sides of 20 take different critical paths.
+_SWITCHING_PATH = Circuit([QubitRegister("q", 0, 2)],
+                          [Gate(GateKind.T, (0,))] * 20
+                          + [Gate(GateKind.RY, (1,), (), 0.3)],
+                          2, [("ts", 0, 20), ("rot", 20, 21)])
+
+
+@_PROPERTY
+@given(circuit=_staged_circuits(),
+       rys=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+@example(circuit=_SWITCHING_PATH, rys=[10, 30])
+@example(circuit=_SHARED_CONTROL, rys=[0, 5, 5])
+def test_multi_ry_reports_match_oracle_per_value(circuit, rys):
+    reports = count_resources_at(circuit, rys)
+    assert len(reports) == len(rys)
+    for ry, report in zip(rys, reports):
+        assert (report.t_count, report.t_depth) == _oracle_counts(
+            flattened(circuit).ops, ry)
+        assert report.breakdown == _stage_recount(circuit, ry)
+        assert report == count_resources(circuit, ry_cost=ry)
+
+
+# ---------------------------------------------------------------------------
+# Adjoints: self-inverse gates are shared, macros keep their qubit roles
+# ---------------------------------------------------------------------------
+
+_NOT_SELF_INVERSE = {GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                     GateKind.G, GateKind.GDG, GateKind.RY}
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_adjoint_round_trip_and_sharing(kind):
+    n_t, n_c = _SHAPES.get(kind, (1, 0))
+    n_t = n_t or 2
+    n_c = 2 if n_c is None else n_c
+    gate = Gate(kind, range(n_t), [(q, q % 2 == 0)
+                                    for q in range(n_t, n_t + n_c)],
+                0.25 if kind is GateKind.RY else None)
+    gate.validate()
+    inverse = gate.adjoint()
+    assert inverse.adjoint() == gate
+    assert (inverse is gate) == (kind not in _NOT_SELF_INVERSE)
+    if kind is GateKind.RY:
+        assert inverse.angle == -0.25
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_macro_adjoint_keeps_qubit_roles(data):
+    gates = data.draw(st.lists(_gates(), min_size=1, max_size=5))
+    macro = data.draw(_macros(gates))
+    inverse = macro.adjoint()
+    assert inverse.full is macro.full and inverse.ctrl is macro.ctrl
+    assert inverse.inverted and not inverse.adjoint().inverted
+    assert inverse.expansion == tuple(adjoint_ops(macro.expansion))
+
+
+# ---------------------------------------------------------------------------
+# Swap layers: one op, counted as its gates
+# ---------------------------------------------------------------------------
+
 _LAYER_WIDTH = 9
 
 
@@ -765,10 +800,10 @@ def _layer_circuits(draw, factory=False):
     if draw(st.booleans()):
         layer = layer.adjoint()
     gates = draw(st.lists(_gates(_LAYER_WIDTH), min_size=1, max_size=6))
-    # A rotation that only reads the layer's control, so the control's last
-    # read can follow its last full use.
-    reader = Gate(GateKind.CRY, (draw(st.sampled_from(order[1:])),),
-                  ((order[0], draw(st.booleans())),), 0.5)
+    # A rotation block that only reads the layer's control, so the
+    # control's last read can follow its last full use.
+    reader = RotationBlock([(order[0], draw(st.sampled_from(order[1:])))],
+                           [0.5])
     macros = (_factory_macros(_LAYER_WIDTH) if factory
               else _macros(gates, _LAYER_WIDTH))
     pool = gates + [reader] + draw(st.lists(macros, max_size=2))
@@ -839,8 +874,8 @@ def test_builder_checks_a_swap_layer(controls, pairs, message):
 # ---------------------------------------------------------------------------
 
 _BLOCK_WIDTH = 13
-# Angles on both sides of the Z/CZ fix boundaries (theta = pi, 3 pi mod
-# 4 pi), and any finite angle.
+# Angles next to odd multiples of pi, signed zeros and any finite angle:
+# counting reads none of them, and the text writes each exactly.
 _BLOCK_ANGLES = st.one_of(
     st.builds(lambda base, step: math.nextafter(base, step),
               st.sampled_from((math.pi, 3 * math.pi, -math.pi, -3 * math.pi,
@@ -869,15 +904,15 @@ def _block_circuits(draw, factory=False):
     gates = draw(st.lists(_gates(_BLOCK_WIDTH), min_size=1, max_size=6))
     controls = [q for slot in slots for q in slot[:-1]] + (
         [] if fanout is None else [fanout])
-    # T gates on the block's qubits and rotations that read its controls,
-    # so that the qubits of one slot reach the block at different times.
+    # T gates on the block's qubits and one-slot blocks that read its
+    # controls, so that the qubits of one slot reach the block at different
+    # times.
     block_ops = [Gate(GateKind.T, (q,)) for q in draw(st.lists(
         st.sampled_from(block.qubits()), min_size=1, max_size=3))]
     for _ in range(2):
         c = draw(st.sampled_from(controls))
         t = draw(st.sampled_from([q for q in order if q != c]))
-        block_ops.append(Gate(GateKind.CRY, (t,),
-                              ((c, draw(st.booleans())),), 0.5))
+        block_ops.append(RotationBlock([(c, t)], [0.5]))
     macros = (_factory_macros(_BLOCK_WIDTH) if factory
               else _macros(gates, _BLOCK_WIDTH))
     pool = gates + block_ops + draw(st.lists(macros, max_size=2))
@@ -895,16 +930,16 @@ def _t(q, times=1):
 
 
 def _read(target, control):
-    return Gate(GateKind.CRY, (target,), ((control, True),), 0.5)
+    return RotationBlock([(control, target)], [0.5])
 
 
-_PI_SLOT = RotationBlock([(0, 1)], [math.pi])    # one control, Z fix
+_ONE_CONTROL = RotationBlock([(0, 1)], [math.pi])
 _FANNED = RotationBlock([(1, 2, 3)], [0.5], fanout=0)
 # (before, block, after) where one rule of ``_schedule_block`` shows.
 _BLOCK_EXAMPLES = [
-    # The Z fix: control 0 is read after its last full use, and after the
-    # block.
-    ([_read(2, 0)], _PI_SLOT, [_read(3, 0)]),
+    # A one-control slot only reads its control: control 0 is read before
+    # and after the block, and all three reads commute.
+    ([_read(2, 0)], _ONE_CONTROL, [_read(3, 0)]),
     # The fanout waits for the last full use of its qubit.
     (_t(0, 3), _FANNED, []),
     # A slot waits for the last full use of its second control.
@@ -938,17 +973,14 @@ def test_rotation_block_counts_as_its_gates(circuit):
 @given(circuit=_block_circuits(factory=True))
 def test_rotation_block_is_one_text_line(circuit):
     text = write_circuit_text(circuit)
-    assert sum(line.startswith("r ") for line in text.splitlines()) == 1
+    blocks = [op for op in circuit.ops if isinstance(op, RotationBlock)]
+    assert (sum(line.startswith("r ") for line in text.splitlines())
+            == len(blocks))
     parsed = parse_circuit_text(text)
-    blocks = [op for op in parsed.ops if isinstance(op, RotationBlock)]
-    assert len(parsed.ops) == len(circuit.ops) and len(blocks) == 1
-    (block,) = blocks
-    (want,) = (op for op in circuit.ops if isinstance(op, RotationBlock))
-    assert (block.slots, block.fanout, block.inverted) == (
-        want.slots, want.fanout, want.inverted)
-    assert list(map(float.hex, block.thetas)) == list(map(float.hex,
-                                                          want.thetas))
-    assert block.expansion == want.expansion
+    assert _same_ops(parsed.ops, circuit.ops)
+    for block, want in zip((op for op in parsed.ops
+                            if isinstance(op, RotationBlock)), blocks):
+        assert block.expansion == want.expansion
     assert parsed.stages == circuit.stages
     assert write_circuit_text(parsed) == text
     assert (count_resources_at(parsed, (1, 10, 30))

@@ -89,18 +89,17 @@ def test_controlled_ry_quarter_turn():
     assert np.abs(u - controlled(ry_matrix(math.pi / 2))).max() < 1e-12
 
 
-def test_controlled_ry_needs_z_correction_above_pi():
-    theta = 3 * math.pi / 2
-    gates = cry(theta)
-    assert any(g.kind is GateKind.Z for g in gates)
-    u = dense_unitary(gates, 2)
-    assert np.abs(u - controlled(ry_matrix(theta))).max() < 1e-12
-    # Without the correction the active branch flips sign.
-    bare = [g for g in gates if g.kind is not GateKind.Z]
-    v = dense_unitary(bare, 2)
-    target = controlled(ry_matrix(theta))
-    assert np.abs(v - target).max() > 0.5
-    assert np.abs(np.abs(v) - np.abs(target)).max() < 1e-12
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(allow_nan=False, allow_infinity=False),
+       n_controls=st.integers(1, 2))
+def test_controlled_ry_is_exact_for_any_angle(theta, n_controls):
+    """Flip, RY(-theta/2), flip, RY(theta/2) is the controlled RY(theta)
+    for every finite angle, with no Z or CZ after it."""
+    gates = controlled_ry_gates(theta, tuple(range(n_controls)), n_controls)
+    assert [g.kind for g in gates[1::2]] == [GateKind.RY, GateKind.RY]
+    assert len(gates) == 4 and gates[0] == gates[2]
+    u = dense_unitary(gates, n_controls + 1)
+    assert np.abs(u - controlled(ry_matrix(theta), n_controls)).max() < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, math.pi,

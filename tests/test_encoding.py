@@ -36,7 +36,7 @@ from blockenc.qram import (
     build_load_ss,
     build_loadf,
 )
-from blockenc.simulator import extract_block, spectral_norm
+from blockenc.simulator import extract_block, run_circuit, spectral_norm
 from blockenc.stateprep import build_sp_fixed, build_sp_prerotated
 from test_circuit import flattened
 
@@ -301,6 +301,38 @@ def test_written_text_counts_as_the_built_circuit():
         assert count_resources_at(parsed, (1, 10, 30)) == reports
         flat = parse_circuit_text(write_circuit_text(flattened(circuit)))
         assert count_resources_at(flat, (1, 10, 30)) == reports
+
+
+def _cli_configs():
+    """Every (method, QRAM, variant) the CLI builds, with each lambda, at
+    n <= 2.  Bucket-brigade runs at n = 1 only, and not symmetric, whose
+    encoding of a 2x2 matrix has n = 2: at n = 2 it outgrows the support
+    cap."""
+    for n in (1, 2):
+        yield n, BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                     qram=QramModel.FLAGS, lam=n)
+        for variant in Variant:
+            for lam in range(n + 1):
+                yield n, BlockEncodingConfig(lam=lam, t=3, variant=variant)
+                if n == 1 and variant is not Variant.SYMMETRIC:
+                    yield n, BlockEncodingConfig(qram=BB, lam=lam, t=3,
+                                                 variant=variant)
+
+
+@pytest.mark.parametrize("n, cfg", [
+    pytest.param(n, cfg, id=f"{cfg.method.value}-{cfg.qram.value}-l{cfg.lam}"
+                            f"-{cfg.variant.value}-n{n}")
+    for n, cfg in _cli_configs()])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
+    """U then U-dagger maps a basis input over all qubits, ancillas
+    included, back to itself with amplitude 1."""
+    matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
+    circuit = build_block_encoding(matrix, cfg).circuit
+    basis = data.draw(st.integers(0, (1 << circuit.total_qubits) - 1))
+    state = run_circuit(circuit, basis).run(circuit.adjoint())
+    assert abs(state.amplitudes.get(basis, 0) - 1) < 1e-9
 
 
 def test_symmetric_structure_1x1():

@@ -15,10 +15,12 @@ from blockenc.circuit import (
     Macro,
     MacroKind,
     QubitRegister,
+    RotationBlock,
     SwapLayer,
 )
 from blockenc.encoding import BlockEncodingConfig, build_block_encoding
 from blockenc.simulator import (
+    SimulationError,
     SparseState,
     SupportCapError,
     _monomial_run,
@@ -65,13 +67,13 @@ def _random_circuit(rng, n=4, ops=60):
     for _ in range(ops):
         kinds = [GateKind.H, GateKind.T, GateKind.X, GateKind.S,
                  GateKind.G, GateKind.RY, GateKind.CNOT,
-                 GateKind.CSWAP, GateKind.CZ, GateKind.TOFFOLI]
+                 "layer", GateKind.CZ, GateKind.TOFFOLI]
         kind = kinds[int(rng.integers(len(kinds)))]
         qs = [int(q) for q in rng.permutation(n)]
         if kind is GateKind.CNOT:
             b.gate(kind, (qs[0],), ((qs[1], bool(rng.integers(2))),))
-        elif kind is GateKind.CSWAP:
-            b.gate(kind, (qs[0], qs[1]), ((qs[2], True),))
+        elif kind == "layer":
+            b.add(SwapLayer(((qs[2], True),), ((qs[0], qs[1]),)))
         elif kind is GateKind.CZ:
             b.gate(kind, (qs[0], qs[1]))
         elif kind is GateKind.TOFFOLI:
@@ -182,6 +184,22 @@ def test_dense_unitary_matches_kron():
     assert np.abs(u - np.kron(h, np.eye(2))).max() < 1e-12
 
 
+@pytest.mark.parametrize("gate", [
+    Gate(GateKind.RY, (1,), ((0, True),), 0.5),
+    Gate(GateKind.H, (1,), ((0, True),)),
+    Gate(GateKind.Z, (1,), ((0, False),)),
+    Gate(GateKind.CZ, (1, 2), ((0, True),)),
+    Gate(GateKind.SWAP, (1, 2), ((0, True),)),
+])
+def test_only_flips_take_controls(gate):
+    """A raw op list may hold a gate ``Gate.validate`` rejects: the simulator
+    raises rather than apply it without its controls."""
+    with pytest.raises(SimulationError, match="takes no controls"):
+        SparseState.basis(3, 1).apply(gate)
+    with pytest.raises(SimulationError, match="takes no controls"):
+        dense_unitary([gate], 3)
+
+
 def test_support_cap_env_override(monkeypatch):
     monkeypatch.setenv("BLOCKENC_SUPPORT_CAP", "64")
     st = SparseState.basis(8)
@@ -198,11 +216,9 @@ WIDE = 130
 
 _SHAPES = {  # kind -> (targets, controls); None means "drawn"
     GateKind.CNOT: (1, 1), GateKind.FANOUT_CNOT: (None, 1),
-    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0), GateKind.CSWAP: (2, 1),
+    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0),
     GateKind.TOFFOLI: (1, 2), GateKind.MCX: (1, None),
-    GateKind.CRY: (1, 1), GateKind.CCRY: (1, 2),
 }
-_ANGLED = (GateKind.RY, GateKind.CRY, GateKind.CCRY)
 
 
 @st.composite
@@ -218,8 +234,21 @@ def _gates(draw):
     controls = tuple((ACTIVE[i], draw(st.booleans()))
                      for i in order[n_t:n_t + n_c])
     angle = (draw(st.floats(-2 * math.pi, 2 * math.pi))
-             if kind in _ANGLED else None)
+             if kind is GateKind.RY else None)
     return Gate(kind, targets, controls, angle)
+
+
+@st.composite
+def _rotation_blocks(draw):
+    """A rotation block on the active qubits: two slots of one control or
+    one of two, with or without its fanout, forward or adjoint."""
+    order = [ACTIVE[i] for i in draw(st.permutations(range(len(ACTIVE))))]
+    slots = [order[:2], order[2:4]] if draw(st.booleans()) else [order[:3]]
+    block = RotationBlock(
+        slots, draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                             min_size=len(slots), max_size=len(slots))),
+        order[4] if draw(st.booleans()) else None)
+    return block.adjoint() if draw(st.booleans()) else block
 
 
 def _stored(gates):
@@ -233,7 +262,10 @@ def _op_lists(draw):
     hi = draw(st.integers(lo, len(gates)))
     macro = Macro(MacroKind.AND_TOFFOLI, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=ACTIVE, ctrl=())
-    return gates[:lo] + [macro] + gates[hi:]
+    ops = gates[:lo] + [macro] + gates[hi:]
+    for block in draw(st.lists(_rotation_blocks(), max_size=2)):
+        ops.insert(draw(st.integers(0, len(ops))), block)
+    return ops
 
 
 def _one_qubit_matrix(g):
@@ -241,7 +273,7 @@ def _one_qubit_matrix(g):
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     t = np.diag([1, np.exp(1j * math.pi / 4)])
     gm = s.conj().T @ h @ t @ h @ s
-    if g.kind in _ANGLED:
+    if g.kind is GateKind.RY:
         c, sn = math.cos(g.angle / 2), math.sin(g.angle / 2)
         return np.array([[c, -sn], [sn, c]])
     return {GateKind.X: np.array([[0, 1], [1, 0]]), GateKind.H: h,
@@ -263,7 +295,7 @@ def _dense_apply(psi, g):
                   GateKind.MCX):
         for a in ax:
             sub = np.flip(sub, axis=a)
-    elif g.kind in (GateKind.SWAP, GateKind.CSWAP):
+    elif g.kind is GateKind.SWAP:
         sub = np.swapaxes(sub, ax[0], ax[1])
     elif g.kind is GateKind.CZ:
         sub = sub.copy()
@@ -280,7 +312,8 @@ def _dense_apply(psi, g):
 
 def _dense_run(ops, psi):
     for op in ops:
-        for g in (op.expansion if isinstance(op, Macro) else (op,)):
+        for g in (op.expansion if isinstance(op, (Macro, RotationBlock))
+                  else (op,)):
             psi = _dense_apply(psi, g)
     return psi
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockenc.angle_tree import heap_angles, reconstruct_state
+from blockenc.angle_tree import TWO_PI, heap_angles, reconstruct_state
 from blockenc.circuit import Circuit, adjoint_ops, count_resources
 from blockenc.encoding import BlockEncodingConfig, Method, build_block_encoding
 from blockenc.qram import QramModel
@@ -17,7 +17,6 @@ from blockenc.stateprep import (
     fixed_rows_for_trees,
     s_column_spec,
 )
-from blockenc.decomp import TWO_PI
 
 
 def heap_path_angles(n, y_bits):
