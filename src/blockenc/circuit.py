@@ -1,20 +1,21 @@
 """Gate-level IR, qubit registers, and T-resource accounting.
 
-A circuit is an ordered list of gates, macros, controlled-swap layers and
-controlled-rotation blocks over named, disjoint qubit registers.  Resource
-accounting follows the fault-tolerant cost model: T/T`/G/G` gates cost one T
-each, Clifford gates (including fanout-CNOT of any arity) are free and
-contribute no depth, rotations cost a configurable synthesis T-count, macros
-carry declared costs, and a swap layer or a rotation block costs what its
-gates cost.
+A circuit is an ordered list of gates, macros, controlled-swap layers,
+LOADF swap networks and controlled-rotation blocks over named, disjoint
+qubit registers.  Resource accounting follows the fault-tolerant cost
+model: T/T`/G/G` gates cost one T each, Clifford gates (including
+fanout-CNOT of any arity) are free and contribute no depth, rotations cost
+a configurable synthesis T-count, macros carry declared costs, a swap layer
+or a rotation block costs what its gates cost, and a swap network what its
+``parallel_cswap_clean`` columns cost.
 
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
 the computational basis), which commute and may share a layer.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
-line per op: a gate, a macro by its factory's arguments, or a swap layer or
-a rotation block by its fields; stage bounds count ops.
+line per op: a gate, a macro by its factory's arguments, or a swap layer, a
+swap network or a rotation block by its fields; stage bounds count ops.
 """
 from __future__ import annotations
 
@@ -334,6 +335,78 @@ class RotationBlock:
                              not self.inverted)
 
 
+def stride_pairs(slots, k):
+    """The slot pairs (c, c + 2^k), c a multiple of 2^(k+1), of the swap
+    column that halves the live slots at stride 2^k."""
+    return zip(slots[::2 << k], slots[1 << k::2 << k])
+
+
+class SwapNetwork:
+    """The swap network W of one LOADF block, bringing slot j to slot 0:
+    column k (low stride first) swaps the ``stride_pairs(slots, k)`` under
+    ``controls[k]`` as one ``decomp.parallel_cswap_clean`` over the first
+    2^(n-k) qubits of ``pool`` (n columns, 2^n slots, a pool of 2^n).
+    ``inverted`` marks the adjoint: the columns reversed, each inverted.
+
+    Column k is a T-depth-1 full use of the slots at multiples of 2^k and
+    of ``pool[:2^(n-k-1)]`` that reads its control; these nest, so the
+    counter schedules the network in one step from ``groups``
+    (``_schedule_network``), and the T-count is 4(2^n - 1).  The simulator
+    flattens it into its columns' gates.
+    """
+
+    __slots__ = ("controls", "slots", "pool", "inverted", "groups")
+
+    def __init__(self, controls, slots, pool, inverted=False):
+        self.controls = tuple(controls)
+        self.slots = tuple(slots)
+        self.pool = tuple(pool)
+        self.inverted = inverted
+        # Per column k: its control and the full qubits no later column
+        # uses (the slots at odd multiples of 2^k and pool[2^(n-k-2):
+        # 2^(n-k-1)]; slot 0 joins the last column's).
+        size = len(self.slots)
+        groups = [(c, self.slots[1 << k::2 << k]
+                   + self.pool[size >> (k + 2):size >> (k + 1)])
+                  for k, c in enumerate(self.controls)]
+        if groups:
+            c, last = groups[-1]
+            groups[-1] = (c, self.slots[:1] + last)
+        self.groups = tuple(groups)
+
+    def validate(self):
+        n = len(self.controls)
+        if not n or len(self.slots) != 1 << n:
+            raise CircuitError("a swap network takes n >= 1 controls and "
+                               "2^n slots")
+        if len(self.pool) != len(self.slots):
+            raise CircuitError("a swap network takes a pool of one qubit "
+                               "per slot")
+
+    @property
+    def t_count(self):
+        return 4 * (len(self.slots) - 1)
+
+    @property
+    def expansion(self):
+        from .decomp import _cswap_clean_gates
+        gates = []
+        for k, c in enumerate(self.controls):
+            pairs = tuple(stride_pairs(self.slots, k))
+            gates += _cswap_clean_gates(c, pairs, self.pool[:2 * len(pairs)])
+        return tuple(adjoint_ops(gates) if self.inverted else gates)
+
+    def qubits(self):
+        return self.controls + self.slots + self.pool
+
+    def adjoint(self):
+        inverse = SwapNetwork.__new__(SwapNetwork)
+        for name in SwapNetwork.__slots__:
+            setattr(inverse, name, getattr(self, name))
+        inverse.inverted = not self.inverted
+        return inverse
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     name: str
@@ -426,15 +499,16 @@ def _check_stages(stages, num_ops):
 
 def _check_op(op, total):
     """An op's own checks (a macro's are its factory's), then its qubits:
-    distinct and in range."""
+    distinct and in range.  The message, naming the first bad qubit, is
+    built only on failure."""
     if not isinstance(op, Macro):
         op.validate()
     qubits = op.qubits()
     if len(set(qubits)) != len(qubits):
         raise CircuitError(f"op qubits {_fmt_qubits(qubits)} must be distinct")
-    for q in qubits:
-        if not 0 <= q < total:
-            raise CircuitError(f"qubit {q} out of range [0, {total})")
+    if qubits and (min(qubits) < 0 or max(qubits) >= total):
+        q = next(q for q in qubits if not 0 <= q < total)
+        raise CircuitError(f"qubit {q} out of range [0, {total})")
 
 
 class CircuitBuilder:
@@ -594,6 +668,50 @@ def _schedule_block(block, ry, last_full, busy):
         _schedule_fanout(block, last_full, busy)
 
 
+def _schedule_network(network, last_full, busy):
+    """Advance a depth frontier over a swap network as its columns would:
+    the closed form of their schedule.
+
+    Column k's full qubits are groups k..n-1, so column k starts at X_k, the
+    largest of last_full[c_k], the previous column's X + 1 and, for the
+    groups the column is the first to use, their ``busy``; it leaves its
+    control read until X_k + 1.  Forward, every group enters column 0, and
+    group k is done at X_k + 1; inverted, the columns run n-1 down to 0 and
+    every group is done at X_0 + 1.
+    """
+    groups = network.groups
+    if network.inverted:
+        x = -1
+        for c, qubits in reversed(groups):
+            x += 1
+            if last_full[c] > x:
+                x = last_full[c]
+            for q in qubits:
+                if busy[q] > x:
+                    x = busy[q]
+            if x >= busy[c]:
+                busy[c] = x + 1
+        x += 1
+        for _, qubits in groups:
+            for q in qubits:
+                last_full[q] = busy[q] = x
+        return
+    x = 0
+    for _, qubits in groups:
+        for q in qubits:
+            if busy[q] > x:
+                x = busy[q]
+    x -= 1
+    for c, qubits in groups:
+        x += 1
+        if last_full[c] > x:
+            x = last_full[c]
+        for q in qubits:
+            last_full[q] = busy[q] = x + 1
+        if x >= busy[c]:
+            busy[c] = x + 1
+
+
 def _schedule_fanout(block, last_full, busy):
     """A rotation block's fanout: a weight-0 full use of every slot's first
     control that reads the fanout qubit."""
@@ -646,11 +764,12 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     A frontier holds, per qubit, the finish of the last full use
     (``last_full``) and the latest finish of any use (``busy``): a full use
     waits for ``busy``, a control-only use only for ``last_full``.  A
-    frontier's T-depth is its largest ``busy``.  A swap layer or a rotation
-    block advances both frontiers in one step (``_schedule_layer``,
-    ``_schedule_block``).  T-count is affine in R_y
-    and is summed once; T-depth is a longest path, whose critical path may
-    change with R_y, so each value keeps frontiers of its own.
+    frontier's T-depth is its largest ``busy``.  A swap layer, a swap
+    network or a rotation block advances both frontiers in one step
+    (``_schedule_layer``, ``_schedule_network``, ``_schedule_block``).
+    T-count is affine in R_y and is summed once; T-depth is a longest path,
+    whose critical path may change with R_y, so each value keeps frontiers
+    of its own.
     """
     for ry in ry_costs:
         if not isinstance(ry, numbers.Integral) or ry < 0:
@@ -674,6 +793,12 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
         s_count = s_units = 0
         for i in range(lo, hi):
             op = ops[i]
+            if isinstance(op, SwapNetwork):
+                s_count += op.t_count
+                for state in states:
+                    _schedule_network(op, state[1], state[2])
+                    _schedule_network(op, state[3], state[4])
+                continue
             if isinstance(op, SwapLayer):
                 s_count += 4 * len(op.pairs)
                 for state in states:
@@ -749,7 +874,7 @@ def _fmt_gate(g):
         parts.append("c=" + _fmt_controls(g.controls))
     parts.append("t=" + ",".join(str(q) for q in g.targets))
     if g.angle is not None:
-        parts.append("a=%.12g" % g.angle)
+        parts.append("a=" + repr(float(g.angle)))
     return " ".join(parts)
 
 
@@ -778,6 +903,8 @@ def _parse_gate(fields):
             targets = tuple(map(int, val.split(",")))
         elif key == "a":
             angle = float(val)
+            if repr(angle) != val:
+                raise ValueError("angle not written as repr writes it")
         else:
             raise CircuitError(f"unknown gate field {key!r}")
     return Gate(kind, targets, controls, angle)
@@ -814,6 +941,12 @@ def _parse_pairs(text):
 def _fmt_layer(layer):
     return (f"l c={_fmt_controls(layer.controls)} p={_fmt_pairs(layer.pairs)} "
             f"layered={int(layer.layered)} inv={int(layer.inverted)}")
+
+
+def _fmt_network(network):
+    return (f"w c={_fmt_qubits(network.controls)} "
+            f"s={_fmt_qubits(network.slots)} pool={_fmt_qubits(network.pool)} "
+            f"inv={int(network.inverted)}")
 
 
 def _fmt_block(block):
@@ -856,6 +989,8 @@ def write_circuit_text(circuit: Circuit) -> str:
     for op in circuit.ops:
         if isinstance(op, Gate):
             lines.append(_gate_line(gate_lines, op))
+        elif isinstance(op, SwapNetwork):
+            lines.append(_fmt_network(op))
         elif isinstance(op, SwapLayer):
             lines.append(_fmt_layer(op))
         elif isinstance(op, RotationBlock):
@@ -866,6 +1001,7 @@ def write_circuit_text(circuit: Circuit) -> str:
 
 
 _LAYER_FIELDS = frozenset(("c", "p", "layered", "inv"))
+_NETWORK_FIELDS = frozenset(("c", "s", "pool", "inv"))
 _BLOCK_FIELDS = frozenset(("q", "a", "fan", "inv"))
 _FLAGS = {"0": False, "1": True}
 
@@ -883,6 +1019,12 @@ def _parse_layer(fields):
     attrs = _fields(fields, _LAYER_FIELDS, "swap layer")
     return SwapLayer(_parse_controls(attrs["c"]), _parse_pairs(attrs["p"]),
                      _FLAGS[attrs["layered"]], _FLAGS[attrs["inv"]])
+
+
+def _parse_network(fields):
+    attrs = _fields(fields, _NETWORK_FIELDS, "swap network")
+    return SwapNetwork(_parse_qubits(attrs["c"]), _parse_qubits(attrs["s"]),
+                       _parse_qubits(attrs["pool"]), _FLAGS[attrs["inv"]])
 
 
 def _parse_block(fields):
@@ -972,6 +1114,8 @@ def parse_circuit_text(text: str) -> Circuit:
                     op = seen[line] = _parse_macro(rest.split())
                 elif head == "l":
                     op = seen[line] = _parse_layer(rest.split())
+                elif head == "w":
+                    op = seen[line] = _parse_network(rest.split())
                 elif head == "r":
                     op = seen[line] = _parse_block(rest.split())
                 elif head == "qubits":

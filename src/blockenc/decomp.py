@@ -4,16 +4,20 @@ Each factory returns a plain gate list, whose counted resources are its
 cost, or a ``Macro`` with a declared cost, qubit roles that do not depend on
 the data, and an exact unitary expansion; the circuit text holds a macro's
 factory arguments, and the parser calls the factory again.  These, the
-layers of phase-incorrect controlled swaps (``circuit.SwapLayer``) and the
-blocks of controlled rotations on disjoint slots (``circuit.RotationBlock``,
-whose slots are ``controlled_ry_gates``), both built directly, are the
-gadgets the generators emit:
+layers of phase-incorrect controlled swaps (``circuit.SwapLayer``), the
+LOADF swap networks (``circuit.SwapNetwork``, whose columns are
+``parallel_cswap_clean``) and the blocks of controlled rotations on
+disjoint slots (``circuit.RotationBlock``, whose slots are
+``controlled_ry_gates``), all three built directly, are the gadgets the
+generators emit:
 
 * ``controlled_ry_gates``: an exact singly or doubly controlled RY, alone
   (the fixed-precision ladder) or as one slot of a rotation block (the
   pre-rotated repair rotations and LOADF);
 * ``parallel_cswap_clean``: phase-correct controlled swaps of k pairs over a
-  pool of 2k qubits (control copies, then Toffoli scratch);
+  pool of 2k qubits (control copies, then Toffoli scratch), alone (a column
+  of the pre-rotated state preparation's S_p and the controlled encoding's
+  staged swaps) or as one column of a swap network (LOADF);
 * ``and_toffoli``: the measurement-assisted Toffoli, no longer emitted on
   its own: a rotation block counts each two-control flip as one;
 * ``unary_select`` and ``unary_step``: unary iteration over select values.

@@ -9,7 +9,12 @@ Three loaders parameterized by the depth/width tradeoff lambda:
   controlled-swap descent through a binary tree, data imprinted by Z gates on
   a |+> bus; garbage-free,
 * LOADF: flag-conditioned loading of single-qubit rotated states, built from
-  phase-correct swap networks and blocks of doubly-controlled rotations.
+  phase-correct swap networks (one ``SwapNetwork`` op each) and blocks of
+  doubly-controlled rotations (one ``RotationBlock`` op each): six ops per
+  copy.
+
+Select-swap columns and swap-network columns take their stride-2^k slot
+pairs from ``circuit.stride_pairs``.
 
 Emission order is the natural semantic order; the dependency DAG of the
 counter then recovers the layer pipelining on its own (ops that share no
@@ -28,14 +33,11 @@ from .circuit import (
     GateKind,
     RotationBlock,
     SwapLayer,
+    SwapNetwork,
     adjoint_ops,
+    stride_pairs,
 )
-from .decomp import (
-    match_controls,
-    parallel_cswap_clean,
-    unary_select,
-    unary_step,
-)
+from .decomp import match_controls, unary_select, unary_step
 
 
 class ConfigurationError(ValueError):
@@ -77,13 +79,6 @@ class LoadSpec:
         return self.n - self.lam
 
 
-def _halving_pairs(slots, k):
-    """Slot pairs (c, c + 2^k) of one swap-network column, c a multiple
-    of 2^(k+1): the column that halves the live slots at stride 2^k."""
-    return [(slots[c], slots[c + (1 << k)])
-            for c in range(0, len(slots), 2 << k)]
-
-
 # ---------------------------------------------------------------------------
 # Select-swap
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ class SelectSwapLoad:
         # Swap: move slot j_low to slot 0, low stride first.
         for k in range(lam):
             ctrl = self.addr[s + (lam - 1 - k)]
-            pairs = [qp for a, b in _halving_pairs(self.slots, k)
+            pairs = [qp for a, b in stride_pairs(self.slots, k)
                      for qp in zip(a, b)]
             ops.append(SwapLayer(((ctrl, True),), pairs))
         return ops
@@ -304,50 +299,37 @@ class FlagLoad:
             self.copies.append((flag, tuple(angle), tuple(onehot),
                                 tuple(pool_a), tuple(pool_b)))
 
-    def _network_columns(self, slots_of_copy):
-        """The swap network W (low stride first) bringing slot j to slot 0."""
-        n = self.spec.n
-        return [(self.addr[n - 1 - k],
-                 [_halving_pairs(slots, k) for slots in slots_of_copy])
-                for k in range(n)]
-
     def build_ops(self, static_flags_one=False):
-        ops = []
-        for flag, angle, onehot, pool_a, pool_b in self.copies:
-            ops.append(Gate(GateKind.X, (onehot[0],)))
-        # Inverse swap network on the one-hot block: slot 0 -> slot j.
-        # One-hot networks draw on pool B, angle networks on pool A.
-        onehot_cols = self._network_columns([c[2] for c in self.copies])
-        for ctrl, per_copy in reversed(onehot_cols):
-            for (flag, angle, onehot, pool_a, pool_b), pairs in zip(
-                    self.copies, per_copy):
-                ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=pairs, pool=pool_b[: 2 * len(pairs)]))
-        # V: rotate angle slot k by theta^(k) under the flag and one-hot
-        # controls, one rotation block per copy.  Its expansion runs slot by
-        # slot, so the simulator branches on one angle slot at a time.  Each
-        # Toffoli's scratch qubit is pool_a[k].
+        """Six ops per copy: X on one-hot slot 0, the inverse one-hot
+        network (slot 0 -> slot j), the rotation block, the angle network
+        and the one-hot network, X.  One-hot networks draw on pool B, angle
+        networks on pool A.  The rotation block V rotates angle slot k by
+        theta^(k) under the flag and one-hot controls; its expansion runs
+        slot by slot, so the simulator branches on one angle slot at a
+        time, and each Toffoli's scratch qubit is pool_a[k].
+
+        The ops go out stage by stage across the copies (every copy's X,
+        then every inverse network, ...), the order of the per-column ops
+        before networks.  Copy by copy would count the same, since copies
+        share only the address, as controls, but it would reorder the
+        simulated state's entries at each rotation block, and with them the
+        last bits of the simulator's sums.
+        """
+        controls = self.addr[::-1]
+        per_copy = []
         for (flag, angle, onehot, pool_a, pool_b), thetas in zip(
                 self.copies, zip(*self.thetas)):
+            x = Gate(GateKind.X, (onehot[0],))
+            onehot_network = SwapNetwork(controls, onehot, pool_b)
             if static_flags_one:
-                ops.append(RotationBlock(zip(onehot, angle), thetas))
+                block = RotationBlock(zip(onehot, angle), thetas)
             else:
-                ops.append(RotationBlock(zip(pool_b, onehot, angle), thetas,
-                                         fanout=flag))
-        # Final parallel swap networks: angle block uses pool A, one-hot pool B.
-        angle_cols = self._network_columns([c[1] for c in self.copies])
-        onehot_cols = self._network_columns([c[2] for c in self.copies])
-        for (ctrl, angle_per_copy), (_, onehot_per_copy) in zip(angle_cols,
-                                                                onehot_cols):
-            for (flag, angle, onehot, pool_a, pool_b), ap, op_ in zip(
-                    self.copies, angle_per_copy, onehot_per_copy):
-                ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=ap, pool=pool_a[: 2 * len(ap)]))
-                ops.append(parallel_cswap_clean(
-                    control=ctrl, pairs=op_, pool=pool_b[: 2 * len(op_)]))
-        for flag, angle, onehot, pool_a, pool_b in self.copies:
-            ops.append(Gate(GateKind.X, (onehot[0],)))
-        return ops
+                block = RotationBlock(zip(pool_b, onehot, angle), thetas,
+                                      fanout=flag)
+            per_copy.append((x, onehot_network.adjoint(), block,
+                             SwapNetwork(controls, angle, pool_a),
+                             onehot_network, x))
+        return [op for stage in zip(*per_copy) for op in stage]
 
 
 def build_loadf(spec: LoadSpec, thetas):

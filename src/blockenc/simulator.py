@@ -11,15 +11,15 @@ basis-correlated with the address, so the support stays small except
 through H layers.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
-gate stream (macro, swap-layer and rotation-block expansions flattened: a
-layer of controlled swaps is one op of the circuit) in runs: a stretch of
-consecutive gates without a rotation on at most ``MONOMIAL_RUN_WIDTH``
-qubits that holds an H, G or G^dagger, and whose product permutes basis
-states and multiplies phases (one unit-modulus entry per column), acts as
-one masked permutation and one phase gather, with no branch.  A
-phase-incorrect controlled swap is such a run.  The product is computed
-once per run shape, by the per-gate kernels on the run's basis.  Every other
-gate is applied on its own, as ``SparseState.apply`` does.
+gate stream (macro, swap-layer, swap-network and rotation-block expansions
+flattened: a layer of controlled swaps is one op of the circuit) in runs: a
+stretch of consecutive gates without a rotation on at most
+``MONOMIAL_RUN_WIDTH`` qubits that holds an H, G or G^dagger, and whose
+product permutes basis states and multiplies phases (one unit-modulus entry
+per column), acts as one masked permutation and one phase gather, with no
+branch.  A phase-incorrect controlled swap is such a run.  The product is
+computed once per run shape, by the per-gate kernels on the run's basis.
+Every other gate is applied on its own, as ``SparseState.apply`` does.
 
 ``extract_block`` and ``dense_unitary`` run all their input columns in one
 pass: column k carries its index in bits at or above the circuit's qubit
@@ -36,7 +36,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, Macro, RotationBlock, SwapLayer
+from .circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    Macro,
+    RotationBlock,
+    SwapLayer,
+    SwapNetwork,
+)
 
 DEFAULT_SUPPORT_CAP = 1 << 20
 PRUNE_THRESHOLD = 1e-14
@@ -153,12 +161,12 @@ def _runs(keys):
 
 
 def _gates(ops):
-    """The gate stream of ``ops``, macro, swap-layer and rotation-block
-    expansions flattened."""
+    """The gate stream of ``ops``, macro, swap-layer, swap-network and
+    rotation-block expansions flattened."""
     for op in ops:
         if isinstance(op, Gate):
             yield op
-        elif isinstance(op, (Macro, SwapLayer, RotationBlock)):
+        elif isinstance(op, (Macro, SwapLayer, SwapNetwork, RotationBlock)):
             yield from op.expansion
         else:
             raise SimulationError(f"unknown op {op!r}")

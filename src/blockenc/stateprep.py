@@ -225,14 +225,21 @@ def fixed_rows_for_trees(vectors, t):
     uint8 array in the data-block layout: each heap-order angle rounded to
     the nearest multiple of 2*pi/2^t (ties up) as t bits, MSB first, then
     the 2^n sign bits.  The rounding is exact for every t <= 1023: scaling
-    by 2^t is exact, and so is splitting off the fraction."""
+    by 2^t is exact, and so is splitting off the fraction.  The steps, at
+    most 2^t, are shifted as int64 for t <= 62 and divided as floats above
+    that, both exact."""
     vectors = np.asarray(vectors, dtype=float)
     scaled = np.ldexp(heap_angles(vectors) / TWO_PI, t)
     steps = np.floor(scaled)
     steps += scaled - steps >= 0.5
     bits = np.empty(steps.shape + (t,), dtype=np.uint8)
-    for j in range(t):
-        bits[:, :, j] = np.floor(steps / 2.0 ** (t - 1 - j)) % 2
+    if t <= 62:
+        steps = steps.astype(np.int64)
+        for j in range(t):
+            bits[:, :, j] = (steps >> (t - 1 - j)) & 1
+    else:
+        for j in range(t):
+            bits[:, :, j] = np.floor(steps / 2.0 ** (t - 1 - j)) % 2
     return np.concatenate([bits.reshape(len(vectors), -1), vectors < 0],
                           axis=1)
 

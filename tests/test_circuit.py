@@ -17,6 +17,7 @@ from blockenc.circuit import (
     QubitRegister,
     RotationBlock,
     SwapLayer,
+    SwapNetwork,
     adjoint_ops,
     count_resources,
     count_resources_at,
@@ -305,6 +306,12 @@ def test_out_of_range_macro_rejected():
     # Angles that ``repr`` would write back differently.
     "r q=0:1 a=1_0 fan=- inv=0",
     "r q=0:1 a=0.50 fan=- inv=0",
+    "g RY t=0 a=1_0",
+    "g RY t=0 a=0.30",
+    "g RY t=0 a=1",
+    # A swap network line without its pool, or with a bad flag.
+    "w c=0 s=1,2 inv=0",
+    "w c=0 s=1,2 pool=- inv=2",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -324,6 +331,7 @@ def test_malformed_line_raises_circuit_error(line):
     ("r q=0:1 a=0.5,0.25 fan=- inv=0", "one angle per slot"),
     ("r q=0:1 a=nan fan=- inv=0", "finite"),
     ("r q=0:1:2 a=0.5 fan=1 inv=0", "distinct"),
+    ("w c=0 s=1,2 pool=- inv=0 bogus=1", "unknown swap network field 'bogus'"),
 ])
 def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -344,6 +352,24 @@ def test_accepted_block_line_writes_back_unchanged(angle, spelling):
         assert spelling != "{!r}" or not math.isfinite(angle)
     else:
         assert write_circuit_text(parsed) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.floats(allow_nan=False),
+       spelling=st.sampled_from(("{!r}", "{:.17g}", "{:.12g}", "{:e}",
+                                 "{!r}0", "+{!r}")))
+@example(angle=0.1 + 0.2, spelling="{!r}")
+def test_accepted_gate_line_writes_back_unchanged(angle, spelling):
+    """A gate angle is written by ``repr`` and read only in that spelling:
+    0.1 + 0.2 writes back as 0.30000000000000004, not as 0.3."""
+    text = "qubits 1\nreg q 0 1\ng RY t=0 a=" + spelling.format(angle) + "\n"
+    try:
+        parsed = parse_circuit_text(text)
+    except CircuitError:
+        assert spelling != "{!r}"
+    else:
+        assert write_circuit_text(parsed) == text
+        assert spelling != "{!r}" or parsed.ops[0].angle == angle
 
 
 _UNPARSEABLE = "unparseable line"
@@ -448,8 +474,8 @@ def test_write_keeps_signed_zero_angles():
     for angle in (0.0, -0.0, 0.0, 1.0, -0.0):
         b.gate(GateKind.RY, 0, angle=angle)
     lines = write_circuit_text(b.build()).splitlines()[2:]
-    assert lines == ["g RY t=0 a=0", "g RY t=0 a=-0", "g RY t=0 a=0",
-                     "g RY t=0 a=1", "g RY t=0 a=-0"]
+    assert lines == ["g RY t=0 a=0.0", "g RY t=0 a=-0.0", "g RY t=0 a=0.0",
+                     "g RY t=0 a=1.0", "g RY t=0 a=-0.0"]
 
 
 def test_builder_checks_each_distinct_gate():
@@ -656,14 +682,31 @@ def test_one_pass_breakdown_matches_stage_recount(circuit, ry):
     assert report.as_tuple() == count_resources(unstaged, ry).as_tuple()
 
 
+def network_columns(network):
+    """A swap network's columns as the ``parallel_cswap_clean`` macros LOADF
+    emitted before networks: column k swaps slots c and c + 2^k, c a
+    multiple of 2^(k+1), under control k over the pool's first 2^(n-k)."""
+    slots = network.slots
+    columns = []
+    for k, control in enumerate(network.controls):
+        pairs = [(slots[c], slots[c + (1 << k)])
+                 for c in range(0, len(slots), 2 << k)]
+        columns.append(parallel_cswap_clean(control, pairs,
+                                            network.pool[:2 * len(pairs)]))
+    return adjoint_ops(columns) if network.inverted else columns
+
+
 def flattened(circuit):
     """``circuit`` with each swap layer and rotation block replaced by its
-    gates, and the stage bounds moved with them.  A rotation block's
-    Toffolis become the ``and_toffoli`` macros it is counted as: the ops
-    each slot was emitted as before blocks."""
+    gates, and each swap network by its columns, with the stage bounds
+    moved with them.  A rotation block's Toffolis become the
+    ``and_toffoli`` macros it is counted as: the ops each slot was emitted
+    as before blocks."""
     ops, at = [], [0]
     for op in circuit.ops:
-        if isinstance(op, SwapLayer):
+        if isinstance(op, SwapNetwork):
+            ops.extend(network_columns(op))
+        elif isinstance(op, SwapLayer):
             ops.extend(op.expansion)
         elif isinstance(op, RotationBlock):
             ops.extend(and_toffoli(g.controls[0][0], g.controls[1][0],
@@ -1004,3 +1047,138 @@ def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
     b.allocate("q", 4)
     with pytest.raises(CircuitError, match=message):
         b.add(RotationBlock(slots, thetas, fanout))
+
+
+# ---------------------------------------------------------------------------
+# Swap networks: one op, counted as its columns
+# ---------------------------------------------------------------------------
+
+_NETWORK_WIDTH = 20
+
+
+@st.composite
+def _network_circuits(draw, factory=False):
+    """A swap network (n = 1-3 columns, forward or adjoint) after a drawn
+    prefix of ops on its qubits and before a drawn suffix, with drawn stage
+    bounds: T gates on its qubits, one-slot rotation blocks that read its
+    controls, drawn gates and macros (the factories' when
+    ``factory``)."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(_NETWORK_WIDTH)))
+    size = 1 << n
+    network = SwapNetwork(order[:n], order[n:n + size],
+                          order[n + size:n + 2 * size])
+    if draw(st.booleans()):
+        network = network.adjoint()
+    full = network.slots + network.pool
+    pool = [Gate(GateKind.T, (q,)) for q in draw(st.lists(
+        st.sampled_from(network.qubits()), min_size=1, max_size=4))]
+    for c in draw(st.lists(st.sampled_from(network.controls), min_size=1,
+                           max_size=2)):
+        pool.append(RotationBlock([(c, draw(st.sampled_from(full)))], [0.5]))
+    pool += draw(st.lists(_gates(_NETWORK_WIDTH), max_size=4))
+    pool += draw(st.lists(_factory_macros(_NETWORK_WIDTH) if factory
+                          else _macros(pool[:1], _NETWORK_WIDTH),
+                          max_size=2))
+    ops = (draw(st.lists(st.sampled_from(pool), max_size=16)) + [network]
+           + draw(st.lists(st.sampled_from(pool), max_size=6)))
+    bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
+    stages = [(f"s{i % 2}", bounds[2 * i], bounds[2 * i + 1])
+              for i in range(len(bounds) // 2)]
+    return Circuit([QubitRegister("q", 0, _NETWORK_WIDTH)], ops,
+                   _NETWORK_WIDTH, stages)
+
+
+def _network_example(before, network, after):
+    ops = [*before, network, *after]
+    return Circuit([QubitRegister("q", 0, 11)], ops, 11,
+                   [("s0", 0, len(ops))])
+
+
+# n = 2 on controls 0, 1, slots 2-5 and pool 6-9.
+_NETWORK = SwapNetwork((0, 1), (2, 3, 4, 5), (6, 7, 8, 9))
+
+
+@_PROPERTY
+@given(circuit=_network_circuits())
+# Inverted, column 0 is the first to use slot 3 and pool 7, which come late.
+@example(circuit=_network_example(_t(3, 5) + _t(7, 2), _NETWORK.adjoint(),
+                                  []))
+# Forward, column 1 waits for the last full use of its control.
+@example(circuit=_network_example(
+    [Gate(GateKind.CNOT, (1,), ((10, True),))] + _t(10, 3) + [
+        Gate(GateKind.CNOT, (1,), ((10, True),))], _NETWORK, _t(2)))
+# A control used after the network waits for it.
+@example(circuit=_network_example(_t(4, 2), _NETWORK, _t(0, 3)))
+# Inverted, column 1 waits for its control, and a T on column 0's control
+# waits for the last column.
+@example(circuit=_network_example(_t(1, 3), _NETWORK.adjoint(), _t(0)))
+def test_swap_network_counts_as_its_columns(circuit):
+    assert (count_resources_at(circuit, (1, 10, 30))
+            == count_resources_at(flattened(circuit), (1, 10, 30)))
+
+
+@_PROPERTY
+@given(circuit=_network_circuits(factory=True))
+def test_swap_network_is_one_text_line(circuit):
+    text = write_circuit_text(circuit)
+    (network,) = (op for op in circuit.ops if isinstance(op, SwapNetwork))
+    lines = [line for line in text.splitlines() if line.startswith("w ")]
+    assert lines == [f"w c={','.join(map(str, network.controls))} "
+                     f"s={','.join(map(str, network.slots))} "
+                     f"pool={','.join(map(str, network.pool))} "
+                     f"inv={int(network.inverted)}"]
+    parsed = parse_circuit_text(text)
+    assert _same_ops([op for op in parsed.ops
+                      if not isinstance(op, SwapNetwork)],
+                     [op for op in circuit.ops
+                      if not isinstance(op, SwapNetwork)])
+    (parsed_network,) = (op for op in parsed.ops
+                         if isinstance(op, SwapNetwork))
+    assert ((parsed_network.controls, parsed_network.slots,
+             parsed_network.pool, parsed_network.inverted)
+            == (network.controls, network.slots, network.pool,
+                network.inverted))
+    assert parsed.stages == circuit.stages
+    assert write_circuit_text(parsed) == text
+    assert (count_resources_at(parsed, (1, 10, 30))
+            == count_resources_at(circuit, (1, 10, 30)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("inverted", [False, True])
+def test_swap_network_expands_to_its_columns(n, inverted):
+    size = 1 << n
+    network = SwapNetwork(range(n), range(n, n + size),
+                          range(n + size, n + 2 * size))
+    if inverted:
+        network = network.adjoint()
+    columns = network_columns(network)
+    assert len(columns) == n
+    assert network.expansion == tuple(
+        g for column in columns for g in column.expansion)
+    assert network.t_count == sum(column.t_count for column in columns)
+
+
+@pytest.mark.parametrize("controls, slots, pool, message", [
+    ((0,), (1, 2, 3), (4, 5, 6), "2\\^n slots"),
+    ((), (1,), (2,), "2\\^n slots"),
+    ((0, 1), (2, 3), (4, 5), "2\\^n slots"),
+    ((0,), (1, 2), (3,), "one qubit per slot"),
+    ((0,), (1, 2), (3, 4, 5), "one qubit per slot"),
+    ((0,), (1, 1), (3, 4), "distinct"),
+    ((0,), (1, 2), (3, 0), "distinct"),
+    ((0, 1), (2, 3, 4, 5), (6, 7, 8, 2), "distinct"),
+    ((0,), (1, 2), (3, 9), r"qubit 9 out of range \[0, 8\)"),
+    ((8, 1), (2, 3, 4, 5), (6, 7, 0, 9), r"qubit 8 out of range \[0, 8\)"),
+])
+def test_builder_checks_a_swap_network(controls, slots, pool, message):
+    """The builder and the parser of the network's line reject it alike."""
+    network = SwapNetwork(controls, slots, pool)
+    b = CircuitBuilder()
+    b.allocate("q", 8)
+    with pytest.raises(CircuitError, match=message):
+        b.add(network)
+    text = write_circuit_text(Circuit(b.build().registers, [network], 8))
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit_text(text)

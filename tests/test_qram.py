@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from blockenc.circuit import count_resources
+from blockenc.circuit import (
+    Macro,
+    SwapNetwork,
+    count_resources,
+    count_resources_at,
+    parse_circuit_text,
+    write_circuit_text,
+)
 from blockenc.qram import (
     ConfigurationError,
     LoadSpec,
@@ -273,6 +280,41 @@ def test_loadf_inverse_property():
         want = encode_register(addr, j) | (1 << flag)
         assert set(st.amplitudes) == {want}
         assert abs(st.amplitudes[want] - 1) < 1e-9
+
+
+def column_lines(network):
+    """A swap network as the ``PARALLEL_CSWAP_CLEAN`` lines of its columns,
+    as LOADF texts held them before networks."""
+    slots, lines = network.slots, []
+    for k, control in enumerate(network.controls):
+        pairs = [(slots[c], slots[c + (1 << k)])
+                 for c in range(0, len(slots), 2 << k)]
+        pool = network.pool[:2 * len(pairs)]
+        lines.append(f"m PARALLEL_CSWAP_CLEAN c={control} "
+                     f"p={','.join(f'{a}:{b}' for a, b in pairs)} "
+                     f"pool={','.join(map(str, pool))} "
+                     f"inv={int(network.inverted)}")
+    return lines[::-1] if network.inverted else lines
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 3)])
+def test_loadf_copy_is_six_ops(n, d):
+    """A copy is X, the inverse one-hot network, the rotation block, the
+    angle and one-hot networks, and X: no per-column macro.  The same
+    circuit written with each network as its column lines parses into
+    3n + 3 ops per copy with the same counts."""
+    c, _ = loadf_fixture(n=n, d=d)
+    assert len(c.ops) == 6 * d
+    assert not any(isinstance(op, Macro) for op in c.ops)
+    assert sum(isinstance(op, SwapNetwork) for op in c.ops) == 3 * d
+    text = write_circuit_text(c).splitlines()
+    lines = [line for line in text if line.startswith(("qubits", "reg"))]
+    for op, line in zip(c.ops, text[-len(c.ops):]):
+        lines += column_lines(op) if isinstance(op, SwapNetwork) else [line]
+    columns = parse_circuit_text("\n".join(lines) + "\n")
+    assert len(columns.ops) == (3 * n + 3) * d
+    assert ([r.as_tuple() for r in count_resources_at(columns, (0, 1, 30))]
+            == [r.as_tuple() for r in count_resources_at(c, (0, 1, 30))])
 
 
 # -- configuration -----------------------------------------------------------------

@@ -290,3 +290,22 @@ def test_fixed_rows_round_exactly(t):
             step = math.floor(Fraction(float(x)) * 2 ** t + Fraction(1, 2))
             want += [(step >> (t - 1 - j)) & 1 for j in range(t)]
         assert row.tolist() == want + [int(v < 0) for v in vector]
+
+
+@pytest.mark.parametrize("t", [1, 30, 62])
+def test_fixed_rows_shift_as_the_float_path_divides(t):
+    """Up to t = 62 the rows come from int64 shifts of the rounding steps;
+    they equal the bits the float path (used above t = 62) takes by exact
+    division, here on vectors with a zero entry and a zero row."""
+    rng = np.random.default_rng(t)
+    vectors = rng.standard_normal((5, 16))
+    vectors[1, 3] = 0.0
+    vectors[2] = 0.0
+    scaled = np.ldexp(heap_angles(vectors) / TWO_PI, t)
+    steps = np.floor(scaled)
+    steps += scaled - steps >= 0.5
+    bits = np.stack([np.floor(steps / 2.0 ** (t - 1 - j)) % 2
+                     for j in range(t)], axis=-1).astype(np.uint8)
+    want = np.concatenate([bits.reshape(len(vectors), -1), vectors < 0],
+                          axis=1)
+    assert np.array_equal(fixed_rows_for_trees(vectors, t), want)
