@@ -13,6 +13,10 @@ T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
 the computational basis), which commute and may share a layer.
 
+Every op that is not a gate is a ``Compound``: one class per kind holds
+its fields, checks, forward gates, text line and, but for a macro, its
+one-step schedule, and the base class gives every kind one adjoint.
+
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
 line per op: a gate, a macro by its factory's arguments, or a swap layer, a
 swap network or a rotation block by its fields; stage bounds count ops.
@@ -158,7 +162,48 @@ def _angles_equal(a, b):
     return math.isclose(a, b, rel_tol=0, abs_tol=1e-9)
 
 
-class Macro:
+class Compound:
+    """An op made of gates: a macro, a swap layer, a swap network or a
+    rotation block.
+
+    A subclass keeps its fields in ``__slots__`` and defines ``gates()``,
+    its forward gate list, and ``fields()``, its text line up to ``inv``.
+    ``inverted`` marks the adjoint: ``adjoint()`` copies every slot and
+    flips it, so an op and its adjoint share their field objects, and
+    ``expansion`` is the forward gates, inverted when ``inverted`` is set.
+    Only the simulator asks for the expansion.  A swap layer, a swap
+    network or a rotation block also checks its fields (``validate``) and
+    schedules itself: ``schedule(ry, last_full, busy)`` advances a depth
+    frontier over the op in one step, from the closed form of its gates'
+    schedule, and the op costs ``t_count`` plus ``ry_units`` R_y units.
+    """
+
+    __slots__ = ("inverted",)
+    ry_units = 0
+
+    @property
+    def expansion(self):
+        gates = self.gates()
+        return tuple(adjoint_ops(gates) if self.inverted else gates)
+
+    def adjoint(self):
+        """The inverse op: every slot shared, ``inverted`` flipped."""
+        cls = type(self)
+        inverse = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(inverse, name, getattr(self, name))
+        inverse.inverted = not self.inverted
+        return inverse
+
+    def validate(self):
+        """Nothing: a macro's factory does its checks."""
+
+    def line(self):
+        """The op's text line: its fields, then ``inv``."""
+        return f"{self.fields()} inv={int(self.inverted)}"
+
+
+class Macro(Compound):
     """Opaque costed construction with an exact unitary expansion.
 
     The declared cost follows the measurement-assisted accounting (e.g. the
@@ -168,25 +213,24 @@ class Macro:
 
     A macro keeps its recipe, not its gates: ``recipe(*args)`` returns the
     forward expansion, a module-level function so that no macro holds a
-    closure, and ``inverted`` marks the adjoint.  Counting reads only the
-    declared cost and qubit roles, sorted tuples of the qubits the macro may
-    change (``full``) and of those it only reads (``ctrl``); only the
-    simulator builds the expansion.  ``scratch`` holds the register qubits
+    closure.  Counting reads only the declared cost and qubit roles, sorted
+    tuples of the qubits the macro may change (``full``) and of those it
+    only reads (``ctrl``).  ``scratch`` holds the register qubits
     that the cost model uses and the expansion leaves alone (the
     measurement-assisted Toffolis' scratch): they are checked as the
     macro's qubits but not counted.  The text holds a macro's kind, its
-    factory's ``args`` and ``inverted``.
+    factory's ``args`` and ``inv``.
     """
 
-    __slots__ = ("kind", "recipe", "args", "inverted", "t_count", "t_depth",
-                 "full", "ctrl", "scratch")
+    __slots__ = ("kind", "recipe", "args", "t_count", "t_depth", "full",
+                 "ctrl", "scratch")
 
     def __init__(self, kind, recipe, args, t_count, t_depth, full, ctrl,
-                 inverted=False, scratch=()):
+                 scratch=()):
         self.kind = kind
         self.recipe = recipe
         self.args = args
-        self.inverted = inverted
+        self.inverted = False
         self.t_count = int(t_count)
         self.t_depth = int(t_depth)
         self.full = tuple(sorted(full))
@@ -195,21 +239,32 @@ class Macro:
         if not self.full and not self.ctrl:
             raise CircuitError(f"{kind.value} macro declares no qubit")
 
-    @property
-    def expansion(self):
-        gates = self.recipe(*self.args)
-        return tuple(adjoint_ops(gates) if self.inverted else gates)
+    def gates(self):
+        return self.recipe(*self.args)
 
     def qubits(self):
         return self.full + self.ctrl + self.scratch
 
-    def adjoint(self):
-        """Inverting the expansion keeps every qubit's role."""
-        inverse = Macro.__new__(Macro)
-        for name in Macro.__slots__:
-            setattr(inverse, name, getattr(self, name))
-        inverse.inverted = not self.inverted
-        return inverse
+    def fields(self):
+        """The kind and its factory's arguments: the parser calls the
+        factory again, which fixes the cost, the roles and the recipe."""
+        kind = self.kind
+        if kind is MacroKind.AND_TOFFOLI:
+            fields = f"q={_fmt_qubits(self.args)}"
+        elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+            control, pairs, pool = self.args
+            fields = (f"c={control} p={_fmt_pairs(pairs)} "
+                      f"pool={_fmt_qubits(pool)}")
+        elif kind is MacroKind.UNARY_STEP:
+            select, lo, hi, flag = self.args
+            fields = f"s={_fmt_qubits(select)} from={lo} to={hi} flag={flag}"
+        else:
+            select, rows, slots, flag = self.args
+            packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
+            fields = (f"s={_fmt_qubits(select)} slots={_fmt_qubits(slots)} "
+                      f"flag={'-' if flag is None else flag} rows="
+                      + ",".join(row.tobytes().hex() for row in packed))
+        return f"m {kind.value} {fields}"
 
     def __eq__(self, other):
         return (
@@ -226,7 +281,7 @@ class Macro:
                 f"ng={len(self.expansion)})")
 
 
-class SwapLayer:
+class SwapLayer(Compound):
     """A layer of phase-incorrect controlled swaps: one polarized control
     (``controls`` holds it) and disjoint qubit ``pairs``; T-count 4 per pair.
 
@@ -241,19 +296,15 @@ class SwapLayer:
     for narrow columns.  The swaps permute basis states correctly but pick up
     -1 phases on some inputs, so they are only used where the phase lands in
     garbage or cancels against the adjoint leg.
-
-    ``inverted`` marks the adjoint.  The counter schedules a layer in one
-    step from the closed form of its gates' schedule (``_schedule_layer``);
-    the simulator flattens it into its expansion (``_layer_gates``).
     """
 
-    __slots__ = ("controls", "pairs", "layered", "inverted")
+    __slots__ = ("controls", "pairs", "layered")
 
-    def __init__(self, controls, pairs, layered=False, inverted=False):
+    def __init__(self, controls, pairs, layered=False):
         self.controls = tuple(controls)
         self.pairs = tuple(pairs)
         self.layered = layered
-        self.inverted = inverted
+        self.inverted = False
 
     def validate(self):
         if len(self.controls) != 1:
@@ -262,20 +313,64 @@ class SwapLayer:
             raise CircuitError("a swap layer takes one or more qubit pairs")
 
     @property
-    def expansion(self):
-        gates = _layer_gates(self.controls, self.pairs, self.layered)
-        return tuple(adjoint_ops(gates) if self.inverted else gates)
+    def t_count(self):
+        return 4 * len(self.pairs)
+
+    def gates(self):
+        """Pair (a, b) of control c is CNOT b->a, G-dagger b, CNOT a->b,
+        G-dagger b, CNOT c->b, G b, CNOT a->b, G b, CNOT b->a; the default
+        form runs those nine steps pair by pair, the layered form step by
+        step across all pairs, with one fanout from c."""
+        pairs = self.pairs
+        ab = [Gate(GateKind.CNOT, (a,), ((b, True),)) for a, b in pairs]
+        ba = [Gate(GateKind.CNOT, (b,), ((a, True),)) for a, b in pairs]
+        gdg = [Gate(GateKind.GDG, (b,)) for _, b in pairs]
+        g = [Gate(GateKind.G, (b,)) for _, b in pairs]
+        if self.layered:
+            fanout = Gate(GateKind.FANOUT_CNOT, tuple(b for _, b in pairs),
+                          self.controls)
+            return ab + gdg + ba + gdg + [fanout] + g + ba + g + ab
+        cb = [Gate(GateKind.CNOT, (b,), self.controls) for _, b in pairs]
+        steps = (ab, gdg, ba, gdg, cb, g, ba, g, ab)
+        return [step[i] for i in range(len(pairs)) for step in steps]
 
     def qubits(self):
         return (tuple(chain.from_iterable(self.pairs))
                 + tuple(q for q, _ in self.controls))
 
-    def adjoint(self):
-        return SwapLayer(self.controls, self.pairs, self.layered,
-                         not self.inverted)
+    def schedule(self, ry, last_full, busy):
+        """A pair (a, b) reads the control c between two T-layers on b
+        before and two after: at X = max(max(busy[a], busy[b]) + 2,
+        last_full[c]), leaving a and b at X + 2.  A ``layered`` layer reads
+        c once for all its pairs, so its one X takes the first term's
+        maximum over them.  Inverted, the gates are the same up to G and
+        G-dagger, so the schedule is too."""
+        c = self.controls[0][0]
+        pairs = self.pairs
+        ready = last_full[c]
+        if self.layered:
+            for a, b in pairs:
+                ba, bb = busy[a], busy[b]
+                x = (ba if ba > bb else bb) + 2
+                if x > ready:
+                    ready = x
+        top = busy[c]
+        for a, b in pairs:
+            ba, bb = busy[a], busy[b]
+            x = (ba if ba > bb else bb) + 2
+            if ready > x:
+                x = ready
+            last_full[a] = busy[a] = last_full[b] = busy[b] = x + 2
+            if x > top:
+                top = x
+        busy[c] = top
+
+    def fields(self):
+        return (f"l c={_fmt_controls(self.controls)} "
+                f"p={_fmt_pairs(self.pairs)} layered={int(self.layered)}")
 
 
-class RotationBlock:
+class RotationBlock(Compound):
     """A block of controlled rotations on slots that share no qubit: slot k
     is ``slots[k]`` = (controls..., target), with one positive control in
     every slot or two in every slot, and rotates by ``thetas[k]``.  When
@@ -286,18 +381,16 @@ class RotationBlock:
     RY(-theta/2), the flip, RY(theta/2).  A one-control flip is a CNOT; a
     two-control flip is counted as the measurement-assisted Toffoli
     of ``decomp.and_toffoli`` (T-count 4, T-depth 1), and its expansion is a
-    plain Toffoli.  ``inverted`` marks the adjoint.  The counter schedules a
-    block in one step from the closed form of its gates' schedule
-    (``_schedule_block``); the simulator flattens it into its expansion.
+    plain Toffoli.
     """
 
-    __slots__ = ("slots", "thetas", "fanout", "inverted")
+    __slots__ = ("slots", "thetas", "fanout")
 
-    def __init__(self, slots, thetas, fanout=None, inverted=False):
+    def __init__(self, slots, thetas, fanout=None):
         self.slots = tuple(map(tuple, slots))
         self.thetas = tuple(map(float, thetas))
         self.fanout = fanout
-        self.inverted = inverted
+        self.inverted = False
 
     def validate(self):
         if not self.slots or set(map(len, self.slots)) not in ({2}, {3}):
@@ -315,7 +408,10 @@ class RotationBlock:
         return 8 * len(self.slots) if len(self.slots[0]) == 3 else 0
 
     @property
-    def expansion(self):
+    def ry_units(self):
+        return 2 * len(self.slots)
+
+    def gates(self):
         from .decomp import controlled_ry_gates
         gates = []
         for (*controls, target), theta in zip(self.slots, self.thetas):
@@ -324,15 +420,66 @@ class RotationBlock:
             fan = Gate(GateKind.FANOUT_CNOT, [s[0] for s in self.slots],
                        ((self.fanout, True),))
             gates = [fan, *gates, fan]
-        return tuple(adjoint_ops(gates) if self.inverted else gates)
+        return gates
 
     def qubits(self):
         return (tuple(chain.from_iterable(self.slots))
                 + (() if self.fanout is None else (self.fanout,)))
 
-    def adjoint(self):
-        return RotationBlock(self.slots, self.thetas, self.fanout,
-                             not self.inverted)
+    def schedule(self, ry, last_full, busy):
+        """A slot (controls C, target t) whose flips take T-depth d (1 for
+        two controls, 0 for one) starts at X = max(busy[t], last_full[C]),
+        or inverted, where a rotation comes first, at X = max(busy[t] + R,
+        last_full[C]); its controls are read until X + 2d + R, and t is done
+        at X + 2d + 2R (X + 2d + R inverted)."""
+        slots = self.slots
+        pre, post = (ry, 0) if self.inverted else (0, ry)
+        if self.fanout is not None:
+            self._schedule_fanout(last_full, busy)
+        if len(slots[0]) == 3:
+            step = 2 + ry
+            for c1, c2, t in slots:
+                x = busy[t] + pre
+                if last_full[c1] > x:
+                    x = last_full[c1]
+                if last_full[c2] > x:
+                    x = last_full[c2]
+                x += step
+                last_full[t] = busy[t] = x + post
+                if x > busy[c1]:
+                    busy[c1] = x
+                if x > busy[c2]:
+                    busy[c2] = x
+        else:
+            for c, t in slots:
+                x = busy[t] + pre
+                if last_full[c] > x:
+                    x = last_full[c]
+                x += ry
+                last_full[t] = busy[t] = x + post
+                if x > busy[c]:
+                    busy[c] = x
+        if self.fanout is not None:
+            self._schedule_fanout(last_full, busy)
+
+    def _schedule_fanout(self, last_full, busy):
+        """The fanout: a weight-0 full use of every slot's first control
+        that reads the fanout qubit."""
+        f = self.fanout
+        x = last_full[f]
+        for slot in self.slots:
+            if busy[slot[0]] > x:
+                x = busy[slot[0]]
+        for slot in self.slots:
+            last_full[slot[0]] = busy[slot[0]] = x
+        if x > busy[f]:
+            busy[f] = x
+
+    def fields(self):
+        """``repr`` writes each angle exactly."""
+        slots = ",".join(":".join(map(str, slot)) for slot in self.slots)
+        fanout = "-" if self.fanout is None else self.fanout
+        return f"r q={slots} a={','.join(map(repr, self.thetas))} fan={fanout}"
 
 
 def stride_pairs(slots, k):
@@ -341,27 +488,26 @@ def stride_pairs(slots, k):
     return zip(slots[::2 << k], slots[1 << k::2 << k])
 
 
-class SwapNetwork:
+class SwapNetwork(Compound):
     """The swap network W of one LOADF block, bringing slot j to slot 0:
     column k (low stride first) swaps the ``stride_pairs(slots, k)`` under
     ``controls[k]`` as one ``decomp.parallel_cswap_clean`` over the first
-    2^(n-k) qubits of ``pool`` (n columns, 2^n slots, a pool of 2^n).
-    ``inverted`` marks the adjoint: the columns reversed, each inverted.
+    2^(n-k) qubits of ``pool`` (n columns, 2^n slots, a pool of 2^n).  Its
+    adjoint runs the columns reversed, each inverted.
 
     Column k is a T-depth-1 full use of the slots at multiples of 2^k and
     of ``pool[:2^(n-k-1)]`` that reads its control; these nest, so the
-    counter schedules the network in one step from ``groups``
-    (``_schedule_network``), and the T-count is 4(2^n - 1).  The simulator
-    flattens it into its columns' gates.
+    network schedules itself from ``groups``, and the T-count is
+    4(2^n - 1).
     """
 
-    __slots__ = ("controls", "slots", "pool", "inverted", "groups")
+    __slots__ = ("controls", "slots", "pool", "groups")
 
-    def __init__(self, controls, slots, pool, inverted=False):
+    def __init__(self, controls, slots, pool):
         self.controls = tuple(controls)
         self.slots = tuple(slots)
         self.pool = tuple(pool)
-        self.inverted = inverted
+        self.inverted = False
         # Per column k: its control and the full qubits no later column
         # uses (the slots at odd multiples of 2^k and pool[2^(n-k-2):
         # 2^(n-k-1)]; slot 0 joins the last column's).
@@ -387,24 +533,59 @@ class SwapNetwork:
     def t_count(self):
         return 4 * (len(self.slots) - 1)
 
-    @property
-    def expansion(self):
+    def gates(self):
         from .decomp import _cswap_clean_gates
         gates = []
         for k, c in enumerate(self.controls):
             pairs = tuple(stride_pairs(self.slots, k))
             gates += _cswap_clean_gates(c, pairs, self.pool[:2 * len(pairs)])
-        return tuple(adjoint_ops(gates) if self.inverted else gates)
+        return gates
 
     def qubits(self):
         return self.controls + self.slots + self.pool
 
-    def adjoint(self):
-        inverse = SwapNetwork.__new__(SwapNetwork)
-        for name in SwapNetwork.__slots__:
-            setattr(inverse, name, getattr(self, name))
-        inverse.inverted = not self.inverted
-        return inverse
+    def schedule(self, ry, last_full, busy):
+        """Column k's full qubits are groups k..n-1, so column k starts at
+        X_k, the largest of last_full[c_k], the previous column's X + 1
+        and, for the groups the column is the first to use, their ``busy``;
+        it leaves its control read until X_k + 1.  Forward, every group
+        enters column 0, and group k is done at X_k + 1; inverted, the
+        columns run n-1 down to 0 and every group is done at X_0 + 1."""
+        groups = self.groups
+        if self.inverted:
+            x = -1
+            for c, qubits in reversed(groups):
+                x += 1
+                if last_full[c] > x:
+                    x = last_full[c]
+                for q in qubits:
+                    if busy[q] > x:
+                        x = busy[q]
+                if x >= busy[c]:
+                    busy[c] = x + 1
+            x += 1
+            for _, qubits in groups:
+                for q in qubits:
+                    last_full[q] = busy[q] = x
+            return
+        x = 0
+        for _, qubits in groups:
+            for q in qubits:
+                if busy[q] > x:
+                    x = busy[q]
+        x -= 1
+        for c, qubits in groups:
+            x += 1
+            if last_full[c] > x:
+                x = last_full[c]
+            for q in qubits:
+                last_full[q] = busy[q] = x + 1
+            if x >= busy[c]:
+                busy[c] = x + 1
+
+    def fields(self):
+        return (f"w c={_fmt_qubits(self.controls)} "
+                f"s={_fmt_qubits(self.slots)} pool={_fmt_qubits(self.pool)}")
 
 
 @dataclass(frozen=True)
@@ -498,11 +679,9 @@ def _check_stages(stages, num_ops):
 
 
 def _check_op(op, total):
-    """An op's own checks (a macro's are its factory's), then its qubits:
-    distinct and in range.  The message, naming the first bad qubit, is
-    built only on failure."""
-    if not isinstance(op, Macro):
-        op.validate()
+    """An op's own checks, then its qubits: distinct and in range.  The
+    message, naming the first bad qubit, is built only on failure."""
+    op.validate()
     qubits = op.qubits()
     if len(set(qubits)) != len(qubits):
         raise CircuitError(f"op qubits {_fmt_qubits(qubits)} must be distinct")
@@ -579,153 +758,6 @@ class CircuitBuilder:
         return Circuit(self._registers, self._ops, self._total, self._stages)
 
 
-def _layer_gates(controls, pairs, layered):
-    """A swap layer's forward gates.  Pair (a, b) of control c is CNOT b->a,
-    G-dagger b, CNOT a->b, G-dagger b, CNOT c->b, G b, CNOT a->b, G b,
-    CNOT b->a; the default form runs those nine steps pair by pair, the
-    layered form step by step across all pairs, with one fanout from c."""
-    ab = [Gate(GateKind.CNOT, (a,), ((b, True),)) for a, b in pairs]
-    ba = [Gate(GateKind.CNOT, (b,), ((a, True),)) for a, b in pairs]
-    gdg = [Gate(GateKind.GDG, (b,)) for _, b in pairs]
-    g = [Gate(GateKind.G, (b,)) for _, b in pairs]
-    if layered:
-        fanout = Gate(GateKind.FANOUT_CNOT, tuple(b for _, b in pairs),
-                      controls)
-        return ab + gdg + ba + gdg + [fanout] + g + ba + g + ab
-    cb = [Gate(GateKind.CNOT, (b,), controls) for _, b in pairs]
-    steps = (ab, gdg, ba, gdg, cb, g, ba, g, ab)
-    return [step[i] for i in range(len(pairs)) for step in steps]
-
-
-def _schedule_layer(layer, last_full, busy):
-    """Advance a depth frontier over a swap layer as its gates
-    (``_layer_gates``) would: the closed form of their schedule.
-
-    A pair (a, b) reads the control c between two T-layers on b before and
-    two after: at X = max(max(busy[a], busy[b]) + 2, last_full[c]), leaving
-    a and b at X + 2.  A ``layered`` layer reads c once for all its pairs, so
-    its one X takes the first term's maximum over them.
-    """
-    c = layer.controls[0][0]
-    pairs = layer.pairs
-    ready = last_full[c]
-    if layer.layered:
-        for a, b in pairs:
-            ba, bb = busy[a], busy[b]
-            x = (ba if ba > bb else bb) + 2
-            if x > ready:
-                ready = x
-    top = busy[c]
-    for a, b in pairs:
-        ba, bb = busy[a], busy[b]
-        x = (ba if ba > bb else bb) + 2
-        if ready > x:
-            x = ready
-        last_full[a] = busy[a] = last_full[b] = busy[b] = x + 2
-        if x > top:
-            top = x
-    busy[c] = top
-
-
-def _schedule_block(block, ry, last_full, busy):
-    """Advance a depth frontier over a rotation block as its gates
-    (``RotationBlock.expansion``) would: the closed form of their schedule.
-
-    A slot (controls C, target t) whose flips take T-depth d (1 for two
-    controls, 0 for one) starts at X = max(busy[t], last_full[C]), or
-    inverted, where a rotation comes first, at X = max(busy[t] + R,
-    last_full[C]); its controls are read until X + 2d + R, and t is done at
-    X + 2d + 2R (X + 2d + R inverted).
-    """
-    slots, inverted = block.slots, block.inverted
-    pre, post = (ry, 0) if inverted else (0, ry)
-    if block.fanout is not None:
-        _schedule_fanout(block, last_full, busy)
-    if len(slots[0]) == 3:
-        step = 2 + ry
-        for c1, c2, t in slots:
-            x = busy[t] + pre
-            if last_full[c1] > x:
-                x = last_full[c1]
-            if last_full[c2] > x:
-                x = last_full[c2]
-            x += step
-            last_full[t] = busy[t] = x + post
-            if x > busy[c1]:
-                busy[c1] = x
-            if x > busy[c2]:
-                busy[c2] = x
-    else:
-        for c, t in slots:
-            x = busy[t] + pre
-            if last_full[c] > x:
-                x = last_full[c]
-            x += ry
-            last_full[t] = busy[t] = x + post
-            if x > busy[c]:
-                busy[c] = x
-    if block.fanout is not None:
-        _schedule_fanout(block, last_full, busy)
-
-
-def _schedule_network(network, last_full, busy):
-    """Advance a depth frontier over a swap network as its columns would:
-    the closed form of their schedule.
-
-    Column k's full qubits are groups k..n-1, so column k starts at X_k, the
-    largest of last_full[c_k], the previous column's X + 1 and, for the
-    groups the column is the first to use, their ``busy``; it leaves its
-    control read until X_k + 1.  Forward, every group enters column 0, and
-    group k is done at X_k + 1; inverted, the columns run n-1 down to 0 and
-    every group is done at X_0 + 1.
-    """
-    groups = network.groups
-    if network.inverted:
-        x = -1
-        for c, qubits in reversed(groups):
-            x += 1
-            if last_full[c] > x:
-                x = last_full[c]
-            for q in qubits:
-                if busy[q] > x:
-                    x = busy[q]
-            if x >= busy[c]:
-                busy[c] = x + 1
-        x += 1
-        for _, qubits in groups:
-            for q in qubits:
-                last_full[q] = busy[q] = x
-        return
-    x = 0
-    for _, qubits in groups:
-        for q in qubits:
-            if busy[q] > x:
-                x = busy[q]
-    x -= 1
-    for c, qubits in groups:
-        x += 1
-        if last_full[c] > x:
-            x = last_full[c]
-        for q in qubits:
-            last_full[q] = busy[q] = x + 1
-        if x >= busy[c]:
-            busy[c] = x + 1
-
-
-def _schedule_fanout(block, last_full, busy):
-    """A rotation block's fanout: a weight-0 full use of every slot's first
-    control that reads the fanout qubit."""
-    f = block.fanout
-    x = last_full[f]
-    for slot in block.slots:
-        if busy[slot[0]] > x:
-            x = busy[slot[0]]
-    for slot in block.slots:
-        last_full[slot[0]] = busy[slot[0]] = x
-    if x > busy[f]:
-        busy[f] = x
-
-
 def _op_cost(op):
     """Return (t_count, t_depth, ry_units, full_qubits, control_qubits).
 
@@ -765,8 +797,8 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     (``last_full``) and the latest finish of any use (``busy``): a full use
     waits for ``busy``, a control-only use only for ``last_full``.  A
     frontier's T-depth is its largest ``busy``.  A swap layer, a swap
-    network or a rotation block advances both frontiers in one step
-    (``_schedule_layer``, ``_schedule_network``, ``_schedule_block``).
+    network or a rotation block advances both frontiers in one step (its
+    ``schedule``); gates and macros take the generic path (``_op_cost``).
     T-count is affine in R_y and is summed once; T-depth is a longest path,
     whose critical path may change with R_y, so each value keeps frontiers
     of its own.
@@ -793,24 +825,12 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
         s_count = s_units = 0
         for i in range(lo, hi):
             op = ops[i]
-            if isinstance(op, SwapNetwork):
+            if not isinstance(op, (Gate, Macro)):
                 s_count += op.t_count
-                for state in states:
-                    _schedule_network(op, state[1], state[2])
-                    _schedule_network(op, state[3], state[4])
-                continue
-            if isinstance(op, SwapLayer):
-                s_count += 4 * len(op.pairs)
-                for state in states:
-                    _schedule_layer(op, state[1], state[2])
-                    _schedule_layer(op, state[3], state[4])
-                continue
-            if isinstance(op, RotationBlock):
-                s_count += op.t_count
-                s_units += 2 * len(op.slots)
-                for state in states:
-                    _schedule_block(op, state[0], state[1], state[2])
-                    _schedule_block(op, state[0], state[3], state[4])
+                s_units += op.ry_units
+                for ry, last_full, busy, s_full, s_busy in states:
+                    op.schedule(ry, last_full, busy)
+                    op.schedule(ry, s_full, s_busy)
                 continue
             wc, wd, units, full, ctrl = _op_cost(op)
             s_count += wc
@@ -938,46 +958,6 @@ def _parse_pairs(text):
                  for a, b in (item.split(":") for item in text.split(",")))
 
 
-def _fmt_layer(layer):
-    return (f"l c={_fmt_controls(layer.controls)} p={_fmt_pairs(layer.pairs)} "
-            f"layered={int(layer.layered)} inv={int(layer.inverted)}")
-
-
-def _fmt_network(network):
-    return (f"w c={_fmt_qubits(network.controls)} "
-            f"s={_fmt_qubits(network.slots)} pool={_fmt_qubits(network.pool)} "
-            f"inv={int(network.inverted)}")
-
-
-def _fmt_block(block):
-    """A rotation block's line; ``repr`` writes each angle exactly."""
-    slots = ",".join(":".join(map(str, slot)) for slot in block.slots)
-    fanout = "-" if block.fanout is None else block.fanout
-    return (f"r q={slots} a={','.join(map(repr, block.thetas))} "
-            f"fan={fanout} inv={int(block.inverted)}")
-
-
-def _fmt_macro(op):
-    """A macro's kind, its factory's arguments and ``inv``: the parser calls
-    the factory again, which fixes the cost, the roles and the recipe."""
-    kind = op.kind
-    if kind is MacroKind.AND_TOFFOLI:
-        fields = f"q={_fmt_qubits(op.args)}"
-    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
-        control, pairs, pool = op.args
-        fields = f"c={control} p={_fmt_pairs(pairs)} pool={_fmt_qubits(pool)}"
-    elif kind is MacroKind.UNARY_STEP:
-        select, lo, hi, flag = op.args
-        fields = f"s={_fmt_qubits(select)} from={lo} to={hi} flag={flag}"
-    else:
-        select, rows, slots, flag = op.args
-        packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
-        fields = (f"s={_fmt_qubits(select)} slots={_fmt_qubits(slots)} "
-                  f"flag={'-' if flag is None else flag} rows="
-                  + ",".join(row.tobytes().hex() for row in packed))
-    return f"m {kind.value} {fields} inv={int(op.inverted)}"
-
-
 def write_circuit_text(circuit: Circuit) -> str:
     """The circuit's text: one line per op, and stage bounds in ops."""
     lines = [f"qubits {circuit.total_qubits}"]
@@ -987,16 +967,8 @@ def write_circuit_text(circuit: Circuit) -> str:
         lines.append(f"stage {name} {lo} {hi}")
     gate_lines = {}
     for op in circuit.ops:
-        if isinstance(op, Gate):
-            lines.append(_gate_line(gate_lines, op))
-        elif isinstance(op, SwapNetwork):
-            lines.append(_fmt_network(op))
-        elif isinstance(op, SwapLayer):
-            lines.append(_fmt_layer(op))
-        elif isinstance(op, RotationBlock):
-            lines.append(_fmt_block(op))
-        else:
-            lines.append(_fmt_macro(op))
+        lines.append(_gate_line(gate_lines, op) if isinstance(op, Gate)
+                     else op.line())
     return "\n".join(lines) + "\n"
 
 
@@ -1015,16 +987,23 @@ def _fields(fields, known, what):
     return attrs
 
 
+def _inverted_if(attrs, op):
+    """The line's op: ``op``, or its adjoint when the line has ``inv=1``."""
+    return op.adjoint() if _FLAGS[attrs["inv"]] else op
+
+
 def _parse_layer(fields):
     attrs = _fields(fields, _LAYER_FIELDS, "swap layer")
-    return SwapLayer(_parse_controls(attrs["c"]), _parse_pairs(attrs["p"]),
-                     _FLAGS[attrs["layered"]], _FLAGS[attrs["inv"]])
+    return _inverted_if(attrs, SwapLayer(_parse_controls(attrs["c"]),
+                                         _parse_pairs(attrs["p"]),
+                                         _FLAGS[attrs["layered"]]))
 
 
 def _parse_network(fields):
     attrs = _fields(fields, _NETWORK_FIELDS, "swap network")
-    return SwapNetwork(_parse_qubits(attrs["c"]), _parse_qubits(attrs["s"]),
-                       _parse_qubits(attrs["pool"]), _FLAGS[attrs["inv"]])
+    return _inverted_if(attrs, SwapNetwork(_parse_qubits(attrs["c"]),
+                                           _parse_qubits(attrs["s"]),
+                                           _parse_qubits(attrs["pool"])))
 
 
 def _parse_block(fields):
@@ -1034,11 +1013,10 @@ def _parse_block(fields):
     slots = [tuple(map(int, slot.split(":")))
              for slot in attrs["q"].split(",")]
     fanout = None if attrs["fan"] == "-" else int(attrs["fan"])
-    block = RotationBlock(slots, map(float, attrs["a"].split(",")), fanout,
-                          _FLAGS[attrs["inv"]])
+    block = RotationBlock(slots, map(float, attrs["a"].split(",")), fanout)
     if ",".join(map(repr, block.thetas)) != attrs["a"]:
         raise ValueError("angles not written as repr writes them")
-    return block
+    return _inverted_if(attrs, block)
 
 
 _MACRO_ARGS = {
@@ -1086,7 +1064,12 @@ def _parse_macro(fields):
         macro = decomp.unary_select(_parse_qubits(attrs["s"]),
                                     _parse_rows(attrs["rows"], len(slots)),
                                     slots, flag)
-    return macro.adjoint() if _FLAGS[attrs["inv"]] else macro
+    return _inverted_if(attrs, macro)
+
+
+# Op line parsers, by the line's first token.
+_OP_PARSERS = {"g": _parse_gate, "m": _parse_macro, "l": _parse_layer,
+               "w": _parse_network, "r": _parse_block}
 
 
 def parse_circuit_text(text: str) -> Circuit:
@@ -1107,17 +1090,10 @@ def parse_circuit_text(text: str) -> Circuit:
         op = seen.get(line)
         if op is None:
             head, _, rest = line.partition(" ")
+            parse = _OP_PARSERS.get(head)
             try:
-                if head == "g":
-                    op = seen[line] = _parse_gate(rest.split())
-                elif head == "m":
-                    op = seen[line] = _parse_macro(rest.split())
-                elif head == "l":
-                    op = seen[line] = _parse_layer(rest.split())
-                elif head == "w":
-                    op = seen[line] = _parse_network(rest.split())
-                elif head == "r":
-                    op = seen[line] = _parse_block(rest.split())
+                if parse is not None:
+                    op = seen[line] = parse(rest.split())
                 elif head == "qubits":
                     total = int(rest)
                     continue

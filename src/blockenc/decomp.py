@@ -9,7 +9,8 @@ LOADF swap networks (``circuit.SwapNetwork``, whose columns are
 ``parallel_cswap_clean``) and the blocks of controlled rotations on
 disjoint slots (``circuit.RotationBlock``, whose slots are
 ``controlled_ry_gates``), all three built directly, are the gadgets the
-generators emit:
+generators emit; a macro and those three are ``circuit.Compound`` ops,
+whose one ``adjoint()`` shares every field and flips ``inverted``:
 
 * ``controlled_ry_gates``: an exact singly or doubly controlled RY, alone
   (the fixed-precision ladder) or as one slot of a rotation block (the

@@ -336,7 +336,7 @@ LEDGER = (
     ),
     LedgerEntry(
         "sp_prerotated", "t_depth", "n >= 2",
-        "-(n-1) (each controlled repair rotation releases its flag "
+        "-min(n-1, R_y) (each controlled repair rotation releases its flag "
         "control halfway through, so FLAG-dagger overlaps the trailing "
         "half-rotations)",
         ("published pre-rotated state-preparation T-depth 3n + 4R_y - 3",
@@ -344,9 +344,6 @@ LEDGER = (
          "flip, R_y(h): the final half-rotation no longer involves the "
          "control"),
         lambda p: p["n"] >= 2,
-        # Observed, not yet explained: the overlap never exceeds the depth
-        # R_y of one half-rotation.  The text, which build reports quote,
-        # gives the value at R_y >= n-1.
         lambda p: -min(p["n"] - 1, p["ry"]),
     ),
     LedgerEntry(
@@ -370,15 +367,13 @@ LEDGER = (
     ),
     LedgerEntry(
         "be_prerotated", "t_depth", "all n",
-        "-(3n-2) (the pre-rotated legs overlap FLAG-dagger with the "
+        "-min(3n-2, R_y) (the pre-rotated legs overlap FLAG-dagger with the "
         "controlled repair rotations, and the mirrored leg overlaps its "
         "flag work with the LOADF rotation layers)",
         ("published pre-rotated block-encoding T-depth 10n + 8R_y - 4",
          "published stage schedule vs the controlled-rotation structure "
          "releasing its controls mid-fragment"),
         lambda p: p["n"] >= 1,
-        # Observed, capped by R_y as in sp_prerotated; the text gives the
-        # value at R_y >= 3n-2.
         lambda p: -min(3 * p["n"] - 2, p["ry"]),
     ),
 )

@@ -11,8 +11,9 @@ basis-correlated with the address, so the support stays small except
 through H layers.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
-gate stream (macro, swap-layer, swap-network and rotation-block expansions
-flattened: a layer of controlled swaps is one op of the circuit) in runs: a
+gate stream (the expansion of every ``circuit.Compound`` op flattened: a
+macro, a swap layer, a swap network or a rotation block is one op of the
+circuit) in runs: a
 stretch of consecutive gates without a rotation on at most
 ``MONOMIAL_RUN_WIDTH`` qubits that holds an H, G or G^dagger, and whose
 product permutes basis states and multiplies phases (one unit-modulus entry
@@ -36,15 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    Macro,
-    RotationBlock,
-    SwapLayer,
-    SwapNetwork,
-)
+from .circuit import Circuit, Compound, Gate, GateKind
 
 DEFAULT_SUPPORT_CAP = 1 << 20
 PRUNE_THRESHOLD = 1e-14
@@ -161,12 +154,12 @@ def _runs(keys):
 
 
 def _gates(ops):
-    """The gate stream of ``ops``, macro, swap-layer, swap-network and
-    rotation-block expansions flattened."""
+    """The gate stream of ``ops``, each ``Compound`` op's expansion
+    flattened."""
     for op in ops:
         if isinstance(op, Gate):
             yield op
-        elif isinstance(op, (Macro, SwapLayer, SwapNetwork, RotationBlock)):
+        elif isinstance(op, Compound):
             yield from op.expansion
         else:
             raise SimulationError(f"unknown op {op!r}")

@@ -10,6 +10,7 @@ from blockenc.circuit import (
     Circuit,
     CircuitBuilder,
     CircuitError,
+    Compound,
     Gate,
     GateKind,
     Macro,
@@ -1182,3 +1183,31 @@ def test_builder_checks_a_swap_network(controls, slots, pool, message):
     text = write_circuit_text(Circuit(b.build().registers, [network], 8))
     with pytest.raises(CircuitError, match=message):
         parse_circuit_text(text)
+
+
+# ---------------------------------------------------------------------------
+# The one adjoint of every compound op
+# ---------------------------------------------------------------------------
+
+@_PROPERTY
+@given(circuit=st.one_of(_layer_circuits(factory=True),
+                         _block_circuits(factory=True),
+                         _network_circuits(factory=True)),
+       macro=_factory_macros())
+def test_compound_adjoint_shares_fields_and_flips_inv(circuit, macro):
+    """Each swap layer, rotation block, swap network and macro of a drawn
+    circuit, forward or adjoint: its adjoint holds the same field objects,
+    inverts the expansion, and writes a line that parses back to itself;
+    the adjoint's adjoint writes the op's line."""
+    ops = [op for op in circuit.ops if isinstance(op, Compound)] + [macro]
+    for op in ops:
+        inverse = op.adjoint()
+        assert type(inverse) is type(op)
+        for name in type(op).__slots__:
+            assert getattr(inverse, name) is getattr(op, name)
+        assert inverse.inverted is not op.inverted
+        assert inverse.adjoint().line() == op.line()
+        assert inverse.expansion == tuple(adjoint_ops(op.expansion))
+        parsed = parse_circuit_text(
+            f"qubits {circuit.total_qubits}\n{inverse.line()}\n")
+        assert parsed.ops[0].line() == inverse.line()

@@ -154,6 +154,20 @@ def test_build_prerotated_qubits_match_table5(capsys, matrix_csv):
     assert payload["match"] is True
 
 
+def test_prerotated_report_quotes_the_capped_depth_rule(capsys, matrix_csv):
+    """At R_y = 7 < 3n - 2 = 10 the ledger offsets the 16x16 pre-rotated
+    T-depth by -7, and the report quotes that capped rule."""
+    path = matrix_csv(np.random.default_rng(0).uniform(5, 105, (16, 16)))
+    code, out, _ = run_cli(capsys, "build", "--matrix", path, "--method",
+                           "prerotated", "--ry", "7", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["t_depth"], payload["formula"]["t_depth"]) == (85, 92)
+    assert payload["match"] is True
+    (ref,) = payload["ledger_refs"]
+    assert ref.startswith("be_prerotated.t_depth [all n] -min(3n-2, R_y) (")
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
 def test_prerotated_on_non_power_of_two_matrix(capsys, matrix_csv, shape):
     rng = np.random.default_rng(2)
