@@ -1,12 +1,13 @@
 """Gate-level IR, qubit registers, and T-resource accounting.
 
 A circuit is an ordered list of gates, macros, controlled-swap layers,
-LOADF swap networks and controlled-rotation blocks over named, disjoint
-qubit registers.  Resource accounting follows the fault-tolerant cost
-model: T/T`/G/G` gates cost one T each, Clifford gates (including
-fanout-CNOT of any arity) are free and contribute no depth, rotations cost
-a configurable synthesis T-count, macros carry declared costs, a swap layer
-or a rotation block costs what its gates cost, and a swap network what its
+LOADF swap networks, controlled-rotation blocks and layers of one
+single-qubit Clifford over named, disjoint qubit registers.  Resource
+accounting follows the fault-tolerant cost model: T/T`/G/G` gates cost one
+T each, Clifford gates (including fanout-CNOT of any arity) are free and
+contribute no depth, rotations cost a configurable synthesis T-count,
+macros carry declared costs, a swap layer, a rotation block or a Clifford
+layer costs what its gates cost, and a swap network what its
 ``parallel_cswap_clean`` columns cost.
 
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
@@ -19,7 +20,8 @@ one-step schedule, and the base class gives every kind one adjoint.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
 line per op: a gate, a macro by its factory's arguments, or a swap layer, a
-swap network or a rotation block by its fields; stage bounds count ops.
+swap network, a rotation block or a Clifford layer by its fields; stage
+bounds count ops.
 """
 from __future__ import annotations
 
@@ -123,6 +125,8 @@ class Gate:
             raise CircuitError("FANOUT_CNOT requires at least one target")
         if (self.angle is None) == (kind is GateKind.RY):
             raise CircuitError(f"angle mismatch for {kind.value}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise CircuitError("RY angles must be finite")
 
     def qubits(self):
         return self.targets + tuple(q for q, _ in self.controls)
@@ -163,19 +167,19 @@ def _angles_equal(a, b):
 
 
 class Compound:
-    """An op made of gates: a macro, a swap layer, a swap network or a
-    rotation block.
+    """An op made of gates: a macro, a swap layer, a swap network, a
+    rotation block or a Clifford layer.
 
     A subclass keeps its fields in ``__slots__`` and defines ``gates()``,
     its forward gate list, and ``fields()``, its text line up to ``inv``.
     ``inverted`` marks the adjoint: ``adjoint()`` copies every slot and
     flips it, so an op and its adjoint share their field objects, and
     ``expansion`` is the forward gates, inverted when ``inverted`` is set.
-    Only the simulator asks for the expansion.  A swap layer, a swap
-    network or a rotation block also checks its fields (``validate``) and
-    schedules itself: ``schedule(ry, last_full, busy)`` advances a depth
-    frontier over the op in one step, from the closed form of its gates'
-    schedule, and the op costs ``t_count`` plus ``ry_units`` R_y units.
+    Only the simulator asks for the expansion.  Every kind but a macro
+    also checks its fields (``validate``) and schedules itself:
+    ``schedule(ry, last_full, busy)`` advances a depth frontier over the op
+    in one step, from the closed form of its gates' schedule, and the op
+    costs ``t_count`` plus ``ry_units`` R_y units.
     """
 
     __slots__ = ("inverted",)
@@ -482,6 +486,49 @@ class RotationBlock(Compound):
         return f"r q={slots} a={','.join(map(repr, self.thetas))} fan={fanout}"
 
 
+_LAYER_KINDS = frozenset((GateKind.X, GateKind.Z, GateKind.H))
+
+
+class CliffordLayer(Compound):
+    """One single-qubit Clifford ``kind`` (X, Z or H) on each of distinct
+    ``targets``: a data write, a Z imprint or the bus's H wall.  It is
+    free, and each target is one weight-0 full use."""
+
+    __slots__ = ("kind", "targets")
+    t_count = 0
+
+    def __init__(self, kind, targets):
+        self.kind = kind
+        self.targets = tuple(targets)
+        self.inverted = False
+
+    def validate(self):
+        if self.kind not in _LAYER_KINDS:
+            raise CircuitError("a Clifford layer is X, Z or H, not "
+                               f"{self.kind.value}")
+        if not self.targets:
+            raise CircuitError("a Clifford layer takes one or more targets")
+
+    def gates(self):
+        return [Gate(self.kind, (q,)) for q in self.targets]
+
+    def qubits(self):
+        return self.targets
+
+    def schedule(self, ry, last_full, busy):
+        for q in self.targets:
+            last_full[q] = busy[q]
+
+    def fields(self):
+        return f"c k={self.kind.value} t={_fmt_qubits(self.targets)}"
+
+
+def clifford_layer_ops(kind, targets):
+    """``[CliffordLayer(kind, targets)]``, or no op for no target."""
+    targets = tuple(targets)
+    return [CliffordLayer(kind, targets)] if targets else []
+
+
 def stride_pairs(slots, k):
     """The slot pairs (c, c + 2^k), c a multiple of 2^(k+1), of the swap
     column that halves the live slots at stride 2^k."""
@@ -691,7 +738,12 @@ def _check_op(op, total):
 
 
 class CircuitBuilder:
-    """Mutable builder used by the generators; produces an immutable Circuit."""
+    """Mutable builder used by the generators; produces an immutable Circuit.
+
+    Each op is checked as it is added, a gate once per distinct shape.  The
+    shape holds no angle value, so an RY is checked for a finite angle only
+    in its shape's first gate: the generators emit only finite angles.
+    """
 
     def __init__(self):
         self._registers = []
@@ -797,8 +849,9 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     (``last_full``) and the latest finish of any use (``busy``): a full use
     waits for ``busy``, a control-only use only for ``last_full``.  A
     frontier's T-depth is its largest ``busy``.  A swap layer, a swap
-    network or a rotation block advances both frontiers in one step (its
-    ``schedule``); gates and macros take the generic path (``_op_cost``).
+    network, a rotation block or a Clifford layer advances both frontiers
+    in one step (its ``schedule``); gates and macros take the generic path
+    (``_op_cost``).
     T-count is affine in R_y and is summed once; T-depth is a longest path,
     whose critical path may change with R_y, so each value keeps frontiers
     of its own.
@@ -975,6 +1028,7 @@ def write_circuit_text(circuit: Circuit) -> str:
 _LAYER_FIELDS = frozenset(("c", "p", "layered", "inv"))
 _NETWORK_FIELDS = frozenset(("c", "s", "pool", "inv"))
 _BLOCK_FIELDS = frozenset(("q", "a", "fan", "inv"))
+_CLIFFORD_FIELDS = frozenset(("k", "t", "inv"))
 _FLAGS = {"0": False, "1": True}
 
 
@@ -1017,6 +1071,12 @@ def _parse_block(fields):
     if ",".join(map(repr, block.thetas)) != attrs["a"]:
         raise ValueError("angles not written as repr writes them")
     return _inverted_if(attrs, block)
+
+
+def _parse_clifford(fields):
+    attrs = _fields(fields, _CLIFFORD_FIELDS, "Clifford layer")
+    return _inverted_if(attrs, CliffordLayer(_GATE_KINDS[attrs["k"]],
+                                             _parse_qubits(attrs["t"])))
 
 
 _MACRO_ARGS = {
@@ -1069,11 +1129,12 @@ def _parse_macro(fields):
 
 # Op line parsers, by the line's first token.
 _OP_PARSERS = {"g": _parse_gate, "m": _parse_macro, "l": _parse_layer,
-               "w": _parse_network, "r": _parse_block}
+               "w": _parse_network, "r": _parse_block, "c": _parse_clifford}
 
 
 def parse_circuit_text(text: str) -> Circuit:
-    """Parse ``write_circuit_text`` output.
+    """Parse ``write_circuit_text`` output: exactly one ``qubits`` header,
+    with a positive count, then registers, stages and op lines.
 
     Each distinct op line is parsed and checked once, and equal lines share
     one op object (ops are never mutated).
@@ -1095,7 +1156,11 @@ def parse_circuit_text(text: str) -> Circuit:
                 if parse is not None:
                     op = seen[line] = parse(rest.split())
                 elif head == "qubits":
+                    if total is not None:
+                        raise ValueError("a second qubits header")
                     total = int(rest)
+                    if total < 1:
+                        raise ValueError("qubits must be positive")
                     continue
                 elif head == "reg":
                     name, offset, size = rest.split()

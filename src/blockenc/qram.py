@@ -10,8 +10,12 @@ Three loaders parameterized by the depth/width tradeoff lambda:
   a |+> bus; garbage-free,
 * LOADF: flag-conditioned loading of single-qubit rotated states, built from
   phase-correct swap networks (one ``SwapNetwork`` op each) and blocks of
-  doubly-controlled rotations (one ``RotationBlock`` op each): six ops per
-  copy.
+  doubly-controlled rotations (one ``RotationBlock`` op each): four ops per
+  copy between two X layers shared by every copy.
+
+Each run of one single-qubit Clifford (the select-swap data write at s = 0,
+a bucket-brigade iteration's Z imprints, the bus's H walls) is one
+``CliffordLayer`` op.
 
 Select-swap columns and swap-network columns take their stride-2^k slot
 pairs from ``circuit.stride_pairs``.
@@ -35,6 +39,7 @@ from .circuit import (
     SwapLayer,
     SwapNetwork,
     adjoint_ops,
+    clifford_layer_ops,
     stride_pairs,
 )
 from .decomp import match_controls, unary_select, unary_step
@@ -107,8 +112,8 @@ class SelectSwapLoad:
         all_slots = tuple(q for slot in self.slots for q in slot)
         rows = np.asarray(spec.rows).reshape(1 << s, -1)
         if s == 0:
-            ops = [Gate(GateKind.X, (all_slots[i],))
-                   for i in np.flatnonzero(rows[0])]
+            ops = clifford_layer_ops(
+                GateKind.X, (all_slots[i] for i in np.flatnonzero(rows[0])))
         else:
             ops = [unary_select(
                 self.addr[:s], rows, all_slots,
@@ -194,14 +199,14 @@ class BucketBrigadeLoad:
         return forward
 
     def _data_layer(self, subset_rows):
-        """Z imprints of one iteration's rows on the routed leaves."""
+        """One Z layer imprinting one iteration's rows on the routed
+        leaves (no op for all-zero rows)."""
         lam = self.spec.lam
-        ops = []
+        targets = []
         for leaf, row in enumerate(subset_rows):
             leaf_qubits = self.anc_d if lam == 0 else self._path(lam, leaf)
-            ops.extend(Gate(GateKind.Z, (leaf_qubits[i],))
-                       for i in np.flatnonzero(row))
-        return ops
+            targets.extend(leaf_qubits[i] for i in np.flatnonzero(row))
+        return clifford_layer_ops(GateKind.Z, targets)
 
     def build_ops(self):
         """The LOAD; the routing and the flag-controlled in/out swap layers
@@ -209,7 +214,8 @@ class BucketBrigadeLoad:
         spec = self.spec
         s = spec.select_bits
         n_leaves = 1 << spec.lam
-        ops = [Gate(GateKind.H, (q,)) for q in self.bus]
+        bus_h = clifford_layer_ops(GateKind.H, self.bus)
+        ops = list(bus_h)
         sel = self.addr[:s]
 
         def match_gate(value):
@@ -234,7 +240,7 @@ class BucketBrigadeLoad:
             if i + 1 < (1 << s):
                 ops.append(unary_step(sel, i, i + 1, self.flag))
         ops.append(match_gate((1 << s) - 1))
-        ops.extend(Gate(GateKind.H, (q,)) for q in self.bus)
+        ops += bus_h
         return ops
 
 
@@ -300,36 +306,38 @@ class FlagLoad:
                                 tuple(pool_a), tuple(pool_b)))
 
     def build_ops(self, static_flags_one=False):
-        """Six ops per copy: X on one-hot slot 0, the inverse one-hot
-        network (slot 0 -> slot j), the rotation block, the angle network
-        and the one-hot network, X.  One-hot networks draw on pool B, angle
-        networks on pool A.  The rotation block V rotates angle slot k by
-        theta^(k) under the flag and one-hot controls; its expansion runs
-        slot by slot, so the simulator branches on one angle slot at a
-        time, and each Toffoli's scratch qubit is pool_a[k].
+        """One X layer on every copy's one-hot slot 0, four ops per copy
+        (the inverse one-hot network, slot 0 -> slot j, the rotation block,
+        the angle network and the one-hot network), and the X layer again.
+        One-hot networks draw on pool B, angle networks on pool A.  The
+        rotation block V rotates angle slot k by theta^(k) under the flag
+        and one-hot controls; its expansion runs slot by slot, so the
+        simulator branches on one angle slot at a time, and each Toffoli's
+        scratch qubit is pool_a[k].
 
-        The ops go out stage by stage across the copies (every copy's X,
-        then every inverse network, ...), the order of the per-column ops
-        before networks.  Copy by copy would count the same, since copies
-        share only the address, as controls, but it would reorder the
-        simulated state's entries at each rotation block, and with them the
-        last bits of the simulator's sums.
+        The copies' ops go out stage by stage (every inverse network, then
+        every rotation block, ...), the order of the per-column ops before
+        networks.  Copy by copy, ``[x, *chain(*per_copy), x]``, would count
+        the same, since copies share only the address, as controls, but it
+        would reorder the simulated state's entries at each rotation block,
+        and with them the last bits of the simulator's sums.
         """
         controls = self.addr[::-1]
         per_copy = []
         for (flag, angle, onehot, pool_a, pool_b), thetas in zip(
                 self.copies, zip(*self.thetas)):
-            x = Gate(GateKind.X, (onehot[0],))
             onehot_network = SwapNetwork(controls, onehot, pool_b)
             if static_flags_one:
                 block = RotationBlock(zip(onehot, angle), thetas)
             else:
                 block = RotationBlock(zip(pool_b, onehot, angle), thetas,
                                       fanout=flag)
-            per_copy.append((x, onehot_network.adjoint(), block,
+            per_copy.append((onehot_network.adjoint(), block,
                              SwapNetwork(controls, angle, pool_a),
-                             onehot_network, x))
-        return [op for stage in zip(*per_copy) for op in stage]
+                             onehot_network))
+        x = clifford_layer_ops(GateKind.X, (onehot[0] for _, _, onehot, _, _
+                                            in self.copies))
+        return x + [op for stage in zip(*per_copy) for op in stage] + x
 
 
 def build_loadf(spec: LoadSpec, thetas):

@@ -12,14 +12,14 @@ through H layers.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
 gate stream (the expansion of every ``circuit.Compound`` op flattened: a
-macro, a swap layer, a swap network or a rotation block is one op of the
-circuit) in runs: a
-stretch of consecutive gates without a rotation on at most
-``MONOMIAL_RUN_WIDTH`` qubits that holds an H, G or G^dagger, and whose
-product permutes basis states and multiplies phases (one unit-modulus entry
-per column), acts as one masked permutation and one phase gather, with no
-branch.  A phase-incorrect controlled swap is such a run.  The product is
-computed once per run shape, by the per-gate kernels on the run's basis.
+macro, a swap layer, a swap network, a rotation block or a Clifford layer
+is one op of the circuit) in runs: a stretch of consecutive gates without
+a rotation on at most ``MONOMIAL_RUN_WIDTH`` qubits that holds an H, G or
+G^dagger, and whose product permutes basis states and multiplies phases
+(one unit-modulus entry per column), acts as one masked permutation and one
+phase gather, with no branch.  A phase-incorrect controlled swap is such a
+run.  The product is computed once per run shape, by the per-gate kernels
+on the run's basis.
 Every other gate is applied on its own, as ``SparseState.apply`` does.
 
 ``extract_block`` and ``dense_unitary`` run all their input columns in one

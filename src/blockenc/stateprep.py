@@ -26,6 +26,7 @@ from .circuit import (
     RotationBlock,
     SwapLayer,
     adjoint_ops,
+    clifford_layer_ops,
 )
 from .decomp import controlled_ry_gates, parallel_cswap_clean
 from .angle_tree import TWO_PI, heap_angles, prerotated_angles
@@ -92,8 +93,10 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
 
 
 def fixed_init_ops(block, row):
-    """Clifford X layer writing one LOAD row into a fixed-precision block."""
-    return [Gate(GateKind.X, (block[i],)) for i in np.flatnonzero(row)]
+    """One X layer writing one LOAD row into a fixed-precision block (no op
+    for an all-zero row)."""
+    return clifford_layer_ops(GateKind.X,
+                              (block[i] for i in np.flatnonzero(row)))
 
 
 def fixed_data_width(n, t):
@@ -178,12 +181,14 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
     n = len(data)
     big_n = 1 << n
     folded = prerotated_angles(vectors)[0].tolist()
+    flags = clifford_layer_ops(GateKind.X,
+                               (f_slots[r] for r in range(1, big_n)))
     ops = []
     for r, theta in enumerate(folded, start=1):
         # Two half-angle rotations: the synthesized form H*H of one V_r.
         ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
         ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
-    ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
+    ops += flags
     fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
     ops.extend(fwd)
     ops.extend(adjoint_ops(s_ops))
@@ -192,7 +197,7 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
     ops.append(RotationBlock(((f_slots[r], slots[r]) for r in range(1, big_n)),
                              [-theta for theta in folded]))
     ops.extend(flag_dagger_ops(data, f_slots, n, pool_b))
-    ops.extend(Gate(GateKind.X, (f_slots[r],)) for r in range(1, big_n))
+    ops += flags
     return ops
 
 
@@ -262,9 +267,8 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     pa = plan.copies[0][3]
     pb = plan.copies[0][4]
 
-    ops = []
-    ops.extend(Gate(GateKind.X, (flag[r],)) for r in range(big_n - 1))
-    ops.extend(plan.build_ops(static_flags_one=True))
+    flags = clifford_layer_ops(GateKind.X, flag)
+    ops = flags + plan.build_ops(static_flags_one=True)
     fwd, s_ops = spf_forward_ops(data, slots, n, pa)
     ops.extend(fwd)
     ops.extend(adjoint_ops(s_ops))
@@ -272,6 +276,6 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     ops.extend(adjoint_ops(fdg))
     ops.extend(adjoint_ops(plan.build_ops(static_flags_one=False)))
     ops.extend(flag_dagger_ops(data, f_slots, n, pb))
-    ops.extend(Gate(GateKind.X, (flag[r],)) for r in range(big_n - 1))
+    ops += flags
     return ops, plan
 

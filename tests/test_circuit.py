@@ -10,6 +10,7 @@ from blockenc.circuit import (
     Circuit,
     CircuitBuilder,
     CircuitError,
+    CliffordLayer,
     Compound,
     Gate,
     GateKind,
@@ -313,6 +314,12 @@ def test_out_of_range_macro_rejected():
     # A swap network line without its pool, or with a bad flag.
     "w c=0 s=1,2 inv=0",
     "w c=0 s=1,2 pool=- inv=2",
+    # A second qubits header, with another count or the same one.
+    "qubits 4",
+    "qubits 3",
+    # A Clifford layer without its targets, or with an unknown kind.
+    "c k=X inv=0",
+    "c k=BOGUS t=0 inv=0",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -333,11 +340,29 @@ def test_malformed_line_raises_circuit_error(line):
     ("r q=0:1 a=nan fan=- inv=0", "finite"),
     ("r q=0:1:2 a=0.5 fan=1 inv=0", "distinct"),
     ("w c=0 s=1,2 pool=- inv=0 bogus=1", "unknown swap network field 'bogus'"),
+    ("c k=X t=0 inv=0 bogus=1", "unknown Clifford layer field 'bogus'"),
+    ("g RY t=0 a=nan", "RY angles must be finite"),
+    ("g RY t=0 a=inf", "RY angles must be finite"),
+    ("g RY t=0 a=-inf", "RY angles must be finite"),
 ])
 def test_unknown_field_rejected(line, message):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
     with pytest.raises(CircuitError, match=message):
         parse_circuit_text(text)
+
+
+@pytest.mark.parametrize("header", ["qubits -1", "qubits 0"])
+def test_qubits_header_must_be_positive(header):
+    with pytest.raises(CircuitError, match=f"unparseable line: {header!r}"):
+        parse_circuit_text(header + "\n")
+
+
+def test_builder_rejects_a_non_finite_angle():
+    b = CircuitBuilder()
+    b.allocate("q", 1)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CircuitError, match="RY angles must be finite"):
+            b.gate(GateKind.RY, 0, angle=angle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,12 +387,13 @@ def test_accepted_block_line_writes_back_unchanged(angle, spelling):
 @example(angle=0.1 + 0.2, spelling="{!r}")
 def test_accepted_gate_line_writes_back_unchanged(angle, spelling):
     """A gate angle is written by ``repr`` and read only in that spelling:
-    0.1 + 0.2 writes back as 0.30000000000000004, not as 0.3."""
+    0.1 + 0.2 writes back as 0.30000000000000004, not as 0.3.  An infinite
+    angle is rejected in every spelling."""
     text = "qubits 1\nreg q 0 1\ng RY t=0 a=" + spelling.format(angle) + "\n"
     try:
         parsed = parse_circuit_text(text)
     except CircuitError:
-        assert spelling != "{!r}"
+        assert spelling != "{!r}" or not math.isfinite(angle)
     else:
         assert write_circuit_text(parsed) == text
         assert spelling != "{!r}" or parsed.ops[0].angle == angle
@@ -582,15 +608,29 @@ def _hub_rotations(draw):
     return RotationBlock([slot], [draw(st.floats(-math.pi, math.pi))])
 
 
+_CLIFFORD_KINDS = (GateKind.X, GateKind.Z, GateKind.H)
+
+
+@st.composite
+def _clifford_layers(draw, width=_WIDTH):
+    """An X, Z or H layer on 1-4 distinct drawn qubits, forward or
+    adjoint."""
+    targets = draw(st.permutations(range(width)))[:draw(st.integers(1, 4))]
+    layer = CliffordLayer(draw(st.sampled_from(_CLIFFORD_KINDS)), targets)
+    return layer.adjoint() if draw(st.booleans()) else layer
+
+
 @st.composite
 def _staged_circuits(draw, factory=False):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
     pool always holds two or more rotation blocks that share control qubit
-    0, and its macros are the factories' when ``factory``."""
+    0, and Clifford layers, and its macros are the factories' when
+    ``factory``."""
     gates = draw(st.lists(_gates(), min_size=1, max_size=5))
     macros = _factory_macros() if factory else _macros(gates)
     pool = (gates + draw(st.lists(_hub_rotations(), min_size=2, max_size=3))
+            + draw(st.lists(_clifford_layers(), max_size=2))
             + draw(st.lists(macros, max_size=3)))
     ops = draw(st.lists(st.sampled_from(pool), max_size=60))
     cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
@@ -612,12 +652,14 @@ _PROPERTY = settings(max_examples=60, deadline=None,
 
 
 def _same_ops(ops, others):
-    """Equal op for op; a rotation block, which defines no equality, by its
-    fields and exact angles."""
+    """Equal op for op; a rotation block or a Clifford layer, which define
+    no equality, by their fields (a block's angles exactly)."""
     def key(op):
         if isinstance(op, RotationBlock):
             return (op.slots, tuple(map(float.hex, op.thetas)), op.fanout,
                     op.inverted)
+        if isinstance(op, CliffordLayer):
+            return (op.kind, op.targets, op.inverted)
         return op
     return list(map(key, ops)) == list(map(key, others))
 
@@ -698,16 +740,16 @@ def network_columns(network):
 
 
 def flattened(circuit):
-    """``circuit`` with each swap layer and rotation block replaced by its
-    gates, and each swap network by its columns, with the stage bounds
-    moved with them.  A rotation block's Toffolis become the
+    """``circuit`` with each swap layer, Clifford layer and rotation block
+    replaced by its gates, and each swap network by its columns, with the
+    stage bounds moved with them.  A rotation block's Toffolis become the
     ``and_toffoli`` macros it is counted as: the ops each slot was emitted
     as before blocks."""
     ops, at = [], [0]
     for op in circuit.ops:
         if isinstance(op, SwapNetwork):
             ops.extend(network_columns(op))
-        elif isinstance(op, SwapLayer):
+        elif isinstance(op, (SwapLayer, CliffordLayer)):
             ops.extend(op.expansion)
         elif isinstance(op, RotationBlock):
             ops.extend(and_toffoli(g.controls[0][0], g.controls[1][0],
@@ -1186,17 +1228,107 @@ def test_builder_checks_a_swap_network(controls, slots, pool, message):
 
 
 # ---------------------------------------------------------------------------
+# Clifford layers: one op, counted as its gates
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _clifford_circuits(draw, factory=False):
+    """A Clifford layer after a drawn prefix of ops on its qubits and
+    before a drawn suffix, with drawn stage bounds: T gates and RYs on its
+    targets, one-slot rotation blocks that read them, drawn gates, other
+    layers and macros (the factories' when ``factory``)."""
+    layer = draw(_clifford_layers())
+    targets = layer.targets
+    pool = [Gate(GateKind.T, (q,)) for q in draw(st.lists(
+        st.sampled_from(targets), min_size=1, max_size=3))]
+    pool += [Gate(GateKind.RY, (q,), (), 0.5) for q in draw(st.lists(
+        st.sampled_from(targets), max_size=2))]
+    for c in draw(st.lists(st.sampled_from(targets), min_size=1,
+                           max_size=2)):
+        t = draw(st.sampled_from([q for q in range(_WIDTH) if q != c]))
+        pool.append(RotationBlock([(c, t)], [0.5]))
+    pool += draw(st.lists(_gates(), max_size=4))
+    pool += draw(st.lists(_clifford_layers(), max_size=2))
+    pool += draw(st.lists(_factory_macros() if factory
+                          else _macros(pool[:1]), max_size=2))
+    ops = (draw(st.lists(st.sampled_from(pool), max_size=16)) + [layer]
+           + draw(st.lists(st.sampled_from(pool), max_size=6)))
+    bounds = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
+    stages = [(f"s{i % 2}", bounds[2 * i], bounds[2 * i + 1])
+              for i in range(len(bounds) // 2)]
+    return Circuit([QubitRegister("q", 0, _WIDTH)], ops, _WIDTH, stages)
+
+
+# A layer on 0 and 1 after 3 Ts on 0 and a read of 1: the T after it on 1
+# starts at the read's finish, not at 3.
+_UNEVEN_LAYER = Circuit(
+    [QubitRegister("q", 0, 3)],
+    _t(0, 3) + [RotationBlock([(1, 2)], [0.5]),
+                CliffordLayer(GateKind.H, (0, 1))] + _t(1),
+    3, [("s0", 0, 4), ("s1", 4, 6)])
+
+
+@_PROPERTY
+@given(circuit=_clifford_circuits(), rys=st.lists(
+    st.integers(0, 40), min_size=1, max_size=4))
+@example(circuit=_UNEVEN_LAYER, rys=[0, 1, 30])
+def test_clifford_layer_counts_as_its_gates(circuit, rys):
+    """Totals and the stage breakdown, a layer inside a stage or across a
+    stage bound, equal those of the layer's flat gates."""
+    assert (count_resources_at(circuit, rys)
+            == count_resources_at(flattened(circuit), rys))
+
+
+@_PROPERTY
+@given(circuit=_clifford_circuits(factory=True))
+def test_clifford_layer_is_one_text_line(circuit):
+    text = write_circuit_text(circuit)
+    layers = [op for op in circuit.ops if isinstance(op, CliffordLayer)]
+    lines = [line for line in text.splitlines() if line.startswith("c ")]
+    assert lines == [f"c k={op.kind.value} t={','.join(map(str, op.targets))}"
+                     f" inv={int(op.inverted)}" for op in layers]
+    parsed = parse_circuit_text(text)
+    assert _same_ops(parsed.ops, circuit.ops)
+    assert parsed.stages == circuit.stages
+    assert write_circuit_text(parsed) == text
+    assert (count_resources_at(parsed, (1, 10, 30))
+            == count_resources_at(circuit, (1, 10, 30)))
+
+
+@pytest.mark.parametrize("kind, targets, line, message", [
+    (GateKind.CNOT, (0,), "c k=CNOT t=0", "X, Z or H, not CNOT"),
+    (GateKind.T, (0,), "c k=T t=0", "X, Z or H, not T"),
+    (GateKind.X, (), "c k=X t=-", "one or more targets"),
+    (GateKind.Z, (1, 2, 1), "c k=Z t=1,2,1", "distinct"),
+    (GateKind.H, (0, 9), "c k=H t=0,9", r"qubit 9 out of range \[0, 4\)"),
+])
+def test_builder_and_parser_check_a_clifford_layer(kind, targets, line,
+                                                   message):
+    """The builder rejects the layer, and the parser its line, alike."""
+    layer = CliffordLayer(kind, targets)
+    assert layer.line() == f"{line} inv=0"
+    b = CircuitBuilder()
+    b.allocate("q", 4)
+    with pytest.raises(CircuitError, match=message):
+        b.add(layer)
+    for inv in (0, 1):
+        with pytest.raises(CircuitError, match=message):
+            parse_circuit_text(f"qubits 4\nreg q 0 4\n{line} inv={inv}\n")
+
+
+# ---------------------------------------------------------------------------
 # The one adjoint of every compound op
 # ---------------------------------------------------------------------------
 
 @_PROPERTY
 @given(circuit=st.one_of(_layer_circuits(factory=True),
                          _block_circuits(factory=True),
-                         _network_circuits(factory=True)),
+                         _network_circuits(factory=True),
+                         _clifford_circuits(factory=True)),
        macro=_factory_macros())
 def test_compound_adjoint_shares_fields_and_flips_inv(circuit, macro):
-    """Each swap layer, rotation block, swap network and macro of a drawn
-    circuit, forward or adjoint: its adjoint holds the same field objects,
+    """Each swap layer, rotation block, swap network, Clifford layer and
+    macro of a drawn circuit, forward or adjoint: its adjoint holds the same field objects,
     inverts the expansion, and writes a line that parses back to itself;
     the adjoint's adjoint writes the op's line."""
     ops = [op for op in circuit.ops if isinstance(op, Compound)] + [macro]

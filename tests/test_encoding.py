@@ -288,8 +288,9 @@ def test_counted_qubits_are_the_register_total():
 def test_written_text_counts_as_the_built_circuit():
     """The text has one line per op: it parses into a circuit with the same
     ops, macros with the same expansions included, which writes the same
-    text and counts the same reports.  The flat text, each swap layer and
-    rotation block written as its gates, parses into those reports too."""
+    text and counts the same reports.  The flat text, each swap layer,
+    Clifford layer and rotation block written as its gates, parses into
+    those reports too."""
     for circuit in _every_generator_circuit():
         text = write_circuit_text(circuit)
         parsed = parse_circuit_text(text)
@@ -333,6 +334,35 @@ def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
     basis = data.draw(st.integers(0, (1 << circuit.total_qubits) - 1))
     state = run_circuit(circuit, basis).run(circuit.adjoint())
     assert abs(state.amplitudes.get(basis, 0) - 1) < 1e-9
+
+
+_ONE_QUBIT_CLIFFORDS = frozenset((GateKind.X, GateKind.Z, GateKind.H))
+
+
+def _is_layer_gate(op):
+    """An uncontrolled one-target X, Z or H gate."""
+    return (isinstance(op, Gate) and op.kind in _ONE_QUBIT_CLIFFORDS
+            and not op.controls and len(op.targets) == 1)
+
+
+def test_no_run_of_one_qubit_cliffords_is_emitted_gate_by_gate():
+    """Every CLI configuration at n <= 3 emits each run of one X, Z or H
+    kind as one Clifford layer: no two such gates of one kind are adjacent
+    ops."""
+    for n in (1, 2, 3):
+        matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
+        configs = [BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                       qram=QramModel.FLAGS, lam=n)]
+        configs += [BlockEncodingConfig(qram=model, lam=lam, t=3,
+                                        variant=variant)
+                    for model in (SS, BB) for lam in range(n + 1)
+                    for variant in Variant]
+        for cfg in configs:
+            ops = build_block_encoding(matrix, cfg).circuit.ops
+            pairs = [(a, b) for a, b in zip(ops, ops[1:])
+                     if _is_layer_gate(a) and _is_layer_gate(b)
+                     and a.kind is b.kind]
+            assert not pairs, (n, cfg, pairs[:3])
 
 
 def test_symmetric_structure_1x1():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from blockenc.circuit import (
+    CliffordLayer,
+    GateKind,
     Macro,
     SwapNetwork,
     count_resources,
@@ -298,21 +300,27 @@ def column_lines(network):
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 3)])
-def test_loadf_copy_is_six_ops(n, d):
-    """A copy is X, the inverse one-hot network, the rotation block, the
-    angle and one-hot networks, and X: no per-column macro.  The same
-    circuit written with each network as its column lines parses into
-    3n + 3 ops per copy with the same counts."""
+def test_loadf_copy_is_four_ops_between_x_layers(n, d):
+    """A copy is the inverse one-hot network, the rotation block, and the
+    angle and one-hot networks, between two X layers on every copy's
+    one-hot slot 0: no per-column macro, no per-copy X.  The same circuit
+    written with each network as its column lines parses into 3n + 1 ops
+    per copy, plus the two layers, with the same counts."""
     c, _ = loadf_fixture(n=n, d=d)
-    assert len(c.ops) == 6 * d
-    assert not any(isinstance(op, Macro) for op in c.ops)
+    assert len(c.ops) == 4 * d + 2
+    starts = tuple(c.register(f"f{r}_onehot")[0] for r in range(d))
+    for x in (c.ops[0], c.ops[-1]):
+        assert isinstance(x, CliffordLayer)
+        assert (x.kind, x.targets) == (GateKind.X, starts)
+    assert not any(isinstance(op, (Macro, CliffordLayer))
+                   for op in c.ops[1:-1])
     assert sum(isinstance(op, SwapNetwork) for op in c.ops) == 3 * d
     text = write_circuit_text(c).splitlines()
     lines = [line for line in text if line.startswith(("qubits", "reg"))]
     for op, line in zip(c.ops, text[-len(c.ops):]):
         lines += column_lines(op) if isinstance(op, SwapNetwork) else [line]
     columns = parse_circuit_text("\n".join(lines) + "\n")
-    assert len(columns.ops) == (3 * n + 3) * d
+    assert len(columns.ops) == (3 * n + 1) * d + 2
     assert ([r.as_tuple() for r in count_resources_at(columns, (0, 1, 30))]
             == [r.as_tuple() for r in count_resources_at(c, (0, 1, 30))])
 
