@@ -335,8 +335,8 @@ class FlagLoad:
             per_copy.append((onehot_network.adjoint(), block,
                              SwapNetwork(controls, angle, pool_a),
                              onehot_network))
-        x = clifford_layer_ops(GateKind.X, (onehot[0] for _, _, onehot, _, _
-                                            in self.copies))
+        x = clifford_layer_ops(GateKind.X,
+                               (copy[2][0] for copy in self.copies))
         return x + [op for stage in zip(*per_copy) for op in stage] + x
 
 
