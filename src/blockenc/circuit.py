@@ -17,6 +17,7 @@ the computational basis), which commute and may share a layer.
 Every op that is not a gate is a ``Compound``: one class per kind holds
 its fields, checks, forward gates, text line and, but for a macro, its
 one-step schedule, and the base class gives every kind one adjoint.
+``Circuit`` runs those checks, built or parsed, once per distinct op.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
 line per op: a gate, a macro by its factory's arguments, or a swap layer, a
@@ -60,7 +61,6 @@ class GateKind(str, Enum):
 class MacroKind(str, Enum):
     UNARY_SELECT = "UNARY_SELECT"
     UNARY_STEP = "UNARY_STEP"
-    AND_TOFFOLI = "AND_TOFFOLI"
     PARALLEL_CSWAP_CLEAN = "PARALLEL_CSWAP_CLEAN"
 
 
@@ -147,7 +147,7 @@ class Gate:
             and self.kind == other.kind
             and self.targets == other.targets
             and self.controls == other.controls
-            and _angles_equal(self.angle, other.angle)
+            and self.angle == other.angle
         )
 
     def __repr__(self):
@@ -158,12 +158,6 @@ class Gate:
 def adjoint_ops(ops):
     """The adjoint of an op sequence: each op inverted, in reverse order."""
     return [op.adjoint() for op in reversed(ops)]
-
-
-def _angles_equal(a, b):
-    if a is None or b is None:
-        return a is b
-    return math.isclose(a, b, rel_tol=0, abs_tol=1e-9)
 
 
 class Compound:
@@ -253,9 +247,7 @@ class Macro(Compound):
         """The kind and its factory's arguments: the parser calls the
         factory again, which fixes the cost, the roles and the recipe."""
         kind = self.kind
-        if kind is MacroKind.AND_TOFFOLI:
-            fields = f"q={_fmt_qubits(self.args)}"
-        elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+        if kind is MacroKind.PARALLEL_CSWAP_CLEAN:
             control, pairs, pool = self.args
             fields = (f"c={control} p={_fmt_pairs(pairs)} "
                       f"pool={_fmt_qubits(pool)}")
@@ -383,9 +375,8 @@ class RotationBlock(Compound):
 
     Each slot's gates are ``decomp.controlled_ry_gates``: a flip,
     RY(-theta/2), the flip, RY(theta/2).  A one-control flip is a CNOT; a
-    two-control flip is counted as the measurement-assisted Toffoli
-    of ``decomp.and_toffoli`` (T-count 4, T-depth 1), and its expansion is a
-    plain Toffoli.
+    two-control flip is counted as a measurement-assisted Toffoli (T-count
+    4, T-depth 1), and its expansion is a plain Toffoli.
     """
 
     __slots__ = ("slots", "thetas", "fanout")
@@ -678,7 +669,13 @@ class ResourceReport:
 
 
 class Circuit:
-    """Immutable ordered op sequence over a fixed register layout."""
+    """Immutable ordered op sequence over a fixed register layout.
+
+    The registers must tile the qubits and the stages be ordered, disjoint
+    op ranges; then every distinct op passes ``_check_op`` once, a gate
+    by its value and any other op by its object (generators and the parser
+    share equal ops), so a counted circuit holds only checked ops.
+    """
 
     __slots__ = ("registers", "ops", "total_qubits", "stages")
 
@@ -689,6 +686,10 @@ class Circuit:
         self.stages = tuple(stages) if stages is not None else ()
         _check_tiling(self.registers, self.total_qubits)
         _check_stages(self.stages, len(self.ops))
+        distinct = {(op.kind, op.targets, op.controls, op.angle)
+                    if type(op) is Gate else id(op): op for op in self.ops}
+        for op in distinct.values():
+            _check_op(op, self.total_qubits)
 
     def adjoint(self):
         return Circuit(self.registers, adjoint_ops(self.ops), self.total_qubits)
@@ -698,9 +699,6 @@ class Circuit:
             if reg.name == name:
                 return reg
         raise KeyError(name)
-
-    def __len__(self):
-        return len(self.ops)
 
 
 def _check_tiling(registers, total):
@@ -738,12 +736,8 @@ def _check_op(op, total):
 
 
 class CircuitBuilder:
-    """Mutable builder used by the generators; produces an immutable Circuit.
-
-    Each op is checked as it is added, a gate once per distinct shape.  The
-    shape holds no angle value, so an RY is checked for a finite angle only
-    in its shape's first gate: the generators emit only finite angles.
-    """
+    """Mutable builder used by the generators; produces an immutable Circuit,
+    which checks every op."""
 
     def __init__(self):
         self._registers = []
@@ -752,9 +746,6 @@ class CircuitBuilder:
         self._stages = []
         self._stage_name = None
         self._stage_start = 0
-        # Gate shapes already validated.  ``_total`` only grows, so a gate
-        # whose qubits were in range stays in range.
-        self._valid = set()
 
     def allocate(self, name, size):
         if size <= 0:
@@ -783,20 +774,10 @@ class CircuitBuilder:
             self._stage_name = None
 
     def add(self, op):
-        self.extend((op,))
+        self._ops.append(op)
 
     def extend(self, ops):
-        valid = self._valid
-        append = self._ops.append
-        for op in ops:
-            if isinstance(op, Gate):
-                key = (op.kind, op.targets, op.controls, op.angle is None)
-                if key not in valid:
-                    _check_op(op, self._total)
-                    valid.add(key)
-            else:
-                _check_op(op, self._total)
-            append(op)
+        self._ops.extend(ops)
 
     def gate(self, kind, targets, controls=(), angle=None):
         if isinstance(targets, int):
@@ -1080,7 +1061,6 @@ def _parse_clifford(fields):
 
 
 _MACRO_ARGS = {
-    MacroKind.AND_TOFFOLI: frozenset(("q", "inv")),
     MacroKind.PARALLEL_CSWAP_CLEAN: frozenset(("c", "p", "pool", "inv")),
     MacroKind.UNARY_STEP: frozenset(("s", "from", "to", "flag", "inv")),
     MacroKind.UNARY_SELECT: frozenset(("s", "slots", "flag", "rows", "inv")),
@@ -1107,10 +1087,7 @@ def _parse_macro(fields):
     from . import decomp
     kind = MacroKind(fields[0])
     attrs = _fields(fields[1:], _MACRO_ARGS[kind], "macro")
-    if kind is MacroKind.AND_TOFFOLI:
-        c1, c2, target = _parse_qubits(attrs["q"])
-        macro = decomp.and_toffoli(c1, c2, target)
-    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+    if kind is MacroKind.PARALLEL_CSWAP_CLEAN:
         macro = decomp.parallel_cswap_clean(
             int(attrs["c"]), _parse_pairs(attrs["p"]),
             _parse_qubits(attrs["pool"]))
@@ -1178,7 +1155,4 @@ def parse_circuit_text(text: str) -> Circuit:
         ops.append(op)
     if total is None:
         raise CircuitError("missing qubits header")
-    circuit = Circuit(registers, ops, total, stages)
-    for op in seen.values():
-        _check_op(op, total)
-    return circuit
+    return Circuit(registers, ops, total, stages)

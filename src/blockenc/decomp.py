@@ -19,8 +19,6 @@ whose one ``adjoint()`` shares every field and flips ``inverted``:
   pool of 2k qubits (control copies, then Toffoli scratch), alone (a column
   of the pre-rotated state preparation's S_p and the controlled encoding's
   staged swaps) or as one column of a swap network (LOADF);
-* ``and_toffoli``: the measurement-assisted Toffoli, no longer emitted on
-  its own: a rotation block counts each two-control flip as one;
 * ``unary_select`` and ``unary_step``: unary iteration over select values.
 """
 from __future__ import annotations
@@ -80,20 +78,6 @@ def parallel_cswap_clean(control, pairs, pool):
                  (control, pairs, pool), 4 * k, 1,
                  full=pool[:k] + tuple(q for pair in pairs for q in pair),
                  ctrl=(control,), scratch=pool[k:])
-
-
-def _and_toffoli_gates(c1, c2, target):
-    return [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
-
-
-def and_toffoli(c1, c2, target):
-    """Measurement-assisted Toffoli macro: T-count 4, T-depth 1.
-
-    The expansion is a plain Toffoli (the exact measurement-free unitary);
-    the Jones-style scratch qubit is a register qubit the caller keeps free.
-    """
-    return Macro(MacroKind.AND_TOFFOLI, _and_toffoli_gates,
-                 (c1, c2, target), 4, 1, full=(target,), ctrl=(c1, c2))
 
 
 def match_controls(select_qubits, value):

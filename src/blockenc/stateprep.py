@@ -267,8 +267,9 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     pa = plan.copies[0][3]
     pb = plan.copies[0][4]
 
-    flags = clifford_layer_ops(GateKind.X, flag)
-    ops = flags + plan.build_ops(static_flags_one=True)
+    # The flag X layer and LOADF's first one-hot X layer are one layer.
+    onehot_x, *loadf = plan.build_ops(static_flags_one=True)
+    ops = clifford_layer_ops(GateKind.X, flag + onehot_x.targets) + loadf
     fwd, s_ops = spf_forward_ops(data, slots, n, pa)
     ops.extend(fwd)
     ops.extend(adjoint_ops(s_ops))
@@ -276,6 +277,6 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     ops.extend(adjoint_ops(fdg))
     ops.extend(adjoint_ops(plan.build_ops(static_flags_one=False)))
     ops.extend(flag_dagger_ops(data, f_slots, n, pb))
-    ops += flags
+    ops += clifford_layer_ops(GateKind.X, flag)
     return ops, plan
 

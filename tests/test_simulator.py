@@ -260,7 +260,7 @@ def _op_lists(draw):
     gates = draw(st.lists(_gates(), max_size=20))
     lo = draw(st.integers(0, len(gates)))
     hi = draw(st.integers(lo, len(gates)))
-    macro = Macro(MacroKind.AND_TOFFOLI, _stored,
+    macro = Macro(MacroKind.UNARY_STEP, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=ACTIVE, ctrl=())
     ops = gates[:lo] + [macro] + gates[hi:]
     for block in draw(st.lists(_rotation_blocks(), max_size=2)):
@@ -454,7 +454,7 @@ def _fragment_pieces(draw):
 def test_monomial_runs_match_per_op_application(pieces, cut, seed, terms):
     gates = [g for piece in pieces for g in piece]
     lo, hi = sorted(min(c, len(gates)) for c in cut)
-    macro = Macro(MacroKind.AND_TOFFOLI, _stored,
+    macro = Macro(MacroKind.UNARY_STEP, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=NARROW, ctrl=())
     ops = gates[:lo] + [macro] + gates[hi:]
     rng = np.random.default_rng(seed)
