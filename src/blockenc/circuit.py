@@ -16,13 +16,17 @@ the computational basis), which commute and may share a layer.
 
 Every op that is not a gate is a ``Compound``: one class per kind holds
 its fields, checks, forward gates, text line and, but for a macro, its
-one-step schedule, and the base class gives every kind one adjoint.
-``Circuit`` runs those checks, built or parsed, once per distinct op.
+one-step schedule, and the base class gives every kind one adjoint, which
+shares the op's field objects.  ``Circuit`` runs those checks, built or
+parsed, once per distinct gate and once per shared field set (``key``), so
+an op and its adjoint are checked once.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
 line per op: a gate, a macro by its factory's arguments, or a swap layer, a
 swap network, a rotation block or a Clifford layer by its fields; stage
-bounds count ops.
+bounds count ops.  The writer formats each shared field set once, and the
+parser parses a compound line once with its twin, the same line with the
+other ``inv``.
 """
 from __future__ import annotations
 
@@ -169,8 +173,9 @@ class Compound:
     ``inverted`` marks the adjoint: ``adjoint()`` copies every slot and
     flips it, so an op and its adjoint share their field objects, and
     ``expansion`` is the forward gates, inverted when ``inverted`` is set.
-    Only the simulator asks for the expansion.  Every kind but a macro
-    also checks its fields (``validate``) and schedules itself:
+    ``key()`` names that shared field set.  Only the simulator asks for the
+    expansion.  Every kind but a macro also checks its fields
+    (``validate``) and schedules itself:
     ``schedule(ry, last_full, busy)`` advances a depth frontier over the op
     in one step, from the closed form of its gates' schedule, and the op
     costs ``t_count`` plus ``ry_units`` R_y units.
@@ -192,6 +197,13 @@ class Compound:
             setattr(inverse, name, getattr(self, name))
         inverse.inverted = not self.inverted
         return inverse
+
+    def key(self):
+        """``type(self)`` and the ``id`` of each field: equal for an op and
+        its adjoint, and naming the fields only while an op holds them, so
+        a memo keyed by it lives no longer than one call over a circuit."""
+        cls = type(self)
+        return (cls, *[id(getattr(self, name)) for name in cls.__slots__])
 
     def validate(self):
         """Nothing: a macro's factory does its checks."""
@@ -642,7 +654,7 @@ class QubitRegister:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.qubits[i]
+            return tuple(range(self.offset, self.offset + self.size)[i])
         if not 0 <= i < self.size:
             raise IndexError(f"register {self.name}[{i}] out of range")
         return self.offset + i
@@ -673,8 +685,9 @@ class Circuit:
 
     The registers must tile the qubits and the stages be ordered, disjoint
     op ranges; then every distinct op passes ``_check_op`` once, a gate
-    by its value and any other op by its object (generators and the parser
-    share equal ops), so a counted circuit holds only checked ops.
+    by its value and any other op by its ``Compound.key`` (an op and its
+    adjoint share one check; generators and the parser share equal ops),
+    so a counted circuit holds only checked ops.
     """
 
     __slots__ = ("registers", "ops", "total_qubits", "stages")
@@ -687,12 +700,9 @@ class Circuit:
         _check_tiling(self.registers, self.total_qubits)
         _check_stages(self.stages, len(self.ops))
         distinct = {(op.kind, op.targets, op.controls, op.angle)
-                    if type(op) is Gate else id(op): op for op in self.ops}
+                    if type(op) is Gate else op.key(): op for op in self.ops}
         for op in distinct.values():
             _check_op(op, self.total_qubits)
-
-    def adjoint(self):
-        return Circuit(self.registers, adjoint_ops(self.ops), self.total_qubits)
 
     def register(self, name):
         for reg in self.registers:
@@ -993,16 +1003,25 @@ def _parse_pairs(text):
 
 
 def write_circuit_text(circuit: Circuit) -> str:
-    """The circuit's text: one line per op, and stage bounds in ops."""
+    """The circuit's text: one line per op, and stage bounds in ops.  A
+    compound op's ``fields()`` is formatted once per ``key``, and each line
+    appends its own ``inv``."""
     lines = [f"qubits {circuit.total_qubits}"]
     for reg in circuit.registers:
         lines.append(f"reg {reg.name} {reg.offset} {reg.size}")
     for name, lo, hi in circuit.stages:
         lines.append(f"stage {name} {lo} {hi}")
     gate_lines = {}
+    bodies = {}     # Compound.key -> fields()
     for op in circuit.ops:
-        lines.append(_gate_line(gate_lines, op) if isinstance(op, Gate)
-                     else op.line())
+        if isinstance(op, Gate):
+            lines.append(_gate_line(gate_lines, op))
+            continue
+        key = op.key()
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = op.fields()
+        lines.append(f"{body} inv={int(op.inverted)}")
     return "\n".join(lines) + "\n"
 
 
@@ -1011,6 +1030,8 @@ _NETWORK_FIELDS = frozenset(("c", "s", "pool", "inv"))
 _BLOCK_FIELDS = frozenset(("q", "a", "fan", "inv"))
 _CLIFFORD_FIELDS = frozenset(("k", "t", "inv"))
 _FLAGS = {"0": False, "1": True}
+# A compound line's last field, and the same field in its twin.
+_TWIN_INV = {" inv=0": " inv=1", " inv=1": " inv=0"}
 
 
 def _fields(fields, known, what):
@@ -1113,8 +1134,10 @@ def parse_circuit_text(text: str) -> Circuit:
     """Parse ``write_circuit_text`` output: exactly one ``qubits`` header,
     with a positive count, then registers, stages and op lines.
 
-    Each distinct op line is parsed and checked once, and equal lines share
-    one op object (ops are never mutated).
+    Each distinct op line is parsed once, and equal lines share one op
+    object (ops are never mutated).  A compound line whose twin, the same
+    line ending in the other ``inv``, is already parsed is that op's
+    ``adjoint()``, so the two share their fields and one check.
     """
     total = None
     registers = []
@@ -1126,6 +1149,12 @@ def parse_circuit_text(text: str) -> Circuit:
         if not line or line.startswith("#"):
             continue
         op = seen.get(line)
+        if op is None:
+            flipped = _TWIN_INV.get(line[-6:])
+            if flipped is not None:
+                twin = seen.get(line[:-6] + flipped)
+                if twin is not None:
+                    op = seen[line] = twin.adjoint()
         if op is None:
             head, _, rest = line.partition(" ")
             parse = _OP_PARSERS.get(head)

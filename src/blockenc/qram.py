@@ -171,7 +171,7 @@ class BucketBrigadeLoad:
     def _path(self, level, node):
         d = self.spec.data_width
         base = ((1 << level) - 2 + node) * d
-        return tuple(self.paths.qubits[base: base + d])
+        return self.paths[base: base + d]
 
     def _descend_ops(self, source, depth):
         """Route a payload from outside the tree down ``depth`` levels."""

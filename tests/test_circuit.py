@@ -1,5 +1,6 @@
 """Circuit IR: construction, counting rules, invariants, text format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ def test_adjoint_preserves_resources():
     for _ in range(10):
         c = _random_circuit(rng)
         ra = count_resources(c)
-        rb = count_resources(c.adjoint())
+        rb = count_resources(Circuit(c.registers, adjoint_ops(c.ops),
+                                     c.total_qubits))
         assert ra.t_count == rb.t_count
         assert ra.t_depth == rb.t_depth
 
@@ -351,6 +353,36 @@ def test_unknown_field_rejected(line, message):
         parse_circuit_text(text)
 
 
+def _op_fields(op):
+    return type(op), op.fields(), op.inverted, op.qubits(), op.expansion
+
+
+@pytest.mark.parametrize("line", [
+    "l c=+0 p=1:2,3:4 layered=1 inv=1",
+    "w c=0 s=1,2 pool=3,4 inv=1",
+    "r q=0:1,2:3 a=0.5,-0.25 fan=4 inv=1",
+    "c k=H t=0,2 inv=1",
+    "m UNARY_STEP s=0,1 from=0 to=1 flag=2 inv=1",
+    "m PARALLEL_CSWAP_CLEAN c=0 p=1:2 pool=3,4 inv=1",
+])
+def test_twin_lines_parse_as_each_line_alone(line):
+    """A compound line after its twin, the same line with the other
+    ``inv``, is parsed as the twin's adjoint and shares its fields; in
+    either order each op equals its line parsed alone.  A twin spelled
+    ``inv=2`` still raises."""
+    twin = line[:-1] + "0"
+    alone = {text: _op_fields(parse_circuit_text(f"qubits 5\n{text}\n").ops[0])
+             for text in (line, twin)}
+    for first, second in ((line, twin), (twin, line)):
+        ops = parse_circuit_text(f"qubits 5\n{first}\n{second}\n").ops
+        assert [_op_fields(op) for op in ops] == [alone[first], alone[second]]
+        assert ops[0].key() == ops[1].key()
+        bad = first[:-1] + "2"
+        with pytest.raises(CircuitError,
+                           match=re.escape(f"unparseable line: {bad!r}")):
+            parse_circuit_text(f"qubits 5\n{second}\n{bad}\n")
+
+
 @pytest.mark.parametrize("header", ["qubits -1", "qubits 0"])
 def test_qubits_header_must_be_positive(header):
     with pytest.raises(CircuitError, match=f"unparseable line: {header!r}"):
@@ -370,14 +402,22 @@ def test_builder_rejects_a_non_finite_angle():
                 b.build()
 
 
-def test_circuit_checks_its_ops():
+def test_circuit_checks_its_ops(monkeypatch):
     """A circuit built directly holds only checked ops, so counting never
-    meets an unchecked one."""
+    meets an unchecked one; an op and its adjoint, which share their
+    fields, are checked once."""
     registers = [QubitRegister("q", 0, 2)]
     with pytest.raises(CircuitError, match=r"qubit 5 out of range \[0, 2\)"):
         count_resources(Circuit(registers, [Gate(GateKind.T, (5,))], 2))
     with pytest.raises(CircuitError, match=r"CNOT expects 1 control\(s\)"):
         Circuit(registers, [Gate(GateKind.CNOT, (1,))], 2)
+    calls = []
+    validate = SwapLayer.validate
+    monkeypatch.setattr(SwapLayer, "validate",
+                        lambda op: calls.append(op) or validate(op))
+    layer = SwapLayer(((0, True),), ((1, 2),))
+    Circuit([QubitRegister("q", 0, 3)], [layer, layer.adjoint(), layer], 3)
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,12 +694,15 @@ def _staged_circuits(draw, factory=False):
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
     pool always holds two or more rotation blocks that share control qubit
     0, and Clifford layers, and its macros are the factories' when
-    ``factory``."""
+    ``factory``.  It may also hold the adjoints of its compound ops, which
+    share their fields."""
     gates = draw(st.lists(_gates(), min_size=1, max_size=5))
     macros = _factory_macros() if factory else _macros(gates)
     pool = (gates + draw(st.lists(_hub_rotations(), min_size=2, max_size=3))
             + draw(st.lists(_clifford_layers(), max_size=2))
             + draw(st.lists(macros, max_size=3)))
+    compounds = st.sampled_from(pool[len(gates):])
+    pool += [op.adjoint() for op in draw(st.lists(compounds, max_size=3))]
     ops = draw(st.lists(st.sampled_from(pool), max_size=60))
     cuts = sorted(draw(st.lists(st.integers(1, _WIDTH - 1), max_size=2,
                                 unique=True)))
@@ -695,10 +738,16 @@ def _same_ops(ops, others):
 @_PROPERTY
 @given(circuit=_staged_circuits(factory=True), ry=st.integers(0, 40))
 def test_text_round_trip_property(circuit, ry):
-    parsed = parse_circuit_text(write_circuit_text(circuit))
+    text = write_circuit_text(circuit)
+    parsed = parse_circuit_text(text)
     assert parsed.registers == circuit.registers
     assert parsed.stages == circuit.stages
     assert _same_ops(parsed.ops, circuit.ops)
+    assert write_circuit_text(parsed) == text
+    # Ops that share their fields parse to ops that share them too.
+    keys = [{op.key() for op in c.ops if isinstance(op, Compound)}
+            for c in (parsed, circuit)]
+    assert len(keys[0]) <= len(keys[1])
     assert ([(op.full, op.ctrl) for op in parsed.ops if isinstance(op, Macro)]
             == [(op.full, op.ctrl) for op in circuit.ops
                 if isinstance(op, Macro)])
@@ -991,11 +1040,16 @@ def test_swap_layer_is_one_text_line(circuit):
     (((0, True),), ((1, 9),), "out of range"),
 ])
 def test_builder_checks_a_swap_layer(controls, pairs, message):
+    """A bad layer raises at ``build()``, and at ``Circuit`` beside its
+    adjoint, with which it shares one check."""
     b = CircuitBuilder()
     b.allocate("q", 4)
     b.add(SwapLayer(controls, pairs))
     with pytest.raises(CircuitError, match=message):
         b.build()
+    layer = SwapLayer(controls, pairs)
+    with pytest.raises(CircuitError, match=message):
+        Circuit([QubitRegister("q", 0, 4)], [layer, layer.adjoint()], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from blockenc import decomp, qram
 from blockenc.circuit import (
     Circuit,
     CliffordLayer,
+    Compound,
     Gate,
     GateKind,
     Macro,
     RotationBlock,
+    adjoint_ops,
     count_resources,
     count_resources_at,
     parse_circuit_text,
@@ -336,6 +338,35 @@ def test_written_text_counts_as_the_built_circuit():
                     == reports)
 
 
+@pytest.mark.parametrize("n, cfg", [
+    pytest.param(3, BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                        qram=QramModel.FLAGS, lam=3),
+                 id="prerotated-n3"),
+    pytest.param(2, BlockEncodingConfig(qram=BB, lam=2, t=3), id="bb-l2-n2")])
+def test_writer_formats_each_shared_field_set_once(n, cfg, monkeypatch):
+    """Most compound ops sit beside their adjoints, which share their
+    fields: the writer formats ``fields()`` once per ``Compound.key`` and
+    still writes each op's ``line()``."""
+    matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
+    circuit = build_block_encoding(matrix, cfg).circuit
+    compounds = {i: op for i, op in enumerate(circuit.ops)
+                 if isinstance(op, Compound)}
+    want = {i: op.line() for i, op in compounds.items()}
+    keys = []
+    for cls in Compound.__subclasses__():
+        def counted(op, fields=cls.fields):
+            keys.append(op.key())
+            return fields(op)
+        monkeypatch.setattr(cls, "fields", counted)
+    lines = write_circuit_text(circuit).splitlines()
+    distinct = {op.key() for op in compounds.values()}
+    assert len(keys) == len(set(keys)) == len(distinct) < len(compounds)
+    assert set(keys) == distinct
+    head = 1 + len(circuit.registers) + len(circuit.stages)
+    assert len(lines) == head + len(circuit.ops)
+    assert {i: lines[head + i] for i in compounds} == want
+
+
 def _cli_configs():
     """Every (method, QRAM, variant) the CLI builds, with each lambda, at
     n <= 2.  Bucket-brigade runs at n = 1 only, and not symmetric, whose
@@ -364,7 +395,9 @@ def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
     matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
     circuit = build_block_encoding(matrix, cfg).circuit
     basis = data.draw(st.integers(0, (1 << circuit.total_qubits) - 1))
-    state = run_circuit(circuit, basis).run(circuit.adjoint())
+    inverse = Circuit(circuit.registers, adjoint_ops(circuit.ops),
+                      circuit.total_qubits)
+    state = run_circuit(circuit, basis).run(inverse)
     assert abs(state.amplitudes.get(basis, 0) - 1) < 1e-9
 
 
