@@ -423,11 +423,16 @@ class RotationBlock(Compound):
         gates = []
         for (*controls, target), theta in zip(self.slots, self.thetas):
             gates += controlled_ry_gates(theta, controls, target)
-        if self.fanout is not None:
-            fan = Gate(GateKind.FANOUT_CNOT, [s[0] for s in self.slots],
-                       ((self.fanout, True),))
-            gates = [fan, *gates, fan]
-        return gates
+        fan = self.fan()
+        return gates if fan is None else [fan, *gates, fan]
+
+    def fan(self):
+        """The fanout-CNOT from ``fanout`` onto every slot's first control,
+        or None without a fanout."""
+        if self.fanout is None:
+            return None
+        return Gate(GateKind.FANOUT_CNOT, [s[0] for s in self.slots],
+                    ((self.fanout, True),))
 
     def qubits(self):
         return (tuple(chain.from_iterable(self.slots))

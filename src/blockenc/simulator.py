@@ -10,17 +10,16 @@ the flip kinds take controls.  Block-encoding circuits keep their ancillas
 basis-correlated with the address, so the support stays small except
 through H layers.
 
-``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply the
-gate stream (the expansion of every ``circuit.Compound`` op flattened: a
-macro, a swap layer, a swap network, a rotation block or a Clifford layer
-is one op of the circuit) in runs: a stretch of consecutive gates without
-a rotation on at most ``MONOMIAL_RUN_WIDTH`` qubits that holds an H, G or
-G^dagger, and whose product permutes basis states and multiplies phases
-(one unit-modulus entry per column), acts as one masked permutation and one
-phase gather, with no branch.  A phase-incorrect controlled swap is such a
-run.  The product is computed once per run shape, by the per-gate kernels
-on the run's basis.
-Every other gate is applied on its own, as ``SparseState.apply`` does.
+``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply
+each op of a circuit whole, as ``SparseState.apply`` does.  A default-form
+swap layer is one masked permutation and phase gather per pair, its product
+on (a, b, c) computed once per control polarity and direction by the gate
+kernels, so the support never grows inside it.  A rotation block is its
+fanout, one RY branch per slot on the entries whose controls are all 1, and
+the fanout again.  A layered swap layer of one pair expands to the same
+gates as the default form, and goes whole the same way.  Every other
+compound op (a macro, a swap network, a Clifford layer or a layered swap
+layer of two pairs or more) runs its expansion gate by gate.
 
 ``extract_block`` and ``dense_unitary`` run all their input columns in one
 pass: column k carries its index in bits at or above the circuit's qubit
@@ -37,11 +36,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import Circuit, Compound, Gate, GateKind
+from .circuit import (Circuit, Compound, Gate, GateKind, RotationBlock,
+                      SwapLayer)
 
 DEFAULT_SUPPORT_CAP = 1 << 20
 PRUNE_THRESHOLD = 1e-14
-MONOMIAL_RUN_WIDTH = 3
 _SUPPORT_CAP_ENV = "BLOCKENC_SUPPORT_CAP"
 
 
@@ -153,86 +152,33 @@ def _runs(keys):
     return order, starts.nonzero()[0]
 
 
-def _gates(ops):
-    """The gate stream of ``ops``, each ``Compound`` op's expansion
-    flattened."""
-    for op in ops:
-        if isinstance(op, Gate):
-            yield op
-        elif isinstance(op, Compound):
-            yield from op.expansion
-        else:
-            raise SimulationError(f"unknown op {op!r}")
+@functools.lru_cache(maxsize=4)
+def _pair_product(positive, inverted):
+    """One default-form swap-layer pair as (moves, phases) on local qubits
+    (a, b, c) = (0, 1, 2), for a control of polarity ``positive``.
 
-
-def _monomial_run(gates, start):
-    """The fused run at ``gates[start]``: (end, qubits, moves, phases) or None.
-
-    The run is the longest stretch from ``start`` without a rotation on at
-    most ``MONOMIAL_RUN_WIDTH`` qubits; ``qubits`` lists them, local qubit p
-    at position p.  It fuses up to ``end`` when ``_monomial_prefix`` finds a
-    monomial prefix holding a branching gate, otherwise the result is None.
-    Such a prefix holds two branching gates or more: one between permutations
-    leaves the product branching.
+    A one-pair layer's own expansion runs through the gate kernels on all 8
+    local basis states at once, column v carrying v above the local bits.
+    The product maps local value v to ``phases[v]`` times v with local qubit
+    p flipped where ``flip[v]`` holds, for each (p, flip) of ``moves``; it
+    raises unless the product keeps one entry per column.
     """
-    local = {}
-    branches = 0
-    end, stop = start, len(gates)
-    while end < stop:
-        g = gates[end]
-        if g.kind is GateKind.RY:
-            break
-        new = [q for q in g.targets if q not in local]
-        new += [q for q, _ in g.controls if q not in local]
-        if len(local) + len(new) > MONOMIAL_RUN_WIDTH:
-            break
-        for q in new:
-            local[q] = len(local)
-        branches += g.kind in _FIXED_BRANCHES
-        end += 1
-    if branches < 2:
-        return None
-    shape = tuple((g.kind, tuple(local[q] for q in g.targets),
-                   tuple((local[q], positive) for q, positive in g.controls))
-                  for g in gates[start:end])
-    product = _monomial_prefix(len(local), shape)
-    if product is None:
-        return None
-    length, moves, phases = product
-    return start + length, tuple(local), moves, phases
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _monomial_prefix(width, shape):
-    """The longest monomial prefix of a run shape that holds a branching gate.
-
-    ``shape`` lists (kind, targets, controls) on local qubits 0..width-1.  The
-    gate kernels act on all 2^width local basis states at once, column c
-    carrying c above the local bits; a prefix is monomial when the product
-    keeps one entry per column.  Returns (length, moves, phases) or None: the
-    prefix maps local value v to ``phases[v]`` times v with local qubit p
-    flipped where ``flip[v]`` holds, for each (p, flip) of ``moves``.
-    """
-    size = 1 << width
-    state = SparseState(width, {c << width | c: 1.0 for c in range(size)},
-                        support_cap=size * size)
-    product, branched = None, False
-    for length, (kind, targets, controls) in enumerate(shape, 1):
-        state._apply_gate(Gate(kind, targets, controls))
-        branched = branched or kind in _FIXED_BRANCHES
-        if branched and len(state._amps) == size:
-            product = length, state._keys[0].copy(), state._amps.copy()
-    if product is None:
-        return None
-    length, keys, amps = product
-    column = (keys >> np.uint64(width)).astype(np.int64)
-    flips = np.empty(size, dtype=np.int64)
-    flips[column] = (keys & np.uint64(size - 1)).astype(np.int64) ^ column
-    phases = np.empty(size, dtype=complex)
+    layer = SwapLayer(((2, positive),), ((0, 1),))
+    state = SparseState(3, {v << 3 | v: 1.0 for v in range(8)},
+                        support_cap=64)
+    for g in (layer.adjoint() if inverted else layer).expansion:
+        state._apply_gate(g)
+    keys, amps = state._keys[0], state._amps
+    if len(amps) != 8:
+        raise SimulationError("a swap-layer pair is not a monomial product")
+    column = (keys >> np.uint64(3)).astype(np.int64)
+    flips = np.empty(8, dtype=np.int64)
+    flips[column] = (keys & np.uint64(7)).astype(np.int64) ^ column
+    phases = np.empty(8, dtype=complex)
     phases[column] = amps
-    moves = tuple((p, flip) for p in range(width)
+    moves = tuple((p, flip) for p in range(3)
                   if (flip := (flips >> p) & 1 != 0).any())
-    return length, moves, phases
+    return moves, phases
 
 
 class SparseState:
@@ -271,42 +217,57 @@ class SparseState:
         return math.sqrt(float(np.sum(a.real ** 2 + a.imag ** 2)))
 
     def apply(self, op):
-        """Apply one op gate by gate."""
-        for g in _gates((op,)):
-            self._apply_gate(g)
+        """Apply one op whole: a gate, a default-form swap layer as one
+        permutation per pair, a rotation block as one controlled branch per
+        slot, and any other op gate by gate.  A one-pair layered layer
+        expands to the default form's nine gates (its fanout is the CNOT
+        c->b), so it goes whole too."""
+        if isinstance(op, Gate):
+            self._apply_gate(op)
+        elif isinstance(op, SwapLayer) and (not op.layered
+                                            or len(op.pairs) == 1):
+            (c, positive), = op.controls
+            moves, phases = _pair_product(positive, op.inverted)
+            for a, b in op.pairs:
+                self._permute((a, b, c), moves, phases)
+        elif isinstance(op, RotationBlock):
+            self._rotate(op)
+        elif isinstance(op, Compound):
+            for g in op.expansion:
+                self._apply_gate(g)
+        else:
+            raise SimulationError(f"unknown op {op!r}")
         return self
 
     def _run_ops(self, ops):
-        """Apply ``ops``, each monomial run of gates as one permutation."""
-        gates = list(_gates(ops))
-        # hope[i]: two branching gates follow i before the next rotation, as
-        # a fusable run needs; elsewhere no run is scanned.
-        hope, branches = [False] * len(gates), 0
-        for i in range(len(gates) - 1, -1, -1):
-            kind = gates[i].kind
-            branches = (0 if kind is GateKind.RY
-                        else branches + (kind in _FIXED_BRANCHES))
-            hope[i] = branches >= 2
-        i = 0
-        while i < len(gates):
-            run = _monomial_run(gates, i) if hope[i] else None
-            if run is None:
-                self._apply_gate(gates[i])
-                i += 1
-            else:
-                i, qubits, moves, phases = run
-                self._permute(qubits, moves, phases)
+        for op in ops:
+            self.apply(op)
         return self
 
     def _permute(self, qubits, moves, phases):
-        """Apply a ``_monomial_prefix`` product to ``qubits`` (local order)."""
+        """Apply a ``_pair_product`` to ``qubits`` (local order)."""
         keys = self._keys
         value = _read(keys, qubits[::-1])
         for p, flip in moves:
             w, m = _locate(qubits[p])
             np.bitwise_xor(keys[w], m, out=keys[w], where=flip[value])
         np.multiply(self._amps, phases[value], out=self._amps)
-        self._view = None
+        self._changed()
+
+    def _rotate(self, block):
+        """The fanout, RY(theta) (RY(-theta) inverted) on each slot's target
+        where the slot's controls are all 1, then the fanout again: per slot
+        the product of flip, RY(-theta/2), flip, RY(theta/2)."""
+        fan = block.fan()
+        if fan is not None:
+            self._apply_gate(fan)
+        sign = -1.0 if block.inverted else 1.0
+        for (*controls, target), theta in zip(block.slots, block.thetas):
+            self._branch(target, _ry_matrix(sign * theta),
+                         tuple((q, True) for q in controls))
+            self._changed()
+        if fan is not None:
+            self._apply_gate(fan)
 
     def _controls_pass(self, controls):
         keys = self._keys
@@ -342,6 +303,10 @@ class SparseState:
             self._branch(g.targets[0], _ry_matrix(g.angle))
         else:
             raise SimulationError(f"unknown gate kind {kind}")
+        self._changed()
+
+    def _changed(self):
+        """Drop the stale view and record the support; raise past the cap."""
         self._view = None
         support = len(self._amps)
         self.peak_support = max(self.peak_support, support)
@@ -350,9 +315,21 @@ class SparseState:
                 f"support {support} exceeds cap {self.support_cap}; "
                 "reduce D, t, or n (or raise BLOCKENC_SUPPORT_CAP)")
 
-    def _branch(self, q, m):
-        """Apply the 2x2 matrix ``m`` to qubit ``q``."""
+    def _branch(self, q, m, controls=()):
+        """Apply the 2x2 matrix ``m`` to qubit ``q`` of the entries whose
+        ``controls`` pass, leaving the rest untouched: a branched entry keeps
+        its controls, so it never meets an untouched one."""
         keys, amps = self._keys, self._amps
+        rest = None
+        if controls:
+            hit = self._controls_pass(controls)
+            hits = np.count_nonzero(hit)
+            if hits == 0:
+                return
+            if hits < len(hit):
+                miss = ~hit
+                rest = keys[:, miss], amps[miss]
+                keys, amps = keys[:, hit], amps[hit]
         w, mask = _locate(q)
         on = (keys[w] & mask) != 0
         ones = np.count_nonzero(on)
@@ -380,6 +357,9 @@ class SparseState:
                                                + dropped.imag ** 2))
             keep = ~small
             keys, amps = keys[:, keep], amps[keep]
+        if rest is not None:
+            keys = np.concatenate((keys, rest[0]), axis=1)
+            amps = np.concatenate((amps, rest[1]))
         self._keys, self._amps = keys, amps
 
     def run(self, circuit: Circuit):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blockenc.circuit import (
     Circuit,
     CircuitBuilder,
+    Compound,
     Gate,
     GateKind,
     Macro,
@@ -19,12 +20,16 @@ from blockenc.circuit import (
     SwapLayer,
     adjoint_ops,
 )
-from blockenc.encoding import BlockEncodingConfig, build_block_encoding
+from blockenc.encoding import (
+    BlockEncodingConfig,
+    Method,
+    QramModel,
+    build_block_encoding,
+)
 from blockenc.simulator import (
     SimulationError,
     SparseState,
     SupportCapError,
-    _monomial_run,
     check_clean,
     dense_unitary,
     encode_register,
@@ -239,17 +244,47 @@ def _gates(draw):
     return Gate(kind, targets, controls, angle)
 
 
+# Any finite angle, 0 and +-pi included.
+_ANGLES = st.one_of(st.sampled_from((0.0, math.pi, -math.pi)),
+                    st.floats(-2 * math.pi, 2 * math.pi),
+                    st.floats(allow_nan=False, allow_infinity=False))
+# The same without nonzero angles below 1e-6, for comparing two sparse runs:
+# a tinier rotation can open a branch just above the prune threshold whose
+# half-angle branch falls below it gate by gate
+# (test_tiny_rotation_keeps_a_branch_gate_by_gate_prunes).
+_CLEAR_ANGLES = _ANGLES.filter(lambda a: a == 0 or abs(a) >= 1e-6)
+
+
 @st.composite
-def _rotation_blocks(draw):
-    """A rotation block on the active qubits: two slots of one control or
-    one of two, with or without its fanout, forward or adjoint."""
-    order = [ACTIVE[i] for i in draw(st.permutations(range(len(ACTIVE))))]
-    slots = [order[:2], order[2:4]] if draw(st.booleans()) else [order[:3]]
+def _rotation_blocks(draw, qubits=ACTIVE, angles=_ANGLES):
+    """A rotation block on ``qubits``: slots of one control or of two, as
+    many as leave a qubit for the fanout, with or without the fanout,
+    forward or adjoint."""
+    order = draw(st.permutations(qubits))
+    width = draw(st.sampled_from((2, 3)))
+    count = draw(st.integers(1, (len(qubits) - 1) // width))
+    slots = [order[k * width:(k + 1) * width] for k in range(count)]
     block = RotationBlock(
-        slots, draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
-                             min_size=len(slots), max_size=len(slots))),
-        order[4] if draw(st.booleans()) else None)
+        slots, draw(st.lists(angles, min_size=count, max_size=count)),
+        order[-1] if draw(st.booleans()) else None)
     return block.adjoint() if draw(st.booleans()) else block
+
+
+@st.composite
+def _swap_layers(draw, qubits=ACTIVE):
+    """A swap layer on ``qubits``: default or layered, either control
+    polarity, forward or adjoint."""
+    order = draw(st.permutations(qubits))
+    count = draw(st.integers(1, (len(qubits) - 1) // 2))
+    pairs = tuple(zip(order[1:1 + count], order[1 + count:1 + 2 * count]))
+    layer = SwapLayer(((order[0], draw(st.booleans())),), pairs,
+                      layered=draw(st.booleans()))
+    return layer.adjoint() if draw(st.booleans()) else layer
+
+
+def _expanded(op):
+    """The gates of ``op``: its expansion, or the gate itself."""
+    return op.expansion if isinstance(op, Compound) else (op,)
 
 
 def _stored(gates):
@@ -264,8 +299,9 @@ def _op_lists(draw):
     macro = Macro(MacroKind.UNARY_STEP, _stored,
                   (tuple(gates[lo:hi]),), 0, 0, full=ACTIVE, ctrl=())
     ops = gates[:lo] + [macro] + gates[hi:]
-    for block in draw(st.lists(_rotation_blocks(), max_size=2)):
-        ops.insert(draw(st.integers(0, len(ops))), block)
+    for op in draw(st.lists(st.one_of(_rotation_blocks(), _swap_layers()),
+                            max_size=2)):
+        ops.insert(draw(st.integers(0, len(ops))), op)
     return ops
 
 
@@ -313,8 +349,7 @@ def _dense_apply(psi, g):
 
 def _dense_run(ops, psi):
     for op in ops:
-        for g in (op.expansion if isinstance(op, (Macro, RotationBlock))
-                  else (op,)):
+        for g in _expanded(op):
             psi = _dense_apply(psi, g)
     return psi
 
@@ -401,7 +436,7 @@ def test_batched_extract_support_cap(spread, n_in):
 
 
 # --------------------------------------------------------------------------
-# Monomial runs: fused permute-and-phase blocks against per-op application
+# Whole ops against gate-by-gate application of their expansions
 # --------------------------------------------------------------------------
 
 # Seven active qubits of a 70-qubit circuit, on both sides of bit 64.
@@ -410,54 +445,52 @@ NARROW_WIDTH = 70
 
 
 def _per_op(num_qubits, start, ops):
+    """The reference: every op's expansion applied gate by gate."""
     state = SparseState(num_qubits, start)
     for op in ops:
-        state.apply(op)
+        for g in _expanded(op):
+            state.apply(g)
     return state
 
 
-def _assert_same_state(fused, reference, tol=1e-12):
-    assert set(fused.amplitudes) == set(reference.amplitudes)
+def _assert_same_state(whole, reference, tol=1e-12):
+    assert set(whole.amplitudes) == set(reference.amplitudes)
     assert max(abs(a - reference.amplitudes[i])
-               for i, a in fused.amplitudes.items()) < tol
-    assert fused.peak_support <= reference.peak_support
+               for i, a in whole.amplitudes.items()) < tol
+    assert whole.peak_support <= reference.peak_support
 
 
 @st.composite
-def _fragment_pieces(draw):
-    """A cswap fragment, its adjoint, or one H, G, S, T, CNOT, Toffoli, RY."""
-    kind = draw(st.sampled_from(("cswap", "cswap_adjoint", "H", "G", "S", "T",
-                                 "CNOT", "TOFFOLI", "RY")))
-    qs = [NARROW[i] for i in draw(st.permutations(range(len(NARROW))))]
-    if kind.startswith("cswap"):
-        n_pairs = draw(st.integers(1, 3))
-        pairs = tuple(zip(qs[1:1 + n_pairs], qs[4:4 + n_pairs]))
-        layer = SwapLayer(
-            ((qs[0], draw(st.booleans())),), pairs)
-        if kind == "cswap_adjoint":
-            layer = layer.adjoint()
-        return list(layer.expansion)
+def _narrow_gates(draw):
+    """One H, G, S, T, CNOT, Toffoli or RY on the narrow qubits."""
+    kind = draw(st.sampled_from(("H", "G", "S", "T", "CNOT", "TOFFOLI", "RY")))
+    qs = draw(st.permutations(NARROW))
     if kind == "CNOT":
-        return [Gate(GateKind.CNOT, (qs[0],), ((qs[1], draw(st.booleans())),))]
+        return Gate(GateKind.CNOT, (qs[0],), ((qs[1], draw(st.booleans())),))
     if kind == "TOFFOLI":
-        return [Gate(GateKind.TOFFOLI, (qs[0],),
-                     ((qs[1], draw(st.booleans())),
-                      (qs[2], draw(st.booleans()))))]
+        return Gate(GateKind.TOFFOLI, (qs[0],),
+                    ((qs[1], draw(st.booleans())),
+                     (qs[2], draw(st.booleans()))))
     if kind == "RY":
-        return [Gate(GateKind.RY, (qs[0],), (), draw(st.floats(0.25, 6.0)))]
-    return [Gate(GateKind[kind], (qs[0],))]
+        return Gate(GateKind.RY, (qs[0],), (), draw(_CLEAR_ANGLES))
+    return Gate(GateKind[kind], (qs[0],))
 
 
 @_SETTINGS
-@given(pieces=st.lists(_fragment_pieces(), max_size=12),
-       cut=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+@given(ops=st.lists(st.one_of(_swap_layers(NARROW),
+                              _rotation_blocks(NARROW, _CLEAR_ANGLES),
+                              _narrow_gates()), max_size=12),
+       cut=st.tuples(st.integers(0, 12), st.integers(0, 12)),
        seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(1, 6))
-def test_monomial_runs_match_per_op_application(pieces, cut, seed, terms):
-    gates = [g for piece in pieces for g in piece]
-    lo, hi = sorted(min(c, len(gates)) for c in cut)
-    macro = Macro(MacroKind.UNARY_STEP, _stored,
-                  (tuple(gates[lo:hi]),), 0, 0, full=NARROW, ctrl=())
-    ops = gates[:lo] + [macro] + gates[hi:]
+def test_whole_ops_match_gate_by_gate_application(ops, cut, seed, terms):
+    """Swap layers, rotation blocks, plain gates and a macro holding the
+    gates of a slice of them, run whole, against their expansions run gate
+    by gate."""
+    lo, hi = sorted(min(c, len(ops)) for c in cut)
+    gates = tuple(g for op in ops[lo:hi] for g in _expanded(op))
+    macro = Macro(MacroKind.UNARY_STEP, _stored, (gates,), 0, 0,
+                  full=NARROW, ctrl=())
+    ops = ops[:lo] + [macro] + ops[hi:]
     rng = np.random.default_rng(seed)
     start = {}
     for _ in range(terms):
@@ -466,8 +499,8 @@ def test_monomial_runs_match_per_op_application(pieces, cut, seed, terms):
         start[index] = complex(*rng.standard_normal(2))
     scale = math.sqrt(sum(abs(a) ** 2 for a in start.values()))
     start = {i: a / scale for i, a in start.items()}
-    fused = SparseState(NARROW_WIDTH, start).run(_circuit(ops, NARROW_WIDTH))
-    _assert_same_state(fused, _per_op(NARROW_WIDTH, start, ops))
+    whole = SparseState(NARROW_WIDTH, start).run(_circuit(ops, NARROW_WIDTH))
+    _assert_same_state(whole, _per_op(NARROW_WIDTH, start, ops))
 
 
 def _superposed(qubits, seed=5):
@@ -485,29 +518,73 @@ def test_cswap_fragment_is_one_monomial_block(adjoint):
     layer = SwapLayer(((0, True),), pairs)
     if adjoint:
         layer = layer.adjoint()
-    gates = layer.expansion
-    # One block per pair: each pair's 9-gate fragment on (a, b, control).
-    assert _monomial_run(gates, 0)[0] == 9
-    assert _monomial_run(gates, 9)[0] == 18
     # The second qubit of each pair starts at |0>, so G branches it.
     start = _superposed((0, 1, 3))
-    fused = SparseState(5, start).run(_circuit([layer], 5))
-    reference = _per_op(5, start, gates)
-    _assert_same_state(fused, reference)
-    assert fused.peak_support == len(start) < reference.peak_support
+    whole = SparseState(5, start).run(_circuit([layer], 5))
+    reference = _per_op(5, start, [layer])
+    _assert_same_state(whole, reference)
+    assert whole.peak_support == len(start) < reference.peak_support
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("positive", [False, True])
+def test_one_pair_layered_layer_is_one_monomial_block(positive, adjoint):
+    """A layered layer of one pair expands to the default form's nine gates
+    (its fanout is the CNOT c->b), so it goes whole as well."""
+    layer = SwapLayer(((0, positive),), ((1, 2),), layered=True)
+    if adjoint:
+        layer = layer.adjoint()
+    start = _superposed((0, 1))
+    whole = SparseState(3, start).run(_circuit([layer], 3))
+    reference = _per_op(3, start, [layer])
+    _assert_same_state(whole, reference)
+    assert whole.peak_support == len(start) < reference.peak_support
 
 
 def test_rotation_and_layered_column_keep_per_op_support():
+    """A swap-layer fragment split by a rotation is loose gates, and a
+    layered layer of two pairs runs its expansion gate by gate: whole-op application of
+    the layered form is left for later, so both keep the per-op peak."""
     fragment = list(SwapLayer(((0, True),), ((1, 2),)).expansion)
     with_ry = fragment[:4] + [Gate(GateKind.RY, (2,), (), 0.7)] + fragment[4:]
-    layered = SwapLayer(
-        ((0, True),), ((1, 2), (3, 4)), layered=True).expansion
-    for gates in (with_ry, layered):
+    layered = [SwapLayer(((0, True),), ((1, 2), (3, 4)), layered=True)]
+    for ops in (with_ry, layered):
         start = _superposed((0, 1, 3))
-        fused = SparseState(5, start).run(_circuit(gates, 5))
-        reference = _per_op(5, start, gates)
-        _assert_same_state(fused, reference)
-        assert fused.peak_support == reference.peak_support > len(start)
+        whole = SparseState(5, start).run(_circuit(ops, 5))
+        reference = _per_op(5, start, ops)
+        _assert_same_state(whole, reference)
+        assert whole.peak_support == reference.peak_support > len(start)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("controls", [(0,), (0, 2)])
+def test_rotation_block_branches_only_its_controlled_entries(controls,
+                                                             adjoint):
+    """m entries, k of them with the slot's controls at |1>: the block peaks
+    at m + k entries, gate by gate at 2m."""
+    block = RotationBlock([(*controls, 1)], [0.7])
+    if adjoint:
+        block = block.adjoint()
+    start = _superposed((0, 2, 3))
+    m, k = len(start), len(start) >> len(controls)
+    whole = SparseState(4, start).run(_circuit([block], 4))
+    reference = _per_op(4, start, [block])
+    _assert_same_state(whole, reference)
+    assert (whole.peak_support, reference.peak_support) == (m + k, 2 * m)
+
+
+def test_tiny_rotation_keeps_a_branch_gate_by_gate_prunes():
+    """RY(1e-13) on amplitude 0.3 opens a 1.5e-14 branch, above the prune
+    threshold; gate by gate the half-angle branch (7.5e-15) is pruned first
+    and RY(theta/2) has nothing left to rotate, so the whole op holds one
+    entry more, and peaks higher, by a branch far below any tolerance."""
+    block = RotationBlock([(0, 1)], [1e-13])
+    whole = SparseState(2, {1: 0.3}).run(_circuit([block], 2))
+    reference = _per_op(2, {1: 0.3}, [block])
+    assert dict(reference.amplitudes) == {1: 0.3}
+    assert set(whole.amplitudes) == {1, 3}
+    assert abs(whole.amplitudes[3] - 0.3 * math.sin(5e-14)) < 1e-28
+    assert whole.peak_support == 2 > reference.peak_support
 
 
 def test_select_swap_block_peaks_at_half_the_per_op_support():
@@ -529,3 +606,14 @@ def test_select_swap_block_peaks_at_half_the_per_op_support():
                 block[state.register_value(idx, res.in_qubits), k] = amp
     assert peak == 128       # per column; 1024 for the per-op batched pass
     assert np.abs(ext.block - block).max() < 1e-12
+
+
+def test_prerotated_block_peaks_at_half_the_per_op_support():
+    # The shape of the verify benchmark's prerotated-n3 request.
+    a = np.random.default_rng(81).uniform(5, 105, (8, 8))
+    res = build_block_encoding(a, BlockEncodingConfig(
+        method=Method.PRE_ROTATED, qram=QramModel.FLAGS, lam=3))
+    ext = extract_block(res.circuit, res.in_qubits)
+    assert ext.peak_support == 1024     # 2048 with rotations gate by gate
+    error = spectral_norm(res.padded - res.alpha * ext.block)
+    assert error <= 1e-9 * res.alpha
