@@ -12,14 +12,17 @@ layer costs what its gates cost, and a swap network what its
 
 T-depth is the longest path in the qubit-dependency DAG, where consecutive
 uses of a qubit chain an edge unless both uses are pure controls (diagonal in
-the computational basis), which commute and may share a layer.
+the computational basis), which commute and may share a layer.  Every op,
+gate or not, counts itself (``t_count``, ``ry_units`` and a one-step
+``schedule`` over every depth frontier), so the counter treats all ops
+alike.
 
 Every op that is not a gate is a ``Compound``: one class per kind holds
-its fields, checks, forward gates, text line and, but for a macro, its
-one-step schedule, and the base class gives every kind one adjoint, which
-shares the op's field objects.  ``Circuit`` runs those checks, built or
-parsed, once per distinct gate and once per shared field set (``key``), so
-an op and its adjoint are checked once.
+its fields, checks, forward gates, text fields and schedule, and the base
+class gives every kind one adjoint, which shares the op's field objects.
+``Circuit`` runs those checks, built or parsed, once per distinct gate and
+once per shared field set (``key``), so an op and its adjoint are checked
+once.
 
 The circuit text (``write_circuit_text``, ``parse_circuit_text``) has one
 line per op: a gate, a macro by its factory's arguments, or a swap layer, a
@@ -135,6 +138,25 @@ class Gate:
     def qubits(self):
         return self.targets + tuple(q for q, _ in self.controls)
 
+    @property
+    def t_count(self):
+        return _GATE_WEIGHTS[self.kind][0]
+
+    @property
+    def ry_units(self):
+        return _GATE_WEIGHTS[self.kind][1]
+
+    def schedule(self, frontiers):
+        """A full use of the targets that reads the controls; a CZ, diagonal,
+        only reads both targets.  A T-weight gate takes one T-layer, an RY
+        R_y of them, any other none."""
+        w, units = _GATE_WEIGHTS[self.kind]
+        if self.kind is GateKind.CZ:
+            _schedule_use(frontiers, (), self.targets, w, units)
+        else:
+            _schedule_use(frontiers, self.targets,
+                          [q for q, _ in self.controls], w, units)
+
     def adjoint(self):
         """The inverse gate; a self-inverse gate is its own (ops are never
         mutated, so adjoint legs share those gate objects)."""
@@ -164,6 +186,29 @@ def adjoint_ops(ops):
     return [op.adjoint() for op in reversed(ops)]
 
 
+def _schedule_use(frontiers, full, ctrl, depth, units):
+    """Advance each ``(ry, last_full, busy)`` frontier over one use of
+    ``full`` and a read of ``ctrl`` that takes ``depth`` T-layers plus
+    ``units`` R_y of them: it starts once every full qubit's ``busy`` and
+    every read qubit's ``last_full`` has passed."""
+    for ry, last_full, busy in frontiers:
+        start = 0
+        for q in full:
+            b = busy[q]
+            if b > start:
+                start = b
+        for q in ctrl:
+            b = last_full[q]
+            if b > start:
+                start = b
+        finish = start + depth + units * ry if units else start + depth
+        for q in full:
+            last_full[q] = busy[q] = finish
+        for q in ctrl:
+            if finish > busy[q]:
+                busy[q] = finish
+
+
 class Compound:
     """An op made of gates: a macro, a swap layer, a swap network, a
     rotation block or a Clifford layer.
@@ -175,10 +220,11 @@ class Compound:
     ``expansion`` is the forward gates, inverted when ``inverted`` is set.
     ``key()`` names that shared field set.  Only the simulator asks for the
     expansion.  Every kind but a macro also checks its fields
-    (``validate``) and schedules itself:
-    ``schedule(ry, last_full, busy)`` advances a depth frontier over the op
-    in one step, from the closed form of its gates' schedule, and the op
-    costs ``t_count`` plus ``ry_units`` R_y units.
+    (``validate``).  Like a gate, every kind counts itself: it costs
+    ``t_count`` plus ``ry_units`` R_y units, and ``schedule(frontiers)``
+    advances each ``(ry, last_full, busy)`` depth frontier over the op in
+    one step, from the closed form of its gates' schedule (a macro's from
+    its declared T-depth and qubit roles).
     """
 
     __slots__ = ("inverted",)
@@ -207,10 +253,6 @@ class Compound:
 
     def validate(self):
         """Nothing: a macro's factory does its checks."""
-
-    def line(self):
-        """The op's text line: its fields, then ``inv``."""
-        return f"{self.fields()} inv={int(self.inverted)}"
 
 
 class Macro(Compound):
@@ -254,6 +296,10 @@ class Macro(Compound):
 
     def qubits(self):
         return self.full + self.ctrl + self.scratch
+
+    def schedule(self, frontiers):
+        """One use of ``full`` that reads ``ctrl``, ``t_depth`` long."""
+        _schedule_use(frontiers, self.full, self.ctrl, self.t_depth, 0)
 
     def fields(self):
         """The kind and its factory's arguments: the parser calls the
@@ -346,7 +392,7 @@ class SwapLayer(Compound):
         return (tuple(chain.from_iterable(self.pairs))
                 + tuple(q for q, _ in self.controls))
 
-    def schedule(self, ry, last_full, busy):
+    def schedule(self, frontiers):
         """A pair (a, b) reads the control c between two T-layers on b
         before and two after: at X = max(max(busy[a], busy[b]) + 2,
         last_full[c]), leaving a and b at X + 2.  A ``layered`` layer reads
@@ -355,23 +401,24 @@ class SwapLayer(Compound):
         G-dagger, so the schedule is too."""
         c = self.controls[0][0]
         pairs = self.pairs
-        ready = last_full[c]
-        if self.layered:
+        for _, last_full, busy in frontiers:
+            ready = last_full[c]
+            if self.layered:
+                for a, b in pairs:
+                    ba, bb = busy[a], busy[b]
+                    x = (ba if ba > bb else bb) + 2
+                    if x > ready:
+                        ready = x
+            top = busy[c]
             for a, b in pairs:
                 ba, bb = busy[a], busy[b]
                 x = (ba if ba > bb else bb) + 2
-                if x > ready:
-                    ready = x
-        top = busy[c]
-        for a, b in pairs:
-            ba, bb = busy[a], busy[b]
-            x = (ba if ba > bb else bb) + 2
-            if ready > x:
-                x = ready
-            last_full[a] = busy[a] = last_full[b] = busy[b] = x + 2
-            if x > top:
-                top = x
-        busy[c] = top
+                if ready > x:
+                    x = ready
+                last_full[a] = busy[a] = last_full[b] = busy[b] = x + 2
+                if x > top:
+                    top = x
+            busy[c] = top
 
     def fields(self):
         return (f"l c={_fmt_controls(self.controls)} "
@@ -438,41 +485,42 @@ class RotationBlock(Compound):
         return (tuple(chain.from_iterable(self.slots))
                 + (() if self.fanout is None else (self.fanout,)))
 
-    def schedule(self, ry, last_full, busy):
+    def schedule(self, frontiers):
         """A slot (controls C, target t) whose flips take T-depth d (1 for
         two controls, 0 for one) starts at X = max(busy[t], last_full[C]),
         or inverted, where a rotation comes first, at X = max(busy[t] + R,
         last_full[C]); its controls are read until X + 2d + R, and t is done
         at X + 2d + 2R (X + 2d + R inverted)."""
         slots = self.slots
-        pre, post = (ry, 0) if self.inverted else (0, ry)
-        if self.fanout is not None:
-            self._schedule_fanout(last_full, busy)
-        if len(slots[0]) == 3:
-            step = 2 + ry
-            for c1, c2, t in slots:
-                x = busy[t] + pre
-                if last_full[c1] > x:
-                    x = last_full[c1]
-                if last_full[c2] > x:
-                    x = last_full[c2]
-                x += step
-                last_full[t] = busy[t] = x + post
-                if x > busy[c1]:
-                    busy[c1] = x
-                if x > busy[c2]:
-                    busy[c2] = x
-        else:
-            for c, t in slots:
-                x = busy[t] + pre
-                if last_full[c] > x:
-                    x = last_full[c]
-                x += ry
-                last_full[t] = busy[t] = x + post
-                if x > busy[c]:
-                    busy[c] = x
-        if self.fanout is not None:
-            self._schedule_fanout(last_full, busy)
+        for ry, last_full, busy in frontiers:
+            pre, post = (ry, 0) if self.inverted else (0, ry)
+            if self.fanout is not None:
+                self._schedule_fanout(last_full, busy)
+            if len(slots[0]) == 3:
+                step = 2 + ry
+                for c1, c2, t in slots:
+                    x = busy[t] + pre
+                    if last_full[c1] > x:
+                        x = last_full[c1]
+                    if last_full[c2] > x:
+                        x = last_full[c2]
+                    x += step
+                    last_full[t] = busy[t] = x + post
+                    if x > busy[c1]:
+                        busy[c1] = x
+                    if x > busy[c2]:
+                        busy[c2] = x
+            else:
+                for c, t in slots:
+                    x = busy[t] + pre
+                    if last_full[c] > x:
+                        x = last_full[c]
+                    x += ry
+                    last_full[t] = busy[t] = x + post
+                    if x > busy[c]:
+                        busy[c] = x
+            if self.fanout is not None:
+                self._schedule_fanout(last_full, busy)
 
     def _schedule_fanout(self, last_full, busy):
         """The fanout: a weight-0 full use of every slot's first control
@@ -523,9 +571,10 @@ class CliffordLayer(Compound):
     def qubits(self):
         return self.targets
 
-    def schedule(self, ry, last_full, busy):
-        for q in self.targets:
-            last_full[q] = busy[q]
+    def schedule(self, frontiers):
+        for _, last_full, busy in frontiers:
+            for q in self.targets:
+                last_full[q] = busy[q]
 
     def fields(self):
         return f"c k={self.kind.value} t={_fmt_qubits(self.targets)}"
@@ -599,7 +648,7 @@ class SwapNetwork(Compound):
     def qubits(self):
         return self.controls + self.slots + self.pool
 
-    def schedule(self, ry, last_full, busy):
+    def schedule(self, frontiers):
         """Column k's full qubits are groups k..n-1, so column k starts at
         X_k, the largest of last_full[c_k], the previous column's X + 1
         and, for the groups the column is the first to use, their ``busy``;
@@ -608,35 +657,37 @@ class SwapNetwork(Compound):
         columns run n-1 down to 0 and every group is done at X_0 + 1."""
         groups = self.groups
         if self.inverted:
-            x = -1
-            for c, qubits in reversed(groups):
+            for _, last_full, busy in frontiers:
+                x = -1
+                for c, qubits in reversed(groups):
+                    x += 1
+                    if last_full[c] > x:
+                        x = last_full[c]
+                    for q in qubits:
+                        if busy[q] > x:
+                            x = busy[q]
+                    if x >= busy[c]:
+                        busy[c] = x + 1
+                x += 1
+                for _, qubits in groups:
+                    for q in qubits:
+                        last_full[q] = busy[q] = x
+            return
+        for _, last_full, busy in frontiers:
+            x = 0
+            for _, qubits in groups:
+                for q in qubits:
+                    if busy[q] > x:
+                        x = busy[q]
+            x -= 1
+            for c, qubits in groups:
                 x += 1
                 if last_full[c] > x:
                     x = last_full[c]
                 for q in qubits:
-                    if busy[q] > x:
-                        x = busy[q]
+                    last_full[q] = busy[q] = x + 1
                 if x >= busy[c]:
                     busy[c] = x + 1
-            x += 1
-            for _, qubits in groups:
-                for q in qubits:
-                    last_full[q] = busy[q] = x
-            return
-        x = 0
-        for _, qubits in groups:
-            for q in qubits:
-                if busy[q] > x:
-                    x = busy[q]
-        x -= 1
-        for c, qubits in groups:
-            x += 1
-            if last_full[c] > x:
-                x = last_full[c]
-            for q in qubits:
-                last_full[q] = busy[q] = x + 1
-            if x >= busy[c]:
-                busy[c] = x + 1
 
     def fields(self):
         return (f"w c={_fmt_qubits(self.controls)} "
@@ -806,24 +857,20 @@ class CircuitBuilder:
         return Circuit(self._registers, self._ops, self._total, self._stages)
 
 
-def _op_cost(op):
-    """Return (t_count, t_depth, ry_units, full_qubits, control_qubits).
-
-    An op's T-count is ``t_count + ry_units * ry_cost`` and its T-depth
-    ``t_depth + ry_units * ry_cost``.  Control-only qubits are diagonal uses:
-    two of them on one qubit commute.
-    """
-    if isinstance(op, Macro):
-        return op.t_count, op.t_depth, 0, op.full, op.ctrl
-    w, units = _GATE_WEIGHTS[op.kind]
-    if op.kind is GateKind.CZ:
-        return w, w, units, (), op.targets
-    return w, w, units, op.targets, [q for q, _ in op.controls]
-
-
 def count_resources(circuit: Circuit, ry_cost: int = 0) -> ResourceReport:
     """The ``count_resources_at`` report for the single value ``ry_cost``."""
     return count_resources_at(circuit, (ry_cost,))[0]
+
+
+def _count_ops(ops, frontiers):
+    """Schedule each op on every frontier; return their T-count and R_y
+    units."""
+    t_count = ry_units = 0
+    for op in ops:
+        t_count += op.t_count
+        ry_units += op.ry_units
+        op.schedule(frontiers)
+    return t_count, ry_units
 
 
 def count_resources_at(circuit: Circuit, ry_costs) -> list:
@@ -838,95 +885,41 @@ def count_resources_at(circuit: Circuit, ry_costs) -> list:
     over stages that share a name; it is empty when the circuit has no
     stages.
 
-    One pass schedules every op, for every R_y value, on two depth
-    frontiers: the circuit's and a stage-local one that restarts at each
-    stage start (ops between stages update a stage frontier nobody reads).
-    A frontier holds, per qubit, the finish of the last full use
-    (``last_full``) and the latest finish of any use (``busy``): a full use
-    waits for ``busy``, a control-only use only for ``last_full``.  A
-    frontier's T-depth is its largest ``busy``.  A swap layer, a swap
-    network, a rotation block or a Clifford layer advances both frontiers
-    in one step (its ``schedule``); gates and macros take the generic path
-    (``_op_cost``).
-    T-count is affine in R_y and is summed once; T-depth is a longest path,
-    whose critical path may change with R_y, so each value keeps frontiers
-    of its own.
+    Every op counts itself.  T-count is affine in R_y: each op adds its
+    ``t_count`` and ``ry_units``, summed once for all values.  T-depth is a
+    longest path, whose critical path may change with R_y, so each value
+    keeps a depth frontier ``(ry, last_full, busy)`` of its own: per qubit,
+    the finish of the last full use and the latest finish of any use.  A
+    full use waits for ``busy``, a control-only use only for ``last_full``,
+    and a frontier's T-depth is its largest ``busy``.  One pass calls each
+    op's ``schedule`` once, on the circuit's frontiers and, inside a
+    stage, on fresh stage-local ones too.
     """
     for ry in ry_costs:
         if not isinstance(ry, numbers.Integral) or ry < 0:
             raise ValueError(f"R_y must be a non-negative integer, not {ry!r}")
     ops = circuit.ops
     total = circuit.total_qubits
-    # Per R_y value: [ry, last_full, busy, s_full, s_busy].
-    states = [[ry, [0] * total, [0] * total, None, None] for ry in ry_costs]
-    t_count = ry_units = 0
-    stage_counts = []
-    segments = []
-    pos = 0
+    frontiers = [(ry, [0] * total, [0] * total) for ry in ry_costs]
+    breakdowns = [{} for _ in frontiers]
+    t_count = ry_units = pos = 0
     for name, lo, hi in circuit.stages:
-        segments += [(None, pos, lo), (name, lo, hi)]
+        count, units = _count_ops(ops[pos:lo], frontiers)
+        stage = [(ry, [0] * total, [0] * total) for ry in ry_costs]
+        s_count, s_units = _count_ops(ops[lo:hi], frontiers + stage)
+        t_count += count + s_count
+        ry_units += units + s_units
+        for breakdown, (ry, _, busy) in zip(breakdowns, stage):
+            tc, td = breakdown.get(name, (0, 0))
+            breakdown[name] = (tc + s_count + s_units * ry,
+                               td + max(busy, default=0))
         pos = hi
-    segments.append((None, pos, len(ops)))
-    for name, lo, hi in segments:
-        for state in states:
-            state[3] = [0] * total
-            state[4] = [0] * total
-        s_count = s_units = 0
-        for i in range(lo, hi):
-            op = ops[i]
-            if not isinstance(op, (Gate, Macro)):
-                s_count += op.t_count
-                s_units += op.ry_units
-                for ry, last_full, busy, s_full, s_busy in states:
-                    op.schedule(ry, last_full, busy)
-                    op.schedule(ry, s_full, s_busy)
-                continue
-            wc, wd, units, full, ctrl = _op_cost(op)
-            s_count += wc
-            s_units += units
-            for ry, last_full, busy, s_full, s_busy in states:
-                start = s_start = 0
-                for q in full:
-                    b = busy[q]
-                    if b > start:
-                        start = b
-                    b = s_busy[q]
-                    if b > s_start:
-                        s_start = b
-                for q in ctrl:
-                    b = last_full[q]
-                    if b > start:
-                        start = b
-                    b = s_full[q]
-                    if b > s_start:
-                        s_start = b
-                w = wd + units * ry if units else wd
-                finish = start + w
-                s_finish = s_start + w
-                for q in full:
-                    last_full[q] = busy[q] = finish
-                    s_full[q] = s_busy[q] = s_finish
-                for q in ctrl:
-                    if finish > busy[q]:
-                        busy[q] = finish
-                    if s_finish > s_busy[q]:
-                        s_busy[q] = s_finish
-        t_count += s_count
-        ry_units += s_units
-        stage_counts.append((name, s_count, s_units,
-                             [max(state[4], default=0) for state in states]))
-    reports = []
-    for v, (ry, _, busy, _, _) in enumerate(states):
-        breakdown = {}
-        for name, s_count, s_units, s_depths in stage_counts:
-            if name is not None:
-                tc0, td0 = breakdown.get(name, (0, 0))
-                breakdown[name] = (tc0 + s_count + s_units * ry,
-                                   td0 + s_depths[v])
-        reports.append(ResourceReport(
-            qubits=total, t_count=t_count + ry_units * ry,
-            t_depth=max(busy, default=0), breakdown=breakdown))
-    return reports
+    count, units = _count_ops(ops[pos:], frontiers)
+    t_count += count
+    ry_units += units
+    return [ResourceReport(qubits=total, t_count=t_count + ry_units * ry,
+                           t_depth=max(busy, default=0), breakdown=breakdown)
+            for (ry, _, busy), breakdown in zip(frontiers, breakdowns)]
 
 
 # ---------------------------------------------------------------------------

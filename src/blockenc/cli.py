@@ -361,8 +361,7 @@ def cmd_sweep(args):
         raise UsageError("--n-max must be >= 1: a sweep up to "
                          f"n = {args.n_max} compares nothing")
     n_values = tuple(range(1, args.n_max + 1))
-    verdicts = sweep_cross_validation(n_values=n_values, seed=args.seed,
-                                      include_be=not args.no_be)
+    verdicts = sweep_cross_validation(n_values=n_values, seed=args.seed)
     bad = [v for v in verdicts if not v.passed]
     payload = {
         "config": {"command": "sweep", "n_max": args.n_max, "seed": args.seed},
@@ -425,8 +424,6 @@ def make_parser():
     p = command("sweep", help="formula-vs-counted cross-validation")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--no-be", action="store_true",
-                   help="skip the block-encoding sweeps")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sweep)

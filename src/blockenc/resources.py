@@ -425,7 +425,7 @@ def _random_rows(rng, count, width):
 
 def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                            t_values=(3, 5, 8), ry_values=(10, 30),
-                           seed=11, include_be=True):
+                           seed=11):
     """Cross-validate every generator against its formula over the grid."""
     n_values, d_values, t_values, ry_values = (
         tuple(v) for v in (n_values, d_values, t_values, ry_values))
@@ -472,25 +472,24 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
             verdicts.append(cross_validate(
                 counted, "sp_prerotated", {"n": n, "ry": ry}))
 
-    if include_be:
-        for n in n_values:
-            matrix = rng.standard_normal((1 << n, 1 << n))
-            for t in t_values:
-                for lam in range(n + 1):
-                    for qram, formula in ((QramModel.SELECT_SWAP, "be_ss"),
-                                          (QramModel.BUCKET_BRIGADE, "be_bb")):
-                        cfg = BlockEncodingConfig(
-                            method=Method.FIXED_PRECISION, qram=qram,
-                            lam=lam, t=t)
-                        circuit = build_block_encoding(matrix, cfg).circuit
-                        for ry, counted in per_ry(circuit):
-                            verdicts.append(cross_validate(
-                                counted, formula,
-                                {"n": n, "t": t, "lam": lam, "ry": ry}))
-            cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
-                                      qram=QramModel.FLAGS, lam=n)
-            circuit = build_block_encoding(matrix, cfg).circuit
-            for ry, counted in per_ry(circuit):
-                verdicts.append(cross_validate(
-                    counted, "be_prerotated", {"n": n, "ry": ry}))
+    for n in n_values:
+        matrix = rng.standard_normal((1 << n, 1 << n))
+        for t in t_values:
+            for lam in range(n + 1):
+                for qram, formula in ((QramModel.SELECT_SWAP, "be_ss"),
+                                      (QramModel.BUCKET_BRIGADE, "be_bb")):
+                    cfg = BlockEncodingConfig(
+                        method=Method.FIXED_PRECISION, qram=qram,
+                        lam=lam, t=t)
+                    circuit = build_block_encoding(matrix, cfg).circuit
+                    for ry, counted in per_ry(circuit):
+                        verdicts.append(cross_validate(
+                            counted, formula,
+                            {"n": n, "t": t, "lam": lam, "ry": ry}))
+        cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                  qram=QramModel.FLAGS, lam=n)
+        circuit = build_block_encoding(matrix, cfg).circuit
+        for ry, counted in per_ry(circuit):
+            verdicts.append(cross_validate(
+                counted, "be_prerotated", {"n": n, "ry": ry}))
     return verdicts

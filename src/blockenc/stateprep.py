@@ -175,6 +175,15 @@ def flag_dagger_ops(data, f_slots, n, pool):
     return ops
 
 
+def _repair_ops(data, slots, f_slots, pool_a, pool_b, repair):
+    """SPF forward and its S_p columns undone, then FLAG^dagger undone, the
+    ``repair`` ops and FLAG^dagger again: one FLAG^dagger serves both."""
+    n = len(data)
+    fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
+    fdg = flag_dagger_ops(data, f_slots, n, pool_b)
+    return fwd + adjoint_ops(s_ops) + adjoint_ops(fdg) + repair + fdg
+
+
 def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
     """Garbage-free pre-rotated SP body over existing angle/flag registers,
     preparing the one row of ``vectors``."""
@@ -189,14 +198,9 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
         ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
         ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
     ops += flags
-    fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
-    ops.extend(fwd)
-    ops.extend(adjoint_ops(s_ops))
-    fdg = flag_dagger_ops(data, f_slots, n, pool_b)
-    ops.extend(adjoint_ops(fdg))
-    ops.append(RotationBlock(((f_slots[r], slots[r]) for r in range(1, big_n)),
-                             [-theta for theta in folded]))
-    ops.extend(flag_dagger_ops(data, f_slots, n, pool_b))
+    ops += _repair_ops(data, slots, f_slots, pool_a, pool_b, [RotationBlock(
+        ((f_slots[r], slots[r]) for r in range(1, big_n)),
+        [-theta for theta in folded])])
     ops += flags
     return ops
 
@@ -270,13 +274,8 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     # The flag X layer and LOADF's first one-hot X layer are one layer.
     onehot_x, *loadf = plan.build_ops(static_flags_one=True)
     ops = clifford_layer_ops(GateKind.X, flag + onehot_x.targets) + loadf
-    fwd, s_ops = spf_forward_ops(data, slots, n, pa)
-    ops.extend(fwd)
-    ops.extend(adjoint_ops(s_ops))
-    fdg = flag_dagger_ops(data, f_slots, n, pb)
-    ops.extend(adjoint_ops(fdg))
-    ops.extend(adjoint_ops(plan.build_ops(static_flags_one=False)))
-    ops.extend(flag_dagger_ops(data, f_slots, n, pb))
+    ops += _repair_ops(data, slots, f_slots, pa, pb, adjoint_ops(
+        plan.build_ops(static_flags_one=False)))
     ops += clifford_layer_ops(GateKind.X, flag)
     return ops, plan
 

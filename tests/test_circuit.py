@@ -420,6 +420,36 @@ def test_circuit_checks_its_ops(monkeypatch):
     assert len(calls) == 1
 
 
+def test_count_schedules_each_op_once(monkeypatch):
+    """One pass calls each op's ``schedule`` once for every R_y value: on
+    the circuit's frontiers, and inside a stage on a stage-local set too.
+    The circuit holds a gate, a macro and every compound kind, inside
+    stages, between them and after them."""
+    layer = SwapLayer(((0, True),), ((1, 2),))
+    ops = [Gate(GateKind.T, (0,)), layer,
+           parallel_cswap_clean(5, ((1, 2),), (3, 4)),
+           RotationBlock([(0, 1, 2)], [0.5], fanout=5),
+           CliffordLayer(GateKind.H, (3, 4)),
+           SwapNetwork((0,), (1, 2), (3, 4)).adjoint(),
+           layer.adjoint(), Gate(GateKind.RY, (3,), (), 0.5)]
+    circuit = Circuit([QubitRegister("q", 0, 6)], ops, 6,
+                      [("a", 1, 4), ("b", 4, 4), ("a", 5, 7)])
+    rys = (1, 10, 30)
+    want = [count_resources(circuit, ry) for ry in rys]
+    calls = []
+    for cls in (Gate, *Compound.__subclasses__()):
+        def counted(op, frontiers, schedule=cls.schedule):
+            calls.append((op, [ry for ry, _, _ in frontiers]))
+            return schedule(op, frontiers)
+        monkeypatch.setattr(cls, "schedule", counted)
+    assert count_resources_at(circuit, rys) == want
+    assert len(calls) == len(ops)
+    for i, (op, (called, frontier_rys)) in enumerate(zip(ops, calls)):
+        staged = 1 <= i < 4 or 5 <= i < 7
+        assert called is op
+        assert frontier_rys == list(rys) * (2 if staged else 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(angle=st.floats(allow_nan=False),
        spelling=st.sampled_from(("{!r}", "{:.17g}", "{:.12g}", "{:e}",
@@ -624,6 +654,13 @@ def _stored(gates):
     return gates
 
 
+def op_line(op):
+    """The line ``write_circuit_text`` writes for ``op``, alone in a
+    circuit."""
+    circuit = Circuit([], [op], max(op.qubits()) + 1)
+    return write_circuit_text(circuit).splitlines()[-1]
+
+
 @st.composite
 def _macros(draw, gates, width=_WIDTH):
     """A macro over drawn gates whose roles cover its expansion, plus at
@@ -689,17 +726,41 @@ def _clifford_layers(draw, width=_WIDTH):
 
 
 @st.composite
+def _swap_layers(draw, width=_WIDTH):
+    """A default or layered swap layer of one or more pairs on drawn qubits
+    under either control polarity, forward or adjoint."""
+    k = draw(st.integers(1, (width - 1) // 2))
+    order = draw(st.permutations(range(width)))
+    layer = SwapLayer(((order[0], draw(st.booleans())),),
+                      tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
+                      layered=draw(st.booleans()))
+    return layer.adjoint() if draw(st.booleans()) else layer
+
+
+@st.composite
+def _one_control_networks(draw):
+    """A one-control swap network (two slots, a pool of two) on five drawn
+    qubits, forward or adjoint."""
+    order = draw(st.permutations(range(_WIDTH)))
+    network = SwapNetwork(order[:1], order[1:3], order[3:5])
+    return network.adjoint() if draw(st.booleans()) else network
+
+
+@st.composite
 def _staged_circuits(draw, factory=False):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
     pool always holds two or more rotation blocks that share control qubit
-    0, and Clifford layers, and its macros are the factories' when
-    ``factory``.  It may also hold the adjoints of its compound ops, which
-    share their fields."""
+    0; it may hold Clifford layers, swap layers and a one-control swap
+    network, and its macros are the factories' when ``factory``.  It may
+    also hold the adjoints of its compound ops, which share their
+    fields."""
     gates = draw(st.lists(_gates(), min_size=1, max_size=5))
     macros = _factory_macros() if factory else _macros(gates)
     pool = (gates + draw(st.lists(_hub_rotations(), min_size=2, max_size=3))
             + draw(st.lists(_clifford_layers(), max_size=2))
+            + draw(st.lists(_swap_layers(), max_size=2))
+            + draw(st.lists(_one_control_networks(), max_size=1))
             + draw(st.lists(macros, max_size=3)))
     compounds = st.sampled_from(pool[len(gates):])
     pool += [op.adjoint() for op in draw(st.lists(compounds, max_size=3))]
@@ -723,14 +784,11 @@ _PROPERTY = settings(max_examples=60, deadline=None,
 
 
 def _same_ops(ops, others):
-    """Equal op for op; a rotation block or a Clifford layer, which define
-    no equality, by their fields (a block's angles exactly)."""
+    """Equal op for op; a compound op other than a macro, which defines no
+    equality, by its text fields (a block's angles exactly) and ``inv``."""
     def key(op):
-        if isinstance(op, RotationBlock):
-            return (op.slots, tuple(map(float.hex, op.thetas)), op.fanout,
-                    op.inverted)
-        if isinstance(op, CliffordLayer):
-            return (op.kind, op.targets, op.inverted)
+        if isinstance(op, Compound) and not isinstance(op, Macro):
+            return op.fields(), op.inverted
         return op
     return list(map(key, ops)) == list(map(key, others))
 
@@ -857,13 +915,14 @@ def flattened(circuit, keep_blocks=False):
 def _oracle_counts(ops, ry):
     """T-count and T-depth of gates and macros by a longest path over
     pairwise conflicts: op j waits for an earlier op i when they share a
-    qubit that is not control-only in both."""
+    qubit that is not control-only in both.  A macro uses the qubits of its
+    declared roles; its scratch qubits are not counted."""
     t_count = 0
     placed = []     # (full qubits, control-only qubits, finish) per op
     for op in ops:
         if isinstance(op, Macro):
             weight = (op.t_count, op.t_depth)
-            ctrl = set(op.ctrl)
+            full, ctrl = set(op.full), set(op.ctrl)
         else:
             w = {GateKind.T: 1, GateKind.TDG: 1, GateKind.G: 1,
                  GateKind.GDG: 1, GateKind.RY: ry}.get(op.kind, 0)
@@ -871,7 +930,7 @@ def _oracle_counts(ops, ry):
             ctrl = {q for q, _ in op.controls}
             if op.kind is GateKind.CZ:
                 ctrl |= set(op.targets)
-        full = set(op.qubits()) - ctrl
+            full = set(op.qubits()) - ctrl
         start = max((finish for f, c, finish in placed
                      if full & (f | c) or ctrl & f), default=0)
         t_count += weight[0]
@@ -968,19 +1027,14 @@ def _layer_circuits(draw, factory=False):
     either control polarity) after a drawn prefix of gates and macros on
     its qubits and before a drawn suffix, with drawn stage bounds; the
     macros are the factories' when ``factory``."""
-    k = draw(st.integers(1, 4))
-    order = draw(st.permutations(range(_LAYER_WIDTH)))
-    layer = SwapLayer(
-        ((order[0], draw(st.booleans())),),
-        tuple(zip(order[1:1 + k], order[1 + k:1 + 2 * k])),
-        layered=draw(st.booleans()))
-    if draw(st.booleans()):
-        layer = layer.adjoint()
+    layer = draw(_swap_layers(_LAYER_WIDTH))
+    c = layer.controls[0][0]
     gates = draw(st.lists(_gates(_LAYER_WIDTH), min_size=1, max_size=6))
     # A rotation block that only reads the layer's control, so the
     # control's last read can follow its last full use.
-    reader = RotationBlock([(order[0], draw(st.sampled_from(order[1:])))],
-                           [0.5])
+    reader = RotationBlock(
+        [(c, draw(st.sampled_from([q for q in range(_LAYER_WIDTH)
+                                    if q != c])))], [0.5])
     macros = (_factory_macros(_LAYER_WIDTH) if factory
               else _macros(gates, _LAYER_WIDTH))
     pool = gates + [reader] + draw(st.lists(macros, max_size=2))
@@ -1322,7 +1376,7 @@ def test_builder_checks_a_swap_network(controls, slots, pool, message):
     with pytest.raises(CircuitError, match=message):
         b.build()
     with pytest.raises(CircuitError, match=message):
-        parse_circuit_text(f"qubits 8\nreg q 0 8\n{network.line()}\n")
+        parse_circuit_text(f"qubits 8\nreg q 0 8\n{network.fields()} inv=0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1404,7 +1458,7 @@ def test_builder_and_parser_check_a_clifford_layer(kind, targets, line,
                                                    message):
     """The builder rejects the layer, and the parser its line, alike."""
     layer = CliffordLayer(kind, targets)
-    assert layer.line() == f"{line} inv=0"
+    assert layer.fields() == line
     b = CircuitBuilder()
     b.allocate("q", 4)
     b.add(layer)
@@ -1437,8 +1491,8 @@ def test_compound_adjoint_shares_fields_and_flips_inv(circuit, macro):
         for name in type(op).__slots__:
             assert getattr(inverse, name) is getattr(op, name)
         assert inverse.inverted is not op.inverted
-        assert inverse.adjoint().line() == op.line()
+        assert op_line(inverse.adjoint()) == op_line(op)
         assert inverse.expansion == tuple(adjoint_ops(op.expansion))
-        parsed = parse_circuit_text(
-            f"qubits {circuit.total_qubits}\n{inverse.line()}\n")
-        assert parsed.ops[0].line() == inverse.line()
+        text = write_circuit_text(Circuit([], [inverse],
+                                          circuit.total_qubits))
+        assert write_circuit_text(parse_circuit_text(text)) == text

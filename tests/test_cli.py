@@ -286,11 +286,14 @@ def test_tables_command(capsys):
 
 
 def test_sweep_command(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--n-max", "2", "--no-be",
-                           "--format", "json")
+    """The full n <= 2 grid, block encodings included: the totals that
+    perfbench pins."""
+    code, out, _ = run_cli(capsys, "sweep", "--n-max", "2", "--format",
+                           "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["unexplained"] == 0
+    assert (payload["verdicts"], payload["ledger_explained"],
+            payload["unexplained"]) == (122, 99, 0)
 
 
 def test_build_qnorm_rejected(capsys, matrix_csv):

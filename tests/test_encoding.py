@@ -41,7 +41,7 @@ from blockenc.qram import (
 )
 from blockenc.simulator import extract_block, run_circuit, spectral_norm
 from blockenc.stateprep import build_sp_fixed, build_sp_prerotated
-from test_circuit import flattened
+from test_circuit import flattened, op_line
 
 SS, BB = QramModel.SELECT_SWAP, QramModel.BUCKET_BRIGADE
 
@@ -346,12 +346,12 @@ def test_written_text_counts_as_the_built_circuit():
 def test_writer_formats_each_shared_field_set_once(n, cfg, monkeypatch):
     """Most compound ops sit beside their adjoints, which share their
     fields: the writer formats ``fields()`` once per ``Compound.key`` and
-    still writes each op's ``line()``."""
+    still writes each op's line as it writes the op alone."""
     matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
     circuit = build_block_encoding(matrix, cfg).circuit
     compounds = {i: op for i, op in enumerate(circuit.ops)
                  if isinstance(op, Compound)}
-    want = {i: op.line() for i, op in compounds.items()}
+    want = {i: op_line(op) for i, op in compounds.items()}
     keys = []
     for cls in Compound.__subclasses__():
         def counted(op, fields=cls.fields):
@@ -459,7 +459,7 @@ def test_no_two_adjacent_clifford_layers_share_a_kind():
     """Adjacent layers of one kind are emitted as one: the pre-rotated
     encoding's flag X layer and LOADF's first one-hot X layer included."""
     for n, cfg, ops in _cli_ops_up_to_n3():
-        pairs = [(a.line(), b.line()) for a, b in zip(ops, ops[1:])
+        pairs = [(op_line(a), op_line(b)) for a, b in zip(ops, ops[1:])
                  if isinstance(a, CliffordLayer)
                  and isinstance(b, CliffordLayer) and a.kind is b.kind]
         assert not pairs, (n, cfg, pairs[:3])
