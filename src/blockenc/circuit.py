@@ -397,18 +397,23 @@ class SwapLayer(Compound):
         before and two after: at X = max(max(busy[a], busy[b]) + 2,
         last_full[c]), leaving a and b at X + 2.  A ``layered`` layer reads
         c once for all its pairs, so its one X takes the first term's
-        maximum over them.  Inverted, the gates are the same up to G and
-        G-dagger, so the schedule is too."""
+        maximum over every pair qubit, and every pair qubit ends at X + 2.
+        Inverted, the gates are the same up to G and G-dagger, so the
+        schedule is too."""
         c = self.controls[0][0]
         pairs = self.pairs
+        if self.layered:
+            qubits = tuple(chain.from_iterable(pairs))
+            for _, last_full, busy in frontiers:
+                x = max(max(map(busy.__getitem__, qubits)) + 2, last_full[c])
+                done = x + 2
+                for q in qubits:
+                    last_full[q] = busy[q] = done
+                if x > busy[c]:
+                    busy[c] = x
+            return
         for _, last_full, busy in frontiers:
             ready = last_full[c]
-            if self.layered:
-                for a, b in pairs:
-                    ba, bb = busy[a], busy[b]
-                    x = (ba if ba > bb else bb) + 2
-                    if x > ready:
-                        ready = x
             top = busy[c]
             for a, b in pairs:
                 ba, bb = busy[a], busy[b]
@@ -426,11 +431,14 @@ class SwapLayer(Compound):
 
 
 class RotationBlock(Compound):
-    """A block of controlled rotations on slots that share no qubit: slot k
-    is ``slots[k]`` = (controls..., target), with one positive control in
-    every slot or two in every slot, and rotates by ``thetas[k]``.  When
-    ``fanout`` is a qubit, a fanout-CNOT from it onto every slot's first
-    control comes before the rotations and again after them.
+    """A block of controlled rotations: slot k is ``slots[k]`` = (controls...,
+    target), with one positive control in every slot or two in every slot,
+    and rotates by ``thetas[k]``.  Slots share no control, and no control is
+    a target; a target may repeat (the fixed-precision ladder rotates one
+    data qubit under each angle bit), and its slots run in order, reversed
+    in the adjoint.  When ``fanout`` is a qubit, a fanout-CNOT from it onto
+    every slot's first control comes before the rotations and again after
+    them.
 
     Each slot's gates are ``decomp.controlled_ry_gates``: a flip,
     RY(-theta/2), the flip, RY(theta/2).  A one-control flip is a CNOT; a
@@ -482,7 +490,10 @@ class RotationBlock(Compound):
                     ((self.fanout, True),))
 
     def qubits(self):
-        return (tuple(chain.from_iterable(self.slots))
+        """Every control, each target once, then the fanout."""
+        slots = self.slots
+        return (tuple(q for slot in slots for q in slot[:-1])
+                + tuple(dict.fromkeys(slot[-1] for slot in slots))
                 + (() if self.fanout is None else (self.fanout,)))
 
     def schedule(self, frontiers):
@@ -490,8 +501,10 @@ class RotationBlock(Compound):
         two controls, 0 for one) starts at X = max(busy[t], last_full[C]),
         or inverted, where a rotation comes first, at X = max(busy[t] + R,
         last_full[C]); its controls are read until X + 2d + R, and t is done
-        at X + 2d + 2R (X + 2d + R inverted)."""
-        slots = self.slots
+        at X + 2d + 2R (X + 2d + R inverted).  Slots on one target chain
+        through its ``busy``, so the adjoint walks them in reverse, as its
+        expansion runs them."""
+        slots = self.slots[::-1] if self.inverted else self.slots
         for ry, last_full, busy in frontiers:
             pre, post = (ry, 0) if self.inverted else (0, ry)
             if self.fanout is not None:

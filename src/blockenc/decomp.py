@@ -6,15 +6,15 @@ the data, and an exact unitary expansion; the circuit text holds a macro's
 factory arguments, and the parser calls the factory again.  These, the
 layers of phase-incorrect controlled swaps (``circuit.SwapLayer``), the
 LOADF swap networks (``circuit.SwapNetwork``, whose columns are
-``parallel_cswap_clean``) and the blocks of controlled rotations on
-disjoint slots (``circuit.RotationBlock``, whose slots are
-``controlled_ry_gates``), all three built directly, are the gadgets the
-generators emit; a macro and those three are ``circuit.Compound`` ops,
-whose one ``adjoint()`` shares every field and flips ``inverted``:
+``parallel_cswap_clean``) and the blocks of controlled rotations
+(``circuit.RotationBlock``, whose slots are ``controlled_ry_gates``), all
+three built directly, are the gadgets the generators emit; a macro and those
+three are ``circuit.Compound`` ops, whose one ``adjoint()`` shares every
+field and flips ``inverted``:
 
-* ``controlled_ry_gates``: an exact singly or doubly controlled RY, alone
-  (the fixed-precision ladder) or as one slot of a rotation block (the
-  pre-rotated repair rotations and LOADF);
+* ``controlled_ry_gates``: an exact singly or doubly controlled RY, only
+  ever one slot of a rotation block (a step of the fixed-precision ladder,
+  the pre-rotated repair rotations and LOADF);
 * ``parallel_cswap_clean``: phase-correct controlled swaps of k pairs over a
   pool of 2k qubits (control copies, then Toffoli scratch), alone (a column
   of the pre-rotated state preparation's S_p and the controlled encoding's

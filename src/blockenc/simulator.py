@@ -257,7 +257,8 @@ class SparseState:
     def _rotate(self, block):
         """The fanout, RY(theta) (RY(-theta) inverted) on each slot's target
         where the slot's controls are all 1, then the fanout again: per slot
-        the product of flip, RY(-theta/2), flip, RY(theta/2)."""
+        the product of flip, RY(-theta/2), flip, RY(theta/2).  Slots on one
+        target commute, so the adjoint runs them in order too."""
         fan = block.fan()
         if fan is not None:
             self._apply_gate(fan)

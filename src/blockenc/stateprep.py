@@ -2,7 +2,8 @@
 
 Fixed-precision: swap t-bit angle descriptions into a working register with
 phase-incorrect controlled-swap networks (S_p), rotate through a ladder of t
-singly-controlled fixed-angle rotations per step, apply the selected sign
+singly-controlled fixed-angle rotations per step (one rotation block whose
+slots share the step's data qubit as their target), apply the selected sign
 with a Z, and restore the block with the single inverse network.
 
 Pre-rotated: inject pre-rotated single-qubit angle states into the data by
@@ -28,7 +29,7 @@ from .circuit import (
     adjoint_ops,
     clifford_layer_ops,
 )
-from .decomp import controlled_ry_gates, parallel_cswap_clean
+from .decomp import parallel_cswap_clean
 from .angle_tree import TWO_PI, heap_angles, prerotated_angles
 from .qram import FlagLoad, LoadSpec, QramModel
 
@@ -64,6 +65,7 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
     """
     ops = []
     s_ops = []
+    ladder = ladder_angles(t)
 
     def emit(op, record=False):
         ops.append(op)
@@ -80,9 +82,7 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
             emit(SwapLayer(((data[p - 2], True),), qubit_pairs), record=True)
             for qa, qb in zip(a_slots[1], a_slots[1 << (p - 1)]):
                 emit(Gate(GateKind.SWAP, (qa, qb)), record=True)
-        for j, angle in enumerate(ladder_angles(t)):
-            for g in controlled_ry_gates(angle, (a_slots[1][j],), data[p - 1]):
-                emit(g)
+        emit(RotationBlock(((c, data[p - 1]) for c in a_slots[1]), ladder))
     # Sign selection and application.
     emit(SwapLayer(((data[n - 1], True),), ((s_block[0], s_block[1]),)),
          record=True)

@@ -713,6 +713,20 @@ def _hub_rotations(draw):
     return RotationBlock([slot], [draw(st.floats(-math.pi, math.pi))])
 
 
+@st.composite
+def _shared_target_blocks(draw):
+    """A rotation block of two or more slots (one control each or two
+    each) on one target, forward or adjoint: the order of its slots sets
+    its schedule."""
+    m = draw(st.integers(1, 2))
+    order = draw(st.permutations(range(_WIDTH)))
+    k = draw(st.integers(2, (_WIDTH - 1) // m))
+    block = RotationBlock(
+        [(*order[1 + i * m:1 + (i + 1) * m], order[0]) for i in range(k)],
+        draw(st.lists(st.floats(-math.pi, math.pi), min_size=k, max_size=k)))
+    return block.adjoint() if draw(st.booleans()) else block
+
+
 _CLIFFORD_KINDS = (GateKind.X, GateKind.Z, GateKind.H)
 
 
@@ -751,13 +765,14 @@ def _staged_circuits(draw, factory=False):
     """A circuit drawn from a small op pool, so lines repeat heavily, with
     1-3 registers and ordered, disjoint stages whose names may repeat.  The
     pool always holds two or more rotation blocks that share control qubit
-    0; it may hold Clifford layers, swap layers and a one-control swap
-    network, and its macros are the factories' when ``factory``.  It may
-    also hold the adjoints of its compound ops, which share their
-    fields."""
+    0; it may hold rotation blocks whose slots share a target, Clifford
+    layers, swap layers and a one-control swap network, and its macros are
+    the factories' when ``factory``.  It may also hold the adjoints of its
+    compound ops, which share their fields."""
     gates = draw(st.lists(_gates(), min_size=1, max_size=5))
     macros = _factory_macros() if factory else _macros(gates)
     pool = (gates + draw(st.lists(_hub_rotations(), min_size=2, max_size=3))
+            + draw(st.lists(_shared_target_blocks(), max_size=2))
             + draw(st.lists(_clifford_layers(), max_size=2))
             + draw(st.lists(_swap_layers(), max_size=2))
             + draw(st.lists(_one_control_networks(), max_size=1))
@@ -947,9 +962,26 @@ _SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
 ], 3)
 
 
+# Slots (0, 2) then (1, 2), inverted, after 100 T gates on control 0: the
+# adjoint runs slot (1, 2) first, so at R_y = 1 the target is done at 101;
+# walking the slots in their forward order would give 103.
+_SHARED_TARGET = Circuit([QubitRegister("q", 0, 3)], [
+    *[Gate(GateKind.T, (0,))] * 100,
+    RotationBlock([(0, 2), (1, 2)], [0.5, 0.25]).adjoint(),
+], 3, [("ts", 0, 100), ("ladder", 100, 101)])
+
+
+def test_inverted_block_schedules_its_slots_in_reverse():
+    report = count_resources(_SHARED_TARGET, 1)
+    assert report.t_depth == 101
+    assert report.breakdown == {"ts": (100, 100), "ladder": (4, 4)}
+    assert count_resources(flattened(_SHARED_TARGET), 1) == report
+
+
 @_PROPERTY
 @given(circuit=_staged_circuits(), ry=st.integers(0, 40))
 @example(circuit=_SHARED_CONTROL, ry=5)
+@example(circuit=_SHARED_TARGET, ry=1)
 def test_counts_match_pairwise_conflict_oracle(circuit, ry):
     report = count_resources(circuit, ry)
     assert (report.t_count, report.t_depth) == _oracle_counts(
@@ -969,6 +1001,7 @@ _SWITCHING_PATH = Circuit([QubitRegister("q", 0, 2)],
        rys=st.lists(st.integers(0, 40), min_size=1, max_size=4))
 @example(circuit=_SWITCHING_PATH, rys=[10, 30])
 @example(circuit=_SHARED_CONTROL, rys=[0, 5, 5])
+@example(circuit=_SHARED_TARGET, rys=[1, 30])
 def test_multi_ry_reports_match_oracle_per_value(circuit, rys):
     reports = count_resources_at(circuit, rys)
     assert len(reports) == len(rys)
@@ -1057,10 +1090,20 @@ _LAYERED_AFTER_READ = Circuit(
         Gate(GateKind.T, (4,))],
     6, [("s0", 0, 7), ("s1", 7, 9)])
 
+# Control 0's last full use ends after every pair qubit is free: the read
+# of the control, one per pair or one for the layered layer, waits for it.
+_DEFAULT_AFTER_USE, _LAYERED_AFTER_USE = (Circuit(
+    [QubitRegister("q", 0, 6)],
+    [Gate(GateKind.T, (0,))] * 5
+    + [SwapLayer(((0, True),), ((2, 3), (4, 5)), layered=layered)],
+    6) for layered in (False, True))
+
 
 @_PROPERTY
 @given(circuit=_layer_circuits())
 @example(circuit=_LAYERED_AFTER_READ)
+@example(circuit=_DEFAULT_AFTER_USE)
+@example(circuit=_LAYERED_AFTER_USE)
 def test_swap_layer_counts_as_its_gates(circuit):
     assert (count_resources_at(circuit, (1, 10, 30))
             == count_resources_at(flattened(circuit), (1, 10, 30)))
@@ -1242,6 +1285,37 @@ def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
     b.add(RotationBlock(slots, thetas, fanout))
     with pytest.raises(CircuitError, match=message):
         b.build()
+
+
+@pytest.mark.parametrize("slots, fanout, message", [
+    # Slots may share their target, as a fixed-precision ladder step does.
+    (((0, 4), (1, 4), (2, 4)), None, None),
+    (((0, 1, 4), (2, 3, 4)), None, None),
+    (((0, 4), (1, 4)), 2, None),
+    (((0, 4), (1, 4), (2, 3)), None, None),
+    # A repeated control, a control that is another slot's target, and a
+    # fanout on a slot qubit are not.
+    (((0, 4), (0, 4)), None, "must be distinct"),
+    (((0, 1, 4), (2, 0, 4)), None, "must be distinct"),
+    (((0, 4), (4, 3)), None, "must be distinct"),
+    (((0, 4), (1, 4), (2, 0)), None, "must be distinct"),
+    (((0, 4), (1, 4)), 4, "must be distinct"),
+    (((0, 4), (1, 4)), 1, "must be distinct"),
+])
+def test_builder_and_parser_check_a_shared_target(slots, fanout, message):
+    block = RotationBlock(slots, [0.5] * len(slots), fanout)
+    text = f"qubits 5\nreg q 0 5\n{block.fields()} inv=1\n"
+    b = CircuitBuilder()
+    b.allocate("q", 5)
+    b.add(block.adjoint())
+    if message is None:
+        assert write_circuit_text(b.build()) == text
+        assert write_circuit_text(parse_circuit_text(text)) == text
+        return
+    with pytest.raises(CircuitError, match=message):
+        b.build()
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit_text(text)
 
 
 # ---------------------------------------------------------------------------

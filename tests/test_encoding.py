@@ -455,6 +455,21 @@ def test_no_run_of_one_qubit_cliffords_is_emitted_gate_by_gate():
         assert not pairs, (n, cfg, pairs[:3])
 
 
+_FLIPS = frozenset((GateKind.CNOT, GateKind.TOFFOLI))
+
+
+def test_no_controlled_rotation_is_emitted_gate_by_gate():
+    """Every CLI configuration at n <= 3 emits each controlled rotation as
+    a rotation-block slot: no top-level CNOT or Toffoli is followed by an
+    RY on its target."""
+    for n, cfg, ops in _cli_ops_up_to_n3():
+        pairs = [(a, b) for a, b in zip(ops, ops[1:])
+                 if isinstance(a, Gate) and a.kind in _FLIPS
+                 and isinstance(b, Gate) and b.kind is GateKind.RY
+                 and b.targets == a.targets]
+        assert not pairs, (n, cfg, pairs[:3])
+
+
 def test_no_two_adjacent_clifford_layers_share_a_kind():
     """Adjacent layers of one kind are emitted as one: the pre-rotated
     encoding's flag X layer and LOADF's first one-hot X layer included."""
@@ -538,12 +553,9 @@ def test_each_load_is_built_once(load_builds, variant, model):
     assert list(load_builds.values()) == [1]
 
 
-def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
-    """Building, counting, writing and parsing the pre-rotated n = 5
-    encoding holds no macro or rotation-block expansion and runs no recipe:
-    every macro declares its qubit roles, and its text line holds its
-    factory's arguments; a rotation block is counted from its slots and
-    written as its slots and angles."""
+def _count_recipe_runs(monkeypatch):
+    """A one-item list that counts the calls of every ``decomp`` recipe and
+    of ``controlled_ry_gates`` from here on."""
     runs = [0]
     for name in ("_cswap_clean_gates", "_unary_select_gates",
                  "_unary_step_gates", "controlled_ry_gates"):
@@ -551,6 +563,16 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
             runs[0] += 1
             return _recipe(*args)
         monkeypatch.setattr(decomp, name, counting)
+    return runs
+
+
+def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
+    """Building, counting, writing and parsing the pre-rotated n = 5
+    encoding holds no macro or rotation-block expansion and runs no recipe:
+    every macro declares its qubit roles, and its text line holds its
+    factory's arguments; a rotation block is counted from its slots and
+    written as its slots and angles."""
+    runs = _count_recipe_runs(monkeypatch)
     matrix = np.random.default_rng(0).uniform(5, 105, (32, 32))
     cfg = BlockEncodingConfig(method=Method.PRE_ROTATED, qram=QramModel.FLAGS,
                               lam=5)
@@ -572,6 +594,26 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
     # Peak with every expansion stored (and frozenset roles): 9.3 MB; with
     # recipes: 4.2 MB (Python 3.11).
     assert peak < 6.5e6
+
+
+def test_fixed_ladder_steps_are_blocks_not_gates(monkeypatch):
+    """Building, counting, writing and parsing a fixed select-swap encoding
+    runs no ``controlled_ry_gates``: each ladder step is one rotation block
+    whose t slots share their target, forward in SP and inverted in SP
+    dagger."""
+    runs = _count_recipe_runs(monkeypatch)
+    t = 5
+    matrix = np.random.default_rng(0).uniform(5, 105, (8, 8))
+    cfg = BlockEncodingConfig(qram=SS, lam=1, t=t)
+    circuit = build_block_encoding(matrix, cfg).circuit
+    report = count_resources(circuit, 30)
+    parsed = parse_circuit_text(write_circuit_text(circuit))
+    assert count_resources(parsed, 30) == report
+    assert runs[0] == 0
+    ladders = [op for op in circuit.ops if isinstance(op, RotationBlock)
+               and len({slot[-1] for slot in op.slots}) == 1]
+    assert {(len(op.slots), op.inverted) for op in ladders} == {
+        (t, False), (t, True)}
 
 
 def test_prerotated_n6_is_a_few_thousand_ops():

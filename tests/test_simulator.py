@@ -257,13 +257,19 @@ _CLEAR_ANGLES = _ANGLES.filter(lambda a: a == 0 or abs(a) >= 1e-6)
 
 @st.composite
 def _rotation_blocks(draw, qubits=ACTIVE, angles=_ANGLES):
-    """A rotation block on ``qubits``: slots of one control or of two, as
-    many as leave a qubit for the fanout, with or without the fanout,
-    forward or adjoint."""
+    """A rotation block on ``qubits``: slots of one control or of two, on
+    distinct targets or all on one, as many as leave a qubit for the
+    fanout, with or without the fanout, forward or adjoint."""
     order = draw(st.permutations(qubits))
     width = draw(st.sampled_from((2, 3)))
-    count = draw(st.integers(1, (len(qubits) - 1) // width))
-    slots = [order[k * width:(k + 1) * width] for k in range(count)]
+    if draw(st.booleans()):
+        m = width - 1
+        count = draw(st.integers(1, (len(qubits) - 2) // m))
+        slots = [(*order[1 + k * m:1 + (k + 1) * m], order[0])
+                 for k in range(count)]
+    else:
+        count = draw(st.integers(1, (len(qubits) - 1) // width))
+        slots = [order[k * width:(k + 1) * width] for k in range(count)]
     block = RotationBlock(
         slots, draw(st.lists(angles, min_size=count, max_size=count)),
         order[-1] if draw(st.booleans()) else None)
