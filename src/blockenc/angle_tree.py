@@ -80,8 +80,6 @@ def pad_to_power_of_two(a):
     a = np.asarray(a, dtype=float)
     rows = 1 << max(0, int(a.shape[0] - 1).bit_length())
     cols = 1 << max(0, int(a.shape[1] - 1).bit_length())
-    rows = max(rows, 1)
-    cols = max(cols, 1)
     out = np.zeros((rows, cols))
     out[: a.shape[0], : a.shape[1]] = a
     return out

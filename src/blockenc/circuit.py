@@ -722,8 +722,6 @@ class QubitRegister:
         return tuple(range(self.offset, self.offset + self.size))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(range(self.offset, self.offset + self.size)[i])
         if not 0 <= i < self.size:
             raise IndexError(f"register {self.name}[{i}] out of range")
         return self.offset + i
@@ -781,14 +779,12 @@ class Circuit:
 
 
 def _check_tiling(registers, total):
-    covered = 0
     last = 0
     for reg in sorted(registers, key=lambda r: r.offset):
         if reg.offset != last:
             raise CircuitError(f"registers must tile: gap before {reg.name}")
         last = reg.offset + reg.size
-        covered += reg.size
-    if registers and (covered != total or last != total):
+    if registers and last != total:
         raise CircuitError("registers must tile [0, total_qubits)")
 
 
@@ -835,8 +831,8 @@ class CircuitBuilder:
         return reg
 
     def maybe_allocate(self, name, size):
-        """Allocate a register if size > 0, else return None."""
-        return self.allocate(name, size) if size > 0 else None
+        """The qubits of a new register of ``size`` qubits; none at size 0."""
+        return self.allocate(name, size).qubits if size > 0 else ()
 
     @property
     def total_qubits(self):

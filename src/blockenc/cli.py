@@ -123,17 +123,10 @@ def _render_text(payload, indent=0):
     return "\n".join(lines)
 
 
-def _config_from_args(args, n):
-    method = _METHOD[args.method]
-    if method is Method.PRE_ROTATED:
-        qram = _QRAM[args.qram] if args.qram else QramModel.FLAGS
-        lam = args.lam if args.lam is not None else n
-    else:
-        qram = _QRAM[args.qram] if args.qram else QramModel.SELECT_SWAP
-        lam = args.lam if args.lam is not None else 0
+def _config_from_args(args):
     return BlockEncodingConfig(
-        method=method, qram=qram, lam=lam, epsilon=args.epsilon,
-        variant=_VARIANT[args.variant], t=args.t)
+        method=_METHOD[args.method], qram=_QRAM.get(args.qram), lam=args.lam,
+        epsilon=args.epsilon, variant=_VARIANT[args.variant], t=args.t)
 
 
 def _no_formula(variant):
@@ -174,8 +167,7 @@ def cmd_estimate(args):
         return 0
     if args.variant != "standard":
         raise UsageError(_no_formula(args.variant))
-    cfg = _config_from_args(args, n)
-    cfg.validate(n)
+    cfg = _config_from_args(args).resolve(n)
     params = select_parameters(args.epsilon, alpha, n, cfg.method)
     t = chosen_t(cfg, params)
     ry = _chosen_ry(args, params)
@@ -216,11 +208,6 @@ def _padded_n(matrix):
     return max((s - 1).bit_length() for s in matrix.shape)
 
 
-def _build_result(args, matrix):
-    cfg = _config_from_args(args, _padded_n(matrix))
-    return build_block_encoding(matrix, cfg)
-
-
 def _require_frobenius(args):
     norm_kind, _ = _parse_norm(args.norm)
     if norm_kind == "qnorm":
@@ -234,7 +221,7 @@ def cmd_build(args):
     if args.ry is not None and args.ry < 1:
         raise UsageError("ry must be >= 1")
     matrix = _read_matrix(args.matrix)
-    result = _build_result(args, matrix)
+    result = build_block_encoding(matrix, _config_from_args(args))
     ry = _chosen_ry(args, result.params)
     counted = count_resources(result.circuit, ry_cost=ry)
     name, inputs = _formula_for(result.config, result.n)
@@ -280,7 +267,7 @@ def cmd_build(args):
 def cmd_verify(args):
     _require_frobenius(args)
     matrix = _read_matrix(args.matrix)
-    result = _build_result(args, matrix)
+    result = build_block_encoding(matrix, _config_from_args(args))
     if result.n > 3:
         raise UsageError("verify is desk-scale only: padded n must be <= 3")
     circuit = result.circuit

@@ -10,7 +10,7 @@ register; every other qubit belongs to the <0| projector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -25,7 +25,6 @@ from .stateprep import (
     fixed_data_width,
     fixed_init_ops,
     fixed_rows_for_trees,
-    fixed_slots,
     sp_fixed_ops,
     sp_prerotated_ops,
 )
@@ -47,28 +46,37 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class BlockEncodingConfig:
+    """``qram`` and ``lam`` at ``None`` mean the method's: select-swap with
+    lambda = 0 for fixed precision, flags with lambda = n for pre-rotated."""
+
     method: Method = Method.FIXED_PRECISION
-    qram: QramModel = QramModel.SELECT_SWAP
-    lam: int = 0
+    qram: QramModel | None = None
+    lam: int | None = None
     epsilon: float = 0.01
     variant: Variant = Variant.STANDARD
     t: int | None = None
 
-    def validate(self, n):
+    def resolve(self, n):
+        """This config with the method's QRAM model and lambda filled in,
+        checked against n address bits."""
         if self.t is not None and not 1 <= self.t <= MAX_T:
             raise ConfigurationError(f"t must be >= 1 and <= {MAX_T}")
-        if self.method is Method.PRE_ROTATED:
-            if self.qram is not QramModel.FLAGS or self.lam != n:
-                raise ConfigurationError(
-                    "the pre-rotated method is only available with the flags "
-                    "access model and lambda = n")
-        else:
-            if self.qram is QramModel.FLAGS:
-                raise ConfigurationError(
-                    "the flags access model is only used by the pre-rotated "
-                    "method; bit rows are loaded with the ss or bb model")
-            if not 0 <= self.lam <= n:
-                raise ConfigurationError("lambda must lie in [0, n]")
+        prerotated = self.method is Method.PRE_ROTATED
+        qram, lam = (QramModel.FLAGS, n) if prerotated \
+            else (QramModel.SELECT_SWAP, 0)
+        cfg = replace(self, qram=self.qram or qram,
+                      lam=lam if self.lam is None else self.lam)
+        if prerotated and (cfg.qram is not QramModel.FLAGS or cfg.lam != n):
+            raise ConfigurationError(
+                "the pre-rotated method is only available with the flags "
+                "access model and lambda = n")
+        if not prerotated and cfg.qram is QramModel.FLAGS:
+            raise ConfigurationError(
+                "the flags access model is only used by the pre-rotated "
+                "method; bit rows are loaded with the ss or bb model")
+        if not 0 <= cfg.lam <= n:
+            raise ConfigurationError("lambda must lie in [0, n]")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -145,13 +153,13 @@ def _prepare_matrix(a, square=True):
 
 
 def _setup(a, cfg, variant):
-    """Pad ``a``, check ``cfg`` against it and choose the parameters.
+    """Pad ``a``, resolve ``cfg`` against it and choose the parameters.
 
     The symmetric variant pads to a power-of-two M x N with M >= N and
     encodes on n = log2(M) + 1 qubits; the others pad to a square of side 2^n.
-    Returns the scaled rows and row-norm vector of ``matrix_trees``, n, t
-    and the ``BlockEncodingResult`` with all but its circuit and block qubits
-    filled in.
+    Returns the scaled rows and row-norm vector of ``matrix_trees``, n, t,
+    the resolved config and the ``BlockEncodingResult`` with all but its
+    circuit and block qubits filled in.
     """
     if variant is not Variant.STANDARD \
             and cfg.method is not Method.FIXED_PRECISION:
@@ -166,11 +174,11 @@ def _setup(a, cfg, variant):
     n = shape[0].bit_length() - (0 if symmetric else 1)
     if n < 1:
         raise ConfigurationError("need a matrix of at least 2x2 after padding")
-    cfg.validate(n)
+    cfg = cfg.resolve(n)
     rows, phi, alpha = matrix_trees(padded)
     params = select_parameters(cfg.epsilon, alpha, n, cfg.method)
     t = chosen_t(cfg, params)
-    return rows, phi, n, t, partial(
+    return rows, phi, n, t, cfg, partial(
         BlockEncodingResult, alpha=alpha, n=n, config=cfg, params=params,
         t=t, original_shape=original, padded=padded)
 
@@ -197,8 +205,7 @@ class _FixedLegs:
                         model=cfg.qram, rows=fixed_rows_for_trees(vectors, t))
         self.load_ops = load_plan(builder, control, load_block,
                                   spec).build_ops()
-        a_slots, s_block = fixed_slots(dblock, n, t)
-        self.sp_ops = sp_fixed_ops(data, a_slots, s_block, n, t)
+        self.sp_ops = sp_fixed_ops(data, dblock, t)
         if phi is not None:
             self.phi_init = fixed_init_ops(load_block,
                                            fixed_rows_for_trees(phi, t)[0])
@@ -213,7 +220,7 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         return build_controlled_block_encoding(a, cfg)
     if cfg.variant is Variant.SYMMETRIC:
         return build_symmetric_block_encoding(a, cfg)
-    rows, phi, n, t, result = _setup(a, cfg, Variant.STANDARD)
+    rows, phi, n, t, cfg, result = _setup(a, cfg, Variant.STANDARD)
     b = CircuitBuilder()
     data = b.allocate("data", n)
     if cfg.method is Method.FIXED_PRECISION:
@@ -231,17 +238,13 @@ def build_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodingResult:
         b.begin_stage("leg2_load_dagger")
         b.extend(adjoint_ops(legs.load_ops))
     else:
-        big_n = 1 << n
-        angle = b.allocate("angle", big_n - 1)
-        flag = b.allocate("flag", big_n - 1)
+        angle = b.allocate("angle", (1 << n) - 1).qubits
+        flag = b.allocate("flag", (1 << n) - 1).qubits
         control = b.allocate("control", n)
-        leg2, plan = csp_prerotated_ops(b, data.qubits, angle.qubits,
-                                        flag.qubits, control.qubits, rows)
-        slots = {r: angle.qubits[r - 1] for r in range(1, big_n)}
-        f_slots = {r: flag.qubits[r - 1] for r in range(1, big_n)}
-        pa, pb = plan.copies[0][3], plan.copies[0][4]
+        leg2, pools = csp_prerotated_ops(b, data.qubits, angle, flag,
+                                         control.qubits, rows)
         b.begin_stage("leg1_sp_phi")
-        b.extend(sp_prerotated_ops(data.qubits, slots, f_slots, pa, pb, phi))
+        b.extend(sp_prerotated_ops(data.qubits, angle, flag, *pools, phi))
         _register_swap(b, data, control)
         b.begin_stage("leg2_csp_dagger")
         b.extend(adjoint_ops(leg2))
@@ -256,7 +259,7 @@ def build_controlled_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncodin
     preparation reads, so control |0> leaves the all-zero angle tree in place
     and the whole circuit acts as the identity.
     """
-    rows, phi, n, t, result = _setup(a, cfg, Variant.CONTROLLED)
+    rows, phi, n, t, cfg, result = _setup(a, cfg, Variant.CONTROLLED)
     d = fixed_data_width(n, t)
 
     b = CircuitBuilder()
@@ -298,7 +301,7 @@ def build_symmetric_block_encoding(a, cfg: BlockEncodingConfig) -> BlockEncoding
     Both legs are the same controlled-state preparation over the symmetrized
     state family; normalization stays ||A||_F (not 2||A||_F).
     """
-    rows, phi, ell, t, result = _setup(a, cfg, Variant.SYMMETRIC)
+    rows, phi, ell, t, cfg, result = _setup(a, cfg, Variant.SYMMETRIC)
     # Control value i < M selects row i on indices M..M+N-1, M <= i < M+N
     # the row-norm state on indices 0..M-1, and larger i the zero vector.
     m_rows, n_cols = rows.shape

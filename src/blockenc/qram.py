@@ -11,7 +11,7 @@ Three loaders parameterized by the depth/width tradeoff lambda:
 * LOADF: flag-conditioned loading of single-qubit rotated states, built from
   phase-correct swap networks (one ``SwapNetwork`` op each) and blocks of
   doubly-controlled rotations (one ``RotationBlock`` op each): four ops per
-  copy between two X layers shared by every copy.
+  copy, emitted copy by copy between two X layers shared by every copy.
 
 Each run of one single-qubit Clifford (the select-swap data write at s = 0,
 a bucket-brigade iteration's Z imprints, the bus's H walls) is one
@@ -63,19 +63,16 @@ class LoadSpec:
     data_width: int
     lam: int
     model: QramModel
-    rows: object = ()    # (2^n, data_width) 0/1 array (ss/bb)
+    rows: object = ()    # (2^n, data_width) 0/1 array
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("need at least one address bit")
         if not 0 <= self.lam <= self.n:
             raise ConfigurationError("lambda must lie in [0, n]")
-        if self.model is QramModel.FLAGS and self.lam != self.n:
-            raise ConfigurationError("the flags model requires lambda = n")
         if self.data_width < 1:
             raise ConfigurationError("data width must be >= 1")
-        if self.model is not QramModel.FLAGS \
-                and np.shape(self.rows) != (1 << self.n, self.data_width):
+        if np.shape(self.rows) != (1 << self.n, self.data_width):
             raise ConfigurationError(
                 f"expected 2^{self.n} data rows of {self.data_width} bits")
 
@@ -101,7 +98,7 @@ class SelectSwapLoad:
         anc = builder.maybe_allocate("qram_anc", (n_slots - 1) * d)
         self.slots = [self.data]
         for c in range(1, n_slots):
-            self.slots.append(tuple(anc.qubits[(c - 1) * d: c * d]))
+            self.slots.append(anc[(c - 1) * d: c * d])
         s = spec.select_bits
         self.select_anc = builder.maybe_allocate("select_anc", max(s - 1, 0))
 
@@ -223,7 +220,7 @@ class BucketBrigadeLoad:
                 return Gate(GateKind.X, (self.flag,))
             return Gate(GateKind.MCX, (self.flag,), match_controls(sel, value))
 
-        in_pairs = tuple(zip(self.addr[s:], self.anc_lam.qubits if self.anc_lam else ())) \
+        in_pairs = tuple(zip(self.addr[s:], self.anc_lam)) \
             + tuple(zip(self.bus, self.anc_d))
         swap_in = SwapLayer(((self.flag, True),), in_pairs, layered=True)
         swap_out = swap_in.adjoint()
@@ -274,53 +271,55 @@ def load_plan(builder: CircuitBuilder, addr_qubits, data_qubits,
 class FlagLoad:
     """Plan for LOADF: D parallel copies sharing the n-bit address.
 
-    Copy r owns a flag qubit, an N-slot angle block (slot 0 is the output
-    qubit and may be supplied by the caller), an N-slot one-hot block, and
-    two N-qubit ancilla pools for the phase-correct swap networks and the
-    doubly-controlled rotations.
+    ``thetas`` holds 2^n rows of D angles, one row per address value and one
+    column per copy.  Copy r owns a flag qubit, an N-slot angle block (slot 0
+    is the output qubit and may be supplied by the caller), an N-slot one-hot
+    block, and two N-qubit ancilla pools for the phase-correct swap networks
+    and the doubly-controlled rotations.
     """
 
-    def __init__(self, builder: CircuitBuilder, addr_qubits, spec: LoadSpec,
-                 thetas, flags=None, angle_slot0=None):
-        self.spec = spec
+    def __init__(self, builder: CircuitBuilder, addr_qubits, thetas,
+                 flags=None, angle_slot0=None):
         self.addr = tuple(addr_qubits)
-        n, d = spec.n, spec.data_width
-        big_n = 1 << n
+        big_n = 1 << len(self.addr)
         self.thetas = [tuple(row) for row in thetas]
-        if len(self.thetas) != big_n or any(len(r) != d for r in self.thetas):
-            raise ConfigurationError("thetas must be 2^n rows of D angles")
+        d = len(self.thetas[0]) if self.thetas else 0
+        if not self.addr or d < 1 or len(self.thetas) != big_n \
+                or any(len(row) != d for row in self.thetas):
+            raise ConfigurationError(
+                "thetas must be 2^n rows (n >= 1) of D >= 1 angles")
         self.copies = []
         for r in range(d):
             flag = flags[r] if flags is not None else builder.allocate(
                 f"f{r}_flag", 1)[0]
             if angle_slot0 is not None:
-                head = angle_slot0[r]
-                rest = builder.allocate(f"f{r}_angle", big_n - 1).qubits
-                angle = (head,) + tuple(rest)
+                angle = (angle_slot0[r],) + builder.allocate(
+                    f"f{r}_angle", big_n - 1).qubits
             else:
                 angle = builder.allocate(f"f{r}_angle", big_n).qubits
             onehot = builder.allocate(f"f{r}_onehot", big_n).qubits
             pool_a = builder.allocate(f"f{r}_pool_a", big_n).qubits
             pool_b = builder.allocate(f"f{r}_pool_b", big_n).qubits
-            self.copies.append((flag, tuple(angle), tuple(onehot),
-                                tuple(pool_a), tuple(pool_b)))
+            self.copies.append((flag, angle, onehot, pool_a, pool_b))
+
+    @property
+    def pools(self):
+        """Copy 0's pools A and B, clean outside LOADF, so that the ops
+        around it may borrow them."""
+        return self.copies[0][3:]
 
     def build_ops(self, static_flags_one=False):
-        """One X layer on every copy's one-hot slot 0, four ops per copy
-        (the inverse one-hot network, slot 0 -> slot j, the rotation block,
-        the angle network and the one-hot network), and the X layer again.
-        One-hot networks draw on pool B, angle networks on pool A.  The
-        rotation block V rotates angle slot k by theta^(k) under the flag
-        and one-hot controls; its expansion runs slot by slot, so the
-        simulator branches on one angle slot at a time, and each Toffoli's
-        scratch qubit is pool_a[k].
+        """One X layer on every copy's one-hot slot 0, then copy by copy
+        four ops (the inverse one-hot network, slot 0 -> slot j, the
+        rotation block, the angle network and the one-hot network), and the
+        X layer again.  One-hot networks draw on pool B, angle networks on
+        pool A.  The rotation block V rotates angle slot k by theta^(k)
+        under the flag and one-hot controls; its expansion runs slot by
+        slot, so the simulator branches on one angle slot at a time, and
+        each Toffoli's scratch qubit is pool_a[k].
 
-        The copies' ops go out stage by stage (every inverse network, then
-        every rotation block, ...), the order of the per-column ops before
-        networks.  Copy by copy, ``[x, *chain(*per_copy), x]``, would count
-        the same, since copies share only the address, as controls, but it
-        would reorder the simulated state's entries at each rotation block,
-        and with them the last bits of the simulator's sums.
+        Copies share only the address, as controls, so each copy's four ops
+        form one run that no other copy's op interleaves.
         """
         controls = self.addr[::-1]
         per_copy = []
@@ -337,16 +336,15 @@ class FlagLoad:
                              onehot_network))
         x = clifford_layer_ops(GateKind.X,
                                (copy[2][0] for copy in self.copies))
-        return x + [op for stage in zip(*per_copy) for op in stage] + x
+        return x + [op for copy in per_copy for op in copy] + x
 
 
-def build_loadf(spec: LoadSpec, thetas):
-    """Standalone LOADF circuit; address register first, then per-copy blocks."""
-    if spec.model is not QramModel.FLAGS:
-        raise ConfigurationError("spec.model must be flags")
+def build_loadf(thetas):
+    """Standalone LOADF circuit of 2^n rows of D angles; address register
+    first, then per-copy blocks."""
     b = CircuitBuilder()
-    addr = b.allocate("addr", spec.n)
-    plan = FlagLoad(b, addr.qubits, spec, thetas)
+    addr = b.allocate("addr", max(len(thetas).bit_length() - 1, 1))
+    plan = FlagLoad(b, addr.qubits, thetas)
     b.begin_stage("loadf")
     b.extend(plan.build_ops())
     return b.build()

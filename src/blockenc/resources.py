@@ -454,8 +454,7 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
     for n in n_values:
         for d in d_values:
             thetas = [tuple(rng.uniform(0, math.pi, d)) for _ in range(1 << n)]
-            spec = LoadSpec(n=n, data_width=d, lam=n, model=QramModel.FLAGS)
-            circuit = build_loadf(spec, thetas)
+            circuit = build_loadf(thetas)
             for ry, counted in per_ry(circuit):
                 verdicts.append(cross_validate(
                     counted, "loadf", {"n": n, "d": d, "ry": ry}))
@@ -486,9 +485,8 @@ def sweep_cross_validation(n_values=(1, 2, 3, 4), d_values=(1, 2, 3),
                         verdicts.append(cross_validate(
                             counted, formula,
                             {"n": n, "t": t, "lam": lam, "ry": ry}))
-        cfg = BlockEncodingConfig(method=Method.PRE_ROTATED,
-                                  qram=QramModel.FLAGS, lam=n)
-        circuit = build_block_encoding(matrix, cfg).circuit
+        circuit = build_block_encoding(
+            matrix, BlockEncodingConfig(method=Method.PRE_ROTATED)).circuit
         for ry, counted in per_ry(circuit):
             verdicts.append(cross_validate(
                 counted, "be_prerotated", {"n": n, "ry": ry}))

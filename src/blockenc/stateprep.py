@@ -31,7 +31,7 @@ from .circuit import (
 )
 from .decomp import parallel_cswap_clean
 from .angle_tree import TWO_PI, heap_angles, prerotated_angles
-from .qram import FlagLoad, LoadSpec, QramModel
+from .qram import FlagLoad
 
 
 def s_column_spec(n, p):
@@ -52,17 +52,30 @@ def s_column_spec(n, p):
     return angle_pairs, sign_pairs
 
 
+def _positions(n, p):
+    """S_p in slot positions: heap index r sits at position r - 1 of a slot
+    register, so the root is position 0.  Returns the angle pairs, the sign
+    pairs and the position the root swaps with, 2^(p-1) - 1."""
+    angle_pairs, sign_pairs = s_column_spec(n, p)
+    return ([(a - 1, b - 1) for a, b in angle_pairs], sign_pairs,
+            (1 << (p - 1)) - 1)
+
+
 def ladder_angles(t):
     """Fixed rotation angles pi, pi/2, ..., pi*2^(1-t) of the bit ladder."""
     return [math.pi * (2.0 ** (1 - j)) for j in range(1, t + 1)]
 
 
-def sp_fixed_ops(data, a_slots, s_block, n, t):
+def sp_fixed_ops(data, block, t):
     """Fixed-precision SP body acting on |0>_n (x) |Theta>(x)|s> registers.
 
-    ``a_slots[r]`` is the t-qubit working slot for heap index r (1-based);
-    ``s_block`` holds the N sign qubits.
+    ``block`` holds N-1 t-qubit working slots in heap order, then the N sign
+    qubits.
     """
+    n = len(data)
+    split = ((1 << n) - 1) * t
+    a_slots = [block[i: i + t] for i in range(0, split, t)]
+    s_block = block[split:]
     ops = []
     s_ops = []
     ladder = ladder_angles(t)
@@ -74,20 +87,20 @@ def sp_fixed_ops(data, a_slots, s_block, n, t):
 
     for p in range(1, n + 1):
         if p >= 2:
-            angle_pairs, sign_pairs = s_column_spec(n, p)
+            angle_pairs, sign_pairs, step = _positions(n, p)
             qubit_pairs = []
-            for ra, rb in angle_pairs:
-                qubit_pairs.extend(zip(a_slots[ra], a_slots[rb]))
+            for a, b in angle_pairs:
+                qubit_pairs.extend(zip(a_slots[a], a_slots[b]))
             qubit_pairs.extend((s_block[i], s_block[j]) for i, j in sign_pairs)
             emit(SwapLayer(((data[p - 2], True),), qubit_pairs), record=True)
-            for qa, qb in zip(a_slots[1], a_slots[1 << (p - 1)]):
+            for qa, qb in zip(a_slots[0], a_slots[step]):
                 emit(Gate(GateKind.SWAP, (qa, qb)), record=True)
-        emit(RotationBlock(((c, data[p - 1]) for c in a_slots[1]), ladder))
+        emit(RotationBlock(((c, data[p - 1]) for c in a_slots[0]), ladder))
     # Sign selection and application.
     emit(SwapLayer(((data[n - 1], True),), ((s_block[0], s_block[1]),)),
          record=True)
-    emit(Gate(GateKind.SWAP, (a_slots[1][0], s_block[0])), record=True)
-    ops.append(Gate(GateKind.Z, (a_slots[1][0],)))
+    emit(Gate(GateKind.SWAP, (a_slots[0][0], s_block[0])), record=True)
+    ops.append(Gate(GateKind.Z, (a_slots[0][0],)))
     ops.extend(adjoint_ops(s_ops))
     return ops
 
@@ -104,17 +117,6 @@ def fixed_data_width(n, t):
     return ((1 << n) - 1) * t + (1 << n)
 
 
-def fixed_slots(block, n, t):
-    """Split a fixed-precision data block into its angle slots and signs.
-
-    Returns ``(a_slots, s_block)``: ``a_slots[r]`` holds the t qubits of heap
-    index r (1-based) in heap order, and the N sign qubits follow them.
-    """
-    big_n = 1 << n
-    a_slots = {r: tuple(block[(r - 1) * t: r * t]) for r in range(1, big_n)}
-    return a_slots, tuple(block[(big_n - 1) * t:])
-
-
 def build_sp_fixed(vector, t: int):
     """Standalone fixed-precision state preparation of one vector."""
     if t < 1:
@@ -125,12 +127,11 @@ def build_sp_fixed(vector, t: int):
     angle = b.allocate("angle", ((1 << n) - 1) * t)
     sign = b.allocate("sign", 1 << n)
     block = angle.qubits + sign.qubits
-    a_slots, s_block = fixed_slots(block, n, t)
     init = fixed_init_ops(block, fixed_rows_for_trees([vector], t)[0])
     b.begin_stage("init")
     b.extend(init)
     b.begin_stage("sp")
-    b.extend(sp_fixed_ops(data.qubits, a_slots, s_block, n, t))
+    b.extend(sp_fixed_ops(data.qubits, block, t))
     b.begin_stage("uninit")
     b.extend(init)
     return b.build()
@@ -140,67 +141,61 @@ def build_sp_fixed(vector, t: int):
 # Pre-rotated
 # ---------------------------------------------------------------------------
 
-def _one_wide_column_ops(control, reg_pairs, slots, pool):
+def _one_wide_column(control, pairs, slots, pool):
     """One phase-correct S_p column over 1-wide slots, pool-backed."""
-    pairs = [(slots[a], slots[b]) for a, b in reg_pairs]
-    return [parallel_cswap_clean(control=control, pairs=pairs,
-                                 pool=pool[: 2 * len(pairs)])]
+    pairs = [(slots[a], slots[b]) for a, b in pairs]
+    return parallel_cswap_clean(control=control, pairs=pairs,
+                                pool=pool[: 2 * len(pairs)])
 
 
-def spf_forward_ops(data, slots, n, pool):
+def spf_forward_ops(data, slots, pool):
     """SPF forward: inject/shuffle; returns (ops, s_ops) with s_ops recorded."""
-    ops = []
+    n = len(data)
+    ops = [Gate(GateKind.SWAP, (data[0], slots[0]))]
     s_ops = []
-    ops.append(Gate(GateKind.SWAP, (data[0], slots[1])))
     for p in range(2, n + 1):
-        angle_pairs, _ = s_column_spec(n, p)
-        col = _one_wide_column_ops(data[p - 2], angle_pairs, slots, pool)
-        ops.extend(col)
-        s_ops.extend(col)
-        plain = Gate(GateKind.SWAP, (slots[1], slots[1 << (p - 1)]))
-        ops.append(plain)
-        s_ops.append(plain)
-        ops.append(Gate(GateKind.SWAP, (data[p - 1], slots[1])))
+        angle_pairs, _, step = _positions(n, p)
+        col = _one_wide_column(data[p - 2], angle_pairs, slots, pool)
+        plain = Gate(GateKind.SWAP, (slots[0], slots[step]))
+        ops += [col, plain, Gate(GateKind.SWAP, (data[p - 1], slots[0]))]
+        s_ops += [col, plain]
     return ops, s_ops
 
 
-def flag_dagger_ops(data, f_slots, n, pool):
+def flag_dagger_ops(data, f_slots, pool):
     """FLAG^dagger: X / S_p / X alternation returning all flags to |1>."""
-    ops = [Gate(GateKind.X, (f_slots[1],))]
+    n = len(data)
+    ops = [Gate(GateKind.X, (f_slots[0],))]
     for p in range(2, n + 1):
-        ops.extend(_one_wide_column_ops(data[p - 2],
-                                        s_column_spec(n, p)[0], f_slots, pool))
-        ops.append(Gate(GateKind.SWAP, (f_slots[1], f_slots[1 << (p - 1)])))
-        ops.append(Gate(GateKind.X, (f_slots[1],)))
+        angle_pairs, _, step = _positions(n, p)
+        ops += [_one_wide_column(data[p - 2], angle_pairs, f_slots, pool),
+                Gate(GateKind.SWAP, (f_slots[0], f_slots[step])),
+                Gate(GateKind.X, (f_slots[0],))]
     return ops
 
 
 def _repair_ops(data, slots, f_slots, pool_a, pool_b, repair):
     """SPF forward and its S_p columns undone, then FLAG^dagger undone, the
     ``repair`` ops and FLAG^dagger again: one FLAG^dagger serves both."""
-    n = len(data)
-    fwd, s_ops = spf_forward_ops(data, slots, n, pool_a)
-    fdg = flag_dagger_ops(data, f_slots, n, pool_b)
+    fwd, s_ops = spf_forward_ops(data, slots, pool_a)
+    fdg = flag_dagger_ops(data, f_slots, pool_b)
     return fwd + adjoint_ops(s_ops) + adjoint_ops(fdg) + repair + fdg
 
 
 def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
     """Garbage-free pre-rotated SP body over existing angle/flag registers,
-    preparing the one row of ``vectors``."""
-    n = len(data)
-    big_n = 1 << n
+    preparing the one row of ``vectors``.  ``slots`` and ``f_slots`` hold
+    the N-1 angle and flag qubits in heap order."""
     folded = prerotated_angles(vectors)[0].tolist()
-    flags = clifford_layer_ops(GateKind.X,
-                               (f_slots[r] for r in range(1, big_n)))
+    flags = clifford_layer_ops(GateKind.X, f_slots)
     ops = []
-    for r, theta in enumerate(folded, start=1):
+    for q, theta in zip(slots, folded):
         # Two half-angle rotations: the synthesized form H*H of one V_r.
-        ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
-        ops.append(Gate(GateKind.RY, (slots[r],), (), theta / 2.0))
+        ops.append(Gate(GateKind.RY, (q,), (), theta / 2.0))
+        ops.append(Gate(GateKind.RY, (q,), (), theta / 2.0))
     ops += flags
     ops += _repair_ops(data, slots, f_slots, pool_a, pool_b, [RotationBlock(
-        ((f_slots[r], slots[r]) for r in range(1, big_n)),
-        [-theta for theta in folded])])
+        zip(f_slots, slots), [-theta for theta in folded])])
     ops += flags
     return ops
 
@@ -215,13 +210,9 @@ def build_sp_prerotated(vector):
     flag = b.allocate("flag", big_n - 1)
     pool_a = b.maybe_allocate("pool_a", big_n - 2)
     pool_b = b.maybe_allocate("pool_b", big_n - 2)
-    slots = {r: angle.qubits[r - 1] for r in range(1, big_n)}
-    f_slots = {r: flag.qubits[r - 1] for r in range(1, big_n)}
     b.begin_stage("sp_prerotated")
-    b.extend(sp_prerotated_ops(
-        data.qubits, slots, f_slots,
-        pool_a.qubits if pool_a else (), pool_b.qubits if pool_b else (),
-        [vector]))
+    b.extend(sp_prerotated_ops(data.qubits, angle.qubits, flag.qubits,
+                               pool_a, pool_b, [vector]))
     return b.build()
 
 
@@ -257,25 +248,18 @@ def csp_prerotated_ops(builder, data, angle, flag, control, vectors):
     """Controlled pre-rotated SP ops over existing block registers.
 
     Allocates the per-copy LOADF blocks on the builder and returns
-    ``(ops, plan)``; the forward LOADF uses the statically-known flags
-    (singly-controlled rotations) while the reverse leg keeps the
-    doubly-controlled form, whose flag controls skip the injected slots.
+    ``(ops, pools)``: ``pools`` are LOADF's ``FlagLoad.pools``, which the
+    plain state preparation may borrow too.  The forward LOADF uses the
+    statically-known flags (singly-controlled rotations) while the reverse
+    leg keeps the doubly-controlled form, whose flag controls skip the
+    injected slots.
     """
-    n = len(data)
-    big_n = 1 << n
-    spec = LoadSpec(n=n, data_width=big_n - 1, lam=n, model=QramModel.FLAGS)
-    plan = FlagLoad(builder, control, spec, prerotated_angles(vectors),
+    plan = FlagLoad(builder, control, prerotated_angles(vectors),
                     flags=flag, angle_slot0=angle)
-    slots = {r: angle[r - 1] for r in range(1, big_n)}
-    f_slots = {r: flag[r - 1] for r in range(1, big_n)}
-    pa = plan.copies[0][3]
-    pb = plan.copies[0][4]
-
     # The flag X layer and LOADF's first one-hot X layer are one layer.
     onehot_x, *loadf = plan.build_ops(static_flags_one=True)
     ops = clifford_layer_ops(GateKind.X, flag + onehot_x.targets) + loadf
-    ops += _repair_ops(data, slots, f_slots, pa, pb, adjoint_ops(
+    ops += _repair_ops(data, angle, flag, *plan.pools, adjoint_ops(
         plan.build_ops(static_flags_one=False)))
     ops += clifford_layer_ops(GateKind.X, flag)
-    return ops, plan
-
+    return ops, plan.pools

@@ -128,8 +128,7 @@ def test_criterion_3_qram_semantics():
     # LOADF flag contracts
     for n in (1, 2, 3):
         thetas = [tuple(rng.uniform(0, math.pi, 1)) for _ in range(1 << n)]
-        spec = LoadSpec(n=n, data_width=1, lam=n, model=QramModel.FLAGS)
-        c = build_loadf(spec, thetas)
+        c = build_loadf(thetas)
         addr = c.register("addr").qubits
         flag = c.register("f0_flag").qubits[0]
         slot0 = c.register("f0_angle").qubits[0]

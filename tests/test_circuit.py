@@ -62,8 +62,18 @@ def test_gate_qubits_must_be_distinct():
 
 
 def test_registers_must_tile():
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="gap before b"):
         Circuit((QubitRegister("a", 0, 2), QubitRegister("b", 3, 1)), (), 4)
+    with pytest.raises(CircuitError, match="must tile \\[0, total_qubits\\)"):
+        Circuit((QubitRegister("a", 0, 2), QubitRegister("b", 2, 1)), (), 4)
+
+
+def test_maybe_allocate_gives_qubits_or_none():
+    b = CircuitBuilder()
+    b.allocate("a", 2)
+    assert b.maybe_allocate("none", 0) == ()
+    assert b.maybe_allocate("b", 3) == (2, 3, 4)
+    assert [r.name for r in b.build().registers] == ["a", "b"]
 
 
 def test_count_empty():

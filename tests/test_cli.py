@@ -168,6 +168,18 @@ def test_prerotated_report_quotes_the_capped_depth_rule(capsys, matrix_csv):
     assert ref.startswith("be_prerotated.t_depth [all n] -min(3n-2, R_y) (")
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("extra", [("--qram", "ss"), ("--lambda", "1")])
+def test_prerotated_with_another_loader_or_lambda_exits_2(
+        capsys, matrix_csv, command, extra):
+    path = matrix_csv(np.random.default_rng(2).standard_normal((4, 4)))
+    code, _, err = run_cli(capsys, command, "--matrix", path, "--method",
+                           "prerotated", *extra)
+    assert code == 2
+    assert err == ("error: the pre-rotated method is only available with "
+                   "the flags access model and lambda = n\n")
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
 def test_prerotated_on_non_power_of_two_matrix(capsys, matrix_csv, shape):
     rng = np.random.default_rng(2)

@@ -91,6 +91,26 @@ def test_prerotated_requires_flags_model():
         build_block_encoding(np.eye(2), cfg)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_method_defaults_resolve_to_its_access_model(n):
+    """Without a QRAM model or lambda, pre-rotated means flags with
+    lambda = n and fixed precision select-swap with lambda = 0: each writes
+    the text of its explicit config, and the result holds the resolved
+    values."""
+    matrix = np.random.default_rng(n).uniform(5, 105, (1 << n, 1 << n))
+    for default, explicit in (
+            (BlockEncodingConfig(method=Method.PRE_ROTATED),
+             BlockEncodingConfig(method=Method.PRE_ROTATED,
+                                 qram=QramModel.FLAGS, lam=n)),
+            (BlockEncodingConfig(t=3),
+             BlockEncodingConfig(qram=QramModel.SELECT_SWAP, lam=0, t=3))):
+        res = build_block_encoding(matrix, default)
+        want = build_block_encoding(matrix, explicit)
+        assert write_circuit_text(res.circuit) == \
+            write_circuit_text(want.circuit)
+        assert res.config == want.config == explicit
+
+
 def test_identity_block_fixed():
     cfg = BlockEncodingConfig(method=Method.FIXED_PRECISION,
                               qram=QramModel.SELECT_SWAP, lam=0, t=8)
@@ -289,8 +309,7 @@ def _every_generator_circuit():
                 yield build_load_bb(LoadSpec(n, 2, lam, BB, rows))
         yield build_block_encoding(matrix, BlockEncodingConfig(
             method=Method.PRE_ROTATED, qram=QramModel.FLAGS, lam=n)).circuit
-        yield build_loadf(LoadSpec(n, 2, n, QramModel.FLAGS),
-                          rng.uniform(0, 3, (side, 2)))
+        yield build_loadf(rng.uniform(0, 3, (side, 2)))
         yield build_sp_fixed(matrix[0], 1)
         yield build_sp_prerotated(matrix[0])
 
@@ -384,9 +403,9 @@ def _cli_configs():
 
 
 @pytest.mark.parametrize("n, cfg", [
-    pytest.param(n, cfg, id=f"{cfg.method.value}-{cfg.qram.value}-l{cfg.lam}"
+    pytest.param(n, cfg, id=f"{cfg.method.value}-{res.qram.value}-l{res.lam}"
                             f"-{cfg.variant.value}-n{n}")
-    for n, cfg in _cli_configs()])
+    for n, cfg in _cli_configs() for res in [cfg.resolve(n)]])
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
@@ -402,9 +421,9 @@ def test_circuit_then_adjoint_returns_the_input(n, cfg, data):
 
 
 @pytest.mark.parametrize("n, cfg", [
-    pytest.param(n, cfg, id=f"{cfg.method.value}-{cfg.qram.value}-l{cfg.lam}"
+    pytest.param(n, cfg, id=f"{cfg.method.value}-{res.qram.value}-l{res.lam}"
                             f"-{cfg.variant.value}-n{n}")
-    for n, cfg in _cli_configs()])
+    for n, cfg in _cli_configs() for res in [cfg.resolve(n)]])
 @settings(max_examples=3, deadline=None)
 @given(k=st.integers(-60, 60),
        kind=st.sampled_from(("random", "zero_row", "sign_flipped", "sparse",

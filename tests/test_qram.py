@@ -183,8 +183,7 @@ def loadf_fixture(n=2, d=1, seed=0):
     rng = np.random.default_rng(seed)
     thetas = [tuple(float(x) for x in rng.uniform(0, math.pi, d))
               for _ in range(1 << n)]
-    spec = LoadSpec(n=n, data_width=d, lam=n, model=QramModel.FLAGS)
-    return build_loadf(spec, thetas), thetas
+    return build_loadf(thetas), thetas
 
 
 def test_loadf_flag_zero_identity():
@@ -197,10 +196,8 @@ def test_loadf_flag_zero_identity():
 
 
 def test_loadf_flag_one_amplitudes():
-    n, d = 2, 1
     thetas = [(0.0,), (math.pi / 2,), (math.pi,), (math.pi / 3,)]
-    spec = LoadSpec(n=n, data_width=d, lam=n, model=QramModel.FLAGS)
-    c = build_loadf(spec, thetas)
+    c = build_loadf(thetas)
     addr = c.register("addr").qubits
     flag = c.register("f0_flag").qubits[0]
     slot0 = c.register("f0_angle").qubits[0]
@@ -221,10 +218,9 @@ def test_loadf_flag_one_amplitudes():
 
 
 def test_loadf_multi_copy_parallel():
-    n, d = 1, 2
+    d = 2
     thetas = [(0.4, 2.0), (1.1, math.pi)]
-    spec = LoadSpec(n=n, data_width=d, lam=n, model=QramModel.FLAGS)
-    c = build_loadf(spec, thetas)
+    c = build_loadf(thetas)
     addr = c.register("addr").qubits
     flags = [c.register(f"f{r}_flag").qubits[0] for r in range(d)]
     slots = [c.register(f"f{r}_angle").qubits[0] for r in range(d)]
@@ -250,7 +246,7 @@ def test_loadf_n3_support_guard():
     Ry(theta_j)|0> on the output slot, for angles across [0, 4*pi)."""
     n = 3
     thetas = np.random.default_rng(4).uniform(0, 4 * math.pi, (1 << n, 1))
-    c = build_loadf(LoadSpec(n, 1, n, QramModel.FLAGS), thetas)
+    c = build_loadf(thetas)
     ins = (c.register("addr").qubits + c.register("f0_flag").qubits
            + c.register("f0_angle").qubits[:1])
     ext = extract_block(c, ins)
@@ -305,11 +301,18 @@ def column_lines(network):
 def test_loadf_copy_is_four_ops_between_x_layers(n, d):
     """A copy is the inverse one-hot network, the rotation block, and the
     angle and one-hot networks, between two X layers on every copy's
-    one-hot slot 0: no per-column macro, no per-copy X.  The same circuit
-    written with each network as its column lines parses into 3n + 1 ops
-    per copy, plus the two layers, with the same counts."""
+    one-hot slot 0: no per-column macro, no per-copy X.  Copy r's four ops
+    are ops 1 + 4r .. 4 + 4r and touch only its registers and the address.
+    The same circuit written with each network as its column lines parses
+    into 3n + 1 ops per copy, plus the two layers, with the same counts."""
     c, _ = loadf_fixture(n=n, d=d)
     assert len(c.ops) == 4 * d + 2
+    addr = set(c.register("addr").qubits)
+    for r in range(d):
+        own = addr.union(*(c.register(f"f{r}_{name}").qubits for name in
+                           ("flag", "angle", "onehot", "pool_a", "pool_b")))
+        for op in c.ops[1 + 4 * r: 5 + 4 * r]:
+            assert set(op.qubits()) <= own, (r, op)
     starts = tuple(c.register(f"f{r}_onehot")[0] for r in range(d))
     for x in (c.ops[0], c.ops[-1]):
         assert isinstance(x, CliffordLayer)
@@ -325,6 +328,16 @@ def test_loadf_copy_is_four_ops_between_x_layers(n, d):
     assert len(columns.ops) == (3 * n + 1) * d + 2
     assert ([r.as_tuple() for r in count_resources_at(columns, (0, 1, 30))]
             == [r.as_tuple() for r in count_resources_at(c, (0, 1, 30))])
+
+
+@pytest.mark.parametrize("thetas", [
+    [], [(0.1,)], [(0.1,)] * 3, [(), ()], [(0.1,), (0.2, 0.3)],
+    [(0.1, 0.2), (0.3,)], np.zeros((4, 0))],
+    ids=["no-rows", "one-row", "three-rows", "no-angles", "ragged",
+         "ragged-first", "empty-array"])
+def test_loadf_rejects_angle_rows_of_the_wrong_shape(thetas):
+    with pytest.raises(ConfigurationError, match="2\\^n rows"):
+        build_loadf(thetas)
 
 
 # -- configuration -----------------------------------------------------------------
