@@ -8,8 +8,9 @@ summary and final JSON line, and a claim block for ``--metric`` (any
 ``end_to_end`` metric of BENCHMARK.json, ``wall_s`` by default) on
 ``--workload`` over the seeds (medians, inclusive quartiles, pairs the change
 wins in the metric's ``better`` direction, median gain in that direction and
-the parent's IQR).  The claim block also records, for that workload, the
-parent and change medians of every ``end_to_end`` metric in BENCHMARK.json.
+the parent's IQR); one seed is allowed, and its quartiles are its value.
+The claim block also records, for that workload, the parent and change
+medians of every ``end_to_end`` metric in BENCHMARK.json.
 A run that exits non-zero stops the script.  If a change run is not correct,
 fails a larger share of its requests than the parent run of its pair, or a
 change median is worse than the parent median by more than the metric's
@@ -124,7 +125,11 @@ def _host():
 
 
 def _spread(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and inclusive quartiles; those of one value are that value."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": sorted(values)}
 
 
@@ -166,8 +171,6 @@ def main(argv=None):
     parser.add_argument("--also", action="append", default=[],
                         help="workload:seed[:trace], recorded but not claimed")
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("--seeds needs at least two seeds for quartiles")
 
     parent_commit = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,

@@ -58,7 +58,6 @@ class GateKind(str, Enum):
     GDG = "GDG"
     CNOT = "CNOT"
     FANOUT_CNOT = "FANOUT_CNOT"
-    CZ = "CZ"
     SWAP = "SWAP"
     TOFFOLI = "TOFFOLI"
     MCX = "MCX"
@@ -84,7 +83,6 @@ _EXPECTED_CONTROLS = {
     GateKind.TOFFOLI: 2,
 }
 _EXPECTED_TARGETS = {
-    GateKind.CZ: 2,
     GateKind.SWAP: 2,
 }
 
@@ -147,15 +145,11 @@ class Gate:
         return _GATE_WEIGHTS[self.kind][1]
 
     def schedule(self, frontiers):
-        """A full use of the targets that reads the controls; a CZ, diagonal,
-        only reads both targets.  A T-weight gate takes one T-layer, an RY
-        R_y of them, any other none."""
+        """A full use of the targets that reads the controls.  A T-weight
+        gate takes one T-layer, an RY R_y of them, any other none."""
         w, units = _GATE_WEIGHTS[self.kind]
-        if self.kind is GateKind.CZ:
-            _schedule_use(frontiers, (), self.targets, w, units)
-        else:
-            _schedule_use(frontiers, self.targets,
-                          [q for q, _ in self.controls], w, units)
+        _schedule_use(frontiers, self.targets, [q for q, _ in self.controls],
+                      w, units)
 
     def adjoint(self):
         """The inverse gate; a self-inverse gate is its own (ops are never

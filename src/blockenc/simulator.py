@@ -4,11 +4,19 @@ A state is a list of basis indices with complex amplitudes, held as arrays:
 the indices as a uint64 bitset with one row per 64-qubit word (bit q of an
 index is bit q % 64 of word q // 64, so circuits of any width fit) and the
 amplitudes as a complex128 vector.  Permutation and diagonal gates act on
-every entry at once as masked XORs and multiplies.  Branching gates (H, G,
-G^dagger and RY) emit both branches and merge the entries that meet.  Only
-the flip kinds take controls.  Block-encoding circuits keep their ancillas
-basis-correlated with the address, so the support stays small except
-through H layers.
+every entry at once as masked XORs and multiplies.  Only the flip kinds take
+controls.  Block-encoding circuits keep their ancillas basis-correlated with
+the address, so the support stays small except through H layers.
+
+A branching gate (H, G, G^dagger or RY, or a rotation-block slot on the
+entries whose controls pass) works in this order: it computes both outcome
+rows' amplitudes, summing the entries that meet (equal but for the target
+bit, found by one sort); prunes amplitudes below ``PRUNE_THRESHOLD``; counts
+the kept support, kept row 0 plus kept row 1 plus the untouched entries;
+checks the support cap on that count; and only then allocates the new keys
+and amplitudes and writes the three parts into slices.  A branch that could
+exceed the cap counts its kept entries in bounded chunks before it builds
+the rows, so a refused branch allocates nothing sized by the new support.
 
 ``run``, ``run_circuit``, ``extract_block`` and ``dense_unitary`` apply
 each op of a circuit whole, as ``SparseState.apply`` does.  A default-form
@@ -78,12 +86,14 @@ def _ry_matrix(theta):
 _FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.FANOUT_CNOT,
                     GateKind.TOFFOLI, GateKind.MCX))
 # Diagonal kinds: the phase applied where every target qubit is |1>.
-_PHASES = {GateKind.Z: -1.0 + 0.0j, GateKind.CZ: -1.0 + 0.0j, GateKind.S: 1j,
-           GateKind.SDG: -1j, GateKind.T: cmath.exp(1j * math.pi / 4),
+_PHASES = {GateKind.Z: -1.0 + 0.0j, GateKind.S: 1j, GateKind.SDG: -1j,
+           GateKind.T: cmath.exp(1j * math.pi / 4),
            GateKind.TDG: cmath.exp(-1j * math.pi / 4)}
 _FIXED_BRANCHES = {GateKind.H: _H, GateKind.G: _G, GateKind.GDG: _G.conj().T}
 
 _WORD = 64
+# Outcome runs per chunk when a branch's kept support is counted ahead.
+_CHUNK = 1 << 14
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -141,15 +151,40 @@ def _read(keys, qubits):
     return value
 
 
-def _runs(keys):
-    """Sort order of ``keys`` and the sorted positions that start a run."""
-    order = np.lexsort(keys[::-1])
-    ordered = keys[:, order]
-    same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
-    starts = np.empty(len(order), dtype=bool)
-    starts[:1] = True
-    np.logical_not(same, out=starts[1:])
+def _runs(rows):
+    """Sort order of the keys whose word rows are ``rows``, and the sorted
+    positions that start a run of equal keys.  Neighbours are compared one
+    word row at a time, so no sorted copy of the keys is made."""
+    order = np.lexsort(rows[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for row in rows:
+        ordered = row[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
     return order, starts.nonzero()[0]
+
+
+def _outcomes(m, amps, on, runs, lo, hi):
+    """Rows 0 and 1 of ``m`` applied to runs ``lo``..``hi`` - 1: each entry's
+    amplitude times the column of ``m`` for its bit (``on``), summed over
+    the run.  ``runs`` is None when no entries meet: each entry is its own
+    run and ``on`` is the one column they all take."""
+    if runs is None:
+        return m[:, on, None] * amps[lo:hi]
+    order, starts = runs
+    first = starts[lo]
+    end = starts[hi] if hi < len(starts) else len(order)
+    part = order[first:end]
+    return np.add.reduceat(m[:, on[part].view(np.int8)] * amps[part],
+                           starts[lo:hi] - first, axis=1)
+
+
+def _take(keys, index, out):
+    """Columns ``index`` of ``keys`` into ``out``, one word row at a time.
+    Mode 'clip' writes straight into ``out`` ('raise' buffers it); every
+    index is in range."""
+    for row, dst in zip(keys, out):
+        row.take(index, out=dst, mode="clip")
 
 
 @functools.lru_cache(maxsize=4)
@@ -252,7 +287,7 @@ class SparseState:
             w, m = _locate(qubits[p])
             np.bitwise_xor(keys[w], m, out=keys[w], where=flip[value])
         np.multiply(self._amps, phases[value], out=self._amps)
-        self._changed()
+        self._view = None
 
     def _rotate(self, block):
         """The fanout, RY(theta) (RY(-theta) inverted) on each slot's target
@@ -266,7 +301,6 @@ class SparseState:
         for (*controls, target), theta in zip(block.slots, block.thetas):
             self._branch(target, _ry_matrix(sign * theta),
                          tuple((q, True) for q in controls))
-            self._changed()
         if fan is not None:
             self._apply_gate(fan)
 
@@ -304,12 +338,10 @@ class SparseState:
             self._branch(g.targets[0], _ry_matrix(g.angle))
         else:
             raise SimulationError(f"unknown gate kind {kind}")
-        self._changed()
-
-    def _changed(self):
-        """Drop the stale view and record the support; raise past the cap."""
         self._view = None
-        support = len(self._amps)
+
+    def _admit(self, support):
+        """Record a support about to be reached; raise past the cap."""
         self.peak_support = max(self.peak_support, support)
         if support > self.support_cap:
             raise SupportCapError(
@@ -319,49 +351,72 @@ class SparseState:
     def _branch(self, q, m, controls=()):
         """Apply the 2x2 matrix ``m`` to qubit ``q`` of the entries whose
         ``controls`` pass, leaving the rest untouched: a branched entry keeps
-        its controls, so it never meets an untouched one."""
+        its controls, so it never meets an untouched one.
+
+        The new state is the kept entries of outcome row 0 (bit ``q`` clear),
+        those of row 1 (bit set), then the untouched entries.  Their number
+        is checked against the cap before the new arrays are allocated; when
+        it may exceed the cap, it is counted chunk by chunk first.
+        """
         keys, amps = self._keys, self._amps
-        rest = None
+        branched = untouched = None
         if controls:
             hit = self._controls_pass(controls)
             hits = np.count_nonzero(hit)
             if hits == 0:
                 return
             if hits < len(hit):
-                miss = ~hit
-                rest = keys[:, miss], amps[miss]
-                keys, amps = keys[:, hit], amps[hit]
+                branched, untouched = hit.nonzero()[0], (~hit).nonzero()[0]
+                amps = amps[branched]
         w, mask = _locate(q)
-        on = (keys[w] & mask) != 0
+        on = keys[w] if branched is None else keys[w][branched]
+        on = (on & mask) != 0
         ones = np.count_nonzero(on)
-        if ones == 0:
-            # Every entry has the bit clear (or, below, set): none meet.
-            base, out = keys, m[:, 0, None] * amps
-        elif ones == len(on):
-            base, out = keys.copy(), m[:, 1, None] * amps
-            base[w] ^= mask
+        if 0 < ones < len(on):
+            # Entries equal but for bit q meet: sort with the bit cleared.
+            rows = [row if branched is None else row[branched]
+                    for row in keys]
+            rows[w] = rows[w] & ~mask
+            runs = _runs(rows)
+            del rows
+            firsts = runs[0][runs[1]]
+            size = len(firsts)
         else:
-            base = keys.copy()
-            base[w] &= ~mask
-            order, starts = _runs(base)
-            base = base[:, order[starts]]
-            out = np.add.reduceat(m[:, on[order].view(np.int8)] * amps[order],
-                                  starts, axis=1)
-        size = base.shape[1]
-        keys = np.concatenate((base, base), axis=1)
-        keys[w, size:] |= mask
-        amps = out.ravel()
-        small = np.abs(amps) < PRUNE_THRESHOLD
-        if np.count_nonzero(small):
-            dropped = amps[small]
+            runs, on, size = None, int(ones > 0), len(amps)
+        rest = 0 if untouched is None else len(untouched)
+        if 2 * size + rest > self.support_cap:
+            # Count the kept entries ahead, a chunk of runs at a time.
+            count = rest
+            for lo in range(0, size, _CHUNK):
+                part = _outcomes(m, amps, on, runs, lo, min(lo + _CHUNK, size))
+                count += int(np.count_nonzero(
+                    ~(np.abs(part) < PRUNE_THRESHOLD)))
+            self._admit(count)
+        out = _outcomes(m, amps, on, runs, 0, size)
+        small = np.abs(out) < PRUNE_THRESHOLD
+        if small.any():
+            dropped = out[small]
             self.pruned_weight += float(np.sum(dropped.real ** 2
                                                + dropped.imag ** 2))
-            keep = ~small
-            keys, amps = keys[:, keep], amps[keep]
-        if rest is not None:
-            keys = np.concatenate((keys, rest[0]), axis=1)
-            amps = np.concatenate((amps, rest[1]))
-        self._keys, self._amps = keys, amps
+        kept = [row.nonzero()[0] for row in ~small]
+        cut, split = len(kept[0]), len(kept[0]) + len(kept[1])
+        self._admit(split + rest)
+        new_keys = np.empty((len(keys), split + rest), dtype=np.uint64)
+        new_amps = np.empty(split + rest, dtype=complex)
+        for (lo, hi), row, index in zip(((0, cut), (cut, split)), out, kept):
+            row.take(index, out=new_amps[lo:hi], mode="clip")
+            if runs is not None:
+                index = firsts[index]
+            if branched is not None:
+                index = branched[index]
+            _take(keys, index, new_keys[:, lo:hi])
+        new_keys[w, :cut] &= ~mask
+        new_keys[w, cut:split] |= mask
+        if rest:
+            _take(keys, untouched, new_keys[:, split:])
+            self._amps.take(untouched, out=new_amps[split:], mode="clip")
+        self._keys, self._amps = new_keys, new_amps
+        self._view = None
 
     def run(self, circuit: Circuit):
         return self._run_ops(circuit.ops)
@@ -429,11 +484,6 @@ class BlockExtract:
         self.in_qubits = tuple(in_qubits)
         self.peak_support = peak_support
         self.pruned_weight = pruned_weight
-
-    @property
-    def all_clean(self):
-        """True when every column stayed inside the projected block."""
-        return all(leak < 5e-11 for leak in self.column_leaks)
 
     @property
     def unitary_witness(self):

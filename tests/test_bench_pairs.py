@@ -94,3 +94,12 @@ def test_metric_option_takes_end_to_end_names_only():
         bench_pairs.main(["--parent", "HEAD", "--name", "x", "--change", "x",
                           "--workload", "compile", "--seeds", "1-2",
                           "--metric", "encoding.ops"])
+
+
+def test_one_seed_is_its_own_quartiles():
+    claim = bench_pairs._claim(_pairs((95.0, 75.0)), SPECS["peak_rss_mb"])
+    assert claim["parent"] == {"median": 95.0, "q1": 95.0, "q3": 95.0,
+                               "runs": [95.0]}
+    assert claim["change"]["median"] == 75.0
+    assert claim["change_wins"] == "1 of 1"
+    assert claim["parent_iqr"] == 0

@@ -332,6 +332,8 @@ def test_out_of_range_macro_rejected():
     # A Clifford layer without its targets, or with an unknown kind.
     "c k=X inv=0",
     "c k=BOGUS t=0 inv=0",
+    # A CZ, a gate kind no generator emits.
+    "g CZ t=0,1",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -638,7 +640,7 @@ def test_builder_checks_each_distinct_gate():
 _WIDTH = 6
 _SHAPES = {  # kind -> (targets, controls); None means "drawn"
     GateKind.CNOT: (1, 1), GateKind.FANOUT_CNOT: (None, 1),
-    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0),
+    GateKind.SWAP: (2, 0),
     GateKind.TOFFOLI: (1, 2), GateKind.MCX: (1, None),
 }
 
@@ -676,8 +678,7 @@ def _macros(draw, gates, width=_WIDTH):
     """A macro over drawn gates whose roles cover its expansion, plus at
     least one drawn qubit declared full or control-only."""
     expansion = draw(st.lists(st.sampled_from(gates), max_size=4))
-    full = {q for g in expansion if g.kind is not GateKind.CZ
-            for q in g.targets}
+    full = {q for g in expansion for q in g.targets}
     read = {q for g in expansion for q in g.qubits()}
     for q in draw(st.lists(st.integers(0, width - 1), min_size=1,
                            max_size=3, unique=True)):
@@ -953,8 +954,6 @@ def _oracle_counts(ops, ry):
                  GateKind.GDG: 1, GateKind.RY: ry}.get(op.kind, 0)
             weight = (w, w)
             ctrl = {q for q, _ in op.controls}
-            if op.kind is GateKind.CZ:
-                ctrl |= set(op.targets)
             full = set(op.qubits()) - ctrl
         start = max((finish for f, c, finish in placed
                      if full & (f | c) or ctrl & f), default=0)

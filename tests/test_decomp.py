@@ -94,7 +94,7 @@ def test_controlled_ry_quarter_turn():
        n_controls=st.integers(1, 2))
 def test_controlled_ry_is_exact_for_any_angle(theta, n_controls):
     """Flip, RY(-theta/2), flip, RY(theta/2) is the controlled RY(theta)
-    for every finite angle, with no Z or CZ after it."""
+    for every finite angle, with no phase gate after it."""
     gates = controlled_ry_gates(theta, tuple(range(n_controls)), n_controls)
     assert [g.kind for g in gates[1::2]] == [GateKind.RY, GateKind.RY]
     assert len(gates) == 4 and gates[0] == gates[2]
@@ -296,10 +296,10 @@ def _ref_unary_select(select_qubits, rows, slots, flag):
 
 def _reference_roles(gates):
     """(full, control-only) qubits of a gate list as sorted tuples: a
-    gate's targets change (a CZ's are only read), its controls are read."""
+    gate's targets change, its controls are read."""
     full, ctrl = set(), set()
     for g in gates:
-        (ctrl if g.kind is GateKind.CZ else full).update(g.targets)
+        full.update(g.targets)
         ctrl.update(q for q, _ in g.controls)
     return tuple(sorted(full)), tuple(sorted(ctrl - full))
 

@@ -1,6 +1,7 @@
 """Sparse statevector simulator: gates, invariants, block extraction, and
 hypothesis properties against an independent dense numpy reference."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from blockenc.encoding import (
     QramModel,
     build_block_encoding,
 )
+from blockenc import simulator
 from blockenc.simulator import (
     SimulationError,
     SparseState,
@@ -73,15 +75,13 @@ def _random_circuit(rng, n=4, ops=60):
     for _ in range(ops):
         kinds = [GateKind.H, GateKind.T, GateKind.X, GateKind.S,
                  GateKind.G, GateKind.RY, GateKind.CNOT,
-                 "layer", GateKind.CZ, GateKind.TOFFOLI]
+                 "layer", GateKind.TOFFOLI]
         kind = kinds[int(rng.integers(len(kinds)))]
         qs = [int(q) for q in rng.permutation(n)]
         if kind is GateKind.CNOT:
             b.gate(kind, (qs[0],), ((qs[1], bool(rng.integers(2))),))
         elif kind == "layer":
             b.add(SwapLayer(((qs[2], True),), ((qs[0], qs[1]),)))
-        elif kind is GateKind.CZ:
-            b.gate(kind, (qs[0], qs[1]))
         elif kind is GateKind.TOFFOLI:
             b.gate(kind, (qs[0],), ((qs[1], True), (qs[2], False)))
         elif kind is GateKind.RY:
@@ -141,6 +141,107 @@ def test_support_cap():
         run_circuit(b.build(), support_cap=100)
 
 
+def test_refused_branch_allocates_nothing_sized_by_the_new_support():
+    """An H on a fresh qubit of S entries would keep 2S: at cap S it is
+    refused with that exact count, and the call never holds as many bytes
+    as the state's own arrays."""
+    size = 1 << 17
+    state = SparseState(18, {i: 1.0 for i in range(size)}, support_cap=size)
+    own = state._keys.nbytes + state._amps.nbytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportCapError,
+                           match=f"^support {2 * size} exceeds cap {size};"):
+            state.apply(Gate(GateKind.H, (17,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < own
+    assert state.peak_support == 2 * size
+    assert len(state._amps) == size
+
+
+def _reference_branch(keys, amps, q, m, hit):
+    """The concatenate-then-prune branch: both outcome rows of the ``hit``
+    entries side by side, pruned together, then the untouched entries."""
+    w, mask = q // 64, np.uint64(1 << q % 64)
+    rest = keys[:, ~hit], amps[~hit]
+    keys, amps = keys[:, hit], amps[hit]
+    on = (keys[w] & mask) != 0
+    base = keys.copy()
+    base[w] &= ~mask
+    if on.all() or not on.any():
+        out = m[:, int(on.any()), None] * amps
+    else:
+        order = np.lexsort(base[::-1])
+        ordered = base[:, order]
+        starts = np.flatnonzero(np.r_[
+            True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
+        base = ordered[:, starts]
+        out = np.add.reduceat(m[:, on[order].view(np.int8)] * amps[order],
+                              starts, axis=1)
+    both = np.concatenate((base, base), axis=1)
+    both[w, base.shape[1]:] |= mask
+    out = out.ravel()
+    small = np.abs(out) < 1e-14
+    dropped = out[small]
+    return (np.concatenate((both[:, ~small], rest[0]), axis=1),
+            np.concatenate((out[~small], rest[1])),
+            float(np.sum(dropped.real ** 2 + dropped.imag ** 2)))
+
+
+def _branch_start(merge, rng):
+    """Entries on a 70-qubit state, control 1 drawn and target 64 clear;
+    with ``merge``, half the controlled ones get a partner with the target
+    set whose amplitude cancels row 0 exactly under RY(pi)."""
+    start = {}
+    for _ in range(40):
+        index = (int(rng.integers(1 << 62)) << 1
+                 | int(rng.integers(1 << 5)) << 65)
+        start[index] = complex(*rng.standard_normal(2))
+    if merge:
+        for index, amp in list(start.items())[:20]:
+            if index >> 1 & 1:
+                start[index | 1 << 64] = (
+                    math.cos(math.pi / 2) * amp if index & 4
+                    else complex(rng.standard_normal()))
+    return start
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("merge", [False, True])
+def test_controlled_branch_matches_the_concatenate_then_prune_reference(
+        merge, chunk, monkeypatch):
+    """A controlled RY(pi) keeps the reference's keys in its order, its
+    amplitudes, pruned weight and peak; at a cap equal to the kept support
+    (counted ahead, in chunks of 3 runs when ``chunk`` is set) too, and one
+    below it raises with that count."""
+    if chunk:
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    start = _branch_start(merge, np.random.default_rng(11))
+    block = RotationBlock([(1, 64)], [math.pi])
+    before = SparseState(70, start)
+    hit = (before._keys[0] & np.uint64(2)) != 0
+    keys, amps, pruned = _reference_branch(
+        before._keys, before._amps, 64, simulator._ry_matrix(math.pi), hit)
+    assert pruned > 0 and len(amps) < len(start) + np.count_nonzero(hit)
+    if merge:   # some branched entries meet
+        cleared = before._keys[:, hit]
+        cleared[1] &= ~np.uint64(1)
+        assert np.unique(cleared, axis=1).shape[1] < np.count_nonzero(hit)
+    caps = (None, len(amps)) if chunk is None else (len(amps),)
+    for cap in caps:
+        state = SparseState(70, start, support_cap=cap).apply(block)
+        assert np.array_equal(state._keys, keys)
+        assert np.array_equal(state._amps, amps)
+        assert state.pruned_weight == pruned
+        assert state.peak_support == max(len(start), len(amps))
+    with pytest.raises(SupportCapError,
+                       match=f"^support {len(amps)} exceeds cap "
+                             f"{len(amps) - 1};"):
+        SparseState(70, start, support_cap=len(amps) - 1).apply(block)
+
+
 def test_spectral_norm_examples():
     assert abs(spectral_norm(np.diag([3.0, 4.0])) - 4.0) < 1e-9
     assert abs(spectral_norm(np.array([[0, 1], [1, 0]])) - 1.0) < 1e-9
@@ -160,7 +261,7 @@ def test_extract_block_identity():
     b.allocate("anc", 1)
     ext = extract_block(b.build(), reg.qubits)
     assert np.abs(ext.block - np.eye(4)).max() < 1e-12
-    assert ext.all_clean
+    assert ext.column_leaks == (0.0,) * 4
 
 
 def test_extract_block_single_ry():
@@ -194,7 +295,7 @@ def test_dense_unitary_matches_kron():
     Gate(GateKind.RY, (1,), ((0, True),), 0.5),
     Gate(GateKind.H, (1,), ((0, True),)),
     Gate(GateKind.Z, (1,), ((0, False),)),
-    Gate(GateKind.CZ, (1, 2), ((0, True),)),
+    Gate(GateKind.T, (1,), ((0, True),)),
     Gate(GateKind.SWAP, (1, 2), ((0, True),)),
 ])
 def test_only_flips_take_controls(gate):
@@ -222,7 +323,7 @@ WIDE = 130
 
 _SHAPES = {  # kind -> (targets, controls); None means "drawn"
     GateKind.CNOT: (1, 1), GateKind.FANOUT_CNOT: (None, 1),
-    GateKind.CZ: (2, 0), GateKind.SWAP: (2, 0),
+    GateKind.SWAP: (2, 0),
     GateKind.TOFFOLI: (1, 2), GateKind.MCX: (1, None),
 }
 
@@ -340,11 +441,6 @@ def _dense_apply(psi, g):
             sub = np.flip(sub, axis=a)
     elif g.kind is GateKind.SWAP:
         sub = np.swapaxes(sub, ax[0], ax[1])
-    elif g.kind is GateKind.CZ:
-        sub = sub.copy()
-        both = [slice(None)] * sub.ndim
-        both[ax[0]] = both[ax[1]] = 1
-        sub[tuple(both)] *= -1
     else:
         m = _one_qubit_matrix(g)
         sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax[0]])), 0, ax[0])
