@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -425,14 +426,15 @@ class SwapLayer(Compound):
 
 
 class RotationBlock(Compound):
-    """A block of controlled rotations: slot k is ``slots[k]`` = (controls...,
-    target), with one positive control in every slot or two in every slot,
-    and rotates by ``thetas[k]``.  Slots share no control, and no control is
-    a target; a target may repeat (the fixed-precision ladder rotates one
-    data qubit under each angle bit), and its slots run in order, reversed
-    in the adjoint.  When ``fanout`` is a qubit, a fanout-CNOT from it onto
-    every slot's first control comes before the rotations and again after
-    them.
+    """A block of controlled rotations held as columns: ``columns`` is
+    (control column[, second control column], target column), each a
+    tuple of equal length, so slot k is (``columns[0][k]``[,
+    ``columns[1][k]``], ``columns[-1][k]``) and rotates by ``thetas[k]``.
+    Slots share no control, and no control is a target; a target may
+    repeat (the fixed-precision ladder rotates one data qubit under each
+    angle bit), and its slots run in order, reversed in the adjoint.  When
+    ``fanout`` is a qubit, a fanout-CNOT from it onto the first control
+    column comes before the rotations and again after them.
 
     Each slot's gates are ``decomp.controlled_ry_gates``: a flip,
     RY(-theta/2), the flip, RY(theta/2).  A one-control flip is a CNOT; a
@@ -440,20 +442,22 @@ class RotationBlock(Compound):
     4, T-depth 1), and its expansion is a plain Toffoli.
     """
 
-    __slots__ = ("slots", "thetas", "fanout")
+    __slots__ = ("columns", "thetas", "fanout")
 
-    def __init__(self, slots, thetas, fanout=None):
-        self.slots = tuple(map(tuple, slots))
+    def __init__(self, columns, thetas, fanout=None):
+        self.columns = tuple(map(tuple, columns))
         self.thetas = tuple(map(float, thetas))
         self.fanout = fanout
         self.inverted = False
 
     def validate(self):
-        if not self.slots or set(map(len, self.slots)) not in ({2}, {3}):
+        columns = self.columns
+        if (len(columns) not in (2, 3) or not columns[0]
+                or len(set(map(len, columns))) != 1):
             raise CircuitError("a rotation block takes one or more slots "
-                               "of one control and a target each, or of "
-                               "two controls and a target each")
-        if len(self.thetas) != len(self.slots):
+                               "as a control column, or two, and a target "
+                               "column, all of one length")
+        if len(self.thetas) != len(columns[0]):
             raise CircuitError("a rotation block takes one angle per slot")
         if not all(map(math.isfinite, self.thetas)):
             raise CircuitError("rotation block angles must be finite")
@@ -461,34 +465,33 @@ class RotationBlock(Compound):
     @property
     def t_count(self):
         """Two measurement-assisted Toffolis per two-control slot."""
-        return 8 * len(self.slots) if len(self.slots[0]) == 3 else 0
+        return 8 * len(self.columns[0]) if len(self.columns) == 3 else 0
 
     @property
     def ry_units(self):
-        return 2 * len(self.slots)
+        return 2 * len(self.columns[0])
 
     def gates(self):
         from .decomp import controlled_ry_gates
         gates = []
-        for (*controls, target), theta in zip(self.slots, self.thetas):
+        for *controls, target, theta in zip(*self.columns, self.thetas):
             gates += controlled_ry_gates(theta, controls, target)
         fan = self.fan()
         return gates if fan is None else [fan, *gates, fan]
 
     def fan(self):
-        """The fanout-CNOT from ``fanout`` onto every slot's first control,
+        """The fanout-CNOT from ``fanout`` onto the first control column,
         or None without a fanout."""
         if self.fanout is None:
             return None
-        return Gate(GateKind.FANOUT_CNOT, [s[0] for s in self.slots],
+        return Gate(GateKind.FANOUT_CNOT, self.columns[0],
                     ((self.fanout, True),))
 
     def qubits(self):
-        """Every control, each target once, then the fanout."""
-        slots = self.slots
-        return (tuple(q for slot in slots for q in slot[:-1])
-                + tuple(dict.fromkeys(slot[-1] for slot in slots))
-                + (() if self.fanout is None else (self.fanout,)))
+        """The control columns, each target once, then the fanout."""
+        *controls, targets = self.columns
+        return tuple(chain(*controls, dict.fromkeys(targets),
+                           () if self.fanout is None else (self.fanout,)))
 
     def schedule(self, frontiers):
         """A slot (controls C, target t) whose flips take T-depth d (1 for
@@ -498,14 +501,16 @@ class RotationBlock(Compound):
         at X + 2d + 2R (X + 2d + R inverted).  Slots on one target chain
         through its ``busy``, so the adjoint walks them in reverse, as its
         expansion runs them."""
-        slots = self.slots[::-1] if self.inverted else self.slots
+        columns = self.columns
+        if self.inverted:
+            columns = [column[::-1] for column in columns]
         for ry, last_full, busy in frontiers:
             pre, post = (ry, 0) if self.inverted else (0, ry)
             if self.fanout is not None:
                 self._schedule_fanout(last_full, busy)
-            if len(slots[0]) == 3:
+            if len(columns) == 3:
                 step = 2 + ry
-                for c1, c2, t in slots:
+                for c1, c2, t in zip(*columns):
                     x = busy[t] + pre
                     if last_full[c1] > x:
                         x = last_full[c1]
@@ -518,7 +523,7 @@ class RotationBlock(Compound):
                     if x > busy[c2]:
                         busy[c2] = x
             else:
-                for c, t in slots:
+                for c, t in zip(*columns):
                     x = busy[t] + pre
                     if last_full[c] > x:
                         x = last_full[c]
@@ -530,23 +535,26 @@ class RotationBlock(Compound):
                 self._schedule_fanout(last_full, busy)
 
     def _schedule_fanout(self, last_full, busy):
-        """The fanout: a weight-0 full use of every slot's first control
-        that reads the fanout qubit."""
+        """The fanout: a weight-0 full use of the first control column that
+        reads the fanout qubit."""
         f = self.fanout
+        firsts = self.columns[0]
         x = last_full[f]
-        for slot in self.slots:
-            if busy[slot[0]] > x:
-                x = busy[slot[0]]
-        for slot in self.slots:
-            last_full[slot[0]] = busy[slot[0]] = x
+        for q in firsts:
+            if busy[q] > x:
+                x = busy[q]
+        for q in firsts:
+            last_full[q] = busy[q] = x
         if x > busy[f]:
             busy[f] = x
 
     def fields(self):
-        """``repr`` writes each angle exactly."""
-        slots = ",".join(":".join(map(str, slot)) for slot in self.slots)
+        """Slot k as ``columns[0][k]:...:columns[-1][k]``; ``repr`` writes
+        each angle exactly."""
+        slot = ":".join(("{}",) * len(self.columns))
         fanout = "-" if self.fanout is None else self.fanout
-        return f"r q={slots} a={','.join(map(repr, self.thetas))} fan={fanout}"
+        return (f"r q={','.join(map(slot.format, *self.columns))} "
+                f"a={','.join(map(repr, self.thetas))} fan={fanout}")
 
 
 _LAYER_KINDS = frozenset((GateKind.X, GateKind.Z, GateKind.H))
@@ -1067,10 +1075,15 @@ def _parse_block(fields):
     """A rotation block line; its angles must be spelled as ``repr`` writes
     them, so that the line writes back unchanged."""
     attrs = _fields(fields, _BLOCK_FIELDS, "rotation block")
-    slots = [tuple(map(int, slot.split(":")))
-             for slot in attrs["q"].split(",")]
+    slots = attrs["q"]
+    width = slots.partition(",")[0].count(":") + 1
+    slot = "[^,:]+" + ":[^,:]+" * (width - 1)
+    if not re.fullmatch(f"{slot}(?:,{slot})*", slots):
+        raise ValueError("slots of mixed width")
+    qubits = tuple(map(int, slots.replace(",", ":").split(":")))
     fanout = None if attrs["fan"] == "-" else int(attrs["fan"])
-    block = RotationBlock(slots, map(float, attrs["a"].split(",")), fanout)
+    block = RotationBlock((qubits[i::width] for i in range(width)),
+                          map(float, attrs["a"].split(",")), fanout)
     if ",".join(map(repr, block.thetas)) != attrs["a"]:
         raise ValueError("angles not written as repr writes them")
     return _inverted_if(attrs, block)

@@ -271,25 +271,33 @@ def load_plan(builder: CircuitBuilder, addr_qubits, data_qubits,
 class FlagLoad:
     """Plan for LOADF: D parallel copies sharing the n-bit address.
 
-    ``thetas`` holds 2^n rows of D angles, one row per address value and one
-    column per copy.  Copy r owns a flag qubit, an N-slot angle block (slot 0
-    is the output qubit and may be supplied by the caller), an N-slot one-hot
-    block, and two N-qubit ancilla pools for the phase-correct swap networks
-    and the doubly-controlled rotations.
+    ``thetas`` is 2^n rows of D angles, one row per address value and one
+    column per copy; the plan keeps its D columns as lists of floats, one
+    per copy's rotation block.  Copy r owns a flag qubit, an N-slot angle
+    block (slot 0 is the output qubit and may be supplied by the caller),
+    an N-slot one-hot block, and two N-qubit ancilla pools for the
+    phase-correct swap networks and the doubly-controlled rotations.  Each
+    copy's one-hot and angle ``SwapNetwork`` is built here, once, and every
+    ``build_ops`` call emits those same objects, so a forward LOADF and an
+    adjoint one share every network's fields.
     """
 
     def __init__(self, builder: CircuitBuilder, addr_qubits, thetas,
                  flags=None, angle_slot0=None):
         self.addr = tuple(addr_qubits)
         big_n = 1 << len(self.addr)
-        self.thetas = [tuple(row) for row in thetas]
-        d = len(self.thetas[0]) if self.thetas else 0
-        if not self.addr or d < 1 or len(self.thetas) != big_n \
-                or any(len(row) != d for row in self.thetas):
+        try:
+            thetas = np.asarray(thetas, dtype=float)
+        except ValueError:
+            thetas = None
+        if not self.addr or thetas is None or thetas.ndim != 2 \
+                or thetas.shape[0] != big_n or thetas.shape[1] < 1:
             raise ConfigurationError(
                 "thetas must be 2^n rows (n >= 1) of D >= 1 angles")
+        self.thetas = thetas.T.tolist()
+        controls = self.addr[::-1]
         self.copies = []
-        for r in range(d):
+        for r in range(len(self.thetas)):
             flag = flags[r] if flags is not None else builder.allocate(
                 f"f{r}_flag", 1)[0]
             if angle_slot0 is not None:
@@ -300,13 +308,15 @@ class FlagLoad:
             onehot = builder.allocate(f"f{r}_onehot", big_n).qubits
             pool_a = builder.allocate(f"f{r}_pool_a", big_n).qubits
             pool_b = builder.allocate(f"f{r}_pool_b", big_n).qubits
-            self.copies.append((flag, angle, onehot, pool_a, pool_b))
+            self.copies.append((flag, angle, onehot, pool_a, pool_b,
+                                SwapNetwork(controls, onehot, pool_b),
+                                SwapNetwork(controls, angle, pool_a)))
 
     @property
     def pools(self):
         """Copy 0's pools A and B, clean outside LOADF, so that the ops
         around it may borrow them."""
-        return self.copies[0][3:]
+        return self.copies[0][3:5]
 
     def build_ops(self, static_flags_one=False):
         """One X layer on every copy's one-hot slot 0, then copy by copy
@@ -314,29 +324,27 @@ class FlagLoad:
         rotation block, the angle network and the one-hot network), and the
         X layer again.  One-hot networks draw on pool B, angle networks on
         pool A.  The rotation block V rotates angle slot k by theta^(k)
-        under the flag and one-hot controls; its expansion runs slot by
-        slot, so the simulator branches on one angle slot at a time, and
-        each Toffoli's scratch qubit is pool_a[k].
+        under the flag and one-hot controls; its columns are the copy's
+        registers, its expansion runs slot by slot, so the simulator
+        branches on one angle slot at a time, and each Toffoli's scratch
+        qubit is pool_a[k].
 
         Copies share only the address, as controls, so each copy's four ops
         form one run that no other copy's op interleaves.
         """
-        controls = self.addr[::-1]
-        per_copy = []
-        for (flag, angle, onehot, pool_a, pool_b), thetas in zip(
-                self.copies, zip(*self.thetas)):
-            onehot_network = SwapNetwork(controls, onehot, pool_b)
+        ops = []
+        for (flag, angle, onehot, _, pool_b, onehot_network,
+             angle_network), thetas in zip(self.copies, self.thetas):
             if static_flags_one:
-                block = RotationBlock(zip(onehot, angle), thetas)
+                block = RotationBlock((onehot, angle), thetas)
             else:
-                block = RotationBlock(zip(pool_b, onehot, angle), thetas,
+                block = RotationBlock((pool_b, onehot, angle), thetas,
                                       fanout=flag)
-            per_copy.append((onehot_network.adjoint(), block,
-                             SwapNetwork(controls, angle, pool_a),
-                             onehot_network))
+            ops += (onehot_network.adjoint(), block, angle_network,
+                    onehot_network)
         x = clifford_layer_ops(GateKind.X,
                                (copy[2][0] for copy in self.copies))
-        return x + [op for copy in per_copy for op in copy] + x
+        return x + ops + x
 
 
 def build_loadf(thetas):

@@ -298,7 +298,7 @@ class SparseState:
         if fan is not None:
             self._apply_gate(fan)
         sign = -1.0 if block.inverted else 1.0
-        for (*controls, target), theta in zip(block.slots, block.thetas):
+        for *controls, target, theta in zip(*block.columns, block.thetas):
             self._branch(target, _ry_matrix(sign * theta),
                          tuple((q, True) for q in controls))
         if fan is not None:

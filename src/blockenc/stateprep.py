@@ -95,7 +95,7 @@ def sp_fixed_ops(data, block, t):
             emit(SwapLayer(((data[p - 2], True),), qubit_pairs), record=True)
             for qa, qb in zip(a_slots[0], a_slots[step]):
                 emit(Gate(GateKind.SWAP, (qa, qb)), record=True)
-        emit(RotationBlock(((c, data[p - 1]) for c in a_slots[0]), ladder))
+        emit(RotationBlock((a_slots[0], (data[p - 1],) * t), ladder))
     # Sign selection and application.
     emit(SwapLayer(((data[n - 1], True),), ((s_block[0], s_block[1]),)),
          record=True)
@@ -195,7 +195,7 @@ def sp_prerotated_ops(data, slots, f_slots, pool_a, pool_b, vectors):
         ops.append(Gate(GateKind.RY, (q,), (), theta / 2.0))
     ops += flags
     ops += _repair_ops(data, slots, f_slots, pool_a, pool_b, [RotationBlock(
-        zip(f_slots, slots), [-theta for theta in folded])])
+        (f_slots, slots), [-theta for theta in folded])])
     ops += flags
     return ops
 

@@ -28,6 +28,7 @@ from blockenc.circuit import (
     write_circuit_text,
 )
 from blockenc.decomp import (
+    controlled_ry_gates,
     parallel_cswap_clean,
     unary_select,
     unary_step,
@@ -334,6 +335,12 @@ def test_out_of_range_macro_rejected():
     "c k=BOGUS t=0 inv=0",
     # A CZ, a gate kind no generator emits.
     "g CZ t=0,1",
+    # Rotation block slots of mixed width, also where the integer count is
+    # a multiple of the first slot's width, or with an empty slot.
+    "r q=0:1,2:3:4 a=0.5,0.5 fan=- inv=0",
+    "r q=0:1:2,3:4:5:6,7:8 a=0.5,0.5,0.5 fan=- inv=0",
+    "r q=0:1:2,3:4 a=0.5,0.5 fan=- inv=0",
+    "r q=0:1,,2:3 a=0.5,0.5 fan=- inv=0",
 ])
 def test_malformed_line_raises_circuit_error(line):
     text = "qubits 3\nreg q 0 3\n" + line + "\n"
@@ -440,7 +447,7 @@ def test_count_schedules_each_op_once(monkeypatch):
     layer = SwapLayer(((0, True),), ((1, 2),))
     ops = [Gate(GateKind.T, (0,)), layer,
            parallel_cswap_clean(5, ((1, 2),), (3, 4)),
-           RotationBlock([(0, 1, 2)], [0.5], fanout=5),
+           RotationBlock(((0,), (1,), (2,)), [0.5], fanout=5),
            CliffordLayer(GateKind.H, (3, 4)),
            SwapNetwork((0,), (1, 2), (3, 4)).adjoint(),
            layer.adjoint(), Gate(GateKind.RY, (3,), (), 0.5)]
@@ -721,7 +728,8 @@ def _hub_rotations(draw):
     schedule must let them commute."""
     order = draw(st.permutations(range(1, _WIDTH)))
     slot = (0, *order[:draw(st.integers(1, 2))])
-    return RotationBlock([slot], [draw(st.floats(-math.pi, math.pi))])
+    return RotationBlock([(q,) for q in slot],
+                         [draw(st.floats(-math.pi, math.pi))])
 
 
 @st.composite
@@ -733,7 +741,7 @@ def _shared_target_blocks(draw):
     order = draw(st.permutations(range(_WIDTH)))
     k = draw(st.integers(2, (_WIDTH - 1) // m))
     block = RotationBlock(
-        [(*order[1 + i * m:1 + (i + 1) * m], order[0]) for i in range(k)],
+        [*(order[1 + j:1 + k * m:m] for j in range(m)), (order[0],) * k],
         draw(st.lists(st.floats(-math.pi, math.pi), min_size=k, max_size=k)))
     return block.adjoint() if draw(st.booleans()) else block
 
@@ -965,8 +973,8 @@ def _oracle_counts(ops, ry):
 # Two rotation blocks sharing only a control commute; the T on that control
 # waits for both.
 _SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
-    RotationBlock([(0, 1)], [0.5]),
-    RotationBlock([(0, 2)], [0.5]),
+    RotationBlock(((0,), (1,)), [0.5]),
+    RotationBlock(((0,), (2,)), [0.5]),
     Gate(GateKind.T, (0,)),
 ], 3)
 
@@ -976,7 +984,7 @@ _SHARED_CONTROL = Circuit([QubitRegister("q", 0, 3)], [
 # walking the slots in their forward order would give 103.
 _SHARED_TARGET = Circuit([QubitRegister("q", 0, 3)], [
     *[Gate(GateKind.T, (0,))] * 100,
-    RotationBlock([(0, 2), (1, 2)], [0.5, 0.25]).adjoint(),
+    RotationBlock(((0, 1), (2, 2)), [0.5, 0.25]).adjoint(),
 ], 3, [("ts", 0, 100), ("ladder", 100, 101)])
 
 
@@ -1075,8 +1083,8 @@ def _layer_circuits(draw, factory=False):
     # A rotation block that only reads the layer's control, so the
     # control's last read can follow its last full use.
     reader = RotationBlock(
-        [(c, draw(st.sampled_from([q for q in range(_LAYER_WIDTH)
-                                    if q != c])))], [0.5])
+        ((c,), (draw(st.sampled_from([q for q in range(_LAYER_WIDTH)
+                                       if q != c])),)), [0.5])
     macros = (_factory_macros(_LAYER_WIDTH) if factory
               else _macros(gates, _LAYER_WIDTH))
     pool = gates + [reader] + draw(st.lists(macros, max_size=2))
@@ -1184,14 +1192,14 @@ def _block_circuits(draw, factory=False):
     m = draw(st.integers(1, 2))
     k = draw(st.integers(1, 4))
     order = draw(st.permutations(range(_BLOCK_WIDTH)))
-    slots = [order[i * (m + 1):(i + 1) * (m + 1)] for i in range(k)]
+    columns = [order[j:k * (m + 1):m + 1] for j in range(m + 1)]
     fanout = order[-1] if draw(st.booleans()) else None
-    block = RotationBlock(slots, draw(st.lists(_BLOCK_ANGLES, min_size=k,
-                                               max_size=k)), fanout)
+    block = RotationBlock(columns, draw(st.lists(_BLOCK_ANGLES, min_size=k,
+                                                 max_size=k)), fanout)
     if draw(st.booleans()):
         block = block.adjoint()
     gates = draw(st.lists(_gates(_BLOCK_WIDTH), min_size=1, max_size=6))
-    controls = [q for slot in slots for q in slot[:-1]] + (
+    controls = [q for column in columns[:-1] for q in column] + (
         [] if fanout is None else [fanout])
     # T gates on the block's qubits and one-slot blocks that read its
     # controls, so that the qubits of one slot reach the block at different
@@ -1201,7 +1209,7 @@ def _block_circuits(draw, factory=False):
     for _ in range(2):
         c = draw(st.sampled_from(controls))
         t = draw(st.sampled_from([q for q in order if q != c]))
-        block_ops.append(RotationBlock([(c, t)], [0.5]))
+        block_ops.append(RotationBlock(((c,), (t,)), [0.5]))
     macros = (_factory_macros(_BLOCK_WIDTH) if factory
               else _macros(gates, _BLOCK_WIDTH))
     pool = gates + block_ops + draw(st.lists(macros, max_size=2))
@@ -1219,11 +1227,11 @@ def _t(q, times=1):
 
 
 def _read(target, control):
-    return RotationBlock([(control, target)], [0.5])
+    return RotationBlock(((control,), (target,)), [0.5])
 
 
-_ONE_CONTROL = RotationBlock([(0, 1)], [math.pi])
-_FANNED = RotationBlock([(1, 2, 3)], [0.5], fanout=0)
+_ONE_CONTROL = RotationBlock(((0,), (1,)), [math.pi])
+_FANNED = RotationBlock(((1,), (2,), (3,)), [0.5], fanout=0)
 # (before, block, after) where one rule of ``_schedule_block`` shows.
 _BLOCK_EXAMPLES = [
     # A one-control slot only reads its control: control 0 is read before
@@ -1276,17 +1284,20 @@ def test_rotation_block_is_one_text_line(circuit):
             == count_resources_at(circuit, (1, 10, 30)))
 
 
+# Each case gives the block's slots as its columns.
 @pytest.mark.parametrize("slots, thetas, fanout, message", [
     ((), (), None, "one or more slots"),
     (((0,),), (0.5,), None, "one or more slots"),
-    (((0, 1), (2, 3, 4)), (0.5, 0.5), None, "one or more slots"),
-    (((0, 1, 2, 3),), (0.5,), None, "one or more slots"),
-    (((0, 1),), (0.5, 0.5), None, "one angle per slot"),
-    (((0, 1),), (math.inf,), None, "finite"),
+    (((0, 2), (1, 3, 4)), (0.5, 0.5), None, "one or more slots"),
+    (((0,), (1,), (2,), (3,)), (0.5,), None, "one or more slots"),
+    (((0,), (1,)), (0.5, 0.5), None, "one angle per slot"),
+    (((0,), (1,)), (math.inf,), None, "finite"),
     (((0, 1), (1, 2)), (0.5, 0.5), None, "distinct"),
-    (((0, 1, 2),), (0.5,), 1, "distinct"),
-    (((0, 9),), (0.5,), None, "out of range"),
-    (((0, 1),), (0.5,), 9, "out of range"),
+    (((0,), (1,), (2,)), (0.5,), 1, "distinct"),
+    (((0,), (9,)), (0.5,), None, "out of range"),
+    (((0,), (1,)), (0.5,), 9, "out of range"),
+    (((), ()), (), None, "one or more slots"),
+    (((0, 2), (1, 3), (4,)), (0.5, 0.5), None, "one or more slots"),
 ])
 def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
     b = CircuitBuilder()
@@ -1312,7 +1323,7 @@ def test_builder_checks_a_rotation_block(slots, thetas, fanout, message):
     (((0, 4), (1, 4)), 1, "must be distinct"),
 ])
 def test_builder_and_parser_check_a_shared_target(slots, fanout, message):
-    block = RotationBlock(slots, [0.5] * len(slots), fanout)
+    block = RotationBlock(zip(*slots), [0.5] * len(slots), fanout)
     text = f"qubits 5\nreg q 0 5\n{block.fields()} inv=1\n"
     b = CircuitBuilder()
     b.allocate("q", 5)
@@ -1325,6 +1336,48 @@ def test_builder_and_parser_check_a_shared_target(slots, fanout, message):
         b.build()
     with pytest.raises(CircuitError, match=message):
         parse_circuit_text(text)
+
+
+@st.composite
+def _column_blocks(draw):
+    """A rotation block from drawn columns: one or two control columns of
+    1-4 distinct qubits, a target column drawn from the other qubits
+    (targets may repeat), with or without a fanout, forward or adjoint."""
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(_BLOCK_WIDTH)))
+    fanout = order[-1] if draw(st.booleans()) else None
+    targets = st.sampled_from(order[m * k:-1])
+    columns = [*(order[j * k:(j + 1) * k] for j in range(m)),
+               draw(st.lists(targets, min_size=k, max_size=k))]
+    block = RotationBlock(columns, draw(st.lists(
+        _BLOCK_ANGLES, min_size=k, max_size=k)), fanout)
+    return block.adjoint() if draw(st.booleans()) else block
+
+
+@_PROPERTY
+@given(block=_column_blocks())
+def test_block_columns_round_trip_and_expand_slot_by_slot(block):
+    """The text gives back the block's columns, angles and fanout, and its
+    gates are slot k's ``controlled_ry_gates``, k = 0, 1, ..., between the
+    fanouts."""
+    circuit = Circuit([QubitRegister("q", 0, _BLOCK_WIDTH)], [block],
+                      _BLOCK_WIDTH)
+    parsed, = parse_circuit_text(write_circuit_text(circuit)).ops
+    assert ((parsed.columns, parsed.thetas, parsed.fanout, parsed.inverted)
+            == (block.columns, block.thetas, block.fanout, block.inverted))
+    *controls, targets = block.columns
+    want = []
+    for k, theta in enumerate(block.thetas):
+        want += controlled_ry_gates(theta, [c[k] for c in controls],
+                                    targets[k])
+    if block.fanout is not None:
+        fan = Gate(GateKind.FANOUT_CNOT, controls[0],
+                   ((block.fanout, True),))
+        want = [fan, *want, fan]
+    assert block.gates() == want
+    assert list(parsed.expansion) == (adjoint_ops(want) if block.inverted
+                                      else want)
 
 
 # ---------------------------------------------------------------------------
@@ -1353,7 +1406,8 @@ def _network_circuits(draw, factory=False):
         st.sampled_from(network.qubits()), min_size=1, max_size=4))]
     for c in draw(st.lists(st.sampled_from(network.controls), min_size=1,
                            max_size=2)):
-        pool.append(RotationBlock([(c, draw(st.sampled_from(full)))], [0.5]))
+        pool.append(RotationBlock(((c,), (draw(st.sampled_from(full)),)),
+                                  [0.5]))
     pool += draw(st.lists(_gates(_NETWORK_WIDTH), max_size=4))
     pool += draw(st.lists(_factory_macros(_NETWORK_WIDTH) if factory
                           else _macros(pool[:1], _NETWORK_WIDTH),
@@ -1481,7 +1535,7 @@ def _clifford_circuits(draw, factory=False):
     for c in draw(st.lists(st.sampled_from(targets), min_size=1,
                            max_size=2)):
         t = draw(st.sampled_from([q for q in range(_WIDTH) if q != c]))
-        pool.append(RotationBlock([(c, t)], [0.5]))
+        pool.append(RotationBlock(((c,), (t,)), [0.5]))
     pool += draw(st.lists(_gates(), max_size=4))
     pool += draw(st.lists(_clifford_layers(), max_size=2))
     pool += draw(st.lists(_factory_macros() if factory
@@ -1498,7 +1552,7 @@ def _clifford_circuits(draw, factory=False):
 # starts at the read's finish, not at 3.
 _UNEVEN_LAYER = Circuit(
     [QubitRegister("q", 0, 3)],
-    _t(0, 3) + [RotationBlock([(1, 2)], [0.5]),
+    _t(0, 3) + [RotationBlock(((1,), (2,)), [0.5]),
                 CliffordLayer(GateKind.H, (0, 1))] + _t(1),
     3, [("s0", 0, 4), ("s1", 4, 6)])
 

@@ -16,6 +16,7 @@ from blockenc.circuit import (
     GateKind,
     Macro,
     RotationBlock,
+    SwapNetwork,
     adjoint_ops,
     count_resources,
     count_resources_at,
@@ -605,7 +606,7 @@ def test_prerotated_macros_keep_recipes_not_gates(monkeypatch):
     macros = [op for op in circuit.ops if isinstance(op, Macro)]
     assert any(op.inverted for op in macros)
     blocks = [op for op in circuit.ops if isinstance(op, RotationBlock)]
-    assert {(len(op.slots[0]), op.inverted) for op in blocks} == {
+    assert {(len(op.columns), op.inverted) for op in blocks} == {
         (2, False), (2, True), (3, False)}
     parsed = parse_circuit_text(write_circuit_text(circuit))
     assert len(parsed.ops) == len(circuit.ops)
@@ -630,9 +631,32 @@ def test_fixed_ladder_steps_are_blocks_not_gates(monkeypatch):
     assert count_resources(parsed, 30) == report
     assert runs[0] == 0
     ladders = [op for op in circuit.ops if isinstance(op, RotationBlock)
-               and len({slot[-1] for slot in op.slots}) == 1]
-    assert {(len(op.slots), op.inverted) for op in ladders} == {
+               and len(set(op.columns[-1])) == 1]
+    assert {(len(op.columns[0]), op.inverted) for op in ladders} == {
         (t, False), (t, True)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prerotated_loadf_builds_each_network_once(n):
+    """Each of the D = N - 1 LOADF copies holds two swap networks, its
+    one-hot and its angle network, and both LOADF legs use those same
+    objects: the forward one (one-control blocks) and the reverse one
+    (two-control blocks), in each of which a copy's block sits between
+    its two networks.  So the circuit holds 2(N - 1) distinct network
+    field sets."""
+    big_n = 1 << n
+    matrix = np.random.default_rng(n).uniform(5, 105, (big_n, big_n))
+    cfg = BlockEncodingConfig(method=Method.PRE_ROTATED)
+    ops = build_block_encoding(matrix, cfg).circuit.ops
+    legs = {2: set(), 3: set()}
+    for i, op in enumerate(ops):
+        if isinstance(op, RotationBlock) and len(op.thetas) == big_n:
+            copy = (ops[i - 1], ops[i + 1])
+            assert all(isinstance(net, SwapNetwork) for net in copy)
+            legs[len(op.columns)].update(net.key() for net in copy)
+    networks = {op.key() for op in ops if isinstance(op, SwapNetwork)}
+    assert len(networks) == 2 * (big_n - 1)
+    assert legs[2] == legs[3] == networks
 
 
 def test_prerotated_n6_is_a_few_thousand_ops():

@@ -219,7 +219,7 @@ def test_controlled_branch_matches_the_concatenate_then_prune_reference(
     if chunk:
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
     start = _branch_start(merge, np.random.default_rng(11))
-    block = RotationBlock([(1, 64)], [math.pi])
+    block = RotationBlock(((1,), (64,)), [math.pi])
     before = SparseState(70, start)
     hit = (before._keys[0] & np.uint64(2)) != 0
     keys, amps, pruned = _reference_branch(
@@ -366,13 +366,13 @@ def _rotation_blocks(draw, qubits=ACTIVE, angles=_ANGLES):
     if draw(st.booleans()):
         m = width - 1
         count = draw(st.integers(1, (len(qubits) - 2) // m))
-        slots = [(*order[1 + k * m:1 + (k + 1) * m], order[0])
-                 for k in range(count)]
+        columns = [*(order[1 + j:1 + count * m:m] for j in range(m)),
+                   (order[0],) * count]
     else:
         count = draw(st.integers(1, (len(qubits) - 1) // width))
-        slots = [order[k * width:(k + 1) * width] for k in range(count)]
+        columns = [order[j:count * width:width] for j in range(width)]
     block = RotationBlock(
-        slots, draw(st.lists(angles, min_size=count, max_size=count)),
+        columns, draw(st.lists(angles, min_size=count, max_size=count)),
         order[-1] if draw(st.booleans()) else None)
     return block.adjoint() if draw(st.booleans()) else block
 
@@ -664,7 +664,7 @@ def test_rotation_block_branches_only_its_controlled_entries(controls,
                                                              adjoint):
     """m entries, k of them with the slot's controls at |1>: the block peaks
     at m + k entries, gate by gate at 2m."""
-    block = RotationBlock([(*controls, 1)], [0.7])
+    block = RotationBlock([(c,) for c in (*controls, 1)], [0.7])
     if adjoint:
         block = block.adjoint()
     start = _superposed((0, 2, 3))
@@ -680,7 +680,7 @@ def test_tiny_rotation_keeps_a_branch_gate_by_gate_prunes():
     threshold; gate by gate the half-angle branch (7.5e-15) is pruned first
     and RY(theta/2) has nothing left to rotate, so the whole op holds one
     entry more, and peaks higher, by a branch far below any tolerance."""
-    block = RotationBlock([(0, 1)], [1e-13])
+    block = RotationBlock(((0,), (1,)), [1e-13])
     whole = SparseState(2, {1: 0.3}).run(_circuit([block], 2))
     reference = _per_op(2, {1: 0.3}, [block])
     assert dict(reference.amplitudes) == {1: 0.3}
